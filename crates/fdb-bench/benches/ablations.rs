@@ -3,15 +3,13 @@
 //! * **delete policy** — `Faithful` (the paper: negate exact chains only)
 //!   vs `Strict` (also negate ambiguous chains): cost of the extra chain
 //!   enumeration, on instances with many null links;
-//! * **materialised extensions** — pull-based truth queries vs the
-//!   version-checked cache, on read-heavy workloads;
 //! * **insert policy** — `FirstDerivation` (longer NVCs) vs
 //!   `ShortestDerivation` on a diamond schema.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use fdb_core::database::InsertPolicy;
-use fdb_core::{Database, MaterializedExtension};
+use fdb_core::Database;
 use fdb_storage::chain::DeletePolicy;
 use fdb_types::{Derivation, Schema, Step, Value};
 
@@ -78,37 +76,6 @@ fn bench_ablations(c: &mut Criterion) {
                 },
             );
         }
-    }
-    group.finish();
-
-    // --- materialised extension vs live truth queries ---
-    let mut group = c.benchmark_group("materialized_vs_live");
-    group.sample_size(20);
-    for n in [100usize, 400] {
-        let db = nullful_university(n);
-        let pupil = db.resolve("pupil").unwrap();
-        let probes: Vec<(Value, Value)> = (0..50)
-            .map(|i| (v(format!("prof{i}")), v(format!("stud{i}"))))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("live", n), &db, |b, db| {
-            b.iter(|| {
-                probes
-                    .iter()
-                    .map(|(x, y)| db.truth(pupil, x, y).unwrap())
-                    .filter(|t| *t == fdb_storage::Truth::True)
-                    .count()
-            })
-        });
-        let cache = MaterializedExtension::new(&db, pupil).unwrap();
-        group.bench_with_input(BenchmarkId::new("materialized", n), &cache, |b, cache| {
-            b.iter(|| {
-                probes
-                    .iter()
-                    .map(|(x, y)| cache.truth(x, y))
-                    .filter(|t| *t == fdb_storage::Truth::True)
-                    .count()
-            })
-        });
     }
     group.finish();
 

@@ -14,20 +14,19 @@
 //! * [`SyncPolicy`] decides when appends are fsynced: every record,
 //!   every N records, or only at checkpoints.
 //!
-//! Recovery ([`LoggedDatabase::open_with`]) salvages rather than fails:
-//! a damaged segment is truncated to its valid prefix, the damaged
-//! suffix is moved aside into a `.quarantine` file, and everything after
-//! the first flaw is quarantined wholesale so appends never interleave
-//! with garbage. The [`RecoveryReport`] says exactly what happened.
+//! The byte layout of all of this belongs to [`crate::wal`]; this module
+//! decides *when* to append, sync, rotate and checkpoint.
+//!
+//! Recovery ([`LoggedDatabase::open_with`]) is [`walk_log`] followed by
+//! [`LogWalk::repair`](crate::wal::LogWalk::repair): it salvages rather
+//! than fails, and the [`RecoveryReport`] says exactly what happened.
 //!
 //! For compatibility, opening a *file* path (rather than a directory)
 //! recovers a legacy single-file log — including v1 plain-JSON logs —
 //! and keeps appending to it in its own format, without checkpoints.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use fdb_types::{FdbError, Functionality, Result, Value};
 
@@ -35,8 +34,8 @@ use crate::database::Database;
 use crate::storage::{FileStorage, WalStorage};
 use crate::update::Update;
 use crate::wal::{
-    apply_record, io_err, observe_recovery, parent_dir, scan, CorruptionEvent, LogRecord,
-    RecoveryReport, Scan, TxnReplayer, Wal,
+    apply_record, clear_log, initial_term, install_checkpoint, io_err, list_segments, walk_log,
+    CheckpointInfo, LogRecord, RecoveryReport, Wal,
 };
 
 /// When appended records are fsynced.
@@ -76,144 +75,12 @@ impl Default for DurabilityConfig {
     }
 }
 
-const CHECKPOINT: &str = "checkpoint.snap";
-const CHECKPOINT_TMP: &str = "checkpoint.tmp";
-
-/// The atomically installed checkpoint file's contents.
-#[derive(Debug, Serialize, Deserialize)]
-struct CheckpointDoc {
-    /// Highest sequence number the snapshot covers.
-    seq: u64,
-    /// [`Database::to_snapshot`] output.
-    snapshot: String,
-    /// Replication term in force when the checkpoint was taken. Absent
-    /// in pre-replication checkpoints (defaults to the initial term 1).
-    #[serde(default = "initial_term")]
-    term: u64,
-}
-
-/// The term a log starts life under (before any failover promotion).
-fn initial_term() -> u64 {
-    1
-}
-
-/// The WAL segment file name for a segment whose first record is
-/// `first_seq` (the layout contract replication mirrors on replicas).
-pub fn segment_name(first_seq: u64) -> String {
-    format!("wal-{first_seq:010}.seg")
-}
-
-/// Parses a segment file's first sequence number from its name; `None`
-/// for paths that are not WAL segments.
-pub fn segment_first_seq(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("wal-")?
-        .strip_suffix(".seg")?
-        .parse()
-        .ok()
-}
-
-/// An installed checkpoint's contents, exposed so a replication source
-/// can seed a replica that is behind the earliest retained segment.
-#[derive(Clone, Debug)]
-pub struct CheckpointInfo {
-    /// Highest sequence number the snapshot covers.
-    pub seq: u64,
-    /// Replication term in force when the checkpoint was taken.
-    pub term: u64,
-    /// [`Database::to_snapshot`] output.
-    pub snapshot: String,
-}
-
-/// Reads the installed checkpoint in `dir`, if any.
-pub fn read_checkpoint(storage: &dyn WalStorage, dir: &Path) -> Result<Option<CheckpointInfo>> {
-    let ckpt = dir.join(CHECKPOINT);
-    if !storage.is_file(&ckpt) {
-        return Ok(None);
-    }
-    let bytes = storage
-        .read(&ckpt)
-        .map_err(|e| io_err("read checkpoint", e))?;
-    let text = std::str::from_utf8(&bytes)
-        .map_err(|e| FdbError::Internal(format!("wal: checkpoint not UTF-8: {e}")))?;
-    let doc: CheckpointDoc = serde_json::from_str(text)
-        .map_err(|e| FdbError::Internal(format!("wal: checkpoint corrupt: {e}")))?;
-    Ok(Some(CheckpointInfo {
-        seq: doc.seq,
-        term: doc.term,
-        snapshot: doc.snapshot,
-    }))
-}
-
-/// Atomically installs a checkpoint document in `dir` (write to a temp
-/// file, fsync, rename into place, fsync the directory) — the same
-/// protocol [`LoggedDatabase::checkpoint`] uses, exposed so a replica can
-/// install a seed snapshot in its local copy of the log.
-pub fn install_checkpoint(
-    storage: &dyn WalStorage,
-    dir: &Path,
-    info: &CheckpointInfo,
-) -> Result<()> {
-    let doc = CheckpointDoc {
-        seq: info.seq,
-        snapshot: info.snapshot.clone(),
-        term: info.term,
-    };
-    let json = serde_json::to_string(&doc)
-        .map_err(|e| FdbError::Internal(format!("wal: serialise checkpoint: {e}")))?;
-    let tmp = dir.join(CHECKPOINT_TMP);
-    let mut f = storage
-        .create(&tmp)
-        .map_err(|e| io_err("create checkpoint.tmp", e))?;
-    f.append(json.as_bytes())
-        .map_err(|e| io_err("write checkpoint", e))?;
-    f.sync().map_err(|e| io_err("sync checkpoint", e))?;
-    drop(f);
-    storage
-        .rename(&tmp, &dir.join(CHECKPOINT))
-        .map_err(|e| io_err("install checkpoint", e))?;
-    storage.sync_dir(dir).map_err(|e| io_err("sync dir", e))
-}
-
-/// Scans `path`, and if a flaw is found moves the damaged suffix into
-/// `<path>.quarantine` and truncates the file to its valid prefix.
-/// Returns the scan and the number of quarantined bytes.
-fn salvage_file(storage: &dyn WalStorage, path: &Path, first_seq: u64) -> Result<(Scan, u64)> {
-    let bytes = storage.read(path).map_err(|e| io_err("read segment", e))?;
-    let scanned = scan(&bytes, first_seq);
-    let mut quarantined = 0u64;
-    if scanned.flaw.is_some() {
-        let suffix = &bytes[scanned.valid_len as usize..];
-        if !suffix.is_empty() {
-            let qpath = quarantine_path(path);
-            let mut q = storage
-                .create(&qpath)
-                .map_err(|e| io_err("create quarantine", e))?;
-            q.append(suffix).map_err(|e| io_err("quarantine", e))?;
-            q.sync().map_err(|e| io_err("sync quarantine", e))?;
-            quarantined = suffix.len() as u64;
-        }
-        storage
-            .truncate(path, scanned.valid_len)
-            .map_err(|e| io_err("truncate damaged suffix", e))?;
-    }
-    Ok((scanned, quarantined))
-}
-
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(".quarantine");
-    PathBuf::from(name)
-}
-
 /// A database coupled to a write-ahead log: every successful mutation is
 /// logged, so the on-disk state always reconstructs the in-memory state.
 #[derive(Debug)]
 pub struct LoggedDatabase {
     db: Database,
     storage: Arc<dyn WalStorage>,
-    dir: PathBuf,
     wal: Wal,
     config: DurabilityConfig,
     /// Seq covered by the last installed checkpoint (0 = none).
@@ -268,19 +135,11 @@ impl LoggedDatabase {
             .create_dir_all(&dir)
             .map_err(|e| io_err("create dir", e))?;
         // Truncating create: clear any previous log state.
-        for path in storage.list(&dir).map_err(|e| io_err("list dir", e))? {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("wal-") || name.starts_with("checkpoint.") {
-                storage
-                    .remove(&path)
-                    .map_err(|e| io_err("clear old log", e))?;
-            }
-        }
-        let wal = Wal::create_on(Arc::clone(&storage), dir.join(segment_name(1)), 1)?;
+        clear_log(storage.as_ref(), &dir)?;
+        let wal = Wal::create_segment(Arc::clone(&storage), &dir, 1)?;
         Ok(LoggedDatabase {
             db: Database::new(fdb_types::Schema::new()),
             storage,
-            dir,
             wal,
             config,
             checkpoint_seq: 0,
@@ -311,122 +170,28 @@ impl LoggedDatabase {
         path: impl AsRef<Path>,
         config: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        let path = path.as_ref().to_owned();
-        if storage.is_file(&path) {
-            return LoggedDatabase::open_legacy(storage, path, config);
-        }
+        let path = path.as_ref();
         let recovery_span =
-            fdb_obs::causal::root_span("fdb.recovery.run", || format!("dir={}", path.display()));
-        storage
-            .create_dir_all(&path)
-            .map_err(|e| io_err("create dir", e))?;
-        let dir = path;
-
-        let mut report = RecoveryReport::default();
-        let mut db = Database::new(fdb_types::Schema::new());
-        let mut base_seq = 0u64;
-        let mut term = initial_term();
-
-        // A leftover temp file is an interrupted (never installed)
-        // checkpoint; discard it.
-        let tmp = dir.join(CHECKPOINT_TMP);
-        if storage.is_file(&tmp) {
+            fdb_obs::causal::root_span("fdb.recovery.run", || format!("log={}", path.display()));
+        // A file is a legacy single-file log (v1 or single-segment v2):
+        // recovered the same way, continued in its own format.
+        let legacy = storage.is_file(path);
+        if !legacy {
             storage
-                .remove(&tmp)
-                .map_err(|e| io_err("remove stale checkpoint.tmp", e))?;
+                .create_dir_all(path)
+                .map_err(|e| io_err("create dir", e))?;
         }
-
-        if let Some(info) = read_checkpoint(storage.as_ref(), &dir)? {
-            db = Database::from_snapshot(&info.snapshot)?;
-            base_seq = info.seq;
-            term = info.term;
-            report.checkpoint_seq = Some(info.seq);
-            report.last_seq = Some(info.seq);
-        }
-
-        let mut segments: Vec<(u64, PathBuf)> = storage
-            .list(&dir)
-            .map_err(|e| io_err("list dir", e))?
-            .into_iter()
-            .filter_map(|p| segment_first_seq(&p).map(|s| (s, p)))
-            .collect();
-        segments.sort();
-
-        let mut expected = base_seq + 1;
-        let mut halted = false;
-        let mut append_target: Option<PathBuf> = None;
-        // One replayer across all segments: an open transaction frame
-        // (deferred rotation notwithstanding) may span a boundary.
-        let mut replayer = TxnReplayer::new();
-        for (first_seq, seg_path) in segments {
-            if halted || first_seq > expected {
-                // Unreachable after a flaw (or a missing segment): move
-                // the whole file aside.
-                let bytes = storage
-                    .read(&seg_path)
-                    .map_err(|e| io_err("read segment", e))?;
-                report.quarantined_bytes += bytes.len() as u64;
-                storage
-                    .rename(&seg_path, &quarantine_path(&seg_path))
-                    .map_err(|e| io_err("quarantine segment", e))?;
-                halted = true;
-                continue;
-            }
-            let (scanned, quarantined) = salvage_file(storage.as_ref(), &seg_path, first_seq)?;
-            report.segments_scanned += 1;
-            report.quarantined_bytes += quarantined;
-            report.skipped_records += scanned.skipped;
-            for (seq, record) in &scanned.records {
-                if *seq <= base_seq {
-                    continue; // already covered by the checkpoint
-                }
-                if let LogRecord::NewTerm { term: t } = record {
-                    term = term.max(*t);
-                }
-                report.applied += replayer.feed(&mut db, record)?;
-                report.last_seq = Some(*seq);
-                expected = seq + 1;
-            }
-            if let Some(flaw) = scanned.flaw {
-                report.torn_tail = flaw.is_torn_tail();
-                report.corruption.push(CorruptionEvent {
-                    segment: seg_path.clone(),
-                    flaw,
-                });
-                halted = true;
-            }
-            append_target = Some(seg_path);
-        }
-        // A frame still open at the end of the scan lost its commit to
-        // the crash: its records are discarded, landing the recovered
-        // state exactly on the last pre-`BEGIN` / post-`COMMIT` point.
-        let dangling = replayer.open_txn_id();
-        let (applied, discarded) = replayer.finish(&mut db)?;
-        report.applied += applied;
-        report.uncommitted_discarded = discarded;
-
-        storage.sync_dir(&dir).map_err(|e| io_err("sync dir", e))?;
-
-        let mut wal = match append_target {
-            Some(seg_path) => {
-                let first = segment_first_seq(&seg_path).unwrap_or(expected);
-                Wal::open_append_on(Arc::clone(&storage), seg_path, first)?
-            }
-            None => Wal::create_on(
-                Arc::clone(&storage),
-                dir.join(segment_name(expected)),
-                expected,
-            )?,
-        };
-        // Close a dangling frame on disk so post-recovery appends are not
+        let mut walk = walk_log(storage.as_ref(), path)?;
+        let mut wal = walk.repair(&storage)?;
+        // A frame still open at the end of the log lost its commit to
+        // the crash. Close it on disk so post-recovery appends are not
         // swallowed into the dead transaction by the *next* recovery.
-        if let Some(id) = dangling {
+        if let Some(id) = walk.replayer.open_txn_id() {
             wal.append(&LogRecord::TxnAbort { id })?;
             wal.sync()?;
         }
-        let next_txn_id = wal.next_seq();
-
-        observe_recovery(&report);
+        let term = walk.term;
+        let (db, report) = walk.finish()?;
         recovery_span.annotate("applied", report.applied);
         recovery_span.annotate("discarded", report.uncommitted_discarded);
         recovery_span.annotate("corruption", report.corruption.len());
@@ -435,80 +200,14 @@ impl LoggedDatabase {
             LoggedDatabase {
                 db,
                 storage,
-                dir,
+                next_txn_id: wal.next_seq(),
                 wal,
                 config,
-                checkpoint_seq: base_seq,
+                checkpoint_seq: report.checkpoint_seq.unwrap_or(0),
                 unsynced: 0,
                 since_checkpoint: 0,
-                legacy: false,
+                legacy,
                 open_txn: None,
-                next_txn_id,
-                term,
-                defer_sync: false,
-            },
-            report,
-        ))
-    }
-
-    /// Recovery for a legacy single-file log (v1 or single-segment v2):
-    /// salvage, replay, keep appending in the file's own format.
-    fn open_legacy(
-        storage: Arc<dyn WalStorage>,
-        path: PathBuf,
-        config: DurabilityConfig,
-    ) -> Result<(Self, RecoveryReport)> {
-        let (scanned, quarantined) = salvage_file(storage.as_ref(), &path, 1)?;
-        let mut db = Database::new(fdb_types::Schema::new());
-        let mut report = RecoveryReport {
-            segments_scanned: 1,
-            quarantined_bytes: quarantined,
-            skipped_records: scanned.skipped,
-            ..RecoveryReport::default()
-        };
-        let mut replayer = TxnReplayer::new();
-        let mut term = initial_term();
-        for (seq, record) in &scanned.records {
-            if let LogRecord::NewTerm { term: t } = record {
-                term = term.max(*t);
-            }
-            report.applied += replayer.feed(&mut db, record)?;
-            report.last_seq = Some(*seq);
-        }
-        let dangling = replayer.open_txn_id();
-        let (applied, discarded) = replayer.finish(&mut db)?;
-        report.applied += applied;
-        report.uncommitted_discarded = discarded;
-        if let Some(flaw) = scanned.flaw {
-            report.torn_tail = flaw.is_torn_tail();
-            report.corruption.push(CorruptionEvent {
-                segment: path.clone(),
-                flaw,
-            });
-        }
-        let dir = parent_dir(&path)
-            .map(Path::to_owned)
-            .unwrap_or_else(|| PathBuf::from("."));
-        let mut wal = Wal::open_append_on(Arc::clone(&storage), &path, 1)?;
-        if let Some(id) = dangling {
-            wal.append(&LogRecord::TxnAbort { id })?;
-            wal.sync()?;
-        }
-        let next_txn_id = wal.next_seq();
-        observe_recovery(&report);
-        Ok((
-            LoggedDatabase {
-                db,
-                storage,
-                dir,
-                wal,
-                config,
-                checkpoint_seq: 0,
-                unsynced: 0,
-                since_checkpoint: 0,
-                legacy: true,
-                open_txn: None,
-                next_txn_id,
                 term,
                 defer_sync: false,
             },
@@ -529,7 +228,7 @@ impl LoggedDatabase {
 
     /// The log directory (or the legacy file's parent).
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.wal.dir()
     }
 
     /// The storage layer this log writes through (a replication source
@@ -661,14 +360,8 @@ impl LoggedDatabase {
 
     /// Closes the current segment and starts a fresh one.
     fn rotate(&mut self) -> Result<()> {
-        self.wal.sync()?;
+        self.wal.rotate(&self.storage)?;
         self.unsynced = 0;
-        let next = self.wal.next_seq();
-        self.wal = Wal::create_on(
-            Arc::clone(&self.storage),
-            self.dir.join(segment_name(next)),
-            next,
-        )?;
         fdb_obs::registry().wal_rotations.inc();
         Ok(())
     }
@@ -697,25 +390,20 @@ impl LoggedDatabase {
             term: self.term,
             snapshot: self.db.to_snapshot()?,
         };
-        install_checkpoint(self.storage.as_ref(), &self.dir, &info)?;
+        install_checkpoint(self.storage.as_ref(), self.dir(), &info)?;
 
         // Everything up to `seq` is now covered: rotate to a fresh
         // segment and drop the replayed ones.
         self.rotate()?;
-        let current = self.wal.path().to_owned();
-        for path in self
-            .storage
-            .list(&self.dir)
-            .map_err(|e| io_err("list dir", e))?
-        {
-            if segment_first_seq(&path).is_some() && path != current {
+        for (_, path) in list_segments(self.storage.as_ref(), self.dir())? {
+            if path != self.wal.path() {
                 self.storage
                     .remove(&path)
                     .map_err(|e| io_err("remove replayed segment", e))?;
             }
         }
         self.storage
-            .sync_dir(&self.dir)
+            .sync_dir(self.dir())
             .map_err(|e| io_err("sync dir", e))?;
         self.checkpoint_seq = seq;
         self.since_checkpoint = 0;
@@ -1130,6 +818,7 @@ mod tests {
     use super::*;
     use crate::storage::SimDisk;
     use fdb_storage::Truth;
+    use std::path::PathBuf;
 
     fn v(s: &str) -> Value {
         Value::atom(s)
@@ -1203,11 +892,7 @@ mod tests {
         ldb.checkpoint().unwrap();
         assert_eq!(ldb.checkpoint_seq(), 9);
         // Old segments are gone; one fresh (empty) segment remains.
-        let segs: Vec<_> = disk
-            .paths()
-            .into_iter()
-            .filter(|p| segment_first_seq(p).is_some())
-            .collect();
+        let segs = list_segments(disk.as_ref(), &disk_dir()).unwrap();
         assert_eq!(segs.len(), 1);
         ldb.insert("teach", v("hilbert"), v("logic")).unwrap();
         drop(ldb);
@@ -1255,7 +940,7 @@ mod tests {
         let disk = Arc::new(SimDisk::new());
         let ldb = build_logged(disk.clone(), no_auto_checkpoint());
         drop(ldb);
-        let seg = disk_dir().join(segment_name(1));
+        let seg = disk_dir().join("wal-0000000001.seg");
         // Damage a byte well inside the segment.
         let len = disk.size_of(&seg).unwrap();
         disk.corrupt(&seg, len / 2, 0x10);
@@ -1267,7 +952,7 @@ mod tests {
         assert!(report.quarantined_bytes > 0);
         assert!(recovered.database().is_consistent());
         // The damaged suffix was moved aside and the segment truncated.
-        assert!(disk.is_file(&quarantine_path(&seg)));
+        assert!(disk.is_file(&disk_dir().join("wal-0000000001.seg.quarantine")));
         assert!(disk.size_of(&seg).unwrap() < len);
         drop(recovered);
 
@@ -1275,6 +960,51 @@ mod tests {
         let (_, report) =
             LoggedDatabase::open_with(disk, disk_dir(), no_auto_checkpoint()).unwrap();
         assert!(report.corruption.is_empty());
+    }
+
+    #[test]
+    fn unknown_frame_before_a_rotation_does_not_orphan_the_next_segment() {
+        let disk = Arc::new(SimDisk::new());
+        let mut ldb =
+            LoggedDatabase::create_with(disk.clone(), disk_dir(), no_auto_checkpoint()).unwrap();
+        ldb.declare("f", "a", "b", Functionality::ManyMany).unwrap();
+        drop(ldb);
+        // What a newer version leaves behind: a record type this version
+        // does not know as seq 2, a rotation, then an acknowledged write
+        // as seq 3 at the head of the next segment.
+        let mut seg = disk
+            .open_append(&disk_dir().join("wal-0000000001.seg"))
+            .unwrap();
+        seg.append(&crate::wal::unknown_frame(2)).unwrap();
+        drop(seg);
+        let mut next = disk.create(&disk_dir().join("wal-0000000003.seg")).unwrap();
+        next.append(crate::wal::WAL_MAGIC).unwrap();
+        let acked = LogRecord::Insert {
+            function: "f".into(),
+            x: v("x"),
+            y: v("y"),
+        };
+        next.append(&crate::wal::encode_frame(3, &acked).unwrap())
+            .unwrap();
+        drop(next);
+
+        let (mut ldb, report) =
+            LoggedDatabase::open_with(disk.clone() as _, disk_dir(), no_auto_checkpoint()).unwrap();
+        assert!(report.corruption.is_empty(), "{:?}", report.corruption);
+        assert_eq!(report.quarantined_bytes, 0, "no segment may be set aside");
+        assert_eq!((report.applied, report.skipped_records), (2, 1));
+        assert_eq!(ldb.last_seq(), 3);
+        let f = ldb.database().resolve("f").unwrap();
+        assert!(ldb.database().store().table(f).contains(&v("x"), &v("y")));
+        // The next append continues the numbering and survives too.
+        ldb.insert("f", v("x2"), v("y2")).unwrap();
+        assert_eq!(ldb.last_seq(), 4);
+        drop(ldb);
+        let (ldb, report) =
+            LoggedDatabase::open_with(disk, disk_dir(), no_auto_checkpoint()).unwrap();
+        assert!(report.corruption.is_empty(), "{:?}", report.corruption);
+        assert_eq!(report.applied, 3);
+        assert!(ldb.database().store().table(f).contains(&v("x2"), &v("y2")));
     }
 
     #[test]
@@ -1531,12 +1261,8 @@ mod tests {
         // Despite blowing past both thresholds, nothing rotated or
         // checkpointed inside the frame.
         assert_eq!(ldb.checkpoint_seq(), 0);
-        let segs = disk
-            .paths()
-            .into_iter()
-            .filter(|p| segment_first_seq(p).is_some())
-            .count();
-        assert_eq!(segs, 1);
+        let segs = list_segments(disk.as_ref(), &disk_dir()).unwrap();
+        assert_eq!(segs.len(), 1);
         ldb.commit().unwrap();
         assert!(ldb.checkpoint_seq() > 0, "deferred checkpoint fired");
         let live = ldb.database().to_snapshot().unwrap();

@@ -23,7 +23,6 @@ pub mod consistency;
 pub mod database;
 pub mod durability;
 pub mod explain;
-pub mod materialize;
 pub mod query;
 pub mod resolve;
 pub mod session;
@@ -36,14 +35,10 @@ pub mod update;
 pub mod wal;
 
 pub use database::{Database, InsertPolicy};
-pub use durability::{
-    install_checkpoint, read_checkpoint, segment_first_seq, segment_name, CheckpointInfo,
-    DurabilityConfig, GroupCommit, LoggedDatabase, SyncPolicy,
-};
+pub use durability::{DurabilityConfig, GroupCommit, LoggedDatabase, SyncPolicy};
 pub use explain::{
     render_explanation, AnalyzeReport, ChainEvidence, DerivationAnalysis, Explanation, PlanReport,
 };
-pub use materialize::MaterializedExtension;
 pub use resolve::{resolve_ambiguities, ResolutionOutcome};
 pub use session::{design_database, design_logged_database};
 pub use shared::{OverloadPolicy, PinnedSnapshot, SharedDatabase, SharedLoggedDatabase};
@@ -51,7 +46,10 @@ pub use stats::DatabaseStats;
 pub use storage::{FileStorage, SimDisk, WalFile, WalStorage};
 pub use txn::Transaction;
 pub use update::Update;
-pub use wal::{replay, Corruption, CorruptionEvent, LogRecord, RecoveryReport, TxnReplayer, Wal};
+pub use wal::{
+    install_checkpoint, read_checkpoint, replay, CheckpointInfo, Corruption, CorruptionEvent,
+    LogRecord, RecoveryReport, TxnReplayer, Wal,
+};
 
 pub use fdb_governor::{
     Budget, CancelToken, Governance, Governor, Outcome, StopReason, Ungoverned,

@@ -285,12 +285,6 @@ impl Engine {
             self.cancel.reset();
         }
         let t0 = Instant::now();
-        let _span = fdb_obs::tracer().span("fdb.lang.statement", || {
-            line.split_whitespace()
-                .next()
-                .unwrap_or("")
-                .to_ascii_uppercase()
-        });
         // Mint the causal trace for this statement: root of a fresh
         // trace when the sampling draw wins, child span inside a
         // SOURCEd script's trace, inert otherwise (zero allocation).
@@ -567,7 +561,6 @@ impl Engine {
             }
             Statement::StatsReset => {
                 fdb_obs::registry().reset();
-                fdb_obs::tracer().clear();
                 // The causal ring, open-span table, and slow-query log
                 // reset with the metrics: `SHOW TRACE` reads empty
                 // until new statements record (this statement's own

@@ -1,7 +1,7 @@
 //! Causal span tracing with context propagation.
 //!
-//! The flat [`crate::Tracer`] answers *what happened recently*; this
-//! module answers *why*: every recorded moment belongs to a **trace**
+//! The metrics registry answers *how much*; this module answers *why*:
+//! every recorded moment belongs to a **trace**
 //! (one per sampled statement) and a **span tree** within it, so a
 //! commit's latency can be attributed across the undo journal, the
 //! group-commit convoy fsync, snapshot publication, and replica apply —

@@ -13,11 +13,6 @@
 //!   ([`set_enabled`]); when disabled every record call is a relaxed
 //!   load + branch — cheap enough that callers never need their own
 //!   gating.
-//! * a **structured tracer** ([`Tracer`], reached via [`tracer`]) of
-//!   spans and events with bounded ring-buffer retention: the last N
-//!   interesting moments (statement executions, recoveries, checkpoints,
-//!   overload sheds) are always available for inspection, and old ones
-//!   are dropped, never accumulated.
 //! * **exporters**: a flat text dump ([`render_text`]) for the language
 //!   front end's `STATS` statement, a JSON dump ([`render_json`]) for
 //!   machines, and a Prometheus text-format exporter
@@ -59,17 +54,14 @@ pub mod causal;
 mod export;
 pub mod flight;
 mod metrics;
-mod trace;
 
 pub use export::{prometheus_text, render_json, render_text};
 pub use metrics::{
     bucket_edge, Counter, CounterSnapshot, Histogram, HistogramSnapshot, HistogramState, Registry,
     Snapshot, BUCKETS,
 };
-pub use trace::{Span, TraceEvent, Tracer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 /// Global gate consulted by every record call. Defaults to **on**: the
 /// registry is designed to be cheap enough to leave enabled in
@@ -92,12 +84,6 @@ pub fn set_enabled(on: bool) {
 pub fn registry() -> &'static Registry {
     static REGISTRY: Registry = Registry::new();
     &REGISTRY
-}
-
-/// The process-wide tracer.
-pub fn tracer() -> &'static Tracer {
-    static TRACER: OnceLock<Tracer> = OnceLock::new();
-    TRACER.get_or_init(Tracer::new)
 }
 
 #[cfg(test)]
@@ -128,8 +114,5 @@ mod tests {
         let a = registry() as *const _;
         let b = registry() as *const _;
         assert_eq!(a, b);
-        let t1 = tracer() as *const _;
-        let t2 = tracer() as *const _;
-        assert_eq!(t1, t2);
     }
 }

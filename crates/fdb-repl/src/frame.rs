@@ -1,20 +1,15 @@
 //! Raw v2 WAL frames, shipped byte-for-byte.
 //!
-//! [`fdb_core::wal::scan`] decodes frames into [`LogRecord`]s and drops
-//! the raw bytes; replication needs the bytes themselves (the CRC *is*
-//! the divergence check — two frames with the same seq and CRC are the
-//! same bytes), so this module re-implements the frame walk, keeping the
-//! payload and checksum of every valid frame.
+//! Replication needs a frame's bytes themselves, not only the record
+//! they decode to: the CRC *is* the divergence check — two frames with
+//! the same seq and CRC are the same bytes. [`ShippedFrame`] is the owned
+//! form of the [`RawFrame`] that `fdb_core::wal::Frames` yields; how a
+//! frame is laid out stays with `fdb_core::wal`.
 
-use fdb_core::wal::{crc32, WAL_MAGIC};
+use fdb_core::wal::{decode_payload, encode_frame, frame_crc, frame_len, raw_frame};
+use fdb_core::wal::{Frames, RawFrame};
 use fdb_core::LogRecord;
 use fdb_types::{FdbError, Result};
-
-/// `[len: u32 LE][crc32: u32 LE][seq: u64 LE]` — must match the writer in
-/// `fdb_core::wal` (covered by a cross-crate round-trip test below).
-pub(crate) const FRAME_HEADER: usize = 16;
-/// Upper bound on a single payload, same as the core writer's limit.
-const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// One WAL frame in transit: the sequence number and checksum from the
 /// frame header plus the raw (still JSON) payload bytes.
@@ -29,31 +24,33 @@ pub struct ShippedFrame {
     pub payload: Vec<u8>,
 }
 
+impl From<RawFrame<'_>> for ShippedFrame {
+    fn from(frame: RawFrame<'_>) -> Self {
+        ShippedFrame {
+            seq: frame.seq,
+            crc: frame.crc,
+            payload: frame.payload.to_vec(),
+        }
+    }
+}
+
 impl ShippedFrame {
     /// Whether the frame's checksum matches its contents — i.e. the frame
     /// survived shipping intact.
     pub fn crc_valid(&self) -> bool {
-        let mut checked = Vec::with_capacity(8 + self.payload.len());
-        checked.extend_from_slice(&self.seq.to_le_bytes());
-        checked.extend_from_slice(&self.payload);
-        crc32(&checked) == self.crc
+        frame_crc(self.seq, &self.payload) == self.crc
     }
 
-    /// The frame re-encoded exactly as it sits in a segment file:
-    /// `[len][crc][seq][payload]`. Appending this to a replica's local
-    /// segment reproduces the primary's bytes.
+    /// The frame re-encoded exactly as it sits in a segment file.
+    /// Appending this to a replica's local segment reproduces the
+    /// primary's bytes.
     pub fn encoded(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER + self.payload.len());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.crc.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        raw_frame(self.seq, self.crc, &self.payload)
     }
 
     /// On-disk size of the encoded frame in bytes.
     pub fn encoded_len(&self) -> u64 {
-        (FRAME_HEADER + self.payload.len()) as u64
+        frame_len(self.payload.len())
     }
 
     /// Decodes the payload. `Ok(None)` means the payload is valid JSON
@@ -62,201 +59,34 @@ impl ShippedFrame {
     /// rule as recovery). `Err` means the payload is malformed despite a
     /// passing CRC, which only a buggy writer can produce.
     pub fn record(&self) -> Result<Option<LogRecord>> {
-        let text = std::str::from_utf8(&self.payload).map_err(|e| {
-            FdbError::Internal(format!("frame {} payload not UTF-8: {e}", self.seq))
-        })?;
-        match serde_json::from_str::<LogRecord>(text) {
-            Ok(record) => Ok(Some(record)),
-            Err(_) if serde_json::parse(text).is_ok() => Ok(None),
-            Err(e) => Err(FdbError::Internal(format!(
-                "frame {} payload JSON: {e}",
-                self.seq
-            ))),
-        }
+        decode_payload(&self.payload)
+            .map_err(|detail| FdbError::Internal(format!("frame {} {detail}", self.seq)))
     }
-}
 
-impl ShippedFrame {
     /// Builds a frame from a record (test and tooling helper; the
     /// shipping path itself never re-encodes, it copies source bytes).
     pub fn for_record(seq: u64, record: &LogRecord) -> Result<ShippedFrame> {
-        let payload = serde_json::to_string(record)
-            .map_err(|e| FdbError::Internal(format!("encode record: {e}")))?
-            .into_bytes();
-        let mut checked = Vec::with_capacity(8 + payload.len());
-        checked.extend_from_slice(&seq.to_le_bytes());
-        checked.extend_from_slice(&payload);
-        Ok(ShippedFrame {
-            seq,
-            crc: crc32(&checked),
-            payload,
-        })
-    }
-}
-
-/// Result of splitting a segment's bytes into raw frames.
-#[derive(Debug)]
-pub(crate) struct Split {
-    /// Valid frames in order (contiguous seqs starting at `first_seq`).
-    pub frames: Vec<ShippedFrame>,
-    /// Byte length of the valid prefix, magic included.
-    pub valid_len: u64,
-    /// Whether something stopped the walk before the end of the bytes
-    /// (torn tail, checksum mismatch, sequence gap, bad magic).
-    pub flawed: bool,
-}
-
-/// Walks a v2 segment's bytes, yielding every intact frame with its raw
-/// payload and CRC. Stops (without error) at the first flaw so callers
-/// ship/keep the longest valid prefix — mirroring `fdb_core::wal::scan`,
-/// which owns the corruption taxonomy.
-pub(crate) fn split_segment(bytes: &[u8], first_seq: u64) -> Split {
-    if bytes.is_empty() {
-        return Split {
-            frames: Vec::new(),
-            valid_len: 0,
-            flawed: false,
-        };
-    }
-    if !bytes.starts_with(WAL_MAGIC) {
-        // Legacy v1 logs are not shippable (no frames to ship); replicas
-        // of a v1 primary must start from a checkpoint seed instead.
-        return Split {
-            frames: Vec::new(),
-            valid_len: 0,
-            flawed: true,
-        };
-    }
-    let mut split = split_frames(&bytes[WAL_MAGIC.len()..], first_seq);
-    split.valid_len += WAL_MAGIC.len() as u64;
-    split
-}
-
-/// [`split_segment`] without the magic header: walks raw frame bytes —
-/// e.g. a segment's tail beyond a poll cursor — expecting the first
-/// frame to carry `first_seq`. `valid_len` counts from the slice start.
-pub(crate) fn split_frames(bytes: &[u8], first_seq: u64) -> Split {
-    let mut frames = Vec::new();
-    let mut offset = 0;
-    let mut expected = first_seq;
-    let mut flawed = false;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < FRAME_HEADER {
-            flawed = true;
-            break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_PAYLOAD {
-            flawed = true;
-            break;
-        }
-        let total = FRAME_HEADER + len as usize;
-        if rest.len() < total {
-            flawed = true;
-            break;
-        }
-        let checked = &rest[8..total];
-        if crc32(checked) != crc {
-            flawed = true;
-            break;
-        }
-        let seq = u64::from_le_bytes([
-            checked[0], checked[1], checked[2], checked[3], checked[4], checked[5], checked[6],
-            checked[7],
-        ]);
-        if seq != expected {
-            flawed = true;
-            break;
-        }
-        frames.push(ShippedFrame {
-            seq,
-            crc,
-            payload: checked[8..].to_vec(),
-        });
-        expected += 1;
-        offset += total;
-    }
-    Split {
-        frames,
-        valid_len: offset as u64,
-        flawed,
+        let bytes = encode_frame(seq, record)?;
+        let frame = Frames::tail(&bytes, 0, seq).next();
+        frame
+            .map(ShippedFrame::from)
+            .ok_or_else(|| FdbError::Internal(format!("frame {seq} does not read back")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_core::wal::encode_frame;
-
-    fn seg(records: &[(u64, LogRecord)]) -> Vec<u8> {
-        let mut bytes = WAL_MAGIC.to_vec();
-        for (seq, r) in records {
-            bytes.extend_from_slice(&encode_frame(*seq, r).unwrap());
-        }
-        bytes
-    }
 
     #[test]
-    fn split_matches_core_encoding() {
-        let records = vec![
-            (1, LogRecord::TxnBegin { id: 1 }),
-            (2, LogRecord::TxnCommit { id: 1 }),
-            (3, LogRecord::NewTerm { term: 2 }),
-        ];
-        let bytes = seg(&records);
-        let split = split_segment(&bytes, 1);
-        assert!(!split.flawed);
-        assert_eq!(split.valid_len, bytes.len() as u64);
-        assert_eq!(split.frames.len(), 3);
-        // Re-encoding the shipped frame reproduces the source bytes.
-        let mut rebuilt = WAL_MAGIC.to_vec();
-        for f in &split.frames {
-            assert!(f.crc_valid());
-            rebuilt.extend_from_slice(&f.encoded());
-        }
-        assert_eq!(rebuilt, bytes);
-        // And decoding gives back the records.
-        assert_eq!(
-            split.frames[2].record().unwrap(),
-            Some(records[2].1.clone())
-        );
-    }
-
-    #[test]
-    fn split_stops_at_flipped_bit() {
-        let mut bytes = seg(&[
-            (5, LogRecord::TxnBegin { id: 9 }),
-            (6, LogRecord::TxnCommit { id: 9 }),
-        ]);
-        let cut = bytes.len() - 3;
-        bytes[cut] ^= 0x40;
-        let split = split_segment(&bytes, 5);
-        assert!(split.flawed);
-        assert_eq!(split.frames.len(), 1);
-        assert_eq!(split.frames[0].seq, 5);
-    }
-
-    #[test]
-    fn split_stops_at_sequence_gap_and_torn_tail() {
-        let mut bytes = seg(&[(1, LogRecord::TxnBegin { id: 1 })]);
-        bytes.extend_from_slice(&encode_frame(4, &LogRecord::TxnCommit { id: 1 }).unwrap());
-        let split = split_segment(&bytes, 1);
-        assert!(split.flawed);
-        assert_eq!(split.frames.len(), 1);
-
-        let full = seg(&[(1, LogRecord::TxnBegin { id: 1 })]);
-        let torn = &full[..full.len() - 2];
-        let split = split_segment(torn, 1);
-        assert!(split.flawed);
-        assert!(split.frames.is_empty());
-    }
-
-    #[test]
-    fn frame_of_round_trips_and_detects_tamper() {
-        let f = ShippedFrame::for_record(7, &LogRecord::NewTerm { term: 3 }).unwrap();
+    fn for_record_round_trips_and_detects_tamper() {
+        let record = LogRecord::NewTerm { term: 3 };
+        let f = ShippedFrame::for_record(7, &record).unwrap();
         assert!(f.crc_valid());
+        assert_eq!(f.record().unwrap(), Some(record.clone()));
+        // Re-encoding reproduces the writer's bytes.
+        assert_eq!(f.encoded(), encode_frame(7, &record).unwrap());
+        assert_eq!(f.encoded_len(), f.encoded().len() as u64);
         let mut bad = f.clone();
         bad.payload[2] ^= 1;
         assert!(!bad.crc_valid());
@@ -265,11 +95,9 @@ mod tests {
     #[test]
     fn unknown_record_payload_is_skippable_not_error() {
         let payload = br#"{"FromTheFuture":{"x":1}}"#.to_vec();
-        let mut checked = 9u64.to_le_bytes().to_vec();
-        checked.extend_from_slice(&payload);
         let f = ShippedFrame {
             seq: 9,
-            crc: crc32(&checked),
+            crc: frame_crc(9, &payload),
             payload,
         };
         assert!(f.crc_valid());

@@ -4,13 +4,14 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use fdb_core::wal::{list_segments, walk_log};
 use fdb_core::{
-    install_checkpoint, read_checkpoint, segment_first_seq, segment_name, CheckpointInfo, Database,
-    DurabilityConfig, LogRecord, LoggedDatabase, RecoveryReport, TxnReplayer, WalFile, WalStorage,
+    install_checkpoint, Database, DurabilityConfig, LogRecord, LoggedDatabase, RecoveryReport,
+    TxnReplayer, Wal, WalStorage,
 };
 use fdb_types::{FdbError, Result};
 
-use crate::frame::{split_segment, ShippedFrame};
+use crate::frame::ShippedFrame;
 use crate::source::Batch;
 
 /// Why a replica refused a shipped frame.
@@ -152,16 +153,13 @@ pub struct Replica {
     dir: PathBuf,
     db: Database,
     replayer: TxnReplayer,
-    /// Next frame sequence number expected from the source.
-    next_seq: u64,
+    /// The local copy of the log; its next sequence number is the next
+    /// frame expected from the source.
+    wal: Wal,
     term: u64,
     records_applied: u64,
     /// Checksums of every locally stored frame — the divergence check.
     crcs: BTreeMap<u64, u32>,
-    /// Open append handle on the current local segment.
-    seg: Option<Box<dyn WalFile>>,
-    seg_path: PathBuf,
-    seg_len: u64,
     segment_max_bytes: u64,
     lag_records: u64,
     lag_bytes: u64,
@@ -176,10 +174,10 @@ pub struct Replica {
 
 impl Replica {
     /// Opens (or creates) a replica over a local WAL directory and
-    /// catches up from whatever it finds there: checkpoint seed, then
-    /// every intact local frame, replayed through a fresh
-    /// [`TxnReplayer`]. A torn local tail (the replica crashed mid-
-    /// append) is truncated so shipping resumes cleanly from `next_seq`.
+    /// catches up from whatever it finds there, the way primary recovery
+    /// does: checkpoint seed, then every intact local frame. A torn local
+    /// tail (the replica crashed mid-append) is quarantined and truncated
+    /// so shipping resumes cleanly from `next_seq`.
     pub fn open(storage: Arc<dyn WalStorage>, dir: impl AsRef<Path>) -> Result<Self> {
         Replica::open_with(storage, dir, DurabilityConfig::default())
     }
@@ -195,107 +193,21 @@ impl Replica {
         storage
             .create_dir_all(&dir)
             .map_err(|e| io_err("replica create dir", e))?;
-
-        let mut db = Database::new(fdb_types::Schema::new());
-        let mut base_seq = 0u64;
-        let mut term = 1u64;
-        if let Some(info) = read_checkpoint(storage.as_ref(), &dir)? {
-            db = Database::from_snapshot(&info.snapshot)?;
-            base_seq = info.seq;
-            term = info.term;
-        }
-
-        let mut segments: Vec<(u64, PathBuf)> = storage
-            .list(&dir)
-            .map_err(|e| io_err("replica list dir", e))?
-            .into_iter()
-            .filter_map(|p| segment_first_seq(&p).map(|s| (s, p)))
-            .collect();
-        segments.sort();
-
-        let mut replayer = TxnReplayer::new();
-        let mut crcs = BTreeMap::new();
-        let mut next_seq = base_seq + 1;
-        let mut records_applied = 0u64;
-        let mut append_target: Option<(PathBuf, u64)> = None;
-        let mut halted = false;
-        for (first_seq, path) in segments {
-            if halted || first_seq > next_seq {
-                // Unreachable after a flaw (or a gap): set aside, never
-                // silently dropped.
-                storage
-                    .rename(&path, &path.with_extension("seg.quarantine"))
-                    .map_err(|e| io_err("replica quarantine segment", e))?;
-                halted = true;
-                continue;
-            }
-            let bytes = storage
-                .read(&path)
-                .map_err(|e| io_err("replica read segment", e))?;
-            let split = split_segment(&bytes, first_seq);
-            for f in &split.frames {
-                crcs.insert(f.seq, f.crc);
-                if f.seq < next_seq {
-                    continue; // covered by the checkpoint
-                }
-                if let Some(record) = f.record()? {
-                    if let LogRecord::NewTerm { term: t } = record {
-                        term = term.max(t);
-                    }
-                    records_applied += replayer.feed(&mut db, &record)? as u64;
-                }
-                next_seq = f.seq + 1;
-            }
-            if split.flawed {
-                // A torn local tail from a replica crash mid-append:
-                // truncate so the next shipped frame lands cleanly.
-                storage
-                    .truncate(&path, split.valid_len)
-                    .map_err(|e| io_err("replica truncate torn tail", e))?;
-                halted = true;
-            }
-            append_target = Some((path, split.valid_len));
-        }
-        storage
-            .sync_dir(&dir)
-            .map_err(|e| io_err("replica sync dir", e))?;
-
-        // Reopen the last segment for appends. Unlike promotion, catch-up
-        // must NOT close a dangling transaction frame — its commit may
-        // still arrive from the source.
-        let (seg, seg_path, seg_len) = match append_target {
-            Some((path, len)) => {
-                let mut f = storage
-                    .open_append(&path)
-                    .map_err(|e| io_err("replica open segment", e))?;
-                // A segment that lost even its magic (created, then
-                // crashed before the first write survived) restarts as a
-                // fresh file.
-                let len = if len < fdb_core::wal::WAL_MAGIC.len() as u64 {
-                    f.append(fdb_core::wal::WAL_MAGIC)
-                        .map_err(|e| io_err("replica write magic", e))?;
-                    fdb_core::wal::WAL_MAGIC.len() as u64
-                } else {
-                    len
-                };
-                (Some(f), path, len)
-            }
-            None => (None, dir.join(segment_name(next_seq)), 0),
-        };
-
+        let mut walk = walk_log(storage.as_ref(), &dir)?;
+        let wal = walk.repair(&storage)?;
         fdb_obs::registry().repl_catchups.inc();
+        // Unlike recovery (and promotion), catch-up keeps the replayer
+        // as the walk left it: a transaction frame still open must NOT
+        // be closed — its commit may still arrive from the source.
         Ok(Replica {
             storage,
             dir,
-            db,
-            replayer,
-            next_seq,
-            term,
-            records_applied,
-            crcs,
-            seg,
-            seg_path,
-            seg_len,
+            db: walk.db,
+            replayer: walk.replayer,
+            wal,
+            term: walk.term,
+            records_applied: walk.report.applied as u64,
+            crcs: walk.frames.into_iter().collect(),
             segment_max_bytes: config.segment_max_bytes,
             lag_records: 0,
             lag_bytes: 0,
@@ -317,7 +229,7 @@ impl Replica {
     /// Next frame sequence number this replica expects; poll the source
     /// from here.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.wal.next_seq()
     }
 
     /// The replication term this replica is following.
@@ -336,7 +248,7 @@ impl Replica {
         reg.repl_lag_records.record(self.lag_records);
         reg.repl_lag_bytes.record(self.lag_bytes);
         ReplicaStatus {
-            applied_seq: self.next_seq.saturating_sub(1),
+            applied_seq: self.next_seq().saturating_sub(1),
             term: self.term,
             lag_records: self.lag_records,
             lag_bytes: self.lag_bytes,
@@ -368,7 +280,7 @@ impl Replica {
         // Joins the primary-side trace that produced the batch (the
         // trace id rides beside the frames, never inside them).
         let mut span = fdb_obs::causal::adopted_span(batch.trace_id, "fdb.repl.apply", || {
-            format!("from_seq={} frames={}", self.next_seq, batch.frames.len())
+            format!("from_seq={} frames={}", self.next_seq(), batch.frames.len())
         });
         if let Some(report) = &self.divergence {
             span.set_error();
@@ -391,7 +303,7 @@ impl Replica {
         self.term = self.term.max(batch.term);
 
         if let Some(seed) = &batch.seed {
-            if self.next_seq <= seed.seq {
+            if self.next_seq() <= seed.seq {
                 self.install_seed(seed)?;
             }
         }
@@ -404,7 +316,7 @@ impl Replica {
                 span.set_error();
                 return Ok(ApplyOutcome::Diverged(report));
             }
-            if f.seq < self.next_seq {
+            if f.seq < self.next_seq() {
                 match self.crcs.get(&f.seq) {
                     Some(&local) if local == f.crc => continue, // idempotent re-send
                     Some(_) => {
@@ -416,13 +328,19 @@ impl Replica {
                     None => continue,
                 }
             }
-            if f.seq > self.next_seq {
+            if f.seq > self.next_seq() {
                 return Err(FdbError::Internal(format!(
                     "replication gap: expected seq {}, batch jumps to {}",
-                    self.next_seq, f.seq
+                    self.next_seq(),
+                    f.seq
                 )));
             }
-            self.append_frame(f)?;
+            // Rotate on the primary's rule, so a local segment's name is
+            // its first frame's seq here too.
+            if self.wal.len() >= self.segment_max_bytes {
+                self.wal.rotate(&self.storage)?;
+            }
+            self.wal.append_frame(f.seq, f.crc, &f.payload)?;
             if let Some(record) = f.record()? {
                 if let LogRecord::NewTerm { term: t } = record {
                     self.term = self.term.max(t);
@@ -430,19 +348,16 @@ impl Replica {
                 applied += self.replayer.feed(&mut self.db, &record)?;
             }
             self.crcs.insert(f.seq, f.crc);
-            self.next_seq = f.seq + 1;
             stored += 1;
         }
         if stored > 0 {
-            if let Some(seg) = &mut self.seg {
-                seg.sync().map_err(|e| io_err("replica sync segment", e))?;
-            }
+            self.wal.sync()?;
         }
 
         self.records_applied += applied as u64;
         self.lag_records = batch
             .source_last_seq
-            .saturating_sub(self.next_seq.saturating_sub(1));
+            .saturating_sub(self.next_seq().saturating_sub(1));
         self.lag_bytes = batch.remaining_bytes;
         let reg = fdb_obs::registry();
         reg.repl_records_applied.add(applied as u64);
@@ -479,10 +394,7 @@ impl Replica {
                 report.render()
             )));
         }
-        if let Some(seg) = &mut self.seg {
-            seg.sync()
-                .map_err(|e| io_err("replica sync before promote", e))?;
-        }
+        self.wal.sync()?;
         let Replica {
             storage, dir, term, ..
         } = self;
@@ -505,76 +417,17 @@ impl Replica {
         let db = Database::from_snapshot(&seed.snapshot)?;
         // Obsolete local segments predate the seed; remove them so a
         // later catch-up never replays across the horizon.
-        self.seg = None;
-        for path in self
-            .storage
-            .list(&self.dir)
-            .map_err(|e| io_err("replica list dir", e))?
-        {
-            if segment_first_seq(&path).is_some() {
-                self.storage
-                    .remove(&path)
-                    .map_err(|e| io_err("replica remove pre-seed segment", e))?;
-            }
+        for (_, path) in list_segments(self.storage.as_ref(), &self.dir)? {
+            self.storage
+                .remove(&path)
+                .map_err(|e| io_err("replica remove pre-seed segment", e))?;
         }
-        install_checkpoint(
-            self.storage.as_ref(),
-            &self.dir,
-            &CheckpointInfo {
-                seq: seed.seq,
-                term: seed.term,
-                snapshot: seed.snapshot.clone(),
-            },
-        )?;
+        install_checkpoint(self.storage.as_ref(), &self.dir, seed)?;
+        self.wal = Wal::create_segment(Arc::clone(&self.storage), &self.dir, seed.seq + 1)?;
         self.db = db;
         self.replayer = TxnReplayer::new();
         self.crcs.clear();
-        self.next_seq = seed.seq + 1;
         self.term = self.term.max(seed.term);
-        self.seg_path = self.dir.join(segment_name(self.next_seq));
-        self.seg_len = 0;
-        Ok(())
-    }
-
-    /// Appends a frame's bytes to the current local segment, rotating
-    /// first if it is full (mirroring the primary's layout contract: a
-    /// segment file's name is its first frame's seq).
-    fn append_frame(&mut self, f: &ShippedFrame) -> Result<()> {
-        if self.seg.is_some() && self.seg_len >= self.segment_max_bytes {
-            if let Some(seg) = &mut self.seg {
-                seg.sync().map_err(|e| io_err("replica sync segment", e))?;
-            }
-            self.seg = None;
-            self.seg_path = self.dir.join(segment_name(f.seq));
-            self.seg_len = 0;
-        }
-        if self.seg.is_none() {
-            if self.seg_len == 0 && !self.storage.is_file(&self.seg_path) {
-                let mut file = self
-                    .storage
-                    .create(&self.seg_path)
-                    .map_err(|e| io_err("replica create segment", e))?;
-                file.append(fdb_core::wal::WAL_MAGIC)
-                    .map_err(|e| io_err("replica write magic", e))?;
-                self.seg = Some(file);
-                self.seg_len = fdb_core::wal::WAL_MAGIC.len() as u64;
-                self.storage
-                    .sync_dir(&self.dir)
-                    .map_err(|e| io_err("replica sync dir", e))?;
-            } else {
-                let file = self
-                    .storage
-                    .open_append(&self.seg_path)
-                    .map_err(|e| io_err("replica open segment", e))?;
-                self.seg = Some(file);
-            }
-        }
-        let bytes = f.encoded();
-        if let Some(seg) = &mut self.seg {
-            seg.append(&bytes)
-                .map_err(|e| io_err("replica append frame", e))?;
-        }
-        self.seg_len += bytes.len() as u64;
         Ok(())
     }
 

@@ -3,24 +3,17 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use fdb_core::{read_checkpoint, segment_first_seq, LoggedDatabase, WalStorage};
+use fdb_core::wal::{decode_payload, frame_len, list_segments, walk_log, Frames, RawFrame};
+use fdb_core::{read_checkpoint, LogRecord, LoggedDatabase, WalStorage};
 use fdb_types::{FdbError, Result};
 
-use crate::frame::{split_frames, split_segment, ShippedFrame, Split};
+use crate::frame::ShippedFrame;
 
 /// A checkpoint snapshot shipped to a replica that has fallen behind the
 /// source's segment retention (or is starting empty against a primary
-/// whose early segments were pruned by checkpointing).
-#[derive(Clone, Debug)]
-pub struct Seed {
-    /// Highest sequence number the snapshot covers; shipping resumes at
-    /// `seq + 1`.
-    pub seq: u64,
-    /// Replication term in force when the checkpoint was taken.
-    pub term: u64,
-    /// [`fdb_core::Database::to_snapshot`] output.
-    pub snapshot: String,
-}
+/// whose early segments were pruned by checkpointing): the source's
+/// installed checkpoint as it stands. Shipping resumes at `seq + 1`.
+pub type Seed = fdb_core::CheckpointInfo;
 
 /// One [`ReplicationSource::poll`] response.
 #[derive(Clone, Debug)]
@@ -91,22 +84,12 @@ struct TailCursor {
 
 impl ReplicationSource {
     /// Opens a source over a WAL directory, recovering the current term
-    /// from the checkpoint and any `NewTerm` records in the retained
-    /// segments.
+    /// the way the primary's own recovery does — from the checkpoint and
+    /// any `NewTerm` records after it — but only looking: the log is
+    /// never repaired from here.
     pub fn new(storage: Arc<dyn WalStorage>, dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_owned();
-        let mut term = match read_checkpoint(storage.as_ref(), &dir)? {
-            Some(info) => info.term,
-            None => 1,
-        };
-        for (first_seq, path) in sorted_segments(storage.as_ref(), &dir)? {
-            let bytes = storage
-                .read(&path)
-                .map_err(|e| FdbError::Internal(format!("repl source read segment: {e}")))?;
-            for f in split_segment(&bytes, first_seq).frames {
-                term = term.max(frame_term(&f).unwrap_or(0));
-            }
-        }
+        let term = walk_log(storage.as_ref(), &dir)?.term;
         Ok(ReplicationSource {
             storage,
             dir,
@@ -142,7 +125,7 @@ impl ReplicationSource {
         if let Some(info) = &ckpt {
             self.term = self.term.max(info.term);
         }
-        let segments = sorted_segments(self.storage.as_ref(), &self.dir)?;
+        let segments = list_segments(self.storage.as_ref(), &self.dir)?;
 
         let mut seed = None;
         let mut resume = from_seq;
@@ -161,11 +144,7 @@ impl ReplicationSource {
                             earliest.unwrap_or(0)
                         )));
                     }
-                    seed = Some(Seed {
-                        seq: info.seq,
-                        term: info.term,
-                        snapshot: info.snapshot,
-                    });
+                    seed = Some(info);
                 }
                 Some(info) => {
                     return Err(FdbError::Internal(format!(
@@ -205,13 +184,13 @@ impl ReplicationSource {
             if segments.get(i + 1).is_some_and(|(next, _)| *next <= resume) {
                 continue;
             }
-            let (split, base, start_seq) = self.read_and_walk(*first_seq, path, resume)?;
-            next_cursor = Some(TailCursor {
-                path: path.clone(),
-                offset: base + split.valid_len,
-                next_seq: start_seq + split.frames.len() as u64,
-            });
-            for f in split.frames {
+            let (bytes, resumed) =
+                read_segment(self.storage.as_ref(), self.cursor.as_ref(), path, resume)?;
+            let mut walker = match resumed {
+                Some(c) => Frames::tail(&bytes, c.offset, c.next_seq),
+                None => Frames::segment(&bytes, *first_seq),
+            };
+            for f in walker.by_ref() {
                 if let Some(t) = frame_term(&f) {
                     self.term = self.term.max(t);
                 }
@@ -220,13 +199,18 @@ impl ReplicationSource {
                     continue;
                 }
                 if frames.len() < max_records {
-                    frames.push(f);
+                    frames.push(ShippedFrame::from(f));
                 } else {
                     remaining_records += 1;
-                    remaining_bytes += f.encoded_len();
+                    remaining_bytes += frame_len(f.payload.len());
                 }
             }
-            if split.flawed {
+            next_cursor = Some(TailCursor {
+                path: path.clone(),
+                offset: walker.valid_len(),
+                next_seq: walker.next_seq(),
+            });
+            if walker.flaw().is_some() {
                 // Ship the valid prefix; the primary's own recovery owns
                 // the damage beyond it.
                 break;
@@ -255,40 +239,35 @@ impl ReplicationSource {
             trace_id: fdb_obs::causal::current_trace_id(),
         })
     }
+}
 
-    /// Reads and walks one segment, resuming at the cursor when it
-    /// points into this segment and everything before it is already
-    /// behind the caller (`resume >= cursor.next_seq`) — then only the
-    /// bytes appended since the last poll are read and checksummed.
-    /// Returns the walk result, the byte offset it started at, and the
-    /// sequence number of the first frame it could have yielded.
-    fn read_and_walk(&self, first_seq: u64, path: &Path, resume: u64) -> Result<(Split, u64, u64)> {
-        if let Some(c) = &self.cursor {
-            if c.path == *path && resume >= c.next_seq {
-                let tail = self
-                    .storage
-                    .read_from(path, c.offset)
-                    .map_err(|e| FdbError::Internal(format!("repl source read segment: {e}")))?;
-                // `None` means the file shrank below the cursor — which
-                // the immutable-prefix argument says cannot happen, so
-                // re-walk the whole segment rather than trust the
-                // argument with someone's data. Same for a flaw right at
-                // the cursor: it could be a torn tail, or bytes under
-                // the cursor having changed.
-                if let Some(tail) = tail {
-                    let sub = split_frames(&tail, c.next_seq);
-                    if !(sub.flawed && sub.frames.is_empty() && !tail.is_empty()) {
-                        return Ok((sub, c.offset, c.next_seq));
-                    }
-                }
-            }
+/// Reads one segment for walking, resuming at the cursor when it points
+/// into this segment and everything before it is already behind the
+/// caller (`resume >= cursor.next_seq`) — then only the bytes appended
+/// since the last poll are read and checksummed, and the cursor they
+/// start at is returned beside them.
+fn read_segment<'c>(
+    storage: &dyn WalStorage,
+    cursor: Option<&'c TailCursor>,
+    path: &Path,
+    resume: u64,
+) -> Result<(Vec<u8>, Option<&'c TailCursor>)> {
+    let read_err = |e| FdbError::Internal(format!("repl source read segment: {e}"));
+    if let Some(c) = cursor.filter(|c| c.path == *path && resume >= c.next_seq) {
+        // `None` means the file shrank below the cursor — which the
+        // immutable-prefix argument says cannot happen, so re-walk the
+        // whole segment rather than trust the argument with someone's
+        // data. Same for a flaw right at the cursor: it could be a torn
+        // tail, or bytes under the cursor having changed.
+        let tail = storage
+            .read_from(path, c.offset)
+            .map_err(read_err)?
+            .filter(|t| t.is_empty() || Frames::tail(t, c.offset, c.next_seq).next().is_some());
+        if let Some(tail) = tail {
+            return Ok((tail, Some(c)));
         }
-        let bytes = self
-            .storage
-            .read(path)
-            .map_err(|e| FdbError::Internal(format!("repl source read segment: {e}")))?;
-        Ok((split_segment(&bytes, first_seq), 0, first_seq))
     }
+    Ok((storage.read(path).map_err(read_err)?, None))
 }
 
 /// Highest seq known before any frame is seen: the seed's coverage, else
@@ -303,7 +282,7 @@ fn ckpt_floor(seed: &Option<Seed>, resume: u64) -> u64 {
 /// The term a frame announces, if it is a `NewTerm` record. Checks for
 /// the variant name in the raw bytes first so ordinary data frames skip
 /// the JSON parse.
-fn frame_term(frame: &ShippedFrame) -> Option<u64> {
+fn frame_term(frame: &RawFrame<'_>) -> Option<u64> {
     if !frame
         .payload
         .windows(b"NewTerm".len())
@@ -311,22 +290,10 @@ fn frame_term(frame: &ShippedFrame) -> Option<u64> {
     {
         return None;
     }
-    match frame.record() {
-        Ok(Some(fdb_core::LogRecord::NewTerm { term })) => Some(term),
+    match decode_payload(frame.payload) {
+        Ok(Some(LogRecord::NewTerm { term })) => Some(term),
         _ => None,
     }
-}
-
-/// WAL segments under `dir`, sorted by first sequence number.
-fn sorted_segments(storage: &dyn WalStorage, dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
-    let mut segments: Vec<(u64, PathBuf)> = storage
-        .list(dir)
-        .map_err(|e| FdbError::Internal(format!("repl source list dir: {e}")))?
-        .into_iter()
-        .filter_map(|p| segment_first_seq(&p).map(|s| (s, p)))
-        .collect();
-    segments.sort();
-    Ok(segments)
 }
 
 #[cfg(test)]

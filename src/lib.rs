@@ -17,8 +17,8 @@
 //! * [`check`] — the whole-program static analyzer behind `CHECK`,
 //!   `STRICT` and the `fdb-lint` CLI (typed `FDB0xx` diagnostics);
 //! * [`lang`] — a DAPLEX-flavoured textual front end and REPL;
-//! * [`obs`] — the process-wide metrics registry, structured tracer and
-//!   exporters behind `STATS` and `EXPLAIN ANALYZE`;
+//! * [`obs`] — the process-wide metrics registry, causal spans and
+//!   exporters behind `STATS`, `SHOW TRACE` and `EXPLAIN ANALYZE`;
 //! * [`relational`] — the Dayal–Bernstein / Fagin–Ullman–Vardi view-update
 //!   baselines the paper compares against;
 //! * [`workload`] — seeded generators and the paper's university example.

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fdb::core::wal::{crc32, encode_frame, scan, LogRecord};
+use fdb::core::wal::{crc32, encode_frame, scan, Frames, LogRecord};
 use fdb::core::{
     DurabilityConfig, LoggedDatabase, SharedLoggedDatabase, SimDisk, SyncPolicy, Wal, WalStorage,
 };
@@ -130,6 +130,37 @@ proptest! {
             prop_assert_eq!(*seq, i as u64 + 1);
             prop_assert_eq!(got, &records[i]);
         }
+    }
+
+    /// One walker, two views: however a log is damaged — cut anywhere,
+    /// or one bit flipped anywhere, header included — the decoded view
+    /// (`scan`) and the raw view (`Frames`, what replication ships from)
+    /// end the valid prefix at the same byte, continue it with the same
+    /// sequence number, and blame the same offset.
+    #[test]
+    fn decoded_and_raw_views_agree_on_damaged_logs(seed in 0u64..10_000, len in 1usize..25) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let records: Vec<LogRecord> = (0..len).map(|_| arb_record(&mut rng)).collect();
+        let mut bytes = encode_log(&records);
+        if rng.gen_bool(0.5) {
+            bytes.truncate(rng.gen_range(0..bytes.len()));
+        } else {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8u32);
+        }
+        let decoded = scan(&bytes, 1);
+        let mut raw = Frames::segment(&bytes, 1);
+        let frames: Vec<(u64, u32)> = raw.by_ref().map(|f| (f.seq, f.crc)).collect();
+        prop_assert_eq!(decoded.valid_len, raw.valid_len());
+        prop_assert_eq!(decoded.next_seq, raw.next_seq());
+        prop_assert_eq!(
+            decoded.flaw.as_ref().map(|f| f.offset()),
+            raw.flaw().map(|f| f.offset())
+        );
+        prop_assert_eq!(decoded.flaw.is_some(), decoded.valid_len < bytes.len() as u64);
+        // Every intact frame holds a record this version wrote.
+        prop_assert_eq!(decoded.records.len(), frames.len());
+        prop_assert_eq!(&decoded.frames, &frames);
     }
 
     /// A record written by a newer version — valid JSON, unknown type —
