@@ -107,6 +107,27 @@ impl Database {
         }
     }
 
+    /// Reassembles a database from its serialised parts (snapshot
+    /// restore); no transaction is open.
+    pub(crate) fn from_parts(
+        schema: Schema,
+        derived: BTreeMap<FunctionId, Vec<Derivation>>,
+        store: Store,
+        chain_limits: ChainLimits,
+        delete_policy: DeletePolicy,
+        insert_policy: InsertPolicy,
+    ) -> Self {
+        Database {
+            schema,
+            derived,
+            store,
+            chain_limits,
+            delete_policy,
+            insert_policy,
+            txn: None,
+        }
+    }
+
     /// Builds a database from a finished design session: the outcome's
     /// confirmed derivations become the derived-function registry.
     pub fn from_design(schema: Schema, outcome: &DesignOutcome) -> Result<Self> {
@@ -213,6 +234,11 @@ impl Database {
     /// The derivations of `f` (empty slice if base).
     pub fn derivations(&self, f: FunctionId) -> &[Derivation] {
         self.derived.get(&f).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// The whole derived-function registry (what a snapshot serialises).
+    pub(crate) fn derived_registry(&self) -> &BTreeMap<FunctionId, Vec<Derivation>> {
+        &self.derived
     }
 
     /// The *support set* of `f`: the functions whose stored state the

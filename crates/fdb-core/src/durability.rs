@@ -7,9 +7,10 @@
 //! * segments rotate once they pass
 //!   [`DurabilityConfig::segment_max_bytes`];
 //! * every [`DurabilityConfig::checkpoint_every`] records (or on demand)
-//!   the whole database snapshot is written to a temp file, synced,
-//!   atomically renamed over `checkpoint.snap`, the directory entry is
-//!   synced, and the replayed segments are removed — recovery is then
+//!   the whole database is encoded once into a binary, checksummed
+//!   snapshot, written to a temp file, synced, atomically renamed over
+//!   `checkpoint.snap`, the directory entry is synced, and the replayed
+//!   segments are removed — recovery is then
 //!   *latest checkpoint + replay of the remaining suffix*;
 //! * [`SyncPolicy`] decides when appends are fsynced: every record,
 //!   every N records, or only at checkpoints.
@@ -34,8 +35,8 @@ use crate::database::Database;
 use crate::storage::{FileStorage, WalStorage};
 use crate::update::Update;
 use crate::wal::{
-    apply_record, clear_log, initial_term, install_checkpoint, io_err, list_segments, walk_log,
-    CheckpointInfo, LogRecord, RecoveryReport, Wal,
+    apply_record, checkpoint_len, clear_log, initial_term, install_checkpoint, io_err,
+    list_segments, walk_log, CheckpointInfo, LogRecord, RecoveryReport, Wal,
 };
 
 /// When appended records are fsynced.
@@ -383,17 +384,50 @@ impl LoggedDatabase {
                 "cannot checkpoint inside an open transaction".to_owned(),
             ));
         }
+        let started = std::time::Instant::now();
+        // Rare and load-bearing, like recovery: traced whenever tracing
+        // is on, whether or not the triggering statement was sampled.
+        let mut span = fdb_obs::causal::root_span("fdb.core.checkpoint", String::new);
+        let bytes = match self.write_checkpoint() {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                span.set_error();
+                return Err(e);
+            }
+        };
+        span.annotate("seq", self.checkpoint_seq);
+        span.annotate("bytes", bytes);
+        drop(span);
+        let reg = fdb_obs::registry();
+        reg.wal_checkpoints.inc();
+        reg.wal_checkpoint_bytes.add(bytes);
+        reg.wal_checkpoint_ns
+            .record(started.elapsed().as_nanos() as u64);
+        Ok(())
+    }
+
+    /// The three steps of a checkpoint, each under its own span: encode
+    /// the snapshot, install the file, prune the log it covers. Returns
+    /// the size of the installed file.
+    fn write_checkpoint(&mut self) -> Result<u64> {
+        use fdb_obs::causal::child_span;
         self.sync()?;
         let seq = self.last_seq();
-        let info = CheckpointInfo {
-            seq,
-            term: self.term,
-            snapshot: self.db.to_snapshot()?,
+        let info = {
+            let _span = child_span("fdb.core.checkpoint.encode", String::new);
+            CheckpointInfo {
+                seq,
+                term: self.term,
+                snapshot: self.db.to_snapshot()?,
+            }
         };
-        install_checkpoint(self.storage.as_ref(), self.dir(), &info)?;
-
+        {
+            let _span = child_span("fdb.core.checkpoint.install", String::new);
+            install_checkpoint(self.storage.as_ref(), self.dir(), &info)?;
+        }
         // Everything up to `seq` is now covered: rotate to a fresh
         // segment and drop the replayed ones.
+        let _span = child_span("fdb.core.checkpoint.prune", String::new);
         self.rotate()?;
         for (_, path) in list_segments(self.storage.as_ref(), self.dir())? {
             if path != self.wal.path() {
@@ -407,8 +441,7 @@ impl LoggedDatabase {
             .map_err(|e| io_err("sync dir", e))?;
         self.checkpoint_seq = seq;
         self.since_checkpoint = 0;
-        fdb_obs::registry().wal_checkpoints.inc();
-        Ok(())
+        Ok(checkpoint_len(info.snapshot.len()))
     }
 
     // ------------------------------------------------------ transactions

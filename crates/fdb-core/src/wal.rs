@@ -21,7 +21,8 @@
 //! | log directory | `checkpoint.snap` (optional) + `wal-<first seq, 10 digits>.seg` segments; recovery is *checkpoint, then segments in order of first seq* |
 //! | segment (v2) | 8-byte magic `FDBWAL2\n`, then frames with contiguous sequence numbers |
 //! | frame | `[len: u32 LE][crc32: u32 LE][seq: u64 LE][payload]` — the payload is the record's JSON, the CRC covers seq and payload |
-//! | checkpoint | JSON `{seq, snapshot, term}`, written to `checkpoint.tmp`, fsynced, renamed into place |
+//! | checkpoint | `FDBCKPT2`, then `[seq: u64 LE][term: u64 LE][body_len: u64 LE][crc32: u32 LE][body]` — the body is [`Database::to_snapshot`]'s bytes as they are, the CRC covers seq, term, body_len and body; written to `checkpoint.tmp`, fsynced, renamed into place |
+//! | legacy checkpoint | a file starting with `{`: JSON `{seq, snapshot, term}` with the snapshot as an escaped JSON string and no checksum; read, never written — the next checkpoint replaces it |
 //! | legacy file (v1) | newline-delimited plain JSON, one record per line, numbered by position |
 //!
 //! A path that names a *file* is a one-file log (v1, or a single v2
@@ -176,8 +177,12 @@ const FRAME_HEADER: usize = 4 + 4 + 8;
 /// as corruption rather than an allocation request.
 const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the classic byte-at-a-time table, `CRC_TABLES[k][b]` the state
+/// after byte `b` followed by `k` zero bytes — eight input bytes fold
+/// into the state with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -190,16 +195,40 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Folds `data` into a running (not yet inverted) CRC-32 state.
+/// Folds `data` into a running (not yet inverted) CRC-32 state, eight
+/// bytes per step; the state after any split of `data` is the same.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let t = &CRC_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -352,7 +381,7 @@ impl RecoveryReport {
 
 /// Little-endian decode of an exactly-4-byte slice (callers have
 /// already length-checked the frame).
-fn le_u32(b: &[u8]) -> u32 {
+pub(crate) fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
@@ -1169,39 +1198,114 @@ fn quarantine_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// The atomically installed checkpoint file's contents (its JSON is this
-/// struct, fields in this order), exposed so a replication source can
-/// seed a replica that is behind the earliest retained segment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// An installed checkpoint: what `checkpoint.snap` holds, exposed so a
+/// replication source can seed a replica that is behind the earliest
+/// retained segment.
+#[derive(Clone, Debug)]
 pub struct CheckpointInfo {
     /// Highest sequence number the snapshot covers.
     pub seq: u64,
     /// [`Database::to_snapshot`] output.
-    pub snapshot: String,
-    /// Replication term in force when the checkpoint was taken. Absent
-    /// in pre-replication checkpoints (defaults to the initial term 1).
-    #[serde(default = "initial_term")]
+    pub snapshot: Vec<u8>,
+    /// Replication term in force when the checkpoint was taken.
     pub term: u64,
 }
 
-/// Reads the installed checkpoint in `dir`, if any.
+/// Magic header identifying a binary checkpoint file.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"FDBCKPT2";
+
+/// Checkpoint header size: magic + `seq` + `term` + `body_len` + `crc`.
+const CHECKPOINT_HEADER: usize = 8 + 8 + 8 + 8 + 4;
+
+/// On-disk size of a checkpoint file carrying `body_len` snapshot bytes.
+pub(crate) fn checkpoint_len(body_len: usize) -> u64 {
+    (CHECKPOINT_HEADER + body_len) as u64
+}
+
+/// The checksum a checkpoint header carries: CRC-32 over the header
+/// fields (`seq`, `term`, `body_len`, as laid out) followed by the body.
+fn checkpoint_crc(fields: &[u8], body: &[u8]) -> u32 {
+    !crc32_update(crc32_update(0xFFFF_FFFF, fields), body)
+}
+
+/// A checkpoint file as written before the binary layout: one JSON
+/// document with the snapshot — itself JSON — as a string field. Read
+/// only; the next checkpoint replaces the file with the binary layout.
+#[derive(Deserialize)]
+struct LegacyCheckpoint {
+    seq: u64,
+    snapshot: String,
+    /// Absent in pre-replication checkpoints.
+    #[serde(default = "initial_term")]
+    term: u64,
+}
+
+/// Reads the installed checkpoint in `dir`, if any. A file whose checksum
+/// does not match its bytes is an error naming the file and both values
+/// (and a flight-recorder dump, like a failed fsync): a damaged
+/// checkpoint cannot be salvaged around, and must never load as a
+/// different database. A file starting with `{` is a legacy JSON
+/// checkpoint, which carries no checksum to verify.
 pub fn read_checkpoint(storage: &dyn WalStorage, dir: &Path) -> Result<Option<CheckpointInfo>> {
     let ckpt = dir.join(CHECKPOINT);
     if !storage.is_file(&ckpt) {
         return Ok(None);
     }
-    let bytes = storage
+    let mut bytes = storage
         .read(&ckpt)
         .map_err(|e| io_err("read checkpoint", e))?;
-    let text = std::str::from_utf8(&bytes)
-        .map_err(|e| FdbError::Internal(format!("wal: checkpoint not UTF-8: {e}")))?;
-    serde_json::from_str(text)
-        .map(Some)
-        .map_err(|e| FdbError::Internal(format!("wal: checkpoint corrupt: {e}")))
+    let corrupt =
+        |what: String| FdbError::Internal(format!("wal: checkpoint {}: {what}", ckpt.display()));
+    if bytes.first() == Some(&b'{') {
+        let legacy: LegacyCheckpoint = std::str::from_utf8(&bytes)
+            .map_err(|e| corrupt(format!("not UTF-8: {e}")))
+            .and_then(|text| {
+                serde_json::from_str(text).map_err(|e| corrupt(format!("corrupt: {e}")))
+            })?;
+        return Ok(Some(CheckpointInfo {
+            seq: legacy.seq,
+            snapshot: legacy.snapshot.into_bytes(),
+            term: legacy.term,
+        }));
+    }
+    if bytes.len() < CHECKPOINT_HEADER || !bytes.starts_with(CHECKPOINT_MAGIC) {
+        return Err(corrupt(
+            "not a checkpoint file (bad or cut header)".to_owned(),
+        ));
+    }
+    let (fields, stored) = (&bytes[8..32], le_u32(&bytes[32..36]));
+    let body = &bytes[CHECKPOINT_HEADER..];
+    let actual = checkpoint_crc(fields, body);
+    if stored != actual {
+        let e = corrupt(format!(
+            "corrupt: crc32 expected {stored:#010x}, found {actual:#010x}"
+        ));
+        fdb_obs::flight::dump_on_fault(&format!("checkpoint_corrupt: {e}"));
+        return Err(e);
+    }
+    let (seq, term, body_len) = (
+        le_u64(&fields[0..8]),
+        le_u64(&fields[8..16]),
+        le_u64(&fields[16..24]),
+    );
+    if body_len != body.len() as u64 {
+        return Err(corrupt(format!(
+            "header says {body_len} body bytes, file holds {}",
+            body.len()
+        )));
+    }
+    bytes.drain(..CHECKPOINT_HEADER);
+    Ok(Some(CheckpointInfo {
+        seq,
+        snapshot: bytes,
+        term,
+    }))
 }
 
-/// Atomically installs a checkpoint document in `dir` (write to a temp
-/// file, fsync, rename into place, fsync the directory) — used by
+/// Atomically installs a checkpoint in `dir` — `magic | seq | term |
+/// body_len | crc32 | body`, the body being the snapshot as it is —
+/// through a temp file: write, fsync, rename into place, fsync the
+/// directory. Used by
 /// [`LoggedDatabase::checkpoint`](crate::LoggedDatabase::checkpoint) and
 /// by a replica installing a seed snapshot in its local copy of the log.
 pub fn install_checkpoint(
@@ -1209,13 +1313,19 @@ pub fn install_checkpoint(
     dir: &Path,
     info: &CheckpointInfo,
 ) -> Result<()> {
-    let json = serde_json::to_string(info)
-        .map_err(|e| FdbError::Internal(format!("wal: serialise checkpoint: {e}")))?;
+    let mut header = Vec::with_capacity(CHECKPOINT_HEADER);
+    header.extend_from_slice(CHECKPOINT_MAGIC);
+    header.extend_from_slice(&info.seq.to_le_bytes());
+    header.extend_from_slice(&info.term.to_le_bytes());
+    header.extend_from_slice(&(info.snapshot.len() as u64).to_le_bytes());
+    let crc = checkpoint_crc(&header[8..], &info.snapshot);
+    header.extend_from_slice(&crc.to_le_bytes());
     let tmp = dir.join(CHECKPOINT_TMP);
     let mut f = storage
         .create(&tmp)
         .map_err(|e| io_err("create checkpoint.tmp", e))?;
-    f.append(json.as_bytes())
+    f.append(&header)
+        .and_then(|()| f.append(&info.snapshot))
         .map_err(|e| io_err("write checkpoint", e))?;
     f.sync().map_err(|e| io_err("sync checkpoint", e))?;
     drop(f);
@@ -1942,6 +2052,53 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC-32 the sliced one replaced.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4C);
+        let mut buf = vec![0u8; 4096 + 8];
+        for b in &mut buf {
+            *b = rng.gen_range(0..=255u32) as u8;
+        }
+        // Every length around the eight-byte stride from every start
+        // alignment, then random cuts up to 4,096 bytes.
+        let mut cuts: Vec<(usize, usize)> = (0..8)
+            .flat_map(|start| (0..=40).map(move |len| (start, len)))
+            .collect();
+        cuts.extend((0..400).map(|_| (rng.gen_range(0..8usize), rng.gen_range(0..=4096usize))));
+        for (start, len) in cuts {
+            let data = &buf[start..start + len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            // The two-step seeding of a frame checksum (seq, then the
+            // payload) and of a checkpoint checksum (fields, then body).
+            let seq = rng.gen_range(0..u64::MAX);
+            let mut checked = seq.to_le_bytes().to_vec();
+            checked.extend_from_slice(data);
+            assert_eq!(frame_crc(seq, data), crc32_bytewise(&checked));
+            let split = rng.gen_range(0..=len);
+            assert_eq!(
+                checkpoint_crc(&data[..split], &data[split..]),
+                crc32_bytewise(data)
+            );
+        }
     }
 
     #[test]

@@ -909,11 +909,11 @@ impl Engine {
                         "cannot LOAD inside an open transaction".into(),
                     ));
                 }
-                let text = std::fs::read_to_string(&path).map_err(|e| FdbError::Parse {
+                let bytes = std::fs::read(&path).map_err(|e| FdbError::Parse {
                     line: self.line,
                     message: format!("cannot read {path}: {e}"),
                 })?;
-                self.db = Database::from_snapshot(&text)?;
+                self.db = Database::from_snapshot(&bytes)?;
                 // A loaded store is a different lineage: its mutation
                 // counters are not comparable with cached snapshots, and
                 // the check log no longer describes the state.
@@ -1643,7 +1643,7 @@ mod tests {
     #[test]
     fn save_and_load_round_trip() {
         let path =
-            std::env::temp_dir().join(format!("fdb_lang_snapshot_{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("fdb_lang_snapshot_{}.snap", std::process::id()));
         let path_str = path.to_str().unwrap().to_owned();
         let mut e = Engine::new();
         run(
@@ -1661,6 +1661,7 @@ mod tests {
             r.unwrap();
         });
         e.execute_line(&format!("SAVE \"{path_str}\"")).unwrap();
+        assert!(std::fs::read(&path).unwrap().starts_with(b"FDBSNAP1"));
 
         let mut fresh = Engine::new();
         fresh.execute_line(&format!("LOAD \"{path_str}\"")).unwrap();

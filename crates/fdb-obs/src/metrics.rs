@@ -314,6 +314,9 @@ registry! {
         wal_skipped_records => "fdb.wal.skipped_records",
         /// Checkpoints installed.
         wal_checkpoints => "fdb.wal.checkpoints",
+        /// Bytes written to checkpoint files (header included) — with
+        /// `fdb.wal.append_bytes`, everything the log puts on disk.
+        wal_checkpoint_bytes => "fdb.wal.checkpoint_bytes",
         /// Recovery passes run (open or replay).
         recovery_runs => "fdb.recovery.runs",
         /// Log records salvaged (applied) across recovery passes.
@@ -471,6 +474,10 @@ registry! {
         statement_latency_ns => "fdb.lang.statement_latency_ns",
         /// WAL record frame sizes, bytes.
         wal_append_size_bytes => "fdb.wal.append_size_bytes",
+        /// Wall time of one checkpoint (log sync, snapshot encode, atomic
+        /// install, segment prune), nanoseconds — the stall the update
+        /// that triggered it pays.
+        wal_checkpoint_ns => "fdb.wal.checkpoint_ns",
         /// Chains emitted per executed chain query.
         exec_chains_per_query => "fdb.exec.chains_per_query",
         /// Frontier nodes materialised per executed chain query (arena

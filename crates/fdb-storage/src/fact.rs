@@ -4,7 +4,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fdb_types::{FunctionId, Value};
+use fdb_types::codec::{put_uint, Reader};
+use fdb_types::{FunctionId, Result, Value};
 
 /// A fact `f(a) = b`, denoted `<f, a, b>` in the paper.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -35,6 +36,26 @@ impl Fact {
     /// `true` if either side of the fact is a null value.
     pub fn has_null(&self) -> bool {
         self.x.is_null() || self.y.is_null()
+    }
+
+    /// Smallest encoded fact: a function id and two empty atoms.
+    pub(crate) const MIN_ENCODED: usize = 5;
+
+    /// Appends the fact's binary snapshot form (an NC conjunct).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_uint(out, u64::from(self.function.0));
+        self.x.encode(out);
+        self.y.encode(out);
+    }
+
+    /// Reads a fact written by [`Fact::encode`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Fact> {
+        let function = u32::try_from(r.uint()?).map_err(|_| r.error("function id out of range"))?;
+        Ok(Fact {
+            function: FunctionId(function),
+            x: Value::decode(r)?,
+            y: Value::decode(r)?,
+        })
     }
 }
 

@@ -13,6 +13,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use fdb_types::codec::{put_uint, Reader};
+use fdb_types::Result;
+
 use crate::fact::Fact;
 
 /// Unique index of a negated conjunction (the paper writes `NC(d)`; the
@@ -46,6 +49,38 @@ impl NcStore {
             ncs: BTreeMap::new(),
             next: 1,
         }
+    }
+
+    /// Appends the store's binary snapshot form: the index counter, then
+    /// every live NC (index order) as its id and conjunct list.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_uint(out, self.next);
+        put_uint(out, self.ncs.len() as u64);
+        for (id, facts) in &self.ncs {
+            put_uint(out, id.0);
+            put_uint(out, facts.len() as u64);
+            for fact in facts {
+                fact.encode(out);
+            }
+        }
+    }
+
+    /// Reads a store written by [`NcStore::encode`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<NcStore> {
+        let next = r.uint()?;
+        let mut ncs = BTreeMap::new();
+        for _ in 0..r.count(2)? {
+            let id = NcId(r.uint()?);
+            let len = r.count(Fact::MIN_ENCODED)?;
+            let mut facts = Vec::with_capacity(len);
+            for _ in 0..len {
+                facts.push(Fact::decode(r)?);
+            }
+            if ncs.insert(id, facts).is_some() {
+                return Err(r.error("duplicate NC id"));
+            }
+        }
+        Ok(NcStore { ncs, next })
     }
 
     /// Registers a new NC over `conjuncts`, returning its fresh index.

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use fdb_types::{FunctionId, NullGen, Value};
+use fdb_types::codec::{put_uint, Reader};
+use fdb_types::{FunctionId, NullGen, Result, Value};
 
 use crate::fact::Fact;
 use crate::nc::{NcId, NcStore};
@@ -60,8 +61,11 @@ impl CompactionPolicy {
 /// snapshot read path (see [`crate::snapshot::Snapshot`]). Mutators go
 /// through [`Arc::make_mut`], which copies a table only on the *first*
 /// write after a snapshot was taken (copy-on-write at per-function
-/// granularity). The `Arc`s serialize transparently as their contents,
-/// so the JSON snapshot format is unchanged.
+/// granularity). The `Arc`s serialize transparently as their contents.
+///
+/// The serde derive is the reader of snapshots written before the binary
+/// format and the oracle the tests compare [`Store::encode`] with; both
+/// cover exactly the fields not marked `skip`.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Store {
     tables: Vec<Arc<Table>>,
@@ -109,6 +113,49 @@ impl Store {
             compaction: CompactionPolicy::default(),
             journal: None,
         }
+    }
+
+    /// Appends the store's binary snapshot form — the serialised state is
+    /// exactly what the serde derive above covers: every table, the NC
+    /// store, the null watermark and the compaction policy; never the
+    /// version counters or an open undo journal.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let rows: usize = self.tables.iter().map(|t| t.len() + t.tombstones()).sum();
+        out.reserve(rows * 24);
+        put_uint(out, self.tables.len() as u64);
+        for table in &self.tables {
+            table.encode(out);
+        }
+        self.ncs.encode(out);
+        put_uint(out, self.nulls.watermark());
+        out.extend_from_slice(&self.compaction.tombstone_fraction.to_bits().to_le_bytes());
+        put_uint(out, self.compaction.min_tombstones as u64);
+    }
+
+    /// Reads a store written by [`Store::encode`]. Table indexes are left
+    /// empty: call [`Store::rebuild_index`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Store> {
+        let len = r.count(1)?;
+        let mut tables = Vec::with_capacity(len);
+        for _ in 0..len {
+            tables.push(Arc::new(Table::decode(r)?));
+        }
+        let ncs = Arc::new(NcStore::decode(r)?);
+        let nulls = NullGen::from_watermark(r.uint()?);
+        let mut fraction = [0u8; 8];
+        fraction.copy_from_slice(r.take(8)?);
+        let compaction = CompactionPolicy {
+            tombstone_fraction: f64::from_bits(u64::from_le_bytes(fraction)),
+            min_tombstones: usize::try_from(r.uint()?)
+                .map_err(|_| r.error("compaction threshold out of range"))?,
+        };
+        Ok(Store {
+            tables,
+            ncs,
+            nulls,
+            compaction,
+            ..Store::default()
+        })
     }
 
     /// Rebuilds all table indexes (after deserialisation).

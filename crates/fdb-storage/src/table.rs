@@ -9,7 +9,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use fdb_types::Value;
+use fdb_types::codec::{put_uint, Reader};
+use fdb_types::{Result, Value};
 
 use crate::nc::NcId;
 use crate::truth::Truth;
@@ -77,10 +78,81 @@ pub struct TableStats {
     pub null_y: usize,
 }
 
+impl Row {
+    /// Smallest encoded row: two empty atoms, the flags, an empty NCL.
+    const MIN_ENCODED: usize = 6;
+    /// Flag bit set on live rows; the two bits above it hold the truth
+    /// flag (0 false, 1 ambiguous, 2 true).
+    const ALIVE: u8 = 1;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.x.encode(out);
+        self.y.encode(out);
+        let truth = match self.truth {
+            Truth::False => 0,
+            Truth::Ambiguous => 1,
+            Truth::True => 2,
+        };
+        out.push(truth << 1 | u8::from(self.alive));
+        put_uint(out, self.ncl.len() as u64);
+        for nc in &self.ncl {
+            put_uint(out, nc.0);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Row> {
+        let x = Value::decode(r)?;
+        let y = Value::decode(r)?;
+        let flags = r.byte()?;
+        let truth = match flags >> 1 {
+            0 => Truth::False,
+            1 => Truth::Ambiguous,
+            2 => Truth::True,
+            _ => return Err(r.error("unknown row flags")),
+        };
+        let mut ncl = BTreeSet::new();
+        for _ in 0..r.count(1)? {
+            ncl.insert(NcId(r.uint()?));
+        }
+        Ok(Row {
+            x,
+            y,
+            truth,
+            ncl,
+            alive: flags & Row::ALIVE != 0,
+        })
+    }
+}
+
 impl Table {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends the table's binary snapshot form: every row in physical
+    /// order, tombstones included. Snapshot equality is physical — a
+    /// restored table has the row indices, and reaches its compaction
+    /// threshold at the same delete, as the one it was taken from.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_uint(out, self.rows.len() as u64);
+        for row in &self.rows {
+            row.encode(out);
+        }
+    }
+
+    /// Reads a table written by [`Table::encode`]. The lookup indexes are
+    /// left empty: call [`Table::rebuild_index`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Table> {
+        let len = r.count(Row::MIN_ENCODED)?;
+        let mut rows = Vec::with_capacity(len);
+        for _ in 0..len {
+            rows.push(Row::decode(r)?);
+        }
+        Ok(Table {
+            rows,
+            ..Table::default()
+        })
     }
 
     /// Rebuilds the lookup indexes from the row log (after deserialising).

@@ -20,11 +20,14 @@
 //!   schemas,
 //! * [`Derivation`] — derivation expressions `u₁F₁ o u₂F₂ o … o uₖFₖ`
 //!   with `uᵢ ∈ {identity, inverse}`,
-//! * [`FdbError`] — the workspace error type.
+//! * [`FdbError`] — the workspace error type,
+//! * [`codec`] — the integer/string primitives and bounded reader the
+//!   binary snapshot format is written and read with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 mod derivation;
 mod error;
 mod function;

@@ -16,6 +16,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{put_str, put_uint, Reader};
+use crate::error::Result;
+
 /// An interned immutable data atom (a non-null object identifier).
 ///
 /// Atoms are cheap to clone (`Arc<str>`), compare by string content, and
@@ -105,6 +108,12 @@ impl NullGen {
         self.next.saturating_sub(1)
     }
 
+    /// A generator whose next fresh null takes index `watermark` — the
+    /// inverse of [`NullGen::watermark`], for restoring a snapshot.
+    pub fn from_watermark(watermark: u64) -> Self {
+        NullGen { next: watermark }
+    }
+
     /// Internal watermark: the index the next fresh null will take.
     ///
     /// Capture this before a speculative operation and pass it back to
@@ -156,6 +165,30 @@ impl Value {
         match self {
             Value::Atom(a) => Some(a),
             Value::Null(_) => None,
+        }
+    }
+
+    /// Appends the value's binary snapshot form: a tag byte, then the
+    /// atom's length-prefixed text or the null's index.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Atom(a) => {
+                out.push(0);
+                put_str(out, a.as_str());
+            }
+            Value::Null(n) => {
+                out.push(1);
+                put_uint(out, n.0);
+            }
+        }
+    }
+
+    /// Reads a value written by [`Value::encode`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Value> {
+        match r.byte()? {
+            0 => Ok(Value::atom(r.str()?)),
+            1 => Ok(Value::Null(NullId(r.uint()?))),
+            _ => Err(r.error("unknown value tag")),
         }
     }
 
@@ -292,6 +325,27 @@ mod tests {
     fn display_forms() {
         assert_eq!(Value::atom("euclid").to_string(), "euclid");
         assert_eq!(Value::Null(NullId(7)).to_string(), "n7");
+    }
+
+    #[test]
+    fn binary_round_trip() {
+        let values = [
+            Value::atom(""),
+            Value::atom("[ann; db]"),
+            Value::Null(NullId(0)),
+            Value::Null(NullId(u64::MAX)),
+        ];
+        let mut out = Vec::new();
+        for v in &values {
+            v.encode(&mut out);
+        }
+        let mut r = Reader::new(&out);
+        for v in &values {
+            assert_eq!(&Value::decode(&mut r).unwrap(), v);
+        }
+        r.finish().unwrap();
+        assert!(Value::decode(&mut Reader::new(&[2, 0])).is_err());
+        assert!(Value::decode(&mut Reader::new(&[0, 5, b'a'])).is_err());
     }
 
     #[test]

@@ -365,9 +365,16 @@ fn promotion_discards_dangling_txn_and_reports_it() {
             >= promo.report.uncommitted_discarded as u64,
         "metrics registry missed the discard"
     );
-    let snapshot = promo.logged.database().to_snapshot().expect("snapshot");
-    assert!(snapshot.contains("euclid"), "committed fact lost");
-    assert!(!snapshot.contains("doomed"), "uncommitted fact survived");
+    let db = promo.logged.database();
+    let teach = db.store().table(db.resolve("teach").expect("teach"));
+    assert!(
+        teach.contains(&v("euclid"), &v("math")),
+        "committed fact lost"
+    );
+    assert!(
+        !teach.contains(&v("doomed"), &v("uncommitted")),
+        "uncommitted fact survived"
+    );
 
     // The counter is part of the STATS JSON surface.
     let mut engine = fdb::lang::Engine::new();

@@ -5,21 +5,31 @@
 //! driven through a [`LoggedDatabase`] on a [`SimDisk`]. The run is then
 //! repeated with the disk's write budget cut
 //!
-//! * at **every record boundary** of the full run, and
-//! * at **every byte offset** inside one sampled mid-stream record,
+//! * at **every record boundary** of the full run,
+//! * at **every byte offset** inside one sampled mid-stream record, and
+//! * at **every byte offset** of one checkpoint install (temp file,
+//!   rename, rotation, segment removal),
 //!
 //! and each truncated image is recovered. The recovered database must
 //! always be exactly the state after some prefix of the applied updates
 //! (the longest whose record survived the cut), `is_consistent()` must
 //! hold, the recovery report must show at worst a torn tail — and nothing
 //! may panic.
+//!
+//! The checkpoint file itself is covered at the end: a bit flipped
+//! anywhere in it must fail the open (never load a different database),
+//! and a directory whose checkpoint is in the JSON layout of earlier
+//! versions must open, seed a replica, and be rewritten in the binary
+//! layout by the next checkpoint.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use fdb_core::{
-    Database, DurabilityConfig, LoggedDatabase, SimDisk, SyncPolicy, Update, WalStorage,
+    read_checkpoint, Database, DurabilityConfig, LoggedDatabase, SimDisk, SyncPolicy, Update,
+    WalStorage,
 };
+use fdb_repl::{ApplyOutcome, Replica, ReplicationSource};
 use fdb_types::{Derivation, Functionality, Schema, Step, Value};
 use fdb_workload::{update_stream, UpdateStreamConfig};
 
@@ -79,9 +89,19 @@ fn workload() -> Vec<Update> {
 /// successfully logged record. Returns early (without panicking) once the
 /// disk's write budget is exhausted; semantic update failures are skipped,
 /// exactly as they are unlogged.
-fn drive(disk: &Arc<SimDisk>, stream: &[Update], mut after: impl FnMut(u64, &LoggedDatabase)) {
+fn drive(disk: &Arc<SimDisk>, stream: &[Update], after: impl FnMut(u64, &LoggedDatabase)) {
+    drive_with(disk, config(), stream, after)
+}
+
+/// [`drive`] under an explicit durability configuration.
+fn drive_with(
+    disk: &Arc<SimDisk>,
+    config: DurabilityConfig,
+    stream: &[Update],
+    mut after: impl FnMut(u64, &LoggedDatabase),
+) {
     let storage: Arc<dyn WalStorage> = disk.clone();
-    let mut ldb = match LoggedDatabase::create_with(storage, dir(), config()) {
+    let mut ldb = match LoggedDatabase::create_with(storage, dir(), config) {
         Ok(ldb) => ldb,
         Err(_) => {
             assert!(disk.crashed(), "create failed without a crash");
@@ -127,7 +147,7 @@ fn drive(disk: &Arc<SimDisk>, stream: &[Update], mut after: impl FnMut(u64, &Log
 
 /// Runs the workload against a budget-limited disk, recovers from the
 /// truncated image, and returns `(recovered_seq, snapshot)`.
-fn crash_and_recover(stream: &[Update], budget: u64) -> (u64, String) {
+fn crash_and_recover(stream: &[Update], budget: u64) -> (u64, Vec<u8>) {
     let disk = Arc::new(SimDisk::new());
     disk.set_write_budget(Some(budget));
     drive(&disk, stream, |_, _| {});
@@ -156,7 +176,7 @@ fn crash_matrix_every_record_boundary_and_one_record_bytewise() {
     // snapshot after every logged record.
     let disk = Arc::new(SimDisk::new());
     let mut bounds: Vec<u64> = Vec::new(); // bounds[k-1] = bytes after record k
-    let mut snapshots: Vec<String> = vec![Database::new(Schema::new()).to_snapshot().unwrap()];
+    let mut snapshots: Vec<Vec<u8>> = vec![Database::new(Schema::new()).to_snapshot().unwrap()];
     drive(&disk, &stream, |seq, ldb| {
         assert_eq!(seq as usize, bounds.len() + 1);
         bounds.push(disk.total_written());
@@ -351,7 +371,7 @@ fn drive_txn(
 
 /// Runs the transactional script against a budget-limited disk, recovers
 /// from the truncated image, and returns the recovered snapshot.
-fn txn_crash_and_recover(steps: &[TxnStep<'_>], budget: u64) -> String {
+fn txn_crash_and_recover(steps: &[TxnStep<'_>], budget: u64) -> Vec<u8> {
     let disk = Arc::new(SimDisk::new());
     disk.set_write_budget(Some(budget));
     drive_txn(&disk, steps, |_, _| {});
@@ -393,7 +413,7 @@ fn txn_crash_matrix_every_record_boundary() {
     // uncommitted frame is discarded at recovery).
     let disk = Arc::new(SimDisk::new());
     let mut bounds: Vec<u64> = Vec::new(); // bounds[k-1] = bytes after record k
-    let mut expected: Vec<String> = Vec::new(); // expected[k-1] = recovery target after record k
+    let mut expected: Vec<Vec<u8>> = Vec::new(); // expected[k-1] = recovery target after record k
     let mut committed = Database::new(Schema::new()).to_snapshot().unwrap();
     drive_txn(&disk, &steps, |seq, ldb| {
         assert_eq!(seq as usize, bounds.len() + 1);
@@ -555,4 +575,236 @@ fn txn_soak_with_fsync_faults() {
             "soak round {fault_round}: recovery disagrees with survivor state"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The checkpoint file: a crash at every byte of its install, damage to
+// its bytes, and the JSON layout earlier versions wrote.
+
+fn checkpoint_path() -> PathBuf {
+    dir().join("checkpoint.snap")
+}
+
+#[test]
+fn checkpoint_install_cut_at_every_byte() {
+    // Checkpoints at records 24 and 48; the second is the one cut. Small
+    // numbers keep the ~1,000 cut runs short, small segments make the
+    // install prune several of them.
+    let config = DurabilityConfig {
+        sync_policy: SyncPolicy::Always,
+        checkpoint_every: Some(24),
+        segment_max_bytes: 1024,
+    };
+    let stream = workload();
+    let k = 48usize;
+
+    // Uncut run: the bytes on disk after each record up to k, the live
+    // snapshot there, and the size of the checkpoint record k installs.
+    let disk = Arc::new(SimDisk::new());
+    let mut bounds: Vec<u64> = Vec::new();
+    let mut snapshots: Vec<Vec<u8>> = vec![Vec::new()];
+    let mut installed = 0;
+    drive_with(&disk, config, &stream, |seq, ldb| {
+        if seq as usize <= k {
+            bounds.push(disk.total_written());
+            snapshots.push(ldb.database().to_snapshot().unwrap());
+            installed = disk.size_of(checkpoint_path()).unwrap_or(0);
+        }
+    });
+    assert_eq!(bounds.len(), k, "the stream logged fewer than {k} records");
+    let (lo, hi) = (bounds[k - 2], bounds[k - 1]);
+    assert!(
+        hi - lo > installed,
+        "record {k} did not install the checkpoint"
+    );
+    let stats = Database::from_snapshot(&snapshots[k]).unwrap().stats();
+    assert!(
+        stats.ncs > 0 && stats.null_facts > 0,
+        "the checkpointed state carries no partial information: {stats:?}"
+    );
+
+    let (mut pre, mut post, mut torn_tmp) = (0, 0, 0);
+    for budget in lo + 1..=hi {
+        let disk = Arc::new(SimDisk::new());
+        disk.set_write_budget(Some(budget));
+        drive_with(&disk, config, &stream, |_, _| {});
+        assert!(disk.crashed(), "budget {budget} cut nothing");
+        disk.revive();
+        torn_tmp += usize::from(disk.is_file(&dir().join("checkpoint.tmp")));
+        let (recovered, report) =
+            LoggedDatabase::open_with(disk.clone() as Arc<dyn WalStorage>, dir(), config)
+                .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
+        assert!(!report.damaged(), "budget {budget}: {report:?}");
+        assert!(
+            !disk.is_file(&dir().join("checkpoint.tmp")),
+            "budget {budget}: stale checkpoint.tmp survived recovery"
+        );
+        // The record itself may be torn (state k-1); once it is whole,
+        // the state is k whichever side of the install the cut fell on,
+        // and only the view differs: the previous checkpoint plus its
+        // log suffix, or the new checkpoint and nothing to replay.
+        let seq = report.last_seq.expect("a checkpoint at least") as usize;
+        assert!(seq == k - 1 || seq == k, "budget {budget}: seq {seq}");
+        assert_eq!(
+            recovered.database().to_snapshot().unwrap(),
+            snapshots[seq],
+            "budget {budget}: recovered state is not state {seq}"
+        );
+        match report.checkpoint_seq {
+            Some(24) => {
+                assert_eq!(report.applied, seq - 24, "budget {budget}");
+                pre += 1;
+            }
+            Some(48) => {
+                assert_eq!((report.applied, seq), (0, k), "budget {budget}");
+                post += 1;
+            }
+            other => panic!("budget {budget}: recovered from checkpoint {other:?}"),
+        }
+    }
+    assert!(
+        torn_tmp as u64 >= installed && pre >= torn_tmp && post >= 8,
+        "cuts missed a phase of the install: {torn_tmp} torn temp files, {pre} pre, {post} post"
+    );
+}
+
+/// A small log directory with an installed checkpoint and no log tail;
+/// returns the live snapshot.
+fn checkpointed_directory(disk: &Arc<SimDisk>, tail: usize) -> Vec<u8> {
+    let storage: Arc<dyn WalStorage> = disk.clone();
+    let config = DurabilityConfig {
+        checkpoint_every: None,
+        ..config()
+    };
+    let mut ldb = LoggedDatabase::create_with(storage, dir(), config).unwrap();
+    for (name, dom, rng) in [
+        ("teach", "faculty", "course"),
+        ("class_list", "course", "student"),
+        ("pupil", "faculty", "student"),
+    ] {
+        ldb.declare(name, dom, rng, Functionality::ManyMany)
+            .unwrap();
+    }
+    ldb.derive("pupil", &[("teach", false), ("class_list", false)])
+        .unwrap();
+    let v = |s: &str| Value::atom(s);
+    ldb.insert("teach", v("euclid"), v("math")).unwrap();
+    ldb.insert("class_list", v("math"), v("john")).unwrap();
+    ldb.insert("class_list", v("math"), v("bill")).unwrap();
+    ldb.delete("pupil", v("euclid"), v("john")).unwrap();
+    ldb.insert("pupil", v("gauss"), v("bill")).unwrap();
+    ldb.delete("class_list", v("math"), v("bill")).unwrap();
+    ldb.checkpoint().unwrap();
+    for i in 0..tail {
+        ldb.insert("teach", v(&format!("t{i}")), v("logic"))
+            .unwrap();
+    }
+    ldb.database().to_snapshot().unwrap()
+}
+
+#[test]
+fn checkpoint_bit_flips_never_load_a_different_database() {
+    let disk = Arc::new(SimDisk::new());
+    let live = checkpointed_directory(&disk, 0);
+    let open = || {
+        LoggedDatabase::open_with(
+            disk.clone() as Arc<dyn WalStorage>,
+            dir(),
+            DurabilityConfig::default(),
+        )
+    };
+    let len = disk.size_of(checkpoint_path()).unwrap();
+    for offset in 0..len {
+        // One bit: in an atom, the flip that turns `euclid` into `duclid`.
+        disk.corrupt(checkpoint_path(), offset, 0x01);
+        match open() {
+            Err(e) => {
+                let e = e.to_string();
+                assert!(e.contains("checkpoint.snap"), "offset {offset}: {e}");
+                // Past the magic, the checksum is what catches it.
+                assert!(
+                    offset < 8 || e.contains("crc32 expected"),
+                    "offset {offset}: {e}"
+                );
+            }
+            // Loading is only ever acceptable if nothing changed.
+            Ok((recovered, _)) => assert_eq!(
+                recovered.database().to_snapshot().unwrap(),
+                live,
+                "flip at byte {offset} of {len} loaded a different database"
+            ),
+        }
+        disk.corrupt(checkpoint_path(), offset, 0x01);
+    }
+    let (recovered, report) = open().unwrap();
+    assert!(!report.damaged());
+    assert_eq!(recovered.database().to_snapshot().unwrap(), live);
+}
+
+/// `checkpoint.snap` as versions before the binary layout wrote it.
+#[derive(serde::Serialize)]
+struct JsonCheckpoint {
+    seq: u64,
+    snapshot: String,
+    term: u64,
+}
+
+#[test]
+fn checkpoint_in_the_json_layout_opens_seeds_and_upgrades() {
+    let disk = Arc::new(SimDisk::new());
+    let live = checkpointed_directory(&disk, 3);
+    let storage: Arc<dyn WalStorage> = disk.clone();
+
+    // Rewrite the installed checkpoint the way the previous version
+    // laid it out: the database through its serde derive, embedded as a
+    // string in a second JSON document.
+    let info = read_checkpoint(storage.as_ref(), &dir()).unwrap().unwrap();
+    let at_checkpoint = Database::from_snapshot(&info.snapshot).unwrap();
+    let doc = serde_json::to_string(&JsonCheckpoint {
+        seq: info.seq,
+        snapshot: serde_json::to_string(&at_checkpoint).unwrap(),
+        term: info.term,
+    })
+    .unwrap();
+    assert!(doc.starts_with("{\"seq\":") && doc.contains("\\\"schema\\\""));
+    disk.create(&checkpoint_path())
+        .unwrap()
+        .append(doc.as_bytes())
+        .unwrap();
+
+    // It opens to the same state…
+    let config = DurabilityConfig {
+        checkpoint_every: None,
+        ..config()
+    };
+    let (mut ldb, report) = LoggedDatabase::open_with(storage.clone(), dir(), config).unwrap();
+    assert!(!report.damaged(), "{report:?}");
+    assert_eq!(report.checkpoint_seq, Some(info.seq));
+    assert_eq!(report.applied, 3);
+    assert_eq!(ldb.database().to_snapshot().unwrap(), live);
+
+    // …ships as a seed a new replica accepts…
+    let mut source = ReplicationSource::for_primary(&ldb);
+    let mut replica = Replica::open(Arc::new(SimDisk::new()) as Arc<dyn WalStorage>, "/r").unwrap();
+    let batch = source.poll(replica.next_seq(), 1024).unwrap();
+    assert!(batch.seed.as_ref().is_some_and(|s| s.snapshot[0] == b'{'));
+    assert!(matches!(
+        replica.apply_batch(&batch).unwrap(),
+        ApplyOutcome::Applied { .. }
+    ));
+    assert_eq!(
+        replica.consistent_view().unwrap().to_snapshot().unwrap(),
+        live
+    );
+
+    // …and the next checkpoint rewrites the file in the binary layout.
+    ldb.checkpoint().unwrap();
+    drop(ldb);
+    assert!(disk
+        .read(&checkpoint_path())
+        .unwrap()
+        .starts_with(b"FDBCKPT2"));
+    let (reopened, report) = LoggedDatabase::open_with(storage, dir(), config).unwrap();
+    assert_eq!(report.applied, 0);
+    assert_eq!(reopened.database().to_snapshot().unwrap(), live);
 }

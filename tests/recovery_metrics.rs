@@ -5,15 +5,21 @@
 //! cut mid-record, the torn image is recovered, and the registry deltas
 //! across the recovery must equal the report the recovery itself returned
 //! (salvaged records, corruption events, quarantined bytes — and exactly
-//! one recovery run). This file is its own test binary on purpose: the
-//! registry is process-global and the delta assertions need a process to
-//! themselves.
+//! one recovery run), and a checkpoint taken afterwards must show up in
+//! `fdb.wal.checkpoint_bytes` / `fdb.wal.checkpoint_ns` and as an
+//! `fdb.core.checkpoint` span with exactly the size of the file it
+//! installed. This file is its own test binary on purpose: the registry
+//! is process-global and the delta assertions need a process to
+//! themselves (the flight-dump test below takes no checkpoint through
+//! `LoggedDatabase` and runs no successful recovery, so the two tests do
+//! not move each other's counters).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use fdb::core::{
-    Database, DurabilityConfig, LoggedDatabase, SimDisk, SyncPolicy, Update, WalStorage,
+    install_checkpoint, CheckpointInfo, Database, DurabilityConfig, LoggedDatabase, SimDisk,
+    SyncPolicy, Update, WalStorage,
 };
 use fdb::obs;
 use fdb::types::{Derivation, Functionality, Schema, Step};
@@ -130,7 +136,7 @@ fn recovery_metrics_match_the_recovery_report() {
     let quarantined0 = reg.recovery_quarantined_bytes.get();
     let fsyncs_before = reg.wal_fsyncs.get();
 
-    let (recovered, report) =
+    let (mut recovered, report) =
         LoggedDatabase::open_with(disk.clone() as Arc<dyn WalStorage>, dir(), config()).unwrap();
     assert!(recovered.database().is_consistent());
     assert!(report.applied > 0, "cut recovered nothing — bad cut point");
@@ -155,12 +161,53 @@ fn recovery_metrics_match_the_recovery_report() {
     assert!(reg.wal_appends.get() > 0);
     assert!(reg.wal_append_bytes.get() > 0);
     assert!(fsyncs_before > 0);
+
+    // A checkpoint is visible from inside: the byte counter moves by
+    // exactly the size of the installed file, the timer takes one sample,
+    // and the span tree says the same (`STATS JSON` and `SHOW TRACE` read
+    // these, so the benchmark's outside view can be reproduced live).
+    obs::causal::set_tracing(true);
+    let bytes0 = reg.wal_checkpoint_bytes.get();
+    let count0 = reg.wal_checkpoints.get();
+    let timed0 = reg.wal_checkpoint_ns.snapshot().count;
+    recovered.checkpoint().unwrap();
+    let size = disk.size_of(dir().join("checkpoint.snap")).unwrap();
+    assert_eq!(reg.wal_checkpoint_bytes.get() - bytes0, size);
+    assert_eq!(reg.wal_checkpoints.get() - count0, 1);
+    assert_eq!(reg.wal_checkpoint_ns.snapshot().count - timed0, 1);
+    let spans = obs::causal::recorder().recent();
+    let root = spans
+        .iter()
+        .rfind(|s| s.name == "fdb.core.checkpoint")
+        .expect("the checkpoint recorded a span");
+    assert!(
+        root.detail.contains(&format!("bytes={size}"))
+            && root
+                .detail
+                .contains(&format!("seq={}", recovered.checkpoint_seq())),
+        "{}",
+        root.detail
+    );
+    for step in ["encode", "install", "prune"] {
+        let name = format!("fdb.core.checkpoint.{step}");
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == name && s.parent_span == root.span_id),
+            "no {name} span under the checkpoint"
+        );
+    }
+    let stats = fdb::lang::Engine::new().execute_line("STATS JSON").unwrap();
+    assert!(
+        stats.contains("\"fdb.wal.checkpoint_bytes\"") && stats.contains("fdb.wal.checkpoint_ns")
+    );
 }
 
 /// A statement span still open when the disk faults must appear in the
 /// flight dump as `interrupted`, and the dump must come from the real
 /// fault path: the failed WAL fsync itself triggers it, with no explicit
-/// `DUMP TRACE` anywhere.
+/// `DUMP TRACE` anywhere. A checkpoint whose checksum does not match its
+/// bytes is the other durability fault that dumps.
 #[test]
 fn open_span_at_fault_is_interrupted_in_flight_dump() {
     obs::set_enabled(true);
@@ -205,6 +252,34 @@ fn open_span_at_fault_is_interrupted_in_flight_dump() {
         found,
         "no flight dump shows the open span as interrupted at the fsync fault"
     );
+
+    // One flipped bit in an installed checkpoint: the open fails on the
+    // checksum, and that failure dumps too.
+    let info = CheckpointInfo {
+        seq: ldb.last_seq(),
+        term: ldb.term(),
+        snapshot: ldb.database().to_snapshot().unwrap(),
+    };
+    drop(ldb);
+    install_checkpoint(disk.as_ref(), "/flight_fault_db".as_ref(), &info).unwrap();
+    disk.corrupt("/flight_fault_db/checkpoint.snap", 60, 0x01);
+    let err = LoggedDatabase::open_with(
+        disk.clone() as Arc<dyn WalStorage>,
+        "/flight_fault_db",
+        config(),
+    )
+    .unwrap_err()
+    .to_string();
+    assert!(
+        err.contains("checkpoint.snap") && err.contains("crc32 expected"),
+        "{err}"
+    );
+    let dumped = std::fs::read_dir(&dump_dir).unwrap().any(|entry| {
+        std::fs::read_to_string(entry.unwrap().path())
+            .unwrap_or_default()
+            .contains("checkpoint_corrupt")
+    });
+    assert!(dumped, "the checksum mismatch left no flight dump");
 
     obs::flight::set_dump_dir(None);
     std::fs::remove_dir_all(&dump_dir).ok();
