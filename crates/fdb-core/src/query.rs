@@ -8,8 +8,10 @@
 //! All derived evaluation routes through the `fdb-exec` plan/execute
 //! pipeline: each derivation is compiled into a cost-based
 //! [`fdb_exec::ChainPlan`] (forward, backward, or meet-in-the-middle) and
-//! run by the batched executor, which preserves the reference
-//! interpreter's results, governance semantics, and chain caps exactly.
+//! run by the streaming executor, which preserves the reference
+//! interpreter's results, governance semantics, and chain caps exactly;
+//! an image, inverse image or extension takes one such run per
+//! derivation, whatever the number of pairs it answers.
 
 use fdb_exec::{
     derived_extension, derived_extension_governed, derived_image, derived_image_governed,
@@ -129,9 +131,10 @@ impl Database {
     /// The image `f(x)`: every `y` with `f(x) = y` non-false, with truth
     /// values. (Functions are relations, so the image is a set.)
     ///
-    /// For a derived function the planner binds `x` *exactly* at the seed
-    /// step, so only chains actually rooted at `x` are walked — the same
-    /// pairs as filtering [`Database::extension`], at a fraction of the
+    /// For a derived function one enumeration per derivation, seeded at
+    /// `x`, answers every pair of the image; for a base function it is
+    /// one `by_x` index bucket. Either way the same pairs, in the same
+    /// order, as filtering [`Database::extension`], at a fraction of the
     /// work.
     pub fn image(&self, f: FunctionId, x: &Value) -> Result<Vec<(Value, Truth)>> {
         if self.is_derived(f) {
@@ -142,12 +145,7 @@ impl Database {
                     .collect(),
             );
         }
-        Ok(self
-            .extension(f)?
-            .into_iter()
-            .filter(|p| &p.x == x)
-            .map(|p| (p.y, p.truth))
-            .collect())
+        Ok(self.base_slice(f, x, true))
     }
 
     /// [`Database::image`] under a [`Governor`].
@@ -167,13 +165,8 @@ impl Database {
             );
             return Ok(outcome.map(|pairs| pairs.into_iter().map(|p| (p.y, p.truth)).collect()));
         }
-        Ok(self.extension_governed(f, governor)?.map(|pairs| {
-            pairs
-                .into_iter()
-                .filter(|p| &p.x == x)
-                .map(|p| (p.y, p.truth))
-                .collect()
-        }))
+        // One index bucket: nothing to govern.
+        Ok(Outcome::Complete(self.base_slice(f, x, true)))
     }
 
     /// The inverse image `f⁻¹(y)`: the mirror of [`Database::image`],
@@ -191,12 +184,7 @@ impl Database {
             .map(|p| (p.x, p.truth))
             .collect());
         }
-        Ok(self
-            .extension(f)?
-            .into_iter()
-            .filter(|p| &p.y == y)
-            .map(|p| (p.x, p.truth))
-            .collect())
+        Ok(self.base_slice(f, y, false))
     }
 
     /// [`Database::inverse_image`] under a [`Governor`].
@@ -216,13 +204,27 @@ impl Database {
             );
             return Ok(outcome.map(|pairs| pairs.into_iter().map(|p| (p.x, p.truth)).collect()));
         }
-        Ok(self.extension_governed(f, governor)?.map(|pairs| {
-            pairs
-                .into_iter()
-                .filter(|p| &p.y == y)
-                .map(|p| (p.x, p.truth))
-                .collect()
-        }))
+        Ok(Outcome::Complete(self.base_slice(f, y, false)))
+    }
+
+    /// One endpoint's slice of base function `f` — the stored rows whose
+    /// domain (`by_x`) or range value is `key`, as the sorted other
+    /// endpoints with their flags: what filtering [`Database::extension`]
+    /// on that endpoint gives, from one index bucket instead of a sort of
+    /// the whole table.
+    fn base_slice(&self, f: FunctionId, key: &Value, by_x: bool) -> Vec<(Value, Truth)> {
+        let table = self.store().table(f);
+        let other_end = |i| {
+            let row = table.row(i)?;
+            Some((if by_x { row.y } else { row.x }.clone(), row.truth))
+        };
+        let mut slice: Vec<(Value, Truth)> = if by_x {
+            table.rows_with_x(key).filter_map(other_end).collect()
+        } else {
+            table.rows_with_y(key).filter_map(other_end).collect()
+        };
+        slice.sort_by(|a, b| a.0.cmp(&b.0));
+        slice
     }
 
     /// Evaluates an *ad-hoc* derivation expression at a point:

@@ -5,25 +5,34 @@
 //! These mirror the reference implementations in `fdb_storage::chain`
 //! result-for-result on complete runs:
 //!
-//! * truth combines per-derivation chain evidence with three-valued OR,
-//!   returns `Complete(True)` early (True is final on the lattice), and
-//!   demotes exactly matching chains covered by an NC;
-//! * extension collects non-null endpoint pairs, sorts and dedups, then
-//!   truth-evaluates each pair (a `Cap` during enumeration continues into
-//!   truth evaluation; any other stop is hard and halts pair evaluation);
-//! * image / inverse-image bind one endpoint *exactly* at the seed
-//!   instead of enumerating the whole extension and filtering — same
-//!   pairs, a fraction of the work;
+//! * truth folds each derivation's chains, as the executor streams them,
+//!   into one verdict with three-valued OR: a proving chain ends the run
+//!   with `Complete(True)` (True is final on the lattice), an exactly
+//!   matching chain covered by an NC is demoted, and once the verdict is
+//!   `Ambiguous` no further coverage scan is made — only a proof can
+//!   still change it;
+//! * extension / image / inverse-image evaluate **set-at-a-time**: one
+//!   enumeration per derivation — the selected endpoint bound by
+//!   [`Bind::Matches`], the other unbound — answers every pair. A chain
+//!   with two non-null endpoints is evidence for exactly that pair; a
+//!   chain with a null endpoint is a *wildcard* that matches, ambiguously,
+//!   every pair sharing its other endpoint (see `PairEvidence`). These
+//!   are precisely the chains the interpreter's per-pair truth queries
+//!   examine, each looked at once. What a stopped run may report is
+//!   spelled out on `pairs_impl`;
 //! * delete-chain collection is pinned to [`Direction::Forward`]: NC ids
 //!   are user-visible in update traces, and the forward (interpreter)
 //!   enumeration order is the canonical order for NC numbering.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
+
 use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
 use fdb_storage::chain::DeletePolicy;
 use fdb_storage::{ChainLimits, DerivedPair, Fact, NcId, Store, Truth};
-use fdb_types::{Derivation, Op, Value};
+use fdb_types::{Derivation, Value};
 
-use crate::exec::{chains_planned, chains_with_direction};
+use crate::exec::{chains_with_direction, stream_planned, ChainView};
 use crate::plan::{Bind, Direction, QuerySpec};
 
 /// §3.2 truth of the derived fact `(x, y)`, evaluated through the
@@ -52,6 +61,29 @@ pub fn derived_truth_governed(
     derived_truth_impl(store, derivations, x, y, limits, governor)
 }
 
+/// Whether some live NC negates `chain` (§3.2: such a chain cannot make
+/// its derived fact ambiguous). The facts are only materialised when
+/// there is an NC to compare them with.
+fn covered(store: &Store, chain: &ChainView<'_, '_>) -> bool {
+    let ncs = store.ncs();
+    let covered = !ncs.is_empty() && ncs.chain_covers_some_nc(&chain.facts());
+    if covered {
+        fdb_obs::registry().exec_nc_demotions.inc();
+    }
+    covered
+}
+
+/// Raises `verdict` by the evidence of one chain whose endpoints are the
+/// judged pair's own. The coverage scan runs only while it can still
+/// change the verdict.
+fn raise(store: &Store, verdict: &mut Truth, chain: &ChainView<'_, '_>) {
+    if chain.proves_true() {
+        *verdict = Truth::True;
+    } else if *verdict == Truth::False && !covered(store, chain) {
+        *verdict = Truth::Ambiguous;
+    }
+}
+
 fn derived_truth_impl<G: Governance>(
     store: &Store,
     derivations: &[Derivation],
@@ -60,54 +92,109 @@ fn derived_truth_impl<G: Governance>(
     limits: ChainLimits,
     governor: &G,
 ) -> Outcome<Truth> {
-    let mut best = Truth::False;
-    let mut stop: Option<StopReason> = None;
+    let mut verdict = Truth::False;
     let spec = QuerySpec::truth(x, y, true);
     for derivation in derivations {
-        let (_, outcome) = chains_planned(store, derivation, &spec, limits, governor);
-        let reason = outcome.reason();
-        for chain in outcome.value() {
-            if chain.proves_true() {
-                // Top of the truth lattice: complete even after a stop.
-                return Outcome::Complete(Truth::True);
-            }
-            if store.ncs().chain_covers_some_nc(&chain.facts) {
-                fdb_obs::registry().exec_nc_demotions.inc();
-            } else {
-                best = Truth::Ambiguous;
-            }
+        let (_, streamed, _) =
+            stream_planned(store, derivation, &spec, limits, governor, |chain| {
+                raise(store, &mut verdict, chain);
+                if verdict == Truth::True {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+        if verdict == Truth::True {
+            // Top of the truth lattice: complete even after a stop.
+            return Outcome::Complete(Truth::True);
         }
-        if let Some(r) = reason {
-            stop = Some(r);
-            break;
+        if !streamed.is_complete() {
+            return streamed.map(|_| verdict);
         }
     }
-    Outcome::new(best, stop)
+    Outcome::Complete(verdict)
 }
 
-/// The endpoint pair of a completed chain, oriented by the derivation's
-/// first and last steps.
-fn endpoints(derivation: &Derivation, facts: &[Fact]) -> (Value, Value) {
-    let first_step = &derivation.steps()[0];
-    let last_step = &derivation.steps()[derivation.len() - 1];
-    let first = &facts[0];
-    let last = &facts[facts.len() - 1];
-    let x = if first_step.op == Op::Inverse {
-        &first.y
-    } else {
-        &first.x
-    };
-    let y = if last_step.op == Op::Inverse {
-        &last.x
-    } else {
-        &last.y
-    };
-    (x.clone(), y.clone())
+/// Per-pair §3.2 evidence gathered from one pass over the chains of an
+/// extension, image or inverse image.
+///
+/// The interpreter judges a pair `(x, y)` by the chains whose left
+/// endpoint *matches* `x` and whose right endpoint matches `y`. For
+/// non-null `x` and `y` those are the chains ending in exactly `(x, y)`,
+/// folded into `verdicts` as they arrive, plus the chains with a null
+/// endpoint: a null matches any value ambiguously, so such a chain can
+/// never prove a pair true, but — unless an NC covers it — it makes every
+/// pair sharing its other endpoint at least ambiguous. Those *wildcards*
+/// are remembered by the endpoint they leave fixed and applied when the
+/// pass is over.
+#[derive(Default)]
+struct PairEvidence<'a> {
+    /// Every pair some chain ends in with both endpoints non-null — the
+    /// only pairs an extension lists — with the verdict of the chains
+    /// seen so far that end in exactly that pair. The key order is the
+    /// answer's.
+    verdicts: BTreeMap<(&'a Value, &'a Value), Truth>,
+    /// Left endpoints of uncovered chains whose right endpoint is null.
+    wild_left: BTreeSet<&'a Value>,
+    /// Right endpoints of uncovered chains whose left endpoint is null.
+    wild_right: BTreeSet<&'a Value>,
+    /// An uncovered chain with two null endpoints was seen.
+    wild_all: bool,
 }
 
-/// Shared pair-enumeration core for extension / image / inverse-image:
-/// optional *exact* binds on either endpoint, then §3.2 truth for every
-/// distinct non-null pair.
+impl<'a> PairEvidence<'a> {
+    fn fold(&mut self, store: &Store, chain: &ChainView<'a, '_>) {
+        let (left, right) = (chain.left, chain.right);
+        match (left.is_null(), right.is_null()) {
+            (false, false) => {
+                let verdict = self.verdicts.entry((left, right)).or_insert(Truth::False);
+                raise(store, verdict, chain);
+            }
+            // A wildcard that lifts nothing new needs no coverage scan.
+            _ if self.wild_all => {}
+            (true, true) => self.wild_all = !covered(store, chain),
+            (true, false) => {
+                if !self.wild_right.contains(right) && !covered(store, chain) {
+                    self.wild_right.insert(right);
+                }
+            }
+            (false, true) => {
+                if !self.wild_left.contains(left) && !covered(store, chain) {
+                    self.wild_left.insert(left);
+                }
+            }
+        }
+    }
+
+    /// The verdict of a discovered pair once every chain has been seen.
+    fn settled(&self, x: &Value, y: &Value, verdict: Truth) -> Truth {
+        let lifted = self.wild_all || self.wild_left.contains(x) || self.wild_right.contains(y);
+        if verdict == Truth::False && lifted {
+            Truth::Ambiguous
+        } else {
+            verdict
+        }
+    }
+}
+
+/// Shared set-at-a-time core for extension / image / inverse-image: one
+/// enumeration per derivation with the selected endpoint (if any) bound,
+/// every completed chain folded into [`PairEvidence`], and the answer
+/// read off it — the discovered pairs whose §3.2 truth is not `False`,
+/// sorted by `(x, y)`.
+///
+/// What a run that did not see every chain may say:
+///
+/// * **complete** — pairs, order and truths identical to the
+///   interpreter's;
+/// * **hard stop** (steps, deadline, memory, cancel) — `Exhausted` with
+///   only the pairs already proven `True`: that verdict is final, whereas
+///   an `Ambiguous` or a missing wildcard could still be overturned by a
+///   chain not yet seen;
+/// * **`Cap`** is soft — the pairs discovered before the chain cap are
+///   kept, and each whose verdict is not yet final is finished by its own
+///   truth query (under its own cap): the one place a per-pair query
+///   remains.
 fn pairs_impl<G: Governance>(
     store: &Store,
     derivations: &[Derivation],
@@ -116,44 +203,68 @@ fn pairs_impl<G: Governance>(
     limits: ChainLimits,
     governor: &G,
 ) -> Outcome<Vec<DerivedPair>> {
+    // Only non-null pairs are listed, and binding a null by `Matches`
+    // would match every row.
+    if xsel.is_some_and(Value::is_null) || ysel.is_some_and(Value::is_null) {
+        return Outcome::Complete(Vec::new());
+    }
     let spec = QuerySpec {
-        left: xsel.map_or(Bind::Unbound, Bind::Exact),
-        right: ysel.map_or(Bind::Unbound, Bind::Exact),
+        left: xsel.map_or(Bind::Unbound, Bind::Matches),
+        right: ysel.map_or(Bind::Unbound, Bind::Matches),
         allow_ambiguous: true,
     };
+    let mut evidence = PairEvidence::default();
     let mut stop: Option<StopReason> = None;
-    let mut pairs: Vec<(Value, Value)> = Vec::new();
     for derivation in derivations {
-        let (_, outcome) = chains_planned(store, derivation, &spec, limits, governor);
-        let reason = outcome.reason();
-        for chain in outcome.value() {
-            let (x, y) = endpoints(derivation, &chain.facts);
-            if !x.is_null() && !y.is_null() {
-                pairs.push((x, y));
+        let (_, streamed, span) =
+            stream_planned(store, derivation, &spec, limits, governor, |chain| {
+                evidence.fold(store, chain);
+                ControlFlow::Continue(())
+            });
+        span.annotate("pairs", evidence.verdicts.len());
+        stop = streamed.reason();
+        if stop.is_some() {
+            break;
+        }
+    }
+    let pair = |x: &Value, y: &Value, truth| DerivedPair {
+        x: x.clone(),
+        y: y.clone(),
+        truth,
+    };
+    let Some(reason) = stop else {
+        let pairs = evidence
+            .verdicts
+            .iter()
+            .filter_map(|(&(x, y), &verdict)| {
+                let truth = evidence.settled(x, y, verdict);
+                (truth != Truth::False).then(|| pair(x, y, truth))
+            })
+            .collect();
+        return Outcome::Complete(pairs);
+    };
+    let mut partial = Vec::new();
+    let mut soft = reason == StopReason::Cap;
+    for (&(x, y), &verdict) in &evidence.verdicts {
+        let truth = match verdict {
+            Truth::True => Truth::True,
+            _ if !soft => continue,
+            _ => {
+                let finished = derived_truth_impl(store, derivations, x, y, limits, governor);
+                if matches!(finished.reason(), Some(r) if r != StopReason::Cap) {
+                    // The governor is spent: this lower bound is not a
+                    // verdict, and every later finish would re-trip it.
+                    soft = false;
+                    continue;
+                }
+                finished.value()
             }
-        }
-        if let Some(r) = reason {
-            stop = Some(r);
-            break;
-        }
-    }
-    pairs.sort();
-    pairs.dedup();
-    let mut out = Vec::new();
-    for (x, y) in pairs {
-        if stop.is_some() && !matches!(stop, Some(StopReason::Cap)) {
-            // Hard stop: don't start further truth evaluations (each one
-            // would just re-trip the same exhausted governor).
-            break;
-        }
-        let truth_outcome = derived_truth_impl(store, derivations, &x, &y, limits, governor);
-        stop = stop.or(truth_outcome.reason());
-        let truth = truth_outcome.value();
+        };
         if truth != Truth::False {
-            out.push(DerivedPair { x, y, truth });
+            partial.push(pair(x, y, truth));
         }
     }
-    Outcome::new(out, stop)
+    Outcome::Exhausted { partial, reason }
 }
 
 /// The visible extension of a derived function, via the planner (see
@@ -377,6 +488,90 @@ mod tests {
         assert_eq!(derived_inverse_image(&s, &d, &v("john"), limits), by_filter);
     }
 
+    /// The soft-`Cap` contract: the pass stops at the chain cap, the
+    /// pairs it had discovered are finished by their own truth queries,
+    /// and the outcome says `Cap`.
+    #[test]
+    fn capped_pass_finishes_discovered_pairs_exactly() {
+        // x teaches 3 courses, each attended by s0, s1 and s2: 9 chains,
+        // 3 per pair. Every chain to s0 is negated on its own; the three
+        // to s1 are ambiguous members of one NC none of them covers.
+        let mut s = Store::new(2);
+        for m in 0..3 {
+            s.base_insert(TEACH, v("x"), v(&format!("m{m}")));
+            for p in 0..3 {
+                s.base_insert(CLASS_LIST, v(&format!("m{m}")), v(&format!("s{p}")));
+            }
+        }
+        let d = [pupil()];
+        let attends = |m: usize, p: &str| Fact::new(CLASS_LIST, format!("m{m}"), p);
+        for m in 0..3 {
+            s.create_nc(vec![attends(m, "s0")]);
+        }
+        s.create_nc((0..3).map(|m| attends(m, "s1")).collect());
+        let limits = ChainLimits { max_chains: 5 };
+        let outcome = pairs_impl(&s, &d, Some(&v("x")), None, limits, &Ungoverned);
+        assert_eq!(outcome.reason(), Some(StopReason::Cap));
+        let pairs = outcome.value();
+        for p in &pairs {
+            assert_eq!(
+                p.truth,
+                interp::derived_truth(&s, &d, &p.x, &p.y, ChainLimits::default()),
+                "pair ({}, {})",
+                p.x,
+                p.y
+            );
+        }
+        let flags: Vec<String> = pairs
+            .iter()
+            .map(|p| format!("{} {}", p.y, p.truth.flag()))
+            .collect();
+        assert_eq!(flags, ["s1 A", "s2 T"]);
+    }
+
+    /// The hard-stop contract: whatever the step budget, a stopped run
+    /// reports only pairs proven `True` — never an `Ambiguous` a later
+    /// chain could overturn — and a run that completes reports the full
+    /// answer.
+    #[test]
+    fn stopped_pass_reports_only_proven_pairs() {
+        let mut s = paper_instance();
+        let d = [pupil()];
+        let limits = ChainLimits::default();
+        interp::derived_delete(&mut s, &d, &v("euclid"), &v("john"), limits);
+        let full = interp::derived_extension(&s, &d, limits);
+        assert!(full.iter().any(|p| p.truth == Truth::Ambiguous));
+        let mut completed = false;
+        for budget in 0..40 {
+            let governor = Governor::with_max_steps(budget);
+            let outcome = derived_extension_governed(&s, &d, limits, &governor);
+            if outcome.is_complete() {
+                completed = true;
+                assert_eq!(outcome.value(), full, "budget {budget}");
+            } else {
+                assert_eq!(outcome.reason(), Some(StopReason::Steps));
+                for p in outcome.value() {
+                    assert_eq!(p.truth, Truth::True, "budget {budget}");
+                    assert!(full.contains(&p), "budget {budget}");
+                }
+            }
+        }
+        assert!(completed);
+    }
+
+    /// Only non-null pairs are listed, so a null selector is answered
+    /// without touching a table.
+    #[test]
+    fn null_selector_answers_empty_without_a_scan() {
+        let mut s = paper_instance();
+        let n1 = s.fresh_null();
+        s.base_insert(TEACH, n1.clone(), v("math"));
+        let governor = Governor::unbounded();
+        let image = derived_image_governed(&s, &[pupil()], &n1, ChainLimits::default(), &governor);
+        assert_eq!(image, Outcome::Complete(Vec::new()));
+        assert_eq!(governor.steps(), 0);
+    }
+
     #[test]
     fn all_directions_agree_on_truth_chains() {
         let mut s = paper_instance();
@@ -408,6 +603,43 @@ mod tests {
             let mut interp_chains = interp::chains_deriving(&s, &d, &v(x), &v(y), true, limits);
             interp_chains.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             assert_eq!(interp_chains, reference, "interp vs planned ({x}, {y})");
+        }
+    }
+
+    /// `Bind::Exact` is an index probe with no null tolerance: the chains
+    /// of the same `Matches` query whose endpoint *is* the value.
+    #[test]
+    fn exact_bind_keeps_the_chains_ending_in_the_value() {
+        let mut s = paper_instance();
+        let n1 = s.fresh_null();
+        s.base_insert(TEACH, n1.clone(), v("math"));
+        s.base_insert(CLASS_LIST, v("math"), n1);
+        let d = pupil();
+        let limits = ChainLimits::default();
+        let (x, y) = (v("euclid"), v("john"));
+        for dir in [Direction::Forward, Direction::Backward] {
+            let chains = |left, right| {
+                let spec = QuerySpec {
+                    left,
+                    right,
+                    allow_ambiguous: true,
+                };
+                let mut chains = chains_with_direction(&s, &d, &spec, limits, &Ungoverned, dir)
+                    .value()
+                    .into_iter()
+                    .map(|c| c.facts)
+                    .collect::<Vec<_>>();
+                chains.sort_by_key(|facts| format!("{facts:?}"));
+                chains
+            };
+            let mut from_x = chains(Bind::Matches(&x), Bind::Unbound);
+            assert_eq!(from_x.len(), 6, "{dir:?}: 2 teachers of math x 3 attendees");
+            from_x.retain(|facts| facts[0].x == x);
+            assert_eq!(chains(Bind::Exact(&x), Bind::Unbound), from_x, "{dir:?}");
+            let mut to_y = chains(Bind::Unbound, Bind::Matches(&y));
+            assert_eq!(to_y.len(), 6, "{dir:?}: 3 teachers of math x 2 attendees");
+            to_y.retain(|facts| facts[1].y == y);
+            assert_eq!(chains(Bind::Unbound, Bind::Exact(&y)), to_y, "{dir:?}");
         }
     }
 

@@ -1,22 +1,35 @@
-//! The batched chain executor.
+//! The streaming chain executor.
 //!
 //! Replaces the one-row-at-a-time recursion of `fdb_storage::chain` with
 //! frontier execution over *binding sets*: one level of nodes per
 //! derivation step, each node recording the row it consumed, the value it
-//! carries to the next step, and the accumulated match quality and truth
-//! flags. Completed chains are materialised by walking parent pointers,
-//! so a node's prefix is shared by all of its extensions instead of being
-//! re-cloned per branch.
+//! carries to the next step, the endpoint its partial chain started from,
+//! and the accumulated match quality and truth flags. Nodes *borrow*
+//! their values from the store, candidate rows are walked straight off
+//! the table's index and null buckets, and a node's prefix is shared by
+//! all of its extensions through parent pointers — so examining a row
+//! clones nothing and allocates nothing beyond the node itself.
+//!
+//! A completed chain is handed to a **sink** as a `ChainView`: its two
+//! endpoints, match quality and flags, with the member facts materialised
+//! only if the sink asks (`ChainView::facts`). There are two sinks:
+//!
+//! * the *streaming* sink — a closure that folds each chain into its own
+//!   evidence and may end the run early (`stream_planned`; truth and
+//!   pair evaluation in [`crate::eval`]);
+//! * the *materialising* sink — collects owned [`Chain`]s
+//!   ([`chains_with_direction`] / [`chains_planned`]; derived delete and
+//!   `EXPLAIN`, which need every fact of every chain).
 //!
 //! Semantics are the interpreter's, preserved exactly:
 //!
 //! * every candidate row examined costs one `Governance::tick`, every
-//!   retained chain one `charge(1)`;
+//!   emitted chain one `charge(1)`;
 //! * the `ChainLimits` cap is *exact*: `StopReason::Cap` is reported only
 //!   when one more chain provably exists beyond `max_chains`;
-//! * a governed stop returns the chains completed so far — a sound
-//!   prefix, so truth answers derived from them remain lower bounds on
-//!   the `False < Ambiguous < True` lattice;
+//! * a governed stop leaves the sink holding the chains completed so far
+//!   — a sound prefix, so truth answers derived from them remain lower
+//!   bounds on the `False < Ambiguous < True` lattice;
 //! * in [`Direction::Forward`] chains are emitted in the interpreter's
 //!   lexicographic order, so even *capped* prefixes are identical.
 //!
@@ -26,12 +39,14 @@
 //! different order.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use fdb_governor::{Governance, Outcome, StopReason};
+use fdb_obs::causal::CausalSpan;
 use fdb_storage::{Chain, ChainLimits, Fact, Store, Table, Truth};
 use fdb_types::{Derivation, MatchKind, Op, Step, Value};
 
-use crate::plan::{Bind, Direction, QuerySpec};
+use crate::plan::{Bind, ChainPlan, Direction, QuerySpec};
 
 /// How a derivation step reads its table (mirrors the interpreter).
 #[derive(Clone, Copy, Debug)]
@@ -59,123 +74,244 @@ impl View {
     }
 }
 
+/// One completed chain as a sink sees it. The endpoint values are
+/// borrowed from the store the chain was enumerated over, so a sink can
+/// keep them for as long as it holds that store.
+pub(crate) struct ChainView<'a, 'e> {
+    /// The chain's left endpoint: the derived fact's domain side.
+    pub left: &'a Value,
+    /// The chain's right endpoint: the derived fact's range side.
+    pub right: &'a Value,
+    /// Combined match quality of all links and of each bound endpoint.
+    pub matching: MatchKind,
+    /// Three-valued conjunction of the member facts' truth flags.
+    pub flags: Truth,
+    facts: &'e dyn Fn() -> Vec<Fact>,
+}
+
+impl ChainView<'_, '_> {
+    /// Materialises the member facts, in derivation-step order (walks the
+    /// parent pointers and clones each row's values: call it only when
+    /// the facts themselves are needed).
+    pub fn facts(&self) -> Vec<Fact> {
+        (self.facts)()
+    }
+
+    /// `true` if this chain proves its derived fact true: exact matching
+    /// and all members true.
+    pub fn proves_true(&self) -> bool {
+        self.matching == MatchKind::Exact && self.flags == Truth::True
+    }
+}
+
+/// Why an enumeration ended before its last candidate row.
+enum Halt {
+    /// The governor or the chain cap stopped it.
+    Stop(StopReason),
+    /// The sink has seen enough.
+    Done,
+}
+
+impl From<StopReason> for Halt {
+    fn from(reason: StopReason) -> Self {
+        Halt::Stop(reason)
+    }
+}
+
+/// Delivers completed chains to the sink, enforcing the exact cap and
+/// the governor's memory budget (mirrors the interpreter's `push_chain`).
+struct Emitter<'g, G, S> {
+    limits: ChainLimits,
+    governor: &'g G,
+    emitted: usize,
+    sink: S,
+}
+
+impl<'a, G, S> Emitter<'_, G, S>
+where
+    G: Governance,
+    S: FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
+{
+    fn emit(&mut self, chain: ChainView<'a, '_>) -> Result<(), Halt> {
+        if self.emitted >= self.limits.max_chains {
+            return Err(Halt::Stop(StopReason::Cap));
+        }
+        self.governor.charge(1)?;
+        self.emitted += 1;
+        match (self.sink)(&chain) {
+            ControlFlow::Continue(()) => Ok(()),
+            ControlFlow::Break(()) => Err(Halt::Done),
+        }
+    }
+}
+
 /// One frontier node: a row consumed at some level plus the accumulated
 /// state of the partial chain ending (forward) or starting (backward)
-/// at it.
-struct Node {
+/// at it. All values are borrowed from the store.
+struct Node<'a> {
     /// Index into the previous level (`usize::MAX` for seed nodes).
     parent: usize,
-    x: Value,
-    y: Value,
+    x: &'a Value,
+    y: &'a Value,
     /// The boundary value carried to the next step: the row's right value
     /// walking forward, its left value walking backward.
-    carried: Value,
+    carried: &'a Value,
+    /// The endpoint the partial chain started from: the seed row's
+    /// matched-side value.
+    origin: &'a Value,
     matching: MatchKind,
     flags: Truth,
 }
 
 /// How candidates are selected at one level.
-enum Probe<'a> {
+enum Probe<'p> {
     All,
-    Exact(&'a Value),
-    Matches(&'a Value),
+    Exact(&'p Value),
+    Matches(&'p Value),
 }
 
-fn candidate_rows(table: &Table, match_on_x: bool, probe: &Probe<'_>, amb: bool) -> Vec<usize> {
-    match probe {
-        Probe::All => table.live_indices().collect(),
-        Probe::Exact(v) => {
-            if match_on_x {
-                table.rows_with_x(v).collect()
-            } else {
-                table.rows_with_y(v).collect()
-            }
+/// Calls `each` on every candidate row index of `probe`, straight off
+/// the table's index and null buckets, until it fails.
+fn try_candidates<E>(
+    table: &Table,
+    match_on_x: bool,
+    probe: &Probe<'_>,
+    amb: bool,
+    mut each: impl FnMut(usize) -> Result<(), E>,
+) -> Result<(), E> {
+    let (value, with_nulls) = match probe {
+        Probe::All => return table.live_indices().try_for_each(each),
+        // A null matches everything at least ambiguously.
+        Probe::Matches(v) if amb && v.is_null() => return table.live_indices().try_for_each(each),
+        Probe::Exact(v) => (*v, false),
+        Probe::Matches(v) => (*v, amb),
+    };
+    if match_on_x {
+        table.rows_with_x(value).try_for_each(&mut each)?;
+        if with_nulls {
+            table.rows_with_null_x().try_for_each(&mut each)?;
         }
-        Probe::Matches(v) => {
-            if amb && v.is_null() {
-                // A null matches everything at least ambiguously.
-                return table.live_indices().collect();
-            }
-            let mut c: Vec<usize> = if match_on_x {
-                table.rows_with_x(v).collect()
-            } else {
-                table.rows_with_y(v).collect()
-            };
-            if amb {
-                if match_on_x {
-                    c.extend(table.rows_with_null_x());
-                } else {
-                    c.extend(table.rows_with_null_y());
-                }
-            }
-            c
+    } else {
+        table.rows_with_y(value).try_for_each(&mut each)?;
+        if with_nulls {
+            table.rows_with_null_y().try_for_each(&mut each)?;
         }
     }
+    Ok(())
 }
 
-fn seed_probe<'a>(bind: &'a Bind<'a>) -> Probe<'a> {
-    match bind {
-        Bind::Unbound => Probe::All,
-        Bind::Exact(v) => Probe::Exact(v),
-        Bind::Matches(v) => Probe::Matches(v),
+/// What one level's rows extend: the seed bind, or one node of the
+/// previous level.
+struct Source<'a, 'p> {
+    parent: usize,
+    probe: Probe<'p>,
+    matching: MatchKind,
+    flags: Truth,
+    /// `None` at the seed level, where each row is its own origin.
+    origin: Option<&'a Value>,
+}
+
+impl<'a, 'p> Source<'a, 'p> {
+    fn seed(bind: &'p Bind<'p>) -> Self {
+        Source {
+            parent: usize::MAX,
+            probe: match bind {
+                Bind::Unbound => Probe::All,
+                Bind::Exact(v) => Probe::Exact(v),
+                Bind::Matches(v) => Probe::Matches(v),
+            },
+            matching: MatchKind::Exact,
+            flags: Truth::True,
+            origin: None,
+        }
+    }
+
+    fn node(index: usize, node: &'p Node<'a>) -> Self {
+        Source {
+            parent: index,
+            probe: Probe::Matches(node.carried),
+            matching: node.matching,
+            flags: node.flags,
+            origin: Some(node.origin),
+        }
     }
 }
 
-fn link_of(probe: &Probe<'_>, match_value: &Value) -> MatchKind {
-    match probe {
-        // Unbound seeds and exact index probes constrain nothing beyond
-        // row identity, so they contribute an exact "link".
-        Probe::All | Probe::Exact(_) => MatchKind::Exact,
-        Probe::Matches(v) => v.matches(match_value),
-    }
+/// Walks every row `source` links to in `table`, handing `each` the
+/// node the row extends the source's partial chain to. One governor tick
+/// per candidate examined.
+fn expand<'a, G: Governance>(
+    table: &'a Table,
+    match_on_x: bool,
+    amb: bool,
+    governor: &G,
+    rows: &mut u64,
+    source: &Source<'a, '_>,
+    mut each: impl FnMut(Node<'a>) -> Result<(), Halt>,
+) -> Result<(), Halt> {
+    try_candidates(table, match_on_x, &source.probe, amb, |i| {
+        *rows += 1;
+        governor.tick()?;
+        let Some(row) = table.row(i) else {
+            return Ok(());
+        };
+        let (matched, carried) = if match_on_x {
+            (row.x, row.y)
+        } else {
+            (row.y, row.x)
+        };
+        let link = match source.probe {
+            // Unbound seeds and exact index probes constrain nothing
+            // beyond row identity, so they contribute an exact "link".
+            Probe::All | Probe::Exact(_) => MatchKind::Exact,
+            Probe::Matches(v) => v.matches(matched),
+        };
+        if link == MatchKind::None {
+            return Ok(());
+        }
+        let matching = source.matching.and(link);
+        if !amb && matching != MatchKind::Exact {
+            return Ok(());
+        }
+        each(Node {
+            parent: source.parent,
+            x: row.x,
+            y: row.y,
+            carried,
+            origin: source.origin.unwrap_or(matched),
+            matching,
+            flags: source.flags.and(row.truth),
+        })
+    })
 }
 
 /// Builds every level of `views` (processing order) without emitting:
 /// used for both halves of a meet-in-the-middle run.
-#[allow(clippy::too_many_arguments)]
-fn build_levels<G: Governance>(
-    store: &Store,
+fn build_levels<'a, G: Governance>(
+    store: &'a Store,
     views: &[View],
     seed_bind: &Bind<'_>,
     amb: bool,
     governor: &G,
     backward: bool,
     rows: &mut u64,
-) -> Result<Vec<Vec<Node>>, StopReason> {
-    let mut levels: Vec<Vec<Node>> = Vec::with_capacity(views.len());
-    for depth in 0..views.len() {
-        let view = views[depth];
+) -> Result<Vec<Vec<Node<'a>>>, Halt> {
+    let mut levels: Vec<Vec<Node<'a>>> = Vec::with_capacity(views.len());
+    for (depth, view) in views.iter().enumerate() {
         let table = store.table(view.function);
         let match_on_x = view.match_on_x(backward);
-        let mut next: Vec<Node> = Vec::new();
+        let mut next: Vec<Node<'a>> = Vec::new();
+        let mut grow = |source: &Source<'a, '_>| {
+            expand(table, match_on_x, amb, governor, rows, source, |node| {
+                next.push(node);
+                Ok(())
+            })
+        };
         if depth == 0 {
-            // A single pseudo-parent carrying the seed bind.
-            expand_into(
-                table,
-                match_on_x,
-                amb,
-                governor,
-                usize::MAX,
-                MatchKind::Exact,
-                Truth::True,
-                &seed_probe(seed_bind),
-                &mut next,
-                rows,
-            )?;
+            grow(&Source::seed(seed_bind))?;
         } else {
             for (p, node) in levels[depth - 1].iter().enumerate() {
-                expand_into(
-                    table,
-                    match_on_x,
-                    amb,
-                    governor,
-                    p,
-                    node.matching,
-                    node.flags,
-                    &Probe::Matches(&node.carried),
-                    &mut next,
-                    rows,
-                )?;
+                grow(&Source::node(p, node))?;
             }
         }
         levels.push(next);
@@ -183,51 +319,16 @@ fn build_levels<G: Governance>(
     Ok(levels)
 }
 
-/// Appends to `next` every row of `table` the probe links to, as a
-/// child of `parent` with the accumulated match/flag state.
-#[allow(clippy::too_many_arguments)]
-fn expand_into<G: Governance>(
-    table: &Table,
-    match_on_x: bool,
-    amb: bool,
-    governor: &G,
-    parent: usize,
-    pm: MatchKind,
-    pf: Truth,
-    probe: &Probe<'_>,
-    next: &mut Vec<Node>,
-    rows: &mut u64,
-) -> Result<(), StopReason> {
-    for i in candidate_rows(table, match_on_x, probe, amb) {
-        *rows += 1;
-        governor.tick()?;
-        let Some(row) = table.row(i) else { continue };
-        let mval = if match_on_x { row.x } else { row.y };
-        let link = link_of(probe, mval);
-        if link == MatchKind::None {
-            continue;
-        }
-        let m = pm.and(link);
-        if !amb && m != MatchKind::Exact {
-            continue;
-        }
-        let cval = if match_on_x { row.y } else { row.x };
-        next.push(Node {
-            parent,
-            x: row.x.clone(),
-            y: row.y.clone(),
-            carried: cval.clone(),
-            matching: m,
-            flags: pf.and(row.truth),
-        });
-    }
-    Ok(())
-}
-
-/// Materialises the facts of the partial chain ending at
+/// Appends the facts of the partial chain ending at
 /// `levels.last()[idx]`, in derivation-step order.
-fn collect_facts(levels: &[Vec<Node>], views: &[View], idx: usize, backward: bool) -> Vec<Fact> {
-    let mut facts = Vec::with_capacity(levels.len());
+fn extend_facts(
+    facts: &mut Vec<Fact>,
+    levels: &[Vec<Node<'_>>],
+    views: &[View],
+    idx: usize,
+    backward: bool,
+) {
+    let start = facts.len();
     let mut p = idx;
     for (d, level) in levels.iter().enumerate().rev() {
         let n = &level[p];
@@ -242,160 +343,118 @@ fn collect_facts(levels: &[Vec<Node>], views: &[View], idx: usize, backward: boo
         // Forward processing visits steps first-to-last, so the parent
         // walk yields them last-to-first; backward processing's walk is
         // already in step order.
-        facts.reverse();
+        facts[start..].reverse();
     }
-    facts
-}
-
-/// Appends a completed chain, enforcing the exact cap and the governor's
-/// memory budget (mirrors the interpreter's `push_chain`).
-fn emit<G: Governance>(
-    chain: Chain,
-    limits: ChainLimits,
-    governor: &G,
-    out: &mut Vec<Chain>,
-) -> Result<(), StopReason> {
-    if out.len() >= limits.max_chains {
-        return Err(StopReason::Cap);
-    }
-    governor.charge(1)?;
-    out.push(chain);
-    Ok(())
 }
 
 /// Forward or backward linear execution: build all interior levels, then
 /// stream emissions off the final level.
 #[allow(clippy::too_many_arguments)]
-fn run_linear<G: Governance>(
-    store: &Store,
+fn run_linear<'a, G, S>(
+    store: &'a Store,
     views: &[View],
     seed_bind: &Bind<'_>,
     final_bind: &Bind<'_>,
     amb: bool,
-    limits: ChainLimits,
-    governor: &G,
     backward: bool,
-    out: &mut Vec<Chain>,
+    out: &mut Emitter<'_, G, S>,
     rows: &mut u64,
-) -> Option<StopReason> {
+) -> Result<(), Halt>
+where
+    G: Governance,
+    S: FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
+{
+    let governor = out.governor;
     let k = views.len();
-    let levels = if k == 1 {
-        Vec::new()
-    } else {
-        match build_levels(
-            store,
-            &views[..k - 1],
-            seed_bind,
-            amb,
-            governor,
-            backward,
-            rows,
-        ) {
-            Ok(levels) => levels,
-            Err(r) => return Some(r),
-        }
-    };
+    let levels = build_levels(
+        store,
+        &views[..k - 1],
+        seed_bind,
+        amb,
+        governor,
+        backward,
+        rows,
+    )?;
     fdb_obs::registry()
         .exec_frontier_nodes
         .record(levels.iter().map(|l| l.len() as u64).sum());
     let view = views[k - 1];
     let table = store.table(view.function);
     let match_on_x = view.match_on_x(backward);
-    let n_sources = if k == 1 { 1 } else { levels[k - 2].len() };
-    for p in 0..n_sources {
-        let (pm, pf, probe) = if k == 1 {
-            (MatchKind::Exact, Truth::True, seed_probe(seed_bind))
-        } else {
-            let n = &levels[k - 2][p];
-            (n.matching, n.flags, Probe::Matches(&n.carried))
-        };
-        for i in candidate_rows(table, match_on_x, &probe, amb) {
-            *rows += 1;
-            if let Err(r) = governor.tick() {
-                return Some(r);
-            }
-            let Some(row) = table.row(i) else { continue };
-            let mval = if match_on_x { row.x } else { row.y };
-            let link = link_of(&probe, mval);
-            if link == MatchKind::None {
-                continue;
-            }
-            let m = pm.and(link);
-            if !amb && m != MatchKind::Exact {
-                continue;
-            }
-            let cval = if match_on_x { row.y } else { row.x };
-            let (m_final, ok) = match final_bind {
-                Bind::Unbound => (m, true),
-                Bind::Exact(g) => (m, cval == *g),
+    let mut finish = |p: usize, source: &Source<'a, '_>| {
+        expand(table, match_on_x, amb, governor, rows, source, |last| {
+            let matching = match final_bind {
+                Bind::Unbound => last.matching,
+                Bind::Exact(g) if last.carried == *g => last.matching,
+                Bind::Exact(_) => return Ok(()),
                 Bind::Matches(g) => {
-                    let mf = m.and(cval.matches(g));
-                    (mf, mf != MatchKind::None && (amb || mf == MatchKind::Exact))
+                    let m = last.matching.and(last.carried.matches(g));
+                    if m == MatchKind::None || (!amb && m != MatchKind::Exact) {
+                        return Ok(());
+                    }
+                    m
                 }
             };
-            if !ok {
-                continue;
-            }
-            let mut facts = collect_facts(&levels, views, p, backward);
-            let last_fact = Fact {
-                function: view.function,
-                x: row.x.clone(),
-                y: row.y.clone(),
-            };
-            if backward {
-                facts.insert(0, last_fact);
+            let (left, right) = if backward {
+                (last.carried, last.origin)
             } else {
-                facts.push(last_fact);
-            }
-            if let Err(r) = emit(
-                Chain {
-                    facts,
-                    matching: m_final,
-                    flags: pf.and(row.truth),
-                },
-                limits,
-                governor,
-                out,
-            ) {
-                return Some(r);
-            }
-        }
+                (last.origin, last.carried)
+            };
+            let facts = || {
+                let last_fact = Fact {
+                    function: view.function,
+                    x: last.x.clone(),
+                    y: last.y.clone(),
+                };
+                let mut facts = Vec::with_capacity(k);
+                if backward {
+                    facts.push(last_fact);
+                    extend_facts(&mut facts, &levels, views, p, true);
+                } else {
+                    extend_facts(&mut facts, &levels, views, p, false);
+                    facts.push(last_fact);
+                }
+                facts
+            };
+            out.emit(ChainView {
+                left,
+                right,
+                matching,
+                flags: last.flags,
+                facts: &facts,
+            })
+        })
+    };
+    match levels.last() {
+        None => finish(usize::MAX, &Source::seed(seed_bind)),
+        Some(sources) => sources
+            .iter()
+            .enumerate()
+            .try_for_each(|(p, node)| finish(p, &Source::node(p, node))),
     }
-    None
 }
 
 /// Meet-in-the-middle execution for fully bound queries: forward half
 /// over `views[..split]`, backward half over `views[split..]`, hash-join
 /// on the boundary value.
-#[allow(clippy::too_many_arguments)]
-fn run_mitm<G: Governance>(
-    store: &Store,
+fn run_mitm<'a, G, S>(
+    store: &'a Store,
     views: &[View],
     split: usize,
     spec: &QuerySpec<'_>,
-    limits: ChainLimits,
-    governor: &G,
-    out: &mut Vec<Chain>,
+    out: &mut Emitter<'_, G, S>,
     rows: &mut u64,
-) -> Option<StopReason> {
+) -> Result<(), Halt>
+where
+    G: Governance,
+    S: FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
+{
+    let governor = out.governor;
     let amb = spec.allow_ambiguous;
-    let fwd = match build_levels(
-        store,
-        &views[..split],
-        &spec.left,
-        amb,
-        governor,
-        false,
-        rows,
-    ) {
-        Ok(levels) => levels,
-        Err(r) => return Some(r),
-    };
+    let fwd_views = &views[..split];
+    let fwd = build_levels(store, fwd_views, &spec.left, amb, governor, false, rows)?;
     let rev_views: Vec<View> = views[split..].iter().rev().copied().collect();
-    let bwd = match build_levels(store, &rev_views, &spec.right, amb, governor, true, rows) {
-        Ok(levels) => levels,
-        Err(r) => return Some(r),
-    };
+    let bwd = build_levels(store, &rev_views, &spec.right, amb, governor, true, rows)?;
     fdb_obs::registry().exec_frontier_nodes.record(
         fwd.iter().map(|l| l.len() as u64).sum::<u64>()
             + bwd.iter().map(|l| l.len() as u64).sum::<u64>(),
@@ -411,92 +470,89 @@ fn run_mitm<G: Governance>(
         if n.carried.is_null() {
             null_boundary.push(i);
         }
-        by_val.entry(&n.carried).or_default().push(i);
+        by_val.entry(n.carried).or_default().push(i);
     }
 
-    let mut scratch: Vec<usize> = Vec::new();
     for (fi, fp) in fwd_final.iter().enumerate() {
-        let candidates: &[usize] = if amb && fp.carried.is_null() {
-            scratch.clear();
-            scratch.extend(0..bwd_final.len());
-            &scratch
-        } else {
-            scratch.clear();
-            if let Some(bucket) = by_val.get(&fp.carried) {
-                scratch.extend_from_slice(bucket);
-            }
-            if amb && !fp.carried.is_null() {
-                scratch.extend(
-                    null_boundary
-                        .iter()
-                        .copied()
-                        .filter(|i| !bwd_final[*i].carried.eq(&fp.carried)),
-                );
-            }
-            &scratch
-        };
-        for &bi in candidates {
+        let mut join = |bi: usize| {
             *rows += 1;
-            if let Err(r) = governor.tick() {
-                return Some(r);
-            }
+            governor.tick()?;
             let bp = &bwd_final[bi];
-            let link = fp.carried.matches(&bp.carried);
+            let link = fp.carried.matches(bp.carried);
             if link == MatchKind::None {
-                continue;
+                return Ok(());
             }
-            let m = fp.matching.and(link).and(bp.matching);
-            if !amb && m != MatchKind::Exact {
-                continue;
+            let matching = fp.matching.and(link).and(bp.matching);
+            if !amb && matching != MatchKind::Exact {
+                return Ok(());
             }
-            let mut facts = collect_facts(&fwd, &views[..split], fi, false);
-            facts.extend(collect_facts(&bwd, &rev_views, bi, true));
-            if let Err(r) = emit(
-                Chain {
-                    facts,
-                    matching: m,
-                    flags: fp.flags.and(bp.flags),
-                },
-                limits,
-                governor,
-                out,
-            ) {
-                return Some(r);
+            let facts = || {
+                let mut facts = Vec::with_capacity(views.len());
+                extend_facts(&mut facts, &fwd, fwd_views, fi, false);
+                extend_facts(&mut facts, &bwd, &rev_views, bi, true);
+                facts
+            };
+            out.emit(ChainView {
+                left: fp.origin,
+                right: bp.origin,
+                matching,
+                flags: fp.flags.and(bp.flags),
+                facts: &facts,
+            })
+        };
+        if amb && fp.carried.is_null() {
+            (0..bwd_final.len()).try_for_each(&mut join)?;
+        } else {
+            if let Some(bucket) = by_val.get(fp.carried) {
+                bucket.iter().copied().try_for_each(&mut join)?;
+            }
+            if amb {
+                // `fp.carried` is an atom here, so no null boundary was
+                // in its bucket.
+                null_boundary.iter().copied().try_for_each(&mut join)?;
             }
         }
     }
-    None
+    Ok(())
 }
 
 /// Enumerates the chains of `derivation` under `spec`, walking in the
-/// given [`Direction`]. A meet-in-the-middle direction with an invalid
-/// split (0, or ≥ the step count) or an unbound endpoint falls back to
-/// forward execution.
-pub fn chains_with_direction<G: Governance>(
-    store: &Store,
+/// given [`Direction`] and handing each completed chain to `sink`, which
+/// may end the run early by breaking (the outcome is then `Complete`:
+/// nothing was cut short that the sink wanted). Returns the number of
+/// chains emitted. A meet-in-the-middle direction with an invalid split
+/// (0, or ≥ the step count) or an unbound endpoint falls back to forward
+/// execution.
+fn stream_chains<'a, G: Governance>(
+    store: &'a Store,
     derivation: &Derivation,
     spec: &QuerySpec<'_>,
     limits: ChainLimits,
     governor: &G,
     direction: Direction,
-) -> Outcome<Vec<Chain>> {
+    sink: impl FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
+) -> Outcome<usize> {
     let views: Vec<View> = derivation.steps().iter().map(View::of).collect();
-    let mut out = Vec::new();
+    let mut out = Emitter {
+        limits,
+        governor,
+        emitted: 0,
+        sink,
+    };
     // Candidate rows are counted in a query-local accumulator and
     // flushed to the registry once per query: one shared atomic add per
     // statement instead of one per row keeps the executor's inner loop
     // within the observability overhead contract.
     let mut rows = 0u64;
-    let stop = match direction {
+    let amb = spec.allow_ambiguous;
+    let halt = match direction {
         Direction::MeetInMiddle { split }
             if split >= 1
                 && split < views.len()
                 && spec.left.is_bound()
                 && spec.right.is_bound() =>
         {
-            run_mitm(
-                store, &views, split, spec, limits, governor, &mut out, &mut rows,
-            )
+            run_mitm(store, &views, split, spec, &mut out, &mut rows)
         }
         Direction::Backward => {
             let rev: Vec<View> = views.iter().rev().copied().collect();
@@ -505,9 +561,7 @@ pub fn chains_with_direction<G: Governance>(
                 &rev,
                 &spec.right,
                 &spec.left,
-                spec.allow_ambiguous,
-                limits,
-                governor,
+                amb,
                 true,
                 &mut out,
                 &mut rows,
@@ -518,30 +572,73 @@ pub fn chains_with_direction<G: Governance>(
             &views,
             &spec.left,
             &spec.right,
-            spec.allow_ambiguous,
-            limits,
-            governor,
+            amb,
             false,
             &mut out,
             &mut rows,
         ),
     };
+    let emitted = out.emitted;
     let reg = fdb_obs::registry();
     reg.exec_rows_examined.add(rows);
-    reg.exec_chains_emitted.add(out.len() as u64);
-    reg.exec_chains_per_query.record(out.len() as u64);
-    Outcome::new(out, stop)
+    reg.exec_chains_emitted.add(emitted as u64);
+    reg.exec_chains_per_query.record(emitted as u64);
+    let stop = match halt {
+        Err(Halt::Stop(reason)) => Some(reason),
+        Ok(()) | Err(Halt::Done) => None,
+    };
+    Outcome::new(emitted, stop)
 }
 
-/// Plans and executes: compiles a [`crate::plan::ChainPlan`] for the
-/// query shape and runs the chosen direction.
-pub fn chains_planned<G: Governance>(
+/// The materialising sink: every chain becomes an owned [`Chain`].
+fn materialise(out: &mut Vec<Chain>) -> impl FnMut(&ChainView<'_, '_>) -> ControlFlow<()> + '_ {
+    |chain| {
+        out.push(Chain {
+            facts: chain.facts(),
+            matching: chain.matching,
+            flags: chain.flags,
+        });
+        ControlFlow::Continue(())
+    }
+}
+
+/// Enumerates and materialises the chains of `derivation` under `spec`,
+/// walking in the given [`Direction`] (see the module docs for the
+/// fallback and ordering rules).
+pub fn chains_with_direction<G: Governance>(
     store: &Store,
     derivation: &Derivation,
     spec: &QuerySpec<'_>,
     limits: ChainLimits,
     governor: &G,
-) -> (crate::plan::ChainPlan, Outcome<Vec<Chain>>) {
+    direction: Direction,
+) -> Outcome<Vec<Chain>> {
+    let mut out = Vec::new();
+    let streamed = stream_chains(
+        store,
+        derivation,
+        spec,
+        limits,
+        governor,
+        direction,
+        materialise(&mut out),
+    );
+    streamed.map(|_| out)
+}
+
+/// Plans and executes into a streaming sink: compiles a [`ChainPlan`]
+/// for the query shape and runs the chosen direction under the
+/// `fdb.exec.plan` / `fdb.exec.execute` spans. The execute span comes
+/// back still open so the caller can annotate what it made of the
+/// chains.
+pub(crate) fn stream_planned<'a, G: Governance>(
+    store: &'a Store,
+    derivation: &Derivation,
+    spec: &QuerySpec<'_>,
+    limits: ChainLimits,
+    governor: &G,
+    sink: impl FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
+) -> (ChainPlan, Outcome<usize>, CausalSpan) {
     let plan = {
         let plan_span = fdb_obs::causal::child_span("fdb.exec.plan", String::new);
         let plan = crate::plan::plan(store, derivation, spec);
@@ -553,14 +650,42 @@ pub fn chains_planned<G: Governance>(
         plan
     };
     let mut exec_span = fdb_obs::causal::child_span("fdb.exec.execute", String::new);
-    let outcome = chains_with_direction(store, derivation, spec, limits, governor, plan.direction);
+    let streamed = stream_chains(
+        store,
+        derivation,
+        spec,
+        limits,
+        governor,
+        plan.direction,
+        sink,
+    );
     if exec_span.is_recording() {
         exec_span.annotate("est_chains", format_args!("{:.1}", plan.est_chains));
-        exec_span.annotate("actual_chains", outcome.get().len());
-        if let Some(stop) = outcome.reason() {
+        exec_span.annotate("actual_chains", streamed.get());
+        if let Some(stop) = streamed.reason() {
             exec_span.annotate("stop", format_args!("{stop:?}"));
             exec_span.set_error();
         }
     }
-    (plan, outcome)
+    (plan, streamed, exec_span)
+}
+
+/// Plans and executes into the materialising sink.
+pub fn chains_planned<G: Governance>(
+    store: &Store,
+    derivation: &Derivation,
+    spec: &QuerySpec<'_>,
+    limits: ChainLimits,
+    governor: &G,
+) -> (ChainPlan, Outcome<Vec<Chain>>) {
+    let mut out = Vec::new();
+    let (plan, streamed, _span) = stream_planned(
+        store,
+        derivation,
+        spec,
+        limits,
+        governor,
+        materialise(&mut out),
+    );
+    (plan, streamed.map(|_| out))
 }

@@ -9,11 +9,14 @@
 //!    ([`QuerySpec`]) into a [`ChainPlan`] using [`fdb_storage::TableStats`]
 //!    and O(1) index-width probes — choosing forward, backward (through
 //!    the `by_y` index), or meet-in-the-middle execution.
-//! 2. **Execute** ([`exec`]): run the plan with a batched frontier
-//!    executor that shares chain prefixes through parent pointers and
-//!    preserves the interpreter's `Governance` / [`fdb_storage::ChainLimits`]
-//!    semantics exactly (tick per candidate, charge per chain, exact cap
-//!    detection, prefix-sound partials).
+//! 2. **Execute** ([`exec`]): run the plan with a streaming frontier
+//!    executor whose nodes borrow their values from the store and share
+//!    chain prefixes through parent pointers; completed chains go to a
+//!    sink — folded into evidence as they arrive, or materialised for
+//!    derived delete and `EXPLAIN` — and the interpreter's `Governance` /
+//!    [`fdb_storage::ChainLimits`] semantics are preserved exactly (tick
+//!    per candidate, charge per chain, exact cap detection, prefix-sound
+//!    partials).
 //! 3. **Cache** ([`cache`]): memoise truth/extension answers keyed by a
 //!    [`SupportSnapshot`] of per-function mutation counters, so only
 //!    writes inside a derived function's support set invalidate.
@@ -21,7 +24,9 @@
 //! The high-level entry points in [`eval`] ([`derived_truth`],
 //! [`derived_extension`], [`derived_image`], …) are drop-in replacements
 //! for the interpreter's, and `fdb-core` routes all derived queries and
-//! derived deletes through them.
+//! derived deletes through them. Extension, image and inverse image are
+//! evaluated *set-at-a-time*: one enumeration per derivation answers
+//! every pair, where the interpreter runs a truth query per pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

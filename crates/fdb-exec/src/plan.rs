@@ -55,11 +55,13 @@ impl std::fmt::Display for Direction {
 pub enum Bind<'a> {
     /// No constraint (extension-style enumeration).
     Unbound,
-    /// The endpoint row value must equal this value exactly (pair
-    /// collection for image / inverse-image queries).
+    /// The endpoint row value must equal this value exactly: a plain
+    /// index probe, with no null tolerance.
     Exact(&'a Value),
-    /// The endpoint must §3.2-match this value (truth queries: nulls
-    /// match ambiguously).
+    /// The endpoint must §3.2-match this value: nulls match ambiguously.
+    /// Truth queries bind both endpoints this way, image and
+    /// inverse-image queries the selected one — the chains whose endpoint
+    /// is a null are evidence for the selected value's pairs too.
     Matches(&'a Value),
 }
 

@@ -12,7 +12,7 @@ use fdb_repl::{Promotion, Replica};
 use fdb_types::{Derivation, FdbError, Result, Schema, Step, Value};
 
 use crate::ast::{DeriveStep, Statement};
-use crate::format::render_function;
+use crate::format::{render_function, render_set};
 use crate::parser::parse_statement_spanned;
 
 /// The language engine: a [`Database`] plus statement evaluation.
@@ -447,14 +447,7 @@ impl Engine {
                 let gov = self.statement_governor();
                 let outcome = db.image_governed(f, &Value::atom(&x), &gov)?;
                 Ok(Self::render_outcome(outcome, |image| {
-                    let items: Vec<String> = image
-                        .into_iter()
-                        .map(|(y, t)| match t {
-                            fdb_storage::Truth::Ambiguous => format!("{y}*"),
-                            _ => y.to_string(),
-                        })
-                        .collect();
-                    format!("{function}({x}) = {{{}}}\n", items.join(", "))
+                    render_set(format_args!("{function}({x})"), &image)
                 }))
             }
             Statement::Truth { function, x, y } => {
@@ -720,14 +713,7 @@ impl Engine {
                         .eval_expression_governed(&derivation, &Value::atom(&x), &gov)?;
                 let rendered = derivation.render(self.db.schema());
                 Ok(Self::render_outcome(outcome, |ys| {
-                    let items: Vec<String> = ys
-                        .into_iter()
-                        .map(|(y, t)| match t {
-                            fdb_storage::Truth::Ambiguous => format!("{y}*"),
-                            _ => y.to_string(),
-                        })
-                        .collect();
-                    format!("{x} : {rendered} = {{{}}}\n", items.join(", "))
+                    render_set(format_args!("{x} : {rendered}"), &ys)
                 }))
             }
             Statement::Inverse { function, y } => {
@@ -736,14 +722,7 @@ impl Engine {
                 let gov = self.statement_governor();
                 let outcome = db.inverse_image_governed(f, &Value::atom(&y), &gov)?;
                 Ok(Self::render_outcome(outcome, |xs| {
-                    let items: Vec<String> = xs
-                        .into_iter()
-                        .map(|(x, t)| match t {
-                            fdb_storage::Truth::Ambiguous => format!("{x}*"),
-                            _ => x.to_string(),
-                        })
-                        .collect();
-                    format!("{function}^-1({y}) = {{{}}}\n", items.join(", "))
+                    render_set(format_args!("{function}^-1({y})"), &xs)
                 }))
             }
             Statement::Dump { path } => {

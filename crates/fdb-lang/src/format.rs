@@ -3,9 +3,11 @@
 //! §4.2 prints base tables as quadruple rows (`gauss  n1  T  {}`) and
 //! derived extensions with ambiguous facts marked `*` (`laplace john *`).
 
+use std::fmt::Write;
+
 use fdb_core::Database;
 use fdb_storage::Truth;
-use fdb_types::{FunctionId, Result};
+use fdb_types::{FunctionId, Result, Value};
 
 /// Renders the stored table of a base function as the paper does:
 /// one `x  y  T/A  {ncs}` row per fact, in insertion order.
@@ -46,6 +48,27 @@ pub fn render_derived_pairs(pairs: &[fdb_storage::DerivedPair]) -> String {
             Truth::False => {}
         }
     }
+    out
+}
+
+/// Renders the answer of a point query — `QUERY`, `INVERSE`, `EVAL` — as
+/// `head = {a, b*, c}`: the members in the given order, the ambiguous
+/// ones marked `*`. Everything goes into one buffer; an image can have
+/// hundreds of members.
+pub(crate) fn render_set(head: std::fmt::Arguments<'_>, members: &[(Value, Truth)]) -> String {
+    let mut out = String::new();
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{head} = {{");
+    for (i, (member, truth)) in members.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{member}");
+        if *truth == Truth::Ambiguous {
+            out.push('*');
+        }
+    }
+    out.push_str("}\n");
     out
 }
 

@@ -366,8 +366,11 @@ registry! {
         exec_rows_examined => "fdb.exec.rows_examined",
         /// Completed chains emitted by the chain executor.
         exec_chains_emitted => "fdb.exec.chains_emitted",
-        /// Exactly-matching chains demoted by NC coverage during truth
-        /// evaluation — the §4.1 side-effect-free delete at work.
+        /// NC-coverage checks that came back *covered* during truth and
+        /// pair evaluation: a chain demoted because a live NC negates it
+        /// — the §4.1 side-effect-free delete at work. Not every covered
+        /// chain is counted: a chain is only checked while the outcome
+        /// could still change its pair's verdict.
         exec_nc_demotions => "fdb.exec.nc_demotions",
         /// Result-cache lookups answered from a valid entry.
         cache_hits => "fdb.cache.hits",
@@ -481,7 +484,7 @@ registry! {
         /// Chains emitted per executed chain query.
         exec_chains_per_query => "fdb.exec.chains_per_query",
         /// Frontier nodes materialised per executed chain query (arena
-        /// footprint of the batched executor).
+        /// footprint of the streaming executor).
         exec_frontier_nodes => "fdb.exec.frontier_nodes",
         /// WAL records covered per group fsync (group size: 1 = no
         /// batching win, N = N−1 fsyncs saved).

@@ -1,0 +1,119 @@
+//! Shared by the planner differential tests (`properties_planner.rs`,
+//! `multi_derivation.rs`): pair evaluation through `fdb::exec` against
+//! the reference interpreter `fdb::storage::chain`, per-pair truth
+//! queries and all.
+
+use std::collections::BTreeSet;
+
+use fdb::governor::Governor;
+use fdb::storage::{chain, ChainLimits, DerivedPair, Store, Truth};
+use fdb::types::{Derivation, Op, Value};
+
+/// How many random instances a differential test draws.
+/// `FDB_PLANNER_CASES` raises it for the CI release run (the vendored
+/// `proptest` does not read `PROPTEST_CASES`).
+pub fn planner_cases() -> u32 {
+    std::env::var("FDB_PLANNER_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(48)
+}
+
+/// What the compared instances contained, so a test can assert that the
+/// partial-information paths were really exercised.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Derivation sets compared (the interpreter enumerated them fully).
+    pub compared: usize,
+    /// Derivation sets skipped: the interpreter itself hit the chain cap.
+    pub capped: usize,
+    /// Of the compared: stores holding null facts / NCs.
+    pub with_nulls: usize,
+    pub with_ncs: usize,
+    /// Of the compared: sets with a row that puts a null at a chain
+    /// endpoint — the source of wildcard chains.
+    pub with_null_endpoints: usize,
+    /// Ambiguous pairs over all compared extensions.
+    pub ambiguous_pairs: usize,
+}
+
+fn has_null_facts(store: &Store, derivations: &[Derivation]) -> bool {
+    derivations.iter().flat_map(Derivation::steps).any(|s| {
+        let stats = store.table(s.function).stats();
+        stats.null_x + stats.null_y > 0
+    })
+}
+
+fn has_null_endpoints(store: &Store, derivations: &[Derivation]) -> bool {
+    derivations.iter().any(|d| {
+        let (first, last) = (&d.steps()[0], &d.steps()[d.len() - 1]);
+        let (first_stats, last_stats) = (
+            store.table(first.function).stats(),
+            store.table(last.function).stats(),
+        );
+        let null_left = match first.op {
+            Op::Inverse => first_stats.null_y,
+            Op::Identity => first_stats.null_x,
+        };
+        let null_right = match last.op {
+            Op::Inverse => last_stats.null_x,
+            Op::Identity => last_stats.null_y,
+        };
+        null_left + null_right > 0
+    })
+}
+
+/// Asserts that `fdb::exec` answers the extension of `derivations`, the
+/// image of every `x` occurring in it (plus one absent value) and the
+/// inverse image of every `y` (plus one absent value) exactly as the
+/// interpreter's extension, filtered, does. Sets whose interpreter
+/// enumeration hits the chain cap are skipped: a capped prefix depends on
+/// the direction walked.
+pub fn assert_pairs_match_interpreter(
+    store: &Store,
+    derivations: &[Derivation],
+    tally: &mut Tally,
+    context: &str,
+) {
+    let limits = ChainLimits::default();
+    let oracle =
+        chain::derived_extension_governed(store, derivations, limits, &Governor::unbounded());
+    if !oracle.is_complete() {
+        tally.capped += 1;
+        return;
+    }
+    let oracle = oracle.value();
+    tally.compared += 1;
+    tally.with_nulls += usize::from(has_null_facts(store, derivations));
+    tally.with_ncs += usize::from(!store.ncs().is_empty());
+    tally.with_null_endpoints += usize::from(has_null_endpoints(store, derivations));
+    tally.ambiguous_pairs += oracle
+        .iter()
+        .filter(|p| p.truth == Truth::Ambiguous)
+        .count();
+
+    assert_eq!(
+        fdb::exec::derived_extension(store, derivations, limits),
+        oracle,
+        "extension diverged: {context}"
+    );
+    let absent = Value::atom("no-such-value");
+    let xs: BTreeSet<&Value> = oracle.iter().map(|p| &p.x).chain([&absent]).collect();
+    for x in xs {
+        let expected: Vec<DerivedPair> = oracle.iter().filter(|p| &p.x == x).cloned().collect();
+        assert_eq!(
+            fdb::exec::derived_image(store, derivations, x, limits),
+            expected,
+            "image of {x} diverged: {context}"
+        );
+    }
+    let ys: BTreeSet<&Value> = oracle.iter().map(|p| &p.y).chain([&absent]).collect();
+    for y in ys {
+        let expected: Vec<DerivedPair> = oracle.iter().filter(|p| &p.y == y).cloned().collect();
+        assert_eq!(
+            fdb::exec::derived_inverse_image(store, derivations, y, limits),
+            expected,
+            "inverse image of {y} diverged: {context}"
+        );
+    }
+}

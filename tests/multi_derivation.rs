@@ -155,3 +155,81 @@ fn delete_then_insert_round_trip_with_multiple_derivations() {
     assert_eq!(db.store().ncs().len(), 1);
     assert!(db.is_consistent());
 }
+
+mod common;
+
+/// Set-at-a-time pair evaluation over *two* derivations of one function
+/// equals the interpreter's per-pair answers: the evidence of both
+/// derivations lands in one verdict per pair, and a wildcard chain of one
+/// derivation lifts pairs only the other one discovered.
+#[test]
+fn pair_evaluation_over_two_derivations_matches_interpreter() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(0x0fdb_d1a3);
+    let mut tally = common::Tally::default();
+    for case in 0..common::planner_cases() {
+        // The diamond, plus `onward: b -> c` derivable as `hop2` or as
+        // `alt`: a null-valued chain inserted through `reaches` leaves
+        // `hop2(n, z)` rows, which are wildcards for `onward`.
+        let schema = Schema::builder()
+            .function("hop1", "a", "b", "many-many")
+            .function("hop2", "b", "c", "many-many")
+            .function("direct", "a", "c", "many-many")
+            .function("alt", "b", "c", "many-many")
+            .function("reaches", "a", "c", "many-many")
+            .function("onward", "b", "c", "many-many")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        let [h1, h2, d, alt, reaches, onward] =
+            ["hop1", "hop2", "direct", "alt", "reaches", "onward"].map(|f| db.resolve(f).unwrap());
+        db.register_derived(
+            reaches,
+            vec![
+                Derivation::new(vec![Step::identity(h1), Step::identity(h2)]).unwrap(),
+                Derivation::single(Step::identity(d)),
+            ],
+        )
+        .unwrap();
+        db.register_derived(
+            onward,
+            vec![
+                Derivation::single(Step::identity(h2)),
+                Derivation::single(Step::identity(alt)),
+            ],
+        )
+        .unwrap();
+        let domain = rng.gen_range(3..8usize);
+        fdb::workload::instance_gen::populate(
+            &mut db,
+            u64::from(case),
+            rng.gen_range(5..30),
+            domain,
+        );
+        let mut value = |ty: &str| Value::atom(format!("{ty}#{}", rng.gen_range(0..domain)));
+        for _ in 0..3 {
+            db.insert(reaches, value("a"), value("c")).unwrap();
+        }
+        for f in [reaches, onward, reaches, onward] {
+            let ext = db.extension(f).unwrap();
+            if let Some(p) = ext.get(case as usize % ext.len().max(1)) {
+                db.delete(f, &p.x, &p.y).unwrap();
+            }
+        }
+        for f in [reaches, onward] {
+            common::assert_pairs_match_interpreter(
+                db.store(),
+                db.derivations(f),
+                &mut tally,
+                &format!("case {case}, function {f:?}"),
+            );
+        }
+    }
+    println!("{tally:?}");
+    assert!(tally.compared > tally.capped, "{tally:?}");
+    assert!(tally.with_null_endpoints > 0, "{tally:?}");
+    assert!(tally.with_ncs > 0, "{tally:?}");
+    assert!(tally.ambiguous_pairs > 0, "{tally:?}");
+}

@@ -250,3 +250,76 @@ proptest! {
         }
     }
 }
+
+/// `QUERY`/`INVERSE` on a *base* function read one index bucket: the
+/// same pairs, in the same order, as filtering the sorted extension —
+/// which is what they used to do, sorting the whole table per call.
+#[test]
+fn base_image_is_one_index_probe() {
+    use fdb::core::Database;
+    use fdb::governor::{Governor, Outcome};
+    use fdb::types::{Derivation, Schema, Step, Value};
+
+    let _guard = lock();
+    obs::set_enabled(true);
+    let schema = Schema::builder()
+        .function("teach", "faculty", "course", "many-many")
+        .function("class_list", "course", "student", "many-many")
+        .function("pupil", "faculty", "student", "many-many")
+        .build()
+        .unwrap();
+    let mut db = Database::new(schema);
+    let [teach, class_list, pupil] =
+        ["teach", "class_list", "pupil"].map(|f| db.resolve(f).unwrap());
+    db.register_derived(
+        pupil,
+        vec![Derivation::new(vec![Step::identity(teach), Step::identity(class_list)]).unwrap()],
+    )
+    .unwrap();
+    fdb::workload::instance_gen::populate(&mut db, 7, 40, 6);
+    // Null rows and ambiguous flags belong to a base table's image too.
+    db.insert(pupil, Value::atom("faculty#0"), Value::atom("student#9"))
+        .unwrap();
+    let negated = db.extension(pupil).unwrap()[0].clone();
+    db.delete(pupil, &negated.x, &negated.y).unwrap();
+
+    let probes = || obs::registry().storage_index_probes.get();
+    let absent = Value::atom("no-such-value");
+    let unbounded = Governor::unbounded();
+    for f in db.base_functions() {
+        let extension = db.extension(f).unwrap();
+        assert!(!extension.is_empty());
+        for p in &extension {
+            for x in [&p.x, &absent] {
+                let before = probes();
+                let image = db.image(f, x).unwrap();
+                assert_eq!(probes() - before, 1, "image of {x}");
+                let filtered: Vec<_> = extension
+                    .iter()
+                    .filter(|q| &q.x == x)
+                    .map(|q| (q.y.clone(), q.truth))
+                    .collect();
+                assert_eq!(image, filtered, "image of {x}");
+                assert_eq!(
+                    db.image_governed(f, x, &unbounded).unwrap(),
+                    Outcome::Complete(filtered)
+                );
+            }
+            for y in [&p.y, &absent] {
+                let before = probes();
+                let inverse = db.inverse_image(f, y).unwrap();
+                assert_eq!(probes() - before, 1, "inverse image of {y}");
+                let filtered: Vec<_> = extension
+                    .iter()
+                    .filter(|q| &q.y == y)
+                    .map(|q| (q.x.clone(), q.truth))
+                    .collect();
+                assert_eq!(inverse, filtered, "inverse image of {y}");
+                assert_eq!(
+                    db.inverse_image_governed(f, y, &unbounded).unwrap(),
+                    Outcome::Complete(filtered)
+                );
+            }
+        }
+    }
+}

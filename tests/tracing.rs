@@ -139,6 +139,59 @@ fn traced_statement_records_exec_attribution() {
     restore_defaults();
 }
 
+/// A point query plans and executes once per derivation, however many
+/// pairs its image holds, and the execute span says what was evaluated.
+#[test]
+fn traced_query_plans_once_per_derivation() {
+    let _guard = lock();
+    obs::set_enabled(true);
+    let mut e = university();
+    // A second derivation of `pupil`, and an NC so that the image holds
+    // an ambiguous pair next to the true one.
+    for line in [
+        "DECLARE tutor: faculty -> student (many-many)",
+        "DERIVE pupil = tutor",
+        "INSERT tutor(euclid, ada)",
+        "DELETE pupil(euclid, john)",
+        "TRACE ON",
+    ] {
+        e.execute_line(line).unwrap();
+    }
+    causal::recorder().clear();
+
+    assert_eq!(
+        e.execute_line("QUERY pupil(euclid)").unwrap(),
+        "pupil(euclid) = {ada, bill*}\n"
+    );
+
+    let spans = causal::recorder().recent();
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+    let plans = named("fdb.exec.plan");
+    let executes = named("fdb.exec.execute");
+    assert_eq!(plans.len(), 2, "one plan per derivation: {spans:#?}");
+    assert_eq!(
+        executes.len(),
+        2,
+        "one execution per derivation: {spans:#?}"
+    );
+    for plan in plans {
+        for key in ["dir=", "est_cost=", "est_chains="] {
+            assert!(plan.detail.contains(key), "{key} in {:?}", plan.detail);
+        }
+    }
+    // teach o class_list ends in john and bill; tutor adds ada.
+    let details: Vec<&str> = executes.iter().map(|s| s.detail.trim()).collect();
+    assert_eq!(
+        details,
+        [
+            "est_chains=2.0 actual_chains=2 pairs=2",
+            "est_chains=1.0 actual_chains=1 pairs=3"
+        ]
+    );
+
+    restore_defaults();
+}
+
 /// The convoy contract, deterministically: a leader fsync covering two
 /// sequences is recorded with its span id published as the group
 /// watermark, and a later writer whose record that fsync covered
