@@ -352,6 +352,40 @@ fn sarif_multi_file_source_points_each_finding_at_its_file() {
     std::fs::remove_file(inner).ok();
 }
 
+/// The CI `lint-self` gate, runnable offline: every shipped script must
+/// be clean under `--deny warn` against the checked-in baseline, so a
+/// new fixture that is not lint-clean fails `cargo test`.
+#[test]
+fn shipped_scripts_are_lint_clean_against_the_baseline() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut scripts = Vec::new();
+    for dir in ["examples/scripts", "tests/scripts"] {
+        let mut found: Vec<String> = std::fs::read_dir(root.join(dir))
+            .expect("script directory exists")
+            .map(|entry| entry.expect("readable entry").file_name())
+            .filter_map(|name| name.into_string().ok())
+            .filter(|name| name.ends_with(".fdb"))
+            .map(|name| format!("{dir}/{name}"))
+            .collect();
+        // The order a shell glob gives; baseline keys name these paths.
+        found.sort();
+        scripts.extend(found);
+    }
+    assert!(scripts.len() >= 2, "no scripts found: {scripts:?}");
+    let out = Command::new(env!("CARGO_BIN_EXE_fdb-lint"))
+        .current_dir(&root)
+        .args(["--deny", "warn", "--baseline", "lint-baseline.txt"])
+        .args(&scripts)
+        .output()
+        .expect("run fdb-lint");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
 #[test]
 fn usage_errors_exit_three() {
     let out = lint(&[]);

@@ -3,19 +3,8 @@
 //! Editors, baselines and CI gates all match on this text — treat a diff
 //! here as a breaking change to the diagnostic format.
 
-use fdb::lang::Engine;
-
-fn run_script(path: &str) -> (Engine, String) {
-    let text = std::fs::read_to_string(path).expect("script fixture exists");
-    let mut engine = Engine::new();
-    let mut last = String::new();
-    for line in text.lines() {
-        last = engine
-            .execute_line(line)
-            .unwrap_or_else(|e| panic!("`{line}` failed: {e}"));
-    }
-    (engine, last)
-}
+mod common;
+use common::run_script;
 
 #[test]
 fn example1_check_output_is_byte_stable() {

@@ -1,13 +1,34 @@
-//! Shared by the planner differential tests (`properties_planner.rs`,
-//! `multi_derivation.rs`): pair evaluation through `fdb::exec` against
-//! the reference interpreter `fdb::storage::chain`, per-pair truth
-//! queries and all.
+//! Shared test helpers. The planner differential tests
+//! (`properties_planner.rs`, `multi_derivation.rs`) compare pair
+//! evaluation through `fdb::exec` against the reference interpreter
+//! `fdb::storage::chain`, per-pair truth queries and all; the golden
+//! tests (`check_golden.rs`, `check_data.rs`, `statement_matrix.rs`) run
+//! script fixtures through the language engine.
+
+// Each test binary uses its own subset of these helpers.
+#![allow(dead_code)]
 
 use std::collections::BTreeSet;
 
 use fdb::governor::Governor;
+use fdb::lang::Engine;
 use fdb::storage::{chain, ChainLimits, DerivedPair, Store, Truth};
 use fdb::types::{Derivation, Op, Value};
+
+/// Runs the script fixture at `path` through a fresh engine, line by
+/// line, and returns the engine with the last statement's output. Any
+/// failing line panics.
+pub fn run_script(path: &str) -> (Engine, String) {
+    let text = std::fs::read_to_string(path).expect("script fixture exists");
+    let mut engine = Engine::new();
+    let mut last = String::new();
+    for line in text.lines() {
+        last = engine
+            .execute_line(line)
+            .unwrap_or_else(|e| panic!("`{line}` failed: {e}"));
+    }
+    (engine, last)
+}
 
 /// How many random instances a differential test draws.
 /// `FDB_PLANNER_CASES` raises it for the CI release run (the vendored
