@@ -337,7 +337,12 @@ impl<'a> Analyzer<'a> {
             | CheckStmt::Delete { keyword, .. }
             | CheckStmt::Replace { keyword, .. }
             | CheckStmt::Resolve { keyword }
-            | CheckStmt::Txn { keyword, .. } = stmt
+            | CheckStmt::Txn { keyword, .. }
+            | CheckStmt::Other {
+                keyword,
+                writes: true,
+                ..
+            } = stmt
             {
                 self.diags.push(
                     Diagnostic::new(

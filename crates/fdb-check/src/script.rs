@@ -181,6 +181,9 @@ pub enum CheckStmt {
         /// `true` when the statement may introduce facts the script does
         /// not spell out (`LOAD`, `SOURCE`).
         opens_world: bool,
+        /// `true` when a read-only replica engine refuses the statement
+        /// (`LOAD`), like the typed write and transaction statements.
+        writes: bool,
     },
 }
 

@@ -241,20 +241,6 @@ impl Database {
         &self.derived
     }
 
-    /// The *support set* of `f`: the functions whose stored state the
-    /// answers of `f` depend on. For a derived function this is the union
-    /// of step functions over its derivations
-    /// ([`fdb_graph::support_set`]); for a base function it is `{f}`.
-    /// Caches keyed by the support set's mutation counters are invalidated
-    /// only by writes that can actually change an answer.
-    pub fn support_functions(&self, f: FunctionId) -> std::collections::BTreeSet<FunctionId> {
-        if self.is_derived(f) {
-            fdb_graph::support_set(self.derivations(f))
-        } else {
-            std::iter::once(f).collect()
-        }
-    }
-
     /// The base functions, in declaration order.
     pub fn base_functions(&self) -> Vec<FunctionId> {
         self.schema

@@ -17,9 +17,10 @@
 //!    [`fdb_storage::ChainLimits`] semantics are preserved exactly (tick
 //!    per candidate, charge per chain, exact cap detection, prefix-sound
 //!    partials).
-//! 3. **Cache** ([`cache`]): memoise truth/extension answers keyed by a
-//!    [`SupportSnapshot`] of per-function mutation counters, so only
-//!    writes inside a derived function's support set invalidate.
+//! 3. **Cache** ([`cache`]): memoise truth/extension answers behind one
+//!    guard per derived function — the per-function mutation counters of
+//!    its support set plus its derivation list — so only writes inside
+//!    the support set, or a `DERIVE`, invalidate.
 //!
 //! The high-level entry points in [`eval`] ([`derived_truth`],
 //! [`derived_extension`], [`derived_image`], …) are drop-in replacements
@@ -38,7 +39,7 @@ pub mod exec;
 pub mod nongenuine;
 pub mod plan;
 
-pub use cache::{CacheProbe, CacheReport, CacheStats, ResultCache, SupportSnapshot};
+pub use cache::{CacheProbe, CacheReport, CacheStats, ResultCache};
 pub use eval::{
     collect_delete_chains, derived_delete_governed, derived_delete_with_policy, derived_extension,
     derived_extension_governed, derived_image, derived_image_governed, derived_inverse_image,

@@ -33,7 +33,6 @@ pub mod graph;
 pub mod lint;
 pub mod paths;
 pub mod report;
-pub mod support;
 
 pub use ams::{
     all_minimal_schemas, all_minimal_schemas_governed, minimal_schema, minimal_schema_governed,
@@ -54,4 +53,3 @@ pub use fdb_governor::{
 pub use graph::{Dir, Edge, EdgeId, EdgeKind, FunctionGraph};
 pub use lint::{diagnose, diagnose_governed, render_diagnostics, SchemaDiagnostics};
 pub use paths::{all_simple_paths, all_simple_paths_governed, Path, PathLimits, PathStep};
-pub use support::support_set;

@@ -240,3 +240,86 @@ pub enum Statement {
     /// Blank line / comment-only line.
     Empty,
 }
+
+/// When a statement kind consults the engine's per-statement governor
+/// (deadline + cancellation flag).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Governed {
+    /// Never: the statement does a bounded amount of work.
+    No,
+    /// `INSERT` / `DELETE` / `REPLACE` inside an open transaction: the
+    /// governor is checked before the update runs, so a tripped cancel
+    /// flag or an expired deadline applies nothing more and the engine
+    /// rolls back to the last savepoint.
+    InTransaction,
+    /// Query-shaped statements: chain enumeration runs under the
+    /// governor and a stopped one renders as a partial answer.
+    Always,
+}
+
+/// How the engine admits a statement, decided from its kind alone. The
+/// engine's gates and the static analyzer's `FDB040` both read this, so
+/// the lint cannot disagree with the runtime.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Admission {
+    /// The keyword under which an engine serving a read-only replica
+    /// refuses the statement; `None` for statements it serves.
+    pub replica_refuses: Option<&'static str>,
+    /// When the statement consults the statement governor.
+    pub governed: Governed,
+}
+
+impl Statement {
+    /// Classifies the statement for the engine's pipeline.
+    pub fn admission(&self) -> Admission {
+        use Governed::{Always, InTransaction, No};
+        let (replica_refuses, governed) = match self {
+            Statement::Insert { .. } => (Some("INSERT"), InTransaction),
+            Statement::Delete { .. } => (Some("DELETE"), InTransaction),
+            Statement::Replace { .. } => (Some("REPLACE"), InTransaction),
+            Statement::Declare { .. } => (Some("DECLARE"), No),
+            Statement::Derive { .. } => (Some("DERIVE"), No),
+            Statement::Resolve => (Some("RESOLVE"), No),
+            Statement::Begin => (Some("BEGIN"), No),
+            Statement::Commit => (Some("COMMIT"), No),
+            Statement::Abort => (Some("ABORT"), No),
+            Statement::Savepoint { .. } => (Some("SAVEPOINT"), No),
+            Statement::RollbackTo { .. } => (Some("ROLLBACK TO"), No),
+            Statement::Load { .. } => (Some("LOAD"), No),
+            Statement::Query { .. }
+            | Statement::Truth { .. }
+            | Statement::Show { .. }
+            | Statement::Eval { .. }
+            | Statement::Inverse { .. } => (None, Always),
+            Statement::Derivations { .. }
+            | Statement::Schema
+            | Statement::Stats
+            | Statement::Check { .. }
+            | Statement::CheckData
+            | Statement::Discover { .. }
+            | Statement::Strict { .. }
+            | Statement::Help
+            | Statement::Save { .. }
+            | Statement::Dump { .. }
+            | Statement::Explain { .. }
+            | Statement::ExplainPlan { .. }
+            | Statement::ExplainAnalyze { .. }
+            | Statement::StatsReset
+            | Statement::StatsJson
+            | Statement::Source { .. }
+            | Statement::Timeout { .. }
+            | Statement::Trace { .. }
+            | Statement::TraceSlow { .. }
+            | Statement::ShowTrace { .. }
+            | Statement::ShowSlow
+            | Statement::DumpTrace
+            | Statement::ReplicaStatus
+            | Statement::Promote
+            | Statement::Empty => (None, No),
+        };
+        Admission {
+            replica_refuses,
+            governed,
+        }
+    }
+}

@@ -5,7 +5,10 @@
 //! consumes. Statements the analysis does not model become
 //! [`CheckStmt::Other`]; the ones that can pull facts from outside the
 //! script (`SOURCE`, `LOAD`) are marked as opening the world, which
-//! mutes the analyzer's closed-world guarantees from that point on.
+//! mutes the analyzer's closed-world guarantees from that point on, and
+//! the ones a read-only replica refuses ([`Statement::admission`], the
+//! classification the engine's own gate reads) are marked as writes for
+//! `FDB040`.
 //! Transaction control (`BEGIN`/`COMMIT`/`ABORT`/`SAVEPOINT`/`ROLLBACK
 //! TO`) lowers to typed [`CheckStmt::Txn`] statements the analyzer
 //! models exactly.
@@ -42,6 +45,7 @@ fn steps(spans: &StmtSpans, steps: &[DeriveStep]) -> Vec<StepRef> {
 pub fn lower(s: &SpannedStatement) -> Option<CheckStmt> {
     let sp = &s.spans;
     let keyword = sp.keyword;
+    let writes = s.stmt.admission().replica_refuses.is_some();
     Some(match &s.stmt {
         Statement::Empty => return None,
         Statement::Declare {
@@ -116,6 +120,7 @@ pub fn lower(s: &SpannedStatement) -> Option<CheckStmt> {
             CheckStmt::Other {
                 keyword,
                 opens_world: true,
+                writes,
             }
         }
         // Transaction control lowers to a typed statement: the analyzer
@@ -166,6 +171,7 @@ pub fn lower(s: &SpannedStatement) -> Option<CheckStmt> {
         | Statement::Help => CheckStmt::Other {
             keyword,
             opens_world: false,
+            writes,
         },
     })
 }
@@ -236,14 +242,27 @@ mod tests {
 
     #[test]
     fn world_opening_statements_are_marked() {
-        for line in ["SOURCE \"x.fdb\"", "LOAD \"db.json\""] {
+        // Both bring facts in; only LOAD writes the engine's own
+        // database, which a read-only replica refuses.
+        for (line, refused) in [("SOURCE \"x.fdb\"", false), ("LOAD \"db.json\"", true)] {
             match lower_line(line) {
-                CheckStmt::Other { opens_world, .. } => assert!(opens_world, "{line}"),
+                CheckStmt::Other {
+                    opens_world,
+                    writes,
+                    ..
+                } => {
+                    assert!(opens_world, "{line}");
+                    assert_eq!(writes, refused, "{line}");
+                }
                 other => panic!("unexpected {other:?}"),
             }
         }
         match lower_line("SCHEMA") {
-            CheckStmt::Other { opens_world, .. } => assert!(!opens_world),
+            CheckStmt::Other {
+                opens_world,
+                writes,
+                ..
+            } => assert!(!opens_world && !writes),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -1,19 +1,42 @@
-//! Statement evaluator.
+//! Statement evaluator: one pipeline for every statement (see
+//! [`Engine::execute`]), whichever entry point it came through.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fdb_check::{analyze_script, CheckConfig, CheckStmt, DiscoverConfig, Severity, TxnOp};
 use fdb_core::{resolve_ambiguities, Budget, CancelToken, Database, Governance, Governor, Outcome};
-use fdb_exec::{
-    Assumption, AssumptionSet, CacheProbe, CacheReport, FdKind, QuerySpec, ResultCache,
-};
+use fdb_exec::{Assumption, AssumptionSet, CacheReport, FdKind, QuerySpec, ResultCache};
 use fdb_repl::{Promotion, Replica};
 use fdb_types::{Derivation, FdbError, Result, Schema, Step, Value};
 
-use crate::ast::{DeriveStep, Statement};
-use crate::format::{render_function, render_set};
+use crate::ast::{DeriveStep, Governed, Statement};
+use crate::format::{render_base_table, render_derived_pairs, render_set};
 use crate::parser::parse_statement_spanned;
+
+/// The engine's own database and, while one is attached, the hot-standby
+/// replica whose state is served instead.
+#[derive(Debug)]
+struct Served {
+    /// The database write statements change.
+    own: Database,
+    /// When present the engine is read-only: queries are answered from
+    /// the replica's transaction-consistent database, write statements
+    /// are refused, and `PROMOTE` fails over to a writable primary on a
+    /// new term.
+    replica: Option<Replica>,
+}
+
+impl Served {
+    /// The database statements read: the replica's when one is attached,
+    /// the engine's own otherwise.
+    fn database(&self) -> &Database {
+        match &self.replica {
+            Some(r) => r.database(),
+            None => &self.own,
+        }
+    }
+}
 
 /// The language engine: a [`Database`] plus statement evaluation.
 ///
@@ -36,7 +59,7 @@ use crate::parser::parse_statement_spanned;
 /// ```
 #[derive(Debug)]
 pub struct Engine {
-    db: Database,
+    served: Served,
     line: u32,
     /// Nesting depth of `SOURCE` execution (guards self-sourcing scripts).
     source_depth: u8,
@@ -45,20 +68,19 @@ pub struct Engine {
     deadline: Option<Duration>,
     /// Cancellation flag shared with the host (e.g. a Ctrl-C handler).
     cancel: CancelToken,
-    /// Dependency-aware cache of derived truth/extension answers, keyed
-    /// by the support set's per-function mutation counters. Entries
-    /// survive writes outside the support set; `LOAD` clears it (a
-    /// loaded store is a different lineage, so counters are not
-    /// comparable). Rollback (`ABORT` / `ROLLBACK TO`) needs no clearing
-    /// either, for the opposite reason: undoing *advances* the store's
-    /// version counters — a rollback is a fresh version event — so every
-    /// pre-rollback entry misses naturally and a post-rollback read can
-    /// never be served from a stale snapshot.
+    /// Dependency-aware cache of derived truth/extension answers: one
+    /// guard per derived function (its support set's mutation counters
+    /// and its derivation list), so answers survive writes outside the
+    /// support set and go stale together on a write inside it, a
+    /// `DERIVE`, or a rollback of either — undoing *advances* the
+    /// store's counters and restores the old derivation list. Only a
+    /// change of lineage ([`Engine::lineage_changed`]) or a dropped
+    /// assumption needs a clear.
     cache: ResultCache,
     /// The session's statement history in the `fdb-check` IR, replayed by
-    /// `CHECK` for static diagnostics. `LOAD` clears it; `ABORT`
-    /// truncates it back to the `BEGIN` mark and `ROLLBACK TO` back to
-    /// the savepoint's mark, mirroring the database.
+    /// `CHECK` for static diagnostics. A change of lineage clears it;
+    /// `ABORT` truncates it back to the `BEGIN` mark and `ROLLBACK TO`
+    /// back to the savepoint's mark, mirroring the database.
     check_log: Vec<CheckStmt>,
     /// `check_log` length at the open `BEGIN`, for `ABORT` truncation.
     check_log_mark: usize,
@@ -68,11 +90,6 @@ pub struct Engine {
     /// `STRICT ON`: pre-flight `SOURCE`d scripts through the analyzer
     /// and refuse to run them when error-severity findings show up.
     strict: bool,
-    /// An attached hot-standby replica. When present the engine is
-    /// read-only: queries are answered from the replica's transaction-
-    /// consistent database, write statements are refused, and `PROMOTE`
-    /// fails over to a writable primary on a new term.
-    replica: Option<Replica>,
     /// Non-genuine FDs `DISCOVER` observed in the stored data, keyed by
     /// the per-function mutation counter at observation. Revalidated
     /// after every successful statement; a write that breaks an assumed
@@ -129,7 +146,10 @@ impl Engine {
     /// An engine over an existing database.
     pub fn with_database(db: Database) -> Self {
         Engine {
-            db,
+            served: Served {
+                own: db,
+                replica: None,
+            },
             line: 0,
             source_depth: 0,
             deadline: None,
@@ -139,7 +159,6 @@ impl Engine {
             check_log_mark: 0,
             savepoint_marks: Vec::new(),
             strict: false,
-            replica: None,
             nongenuine: AssumptionSet::new(),
             invalidated_log: Vec::new(),
         }
@@ -151,45 +170,48 @@ impl Engine {
     /// the replica's current transaction-consistent state.
     pub fn with_replica(replica: Replica) -> Self {
         let mut e = Engine::new();
-        e.replica = Some(replica);
+        e.served.replica = Some(replica);
         e
     }
 
     /// Attaches a replica, flipping the engine read-only (see
     /// [`Engine::with_replica`]).
     pub fn attach_replica(&mut self, replica: Replica) {
-        self.replica = Some(replica);
+        self.served.replica = Some(replica);
+        self.lineage_changed();
     }
 
     /// Detaches and returns the replica, restoring the engine's own
     /// database as the serving surface.
     pub fn detach_replica(&mut self) -> Option<Replica> {
-        self.replica.take()
+        let replica = self.served.replica.take();
+        self.lineage_changed();
+        replica
     }
 
     /// The attached replica, if any.
     pub fn replica(&self) -> Option<&Replica> {
-        self.replica.as_ref()
+        self.served.replica.as_ref()
     }
 
     /// Mutable access to the attached replica — the host's handle for
     /// applying shipped batches.
     pub fn replica_mut(&mut self) -> Option<&mut Replica> {
-        self.replica.as_mut()
+        self.served.replica.as_mut()
     }
 
-    /// The database statements read from: the replica's when one is
-    /// attached, the engine's own otherwise.
-    fn read_db(&self) -> &Database {
-        match &self.replica {
-            Some(r) => r.database(),
-            None => &self.db,
-        }
+    /// A different store lineage is served from here on (`LOAD`,
+    /// `PROMOTE`, a replica attached or detached): its mutation counters
+    /// are not comparable with the cache's guards, and the check log no
+    /// longer describes the state.
+    fn lineage_changed(&mut self) {
+        self.cache.clear("lineage");
+        self.check_log.clear();
     }
 
     /// Refuses write statements while a replica is attached.
     fn replica_write_gate(&self, what: &str) -> Result<()> {
-        if self.replica.is_some() {
+        if self.served.replica.is_some() {
             return Err(FdbError::TxnControl(format!(
                 "read-only replica: {what} refused (PROMOTE to accept writes)"
             )));
@@ -206,7 +228,7 @@ impl Engine {
 
     /// The underlying database.
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.served.own
     }
 
     /// A frozen copy of the database exactly as statements see it right
@@ -223,7 +245,7 @@ impl Engine {
     /// snapshot captures if one is open. Hand the clone to other threads
     /// to answer queries while the engine keeps writing.
     pub fn snapshot(&self) -> Database {
-        self.db.clone()
+        self.served.database().clone()
     }
 
     /// Sets (or clears) the per-statement deadline applied to queries
@@ -273,7 +295,7 @@ impl Engine {
 
     /// Consumes the engine, returning the database.
     pub fn into_database(self) -> Database {
-        self.db
+        self.served.own
     }
 
     /// Parses and executes one line, returning the printable result.
@@ -292,17 +314,7 @@ impl Engine {
             fdb_obs::causal::statement_span("fdb.lang.statement", || line.trim().to_string());
         let result = parse_statement_spanned(line, self.line).and_then(|spanned| {
             let lowered = crate::check::lower(&spanned);
-            let out = match self.execute(spanned.stmt) {
-                // A governed stop (deadline, budget, cancellation,
-                // overload) inside an open transaction may have applied a
-                // prefix of the statement's work; roll back to the last
-                // savepoint (or the whole transaction) and surface a
-                // typed abort instead of a silent partial state.
-                Err(e) if e.is_governed_stop() && self.db.txn_active() => {
-                    return Err(self.governed_abort(e));
-                }
-                other => other?,
-            };
+            let out = self.execute(spanned.stmt)?;
             // Successful statements land in the check log. The engine
             // models LOAD/SOURCE itself, so `Other` entries are dropped
             // rather than muting the analyzer's closed world; rollbacks
@@ -354,24 +366,56 @@ impl Engine {
         result
     }
 
-    /// Executes a parsed statement.
+    /// Executes a parsed statement. Every kind takes the same steps:
     ///
-    /// After every successful statement, active non-genuine assumptions
-    /// (installed by `DISCOVER`) are revalidated against the store's
-    /// per-function mutation counters: a write that violated an assumed
-    /// FD drops the assumption, logs it for `CHECK DATA` (`FDB053`), and
-    /// clears the derived-result cache — answers and plans compiled
-    /// under the assumption are no longer trustworthy.
+    /// 1. *admit* — [`Statement::admission`] says whether a read-only
+    ///    replica refuses the kind and when it consults the governor;
+    ///    both gates run from it before dispatch, so a refused statement
+    ///    resolves no name;
+    /// 2. *govern* — a kind that consults the statement governor gets
+    ///    one, built once;
+    /// 3. *serve* and *answer* — reads go to `Served::database`;
+    ///    `TRUTH` and `SHOW` of a derived function look the answer up in
+    ///    the result cache and compute it under the governor on a miss;
+    /// 4. *after* — a governed stop inside an open transaction may have
+    ///    applied a prefix of the statement's work, so the engine rolls
+    ///    back to the last savepoint (or the whole transaction) and
+    ///    surfaces a typed abort; a success revalidates the non-genuine
+    ///    assumptions `DISCOVER` installed against the served store: a
+    ///    write that violated an assumed FD drops the assumption, logs
+    ///    it for `CHECK DATA` (`FDB053`), and clears the result cache —
+    ///    answers and plans compiled under it are no longer trustworthy.
     pub fn execute(&mut self, stmt: Statement) -> Result<String> {
-        let out = self.execute_inner(stmt)?;
-        if !self.nongenuine.is_empty() {
-            let dropped = self.nongenuine.revalidate(self.db.store());
-            if !dropped.is_empty() {
-                self.invalidated_log.extend(dropped);
-                self.cache.clear();
+        let admission = stmt.admission();
+        if let Some(keyword) = admission.replica_refuses {
+            self.replica_write_gate(keyword)?;
+        }
+        let gov = match admission.governed {
+            Governed::Always => true,
+            Governed::InTransaction => self.served.own.txn_active(),
+            Governed::No => false,
+        }
+        .then(|| self.statement_governor());
+        let gate = match (&gov, admission.governed) {
+            (Some(gov), Governed::InTransaction) => Self::txn_write_gate(gov),
+            _ => Ok(()),
+        };
+        match gate.and_then(|()| self.dispatch(stmt, gov.as_ref())) {
+            Err(e) if e.is_governed_stop() && self.served.own.txn_active() => {
+                Err(self.governed_abort(e))
+            }
+            Err(e) => Err(e),
+            Ok(out) => {
+                if !self.nongenuine.is_empty() {
+                    let dropped = self.nongenuine.revalidate(self.served.database().store());
+                    if !dropped.is_empty() {
+                        self.invalidated_log.extend(dropped);
+                        self.cache.clear("assumption");
+                    }
+                }
+                Ok(out)
             }
         }
-        Ok(out)
     }
 
     /// The set of non-genuine planner assumptions currently active
@@ -380,17 +424,27 @@ impl Engine {
         &self.nongenuine
     }
 
-    /// The derivations registered on the read-side database, keyed by
-    /// function — the "skip these" input of the discovery pass.
-    fn registered_derivations(&self) -> BTreeMap<fdb_types::FunctionId, Vec<Derivation>> {
-        let read = self.read_db();
-        read.derived_functions()
+    /// Mines the served database's stored extensions (`DISCOVER`, `CHECK
+    /// DATA`); the tables of registered derived functions are skipped.
+    fn discover(&self) -> fdb_check::DiscoveryReport {
+        let db = self.served.database();
+        let derived: BTreeMap<_, _> = db
+            .derived_functions()
             .into_iter()
-            .map(|f| (f, read.derivations(f).to_vec()))
-            .collect()
+            .map(|f| (f, db.derivations(f).to_vec()))
+            .collect();
+        fdb_check::discover(
+            db.store(),
+            db.schema(),
+            &derived,
+            &DiscoverConfig::default(),
+        )
     }
 
-    fn execute_inner(&mut self, stmt: Statement) -> Result<String> {
+    /// Runs an admitted statement. `gov` is the statement's governor,
+    /// present for every kind [`Statement::admission`] says consults it.
+    fn dispatch(&mut self, stmt: Statement, gov: Option<&Governor>) -> Result<String> {
+        let governor = || gov.expect("a query-shaped statement is classified Governed::Always");
         match stmt {
             Statement::Empty => Ok(String::new()),
             Statement::Help => Ok(HELP.to_owned()),
@@ -400,38 +454,36 @@ impl Engine {
                 range,
                 functionality,
             } => {
-                self.replica_write_gate("DECLARE")?;
                 let f = functionality.parse()?;
-                self.db.declare_function(&name, &domain, &range, f)?;
+                self.served
+                    .own
+                    .declare_function(&name, &domain, &range, f)?;
                 Ok(format!("declared {name}: {domain} -> {range} ({f})\n"))
             }
             Statement::Derive { name, steps } => {
-                self.replica_write_gate("DERIVE")?;
-                let f = self.db.resolve(&name)?;
-                let derivation = self.build_derivation(&steps)?;
-                let rendered = derivation.render(self.db.schema());
-                self.db.add_derivation(f, derivation)?;
+                let db = &mut self.served.own;
+                let f = db.resolve(&name)?;
+                let derivation = Self::build_derivation(db, &steps, self.line)?;
+                let rendered = derivation.render(db.schema());
+                db.add_derivation(f, derivation)?;
                 Ok(format!("derived {name} = {rendered}\n"))
             }
             Statement::Insert { function, x, y } => {
-                self.replica_write_gate("INSERT")?;
-                self.txn_write_gate()?;
-                let f = self.db.resolve(&function)?;
-                self.db.insert(f, Value::atom(&x), Value::atom(&y))?;
+                let db = &mut self.served.own;
+                let f = db.resolve(&function)?;
+                db.insert(f, Value::atom(&x), Value::atom(&y))?;
                 Ok(format!("inserted {function}({x}, {y})\n"))
             }
             Statement::Delete { function, x, y } => {
-                self.replica_write_gate("DELETE")?;
-                self.txn_write_gate()?;
-                let f = self.db.resolve(&function)?;
-                self.db.delete(f, &Value::atom(&x), &Value::atom(&y))?;
+                let db = &mut self.served.own;
+                let f = db.resolve(&function)?;
+                db.delete(f, &Value::atom(&x), &Value::atom(&y))?;
                 Ok(format!("deleted {function}({x}, {y})\n"))
             }
             Statement::Replace { function, old, new } => {
-                self.replica_write_gate("REPLACE")?;
-                self.txn_write_gate()?;
-                let f = self.db.resolve(&function)?;
-                self.db.replace(
+                let db = &mut self.served.own;
+                let f = db.resolve(&function)?;
+                db.replace(
                     f,
                     (Value::atom(&old.0), Value::atom(&old.1)),
                     (Value::atom(&new.0), Value::atom(&new.1)),
@@ -442,48 +494,25 @@ impl Engine {
                 ))
             }
             Statement::Query { function, x } => {
-                let db = self.read_db();
+                let db = self.served.database();
                 let f = db.resolve(&function)?;
-                let gov = self.statement_governor();
-                let outcome = db.image_governed(f, &Value::atom(&x), &gov)?;
+                let outcome = db.image_governed(f, &Value::atom(&x), governor())?;
                 Ok(Self::render_outcome(outcome, |image| {
                     render_set(format_args!("{function}({x})"), &image)
                 }))
             }
             Statement::Truth { function, x, y } => {
-                // Field-split borrow: the replica (or own) database is
-                // read while the cache is written.
-                let read = match &self.replica {
-                    Some(r) => r.database(),
-                    None => &self.db,
-                };
-                let f = read.resolve(&function)?;
+                let db = self.served.database();
+                let f = db.resolve(&function)?;
                 let (vx, vy) = (Value::atom(&x), Value::atom(&y));
-                // Cacheable only when ungoverned: a deadline (or tripped
-                // cancel flag) must reach the governed path, and partial
-                // answers are never cached.
-                if read.is_derived(f) && self.deadline.is_none() && !self.cancel.is_cancelled() {
-                    let support = read.support_functions(f);
-                    let db = read;
-                    let mut err = None;
-                    let t = self
-                        .cache
-                        .truth_or_compute(db.store(), f, &support, &vx, &vy, || {
-                            db.truth(f, &vx, &vy).unwrap_or_else(|e| {
-                                err = Some(e);
-                                fdb_storage::Truth::False
-                            })
-                        });
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    if t == fdb_storage::Truth::Ambiguous {
-                        fdb_obs::registry().query_ambiguous_verdicts.inc();
-                    }
-                    return Ok(format!("{}\n", t.flag()));
-                }
-                let gov = self.statement_governor();
-                let outcome = read.truth_governed(f, &vx, &vy, &gov)?;
+                let outcome = self.cache.truth_or_compute(
+                    db.store(),
+                    f,
+                    db.derivations(f),
+                    &vx,
+                    &vy,
+                    || db.truth_governed(f, &vx, &vy, governor()),
+                )?;
                 // An exhausted truth is a lower bound, not a verdict —
                 // mark it so `F` under a timeout is not read as proof.
                 Ok(Self::render_outcome(outcome, |t| {
@@ -494,32 +523,22 @@ impl Engine {
                 }))
             }
             Statement::Show { function } => {
-                let read = match &self.replica {
-                    Some(r) => r.database(),
-                    None => &self.db,
-                };
-                let f = read.resolve(&function)?;
-                if read.is_derived(f) {
-                    let support = read.support_functions(f);
-                    let db = read;
-                    let mut err = None;
-                    let pairs = self
-                        .cache
-                        .extension_or_compute(db.store(), f, &support, || {
-                            db.extension(f).unwrap_or_else(|e| {
-                                err = Some(e);
-                                Vec::new()
-                            })
-                        });
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    return Ok(crate::format::render_derived_pairs(&pairs));
+                let db = self.served.database();
+                let f = db.resolve(&function)?;
+                if !db.is_derived(f) {
+                    return Ok(render_base_table(db, f));
                 }
-                render_function(read, f)
+                let outcome =
+                    self.cache
+                        .extension_or_compute(db.store(), f, db.derivations(f), || {
+                            db.extension_governed(f, governor())
+                        })?;
+                Ok(Self::render_outcome(outcome, |pairs| {
+                    render_derived_pairs(&pairs)
+                }))
             }
             Statement::Derivations { function } => {
-                let db = self.read_db();
+                let db = self.served.database();
                 let f = db.resolve(&function)?;
                 if !db.is_derived(f) {
                     return Ok(format!("{function} is a base function\n"));
@@ -537,9 +556,9 @@ impl Engine {
                     None => Ok("statement timeout cleared\n".to_owned()),
                 }
             }
-            Statement::Schema => Ok(self.read_db().schema().to_string()),
+            Statement::Schema => Ok(self.served.database().schema().to_string()),
             Statement::Stats => {
-                let s = self.read_db().stats();
+                let s = self.served.database().stats();
                 let mut out = format!(
                     "base facts: {} | ambiguous: {} | NCs: {} | nulls: {} | functions: {} base + {} derived\n",
                     s.base_facts,
@@ -600,11 +619,8 @@ impl Engine {
             Statement::DumpTrace => {
                 let dir =
                     fdb_obs::flight::dump_dir().unwrap_or_else(|| std::path::PathBuf::from("."));
-                let path =
-                    fdb_obs::flight::dump_to(&dir, "manual").map_err(|e| FdbError::Parse {
-                        line: self.line,
-                        message: format!("cannot write flight dump: {e}"),
-                    })?;
+                let path = fdb_obs::flight::dump_to(&dir, "manual")
+                    .map_err(|e| self.io_error("write flight dump", e))?;
                 Ok(format!("flight dump written to {}\n", path.display()))
             }
             Statement::StatsJson => {
@@ -613,8 +629,7 @@ impl Engine {
                 Ok(out)
             }
             Statement::Resolve => {
-                self.replica_write_gate("RESOLVE")?;
-                let out = resolve_ambiguities(&mut self.db);
+                let out = resolve_ambiguities(&mut self.served.own);
                 let mut text = format!(
                     "resolved: {} nulls unified, {} facts falsified\n",
                     out.nulls_unified, out.facts_falsified
@@ -631,7 +646,7 @@ impl Engine {
                     out.push('\n');
                     return Ok(out);
                 }
-                let violations = self.read_db().check_consistency();
+                let violations = self.served.database().check_consistency();
                 let mut text = String::new();
                 if violations.is_empty() {
                     text.push_str("consistent\n");
@@ -647,12 +662,7 @@ impl Engine {
                 Ok(text)
             }
             Statement::Discover { json } => {
-                let derived = self.registered_derivations();
-                let config = DiscoverConfig::default();
-                let report = {
-                    let read = self.read_db();
-                    fdb_check::discover(read.store(), read.schema(), &derived, &config)
-                };
+                let report = self.discover();
                 // Every incidental FD becomes a planner assumption, keyed
                 // by the mutation counter it was observed at.
                 for fd in &report.fds {
@@ -671,25 +681,23 @@ impl Engine {
                         );
                     }
                 }
-                let read = self.read_db();
+                let schema = self.served.database().schema();
                 if json {
-                    let tree = fdb_check::discovery_to_content(&report, read.schema());
+                    let tree = fdb_check::discovery_to_content(&report, schema);
                     let mut out = fdb_check::render_content(&tree);
                     out.push('\n');
                     Ok(out)
                 } else {
-                    Ok(fdb_check::render_discovery_text(&report, read.schema()))
+                    Ok(fdb_check::render_discovery_text(&report, schema))
                 }
             }
             Statement::CheckData => {
-                let derived = self.registered_derivations();
-                let config = DiscoverConfig::default();
-                let read = self.read_db();
-                let report = fdb_check::discover(read.store(), read.schema(), &derived, &config);
-                let mut diags = fdb_check::discovery_diagnostics(&report, read.schema());
+                let report = self.discover();
+                let schema = self.served.database().schema();
+                let mut diags = fdb_check::discovery_diagnostics(&report, schema);
                 for a in &self.invalidated_log {
                     diags.push(fdb_check::invalidation_diagnostic(
-                        read.schema(),
+                        schema,
                         a.function,
                         a.kind.as_str(),
                         a.observed_version,
@@ -706,41 +714,37 @@ impl Engine {
                 Ok(format!("strict mode {}\n", if on { "on" } else { "off" }))
             }
             Statement::Eval { x, steps } => {
-                let derivation = self.build_derivation(&steps)?;
-                let gov = self.statement_governor();
+                let db = self.served.database();
+                let derivation = Self::build_derivation(db, &steps, self.line)?;
                 let outcome =
-                    self.db
-                        .eval_expression_governed(&derivation, &Value::atom(&x), &gov)?;
-                let rendered = derivation.render(self.db.schema());
+                    db.eval_expression_governed(&derivation, &Value::atom(&x), governor())?;
+                let rendered = derivation.render(db.schema());
                 Ok(Self::render_outcome(outcome, |ys| {
                     render_set(format_args!("{x} : {rendered}"), &ys)
                 }))
             }
             Statement::Inverse { function, y } => {
-                let db = self.read_db();
+                let db = self.served.database();
                 let f = db.resolve(&function)?;
-                let gov = self.statement_governor();
-                let outcome = db.inverse_image_governed(f, &Value::atom(&y), &gov)?;
+                let outcome = db.inverse_image_governed(f, &Value::atom(&y), governor())?;
                 Ok(Self::render_outcome(outcome, |xs| {
                     render_set(format_args!("{function}^-1({y})"), &xs)
                 }))
             }
             Statement::Dump { path } => {
-                let script = crate::format::dump_script(self.read_db())?;
-                std::fs::write(&path, script).map_err(|e| FdbError::Parse {
-                    line: self.line,
-                    message: format!("cannot write {path}: {e}"),
-                })?;
+                let script = crate::format::dump_script(self.served.database())?;
+                std::fs::write(&path, script)
+                    .map_err(|e| self.io_error(format_args!("write {path}"), e))?;
                 Ok(format!("dumped script to {path}\n"))
             }
             Statement::Explain { function, x, y } => {
-                let db = self.read_db();
+                let db = self.served.database();
                 let f = db.resolve(&function)?;
                 let e = db.explain(f, &Value::atom(&x), &Value::atom(&y))?;
                 Ok(fdb_core::render_explanation(db, f, &e))
             }
             Statement::ExplainPlan { function, x, y } => {
-                let db = self.read_db();
+                let db = self.served.database();
                 let f = db.resolve(&function)?;
                 let (vx, vy) = (Value::atom(&x), Value::atom(&y));
                 let reports = db.explain_plan(f, &vx, &vy)?;
@@ -779,23 +783,18 @@ impl Engine {
                 Ok(out)
             }
             Statement::ExplainAnalyze { function, x, y } => {
-                let read = match &self.replica {
-                    Some(r) => r.database(),
-                    None => &self.db,
-                };
-                let f = read.resolve(&function)?;
+                let db = self.served.database();
+                let f = db.resolve(&function)?;
                 let (vx, vy) = (Value::atom(&x), Value::atom(&y));
                 // Probe (not touch) the cache first, so the report says
                 // what a real TRUTH would find without disturbing the
                 // counters it is reporting on.
-                let probe = if read.is_derived(f) {
-                    self.cache.probe_truth(read.store(), f, &vx, &vy)
-                } else {
-                    CacheProbe::Miss
-                };
-                let report = read.explain_analyze(f, &vx, &vy)?;
+                let probe = self
+                    .cache
+                    .probe_truth(db.store(), f, db.derivations(f), &vx, &vy);
+                let report = db.explain_analyze(f, &vx, &vy)?;
                 Ok(crate::format::render_analyze_report(
-                    read, f, &x, &y, probe, &report,
+                    db, f, &x, &y, probe, &report,
                 ))
             }
             Statement::Source { path } => {
@@ -808,10 +807,8 @@ impl Engine {
                         ),
                     });
                 }
-                let text = std::fs::read_to_string(&path).map_err(|e| FdbError::Parse {
-                    line: self.line,
-                    message: format!("cannot read {path}: {e}"),
-                })?;
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| self.io_error(format_args!("read {path}"), e))?;
                 if self.strict {
                     self.preflight(&path, &text)?;
                 }
@@ -831,21 +828,18 @@ impl Engine {
                 result.map(|()| out)
             }
             Statement::Begin => {
-                self.replica_write_gate("BEGIN")?;
-                self.db.txn_begin()?;
+                self.served.own.txn_begin()?;
                 self.check_log_mark = self.check_log.len();
                 self.savepoint_marks.clear();
                 Ok("transaction started\n".to_owned())
             }
             Statement::Commit => {
-                self.replica_write_gate("COMMIT")?;
-                self.db.txn_commit()?;
+                self.served.own.txn_commit()?;
                 self.savepoint_marks.clear();
                 Ok("committed\n".to_owned())
             }
             Statement::Abort => {
-                self.replica_write_gate("ABORT")?;
-                self.db.txn_rollback()?;
+                self.served.own.txn_rollback()?;
                 // The check log rolls back with the database it
                 // describes.
                 self.check_log.truncate(self.check_log_mark);
@@ -853,16 +847,14 @@ impl Engine {
                 Ok("rolled back\n".to_owned())
             }
             Statement::Savepoint { name } => {
-                self.replica_write_gate("SAVEPOINT")?;
-                self.db.txn_savepoint(&name)?;
+                self.served.own.txn_savepoint(&name)?;
                 self.savepoint_marks.retain(|(n, _)| n != &name);
                 self.savepoint_marks
                     .push((name.clone(), self.check_log.len()));
                 Ok(format!("savepoint {name} set\n"))
             }
             Statement::RollbackTo { name } => {
-                self.replica_write_gate("ROLLBACK TO")?;
-                self.db.txn_rollback_to(&name)?;
+                self.served.own.txn_rollback_to(&name)?;
                 // The database accepted the name, so the mirror stack
                 // holds it; truncate the check log to the savepoint and
                 // drop the savepoints set after it (keeping the target,
@@ -874,33 +866,24 @@ impl Engine {
                 Ok(format!("rolled back to {name}\n"))
             }
             Statement::Save { path } => {
-                let snapshot = self.read_db().to_snapshot()?;
-                std::fs::write(&path, snapshot).map_err(|e| FdbError::Parse {
-                    line: self.line,
-                    message: format!("cannot write {path}: {e}"),
-                })?;
+                let snapshot = self.served.database().to_snapshot()?;
+                std::fs::write(&path, snapshot)
+                    .map_err(|e| self.io_error(format_args!("write {path}"), e))?;
                 Ok(format!("saved snapshot to {path}\n"))
             }
             Statement::Load { path } => {
-                self.replica_write_gate("LOAD")?;
-                if self.db.txn_active() {
+                if self.served.own.txn_active() {
                     return Err(FdbError::TxnControl(
                         "cannot LOAD inside an open transaction".into(),
                     ));
                 }
-                let bytes = std::fs::read(&path).map_err(|e| FdbError::Parse {
-                    line: self.line,
-                    message: format!("cannot read {path}: {e}"),
-                })?;
-                self.db = Database::from_snapshot(&bytes)?;
-                // A loaded store is a different lineage: its mutation
-                // counters are not comparable with cached snapshots, and
-                // the check log no longer describes the state.
-                self.cache.clear();
-                self.check_log.clear();
+                let bytes = std::fs::read(&path)
+                    .map_err(|e| self.io_error(format_args!("read {path}"), e))?;
+                self.served.own = Database::from_snapshot(&bytes)?;
+                self.lineage_changed();
                 Ok(format!("loaded snapshot from {path}\n"))
             }
-            Statement::ReplicaStatus => match &self.replica {
+            Statement::ReplicaStatus => match &self.served.replica {
                 Some(r) => {
                     let mut out = r.status().render();
                     out.push('\n');
@@ -915,13 +898,13 @@ impl Engine {
             Statement::Promote => {
                 // Refuse without consuming the replica when promotion is
                 // known to be impossible (divergence).
-                if let Some(d) = self.replica.as_ref().and_then(Replica::divergence) {
+                if let Some(d) = self.served.replica.as_ref().and_then(Replica::divergence) {
                     return Err(FdbError::TxnControl(format!(
                         "PROMOTE refused: {}",
                         d.render()
                     )));
                 }
-                let replica = self.replica.take().ok_or_else(|| {
+                let replica = self.served.replica.take().ok_or_else(|| {
                     FdbError::TxnControl("PROMOTE: this session is not a replica".to_owned())
                 })?;
                 let Promotion { logged, report } = replica.promote()?;
@@ -931,11 +914,8 @@ impl Engine {
                 // to the host's domain by the library API
                 // (`Replica::promote`) when process-level durability is
                 // wanted beyond this session.
-                self.db = logged.into_database();
-                // A different lineage takes over: cached snapshots and
-                // the check log no longer describe the state.
-                self.cache.clear();
-                self.check_log.clear();
+                self.served.own = logged.into_database();
+                self.lineage_changed();
                 Ok(format!(
                     "promoted to primary on term {term} ({} uncommitted records discarded)\n",
                     report.uncommitted_discarded
@@ -944,42 +924,38 @@ impl Engine {
         }
     }
 
+    /// A file the statement names could not be read or written.
+    fn io_error(&self, what: impl std::fmt::Display, e: std::io::Error) -> FdbError {
+        FdbError::Parse {
+            line: self.line,
+            message: format!("cannot {what}: {e}"),
+        }
+    }
+
     /// Inside an open transaction, a write consults the statement
     /// governor before executing: a tripped cancel flag or an expired
     /// deadline must not apply further updates — the resulting governed
     /// stop triggers the automatic rollback to the last savepoint.
-    fn txn_write_gate(&self) -> Result<()> {
-        if self.db.txn_active() {
-            self.statement_governor()
-                .check()
-                .map_err(|r| r.into_error("transactional write"))?;
-        }
-        Ok(())
+    fn txn_write_gate(gov: &Governor) -> Result<()> {
+        gov.check().map_err(|r| r.into_error("transactional write"))
     }
 
     /// Rolls the open transaction back to its last savepoint — or aborts
     /// it entirely when none is set — after a governed stop, returning
     /// the typed [`FdbError::TxnAborted`] the statement surfaces.
     fn governed_abort(&mut self, cause: FdbError) -> FdbError {
-        let savepoint = match self.savepoint_marks.last().cloned() {
-            Some((name, mark)) => match self.db.txn_rollback_to(&name) {
-                Ok(()) => {
-                    self.check_log.truncate(mark);
-                    Some(name)
-                }
-                Err(e) => return e,
-            },
-            None => match self.db.txn_rollback() {
-                Ok(()) => {
-                    self.check_log.truncate(self.check_log_mark);
-                    None
-                }
-                Err(e) => return e,
-            },
+        let last = self.savepoint_marks.last().cloned();
+        let (rolled_back, mark) = match &last {
+            Some((name, mark)) => (self.served.own.txn_rollback_to(name), *mark),
+            None => (self.served.own.txn_rollback(), self.check_log_mark),
         };
+        if let Err(e) = rolled_back {
+            return e;
+        }
+        self.check_log.truncate(mark);
         fdb_obs::registry().txn_governed_aborts.inc();
         FdbError::TxnAborted {
-            savepoint,
+            savepoint: last.map(|(name, _)| name),
             cause: Box::new(cause),
         }
     }
@@ -1031,10 +1007,11 @@ impl Engine {
         })
     }
 
-    fn build_derivation(&self, steps: &[DeriveStep]) -> Result<Derivation> {
+    /// Resolves the steps of a `DERIVE` or `EVAL` expression against `db`.
+    fn build_derivation(db: &Database, steps: &[DeriveStep], line: u32) -> Result<Derivation> {
         let mut out = Vec::with_capacity(steps.len());
         for s in steps {
-            let f = self.db.resolve(&s.name)?;
+            let f = db.resolve(&s.name)?;
             out.push(if s.inverse {
                 Step::inverse(f)
             } else {
@@ -1042,10 +1019,7 @@ impl Engine {
             });
         }
         Derivation::new(out).map_err(|e| match e {
-            FdbError::MalformedDerivation(m) => FdbError::Parse {
-                line: self.line,
-                message: m,
-            },
+            FdbError::MalformedDerivation(m) => FdbError::Parse { line, message: m },
             other => other,
         })
     }
@@ -1619,6 +1593,144 @@ mod tests {
         assert_eq!(e.execute_line("TRUTH pupil(euclid, john)").unwrap(), "T\n");
     }
 
+    /// `pupil = teach o class_list` and `advises`, with
+    /// `pupil(euclid, john)` true and `advises(euclid, zoe)` stored.
+    fn university_with_advises() -> Engine {
+        let mut e = Engine::new();
+        run(
+            &mut e,
+            "DECLARE teach: faculty -> course (many-many)\n\
+             DECLARE class_list: course -> student (many-many)\n\
+             DECLARE advises: faculty -> student (many-many)\n\
+             DECLARE pupil: faculty -> student (many-many)\n\
+             DERIVE pupil = teach o class_list\n\
+             INSERT teach(euclid, math)\n\
+             INSERT class_list(math, john)\n\
+             INSERT advises(euclid, zoe)",
+        )
+        .into_iter()
+        .for_each(|r| {
+            r.unwrap();
+        });
+        e
+    }
+
+    #[test]
+    fn a_new_derivation_invalidates_cached_answers() {
+        let mut e = university_with_advises();
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, zoe)").unwrap(), "F\n");
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  john\n");
+        // A second derivation moves no store counter, yet every read of
+        // pupil must see it at once, the cached ones included.
+        e.execute_line("DERIVE pupil = advises").unwrap();
+        let out = e
+            .execute_line("EXPLAIN ANALYZE pupil(euclid, zoe)")
+            .unwrap();
+        assert!(out.contains("verdict T, cache stale"), "got: {out}");
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, zoe)").unwrap(), "T\n");
+        assert_eq!(
+            e.execute_line("SHOW pupil").unwrap(),
+            "euclid  john\neuclid  zoe\n"
+        );
+        assert_eq!(
+            e.execute_line("QUERY pupil(euclid)").unwrap(),
+            "pupil(euclid) = {john, zoe}\n"
+        );
+    }
+
+    #[test]
+    fn a_rolled_back_derivation_stops_answering() {
+        let mut e = university_with_advises();
+        e.execute_line("BEGIN").unwrap();
+        e.execute_line("DERIVE pupil = advises").unwrap();
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, zoe)").unwrap(), "T\n");
+        assert_eq!(
+            e.execute_line("SHOW pupil").unwrap(),
+            "euclid  john\neuclid  zoe\n"
+        );
+        e.execute_line("ABORT").unwrap();
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, zoe)").unwrap(), "F\n");
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  john\n");
+        assert_eq!(
+            e.execute_line("QUERY pupil(euclid)").unwrap(),
+            "pupil(euclid) = {john}\n"
+        );
+    }
+
+    #[test]
+    fn stale_answers_of_a_function_are_dropped_together() {
+        let mut e = university_with_advises();
+        e.execute_line("DECLARE office: faculty -> room (many-one)")
+            .unwrap();
+        for i in 0..200 {
+            e.execute_line(&format!("TRUTH pupil(euclid, s{i})"))
+                .unwrap();
+        }
+        assert_eq!(e.cache_stats().truth_entries, 200);
+        // A write outside the support set evicts nothing…
+        e.execute_line("INSERT office(euclid, e101)").unwrap();
+        e.execute_line("TRUTH pupil(euclid, s0)").unwrap();
+        assert_eq!(e.cache_stats().truth_entries, 200);
+        assert_eq!(e.cache_stats().local.invalidations, 0);
+        // …one inside it evicts every answer at the next lookup, not
+        // only the one asked again.
+        e.execute_line("INSERT teach(gauss, algebra)").unwrap();
+        e.execute_line("TRUTH pupil(gauss, nobody)").unwrap();
+        assert_eq!(e.cache_stats().truth_entries, 1);
+        assert_eq!(e.cache_stats().local.invalidations, 200);
+    }
+
+    #[test]
+    fn cancelled_cold_show_is_partial_and_not_remembered() {
+        let mut e = university_with_advises();
+        // Cancelling goes through execute() because execute_line rearms.
+        e.cancel_token().cancel();
+        let stmt = crate::parse_statement("SHOW pupil", 99).unwrap();
+        let out = e.execute(stmt).unwrap();
+        assert_eq!(out, "  -- partial: stopped by cancelled\n");
+        assert_eq!(e.cache_stats().extension_entries, 0);
+        let stmt = crate::parse_statement("TRUTH pupil(euclid, john)", 99).unwrap();
+        let out = e.execute(stmt).unwrap();
+        assert_eq!(out, "F  -- partial: stopped by cancelled\n");
+        assert_eq!(e.cache_stats().truth_entries, 0);
+        // The next top-level statement rearms and completes.
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  john\n");
+        assert_eq!(e.cache_stats().extension_entries, 1);
+    }
+
+    #[test]
+    fn complete_cached_answers_are_served_under_an_expired_deadline() {
+        let mut e = university_with_advises();
+        // The hubs of `expired_deadline_yields_partial_truth`: a cold
+        // SHOW or a disproof cannot finish under a dead deadline.
+        for i in 0..64 {
+            e.execute_line(&format!("INSERT teach(euclid, m{i})"))
+                .unwrap();
+            e.execute_line(&format!("INSERT class_list(w{i}, bob)"))
+                .unwrap();
+        }
+        let show = e.execute_line("SHOW pupil").unwrap();
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bob)").unwrap(), "F\n");
+        e.set_statement_deadline(Some(Duration::from_millis(0)));
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), show);
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bob)").unwrap(), "F\n");
+        // A support-set write empties the cache; the recomputation is
+        // governed, stops, and is not remembered.
+        e.set_statement_deadline(None);
+        e.execute_line("INSERT teach(gauss, algebra)").unwrap();
+        e.set_statement_deadline(Some(Duration::from_millis(0)));
+        std::thread::sleep(Duration::from_millis(5));
+        let out = e.execute_line("SHOW pupil").unwrap();
+        assert!(out.contains("-- partial: stopped by deadline"), "{out}");
+        let out = e.execute_line("TRUTH pupil(euclid, bob)").unwrap();
+        assert!(out.contains("-- partial: stopped by deadline"), "{out}");
+        assert_eq!(e.cache_stats().extension_entries, 0);
+        assert_eq!(e.cache_stats().truth_entries, 0);
+        e.set_statement_deadline(None);
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), show);
+    }
+
     #[test]
     fn save_and_load_round_trip() {
         let path =
@@ -1757,33 +1869,94 @@ mod tests {
         assert!(e.execute_line("HELP").unwrap().contains("DECLARE"));
     }
 
-    #[test]
-    fn replica_engine_serves_reads_refuses_writes_and_promotes() {
+    /// A primary on a simulated disk, a replica of it, and the source
+    /// that ships from the one to the other.
+    struct Shipping {
+        primary: fdb_core::LoggedDatabase,
+        source: fdb_repl::ReplicationSource,
+    }
+
+    impl Shipping {
+        /// Ships everything the primary has logged to `replica`.
+        fn ship(&mut self, replica: &mut Replica) {
+            let batch = self.source.poll(replica.next_seq(), 10_000).unwrap();
+            replica.apply_batch(&batch).unwrap();
+        }
+    }
+
+    /// A primary holding `pupil = teach o class_list` with one chain, and
+    /// a caught-up replica of it.
+    fn university_replica() -> (Shipping, Replica) {
         use fdb_core::{LoggedDatabase, SimDisk, WalStorage};
-        use fdb_repl::{Replica, ReplicationSource};
         use std::sync::Arc;
 
-        let disk = Arc::new(SimDisk::new());
-        let storage: Arc<dyn WalStorage> = Arc::clone(&disk) as _;
+        let storage: Arc<dyn WalStorage> = Arc::new(SimDisk::new());
         let (mut p, _) =
             LoggedDatabase::open_with(Arc::clone(&storage), "/p", Default::default()).unwrap();
-        p.declare("teach", "faculty", "course", "many-many".parse().unwrap())
+        let many_many = || "many-many".parse().unwrap();
+        p.declare("teach", "faculty", "course", many_many())
+            .unwrap();
+        p.declare("class_list", "course", "student", many_many())
+            .unwrap();
+        p.declare("pupil", "faculty", "student", many_many())
+            .unwrap();
+        p.derive("pupil", &[("teach", false), ("class_list", false)])
             .unwrap();
         p.insert("teach", Value::atom("euclid"), Value::atom("math"))
             .unwrap();
-
+        p.insert("class_list", Value::atom("math"), Value::atom("john"))
+            .unwrap();
         let mut replica = Replica::open(Arc::clone(&storage), "/r").unwrap();
-        let mut src = ReplicationSource::for_primary(&p);
-        let batch = src.poll(replica.next_seq(), 10_000).unwrap();
-        replica.apply_batch(&batch).unwrap();
+        let mut shipping = Shipping {
+            source: fdb_repl::ReplicationSource::for_primary(&p),
+            primary: p,
+        };
+        shipping.ship(&mut replica);
+        (shipping, replica)
+    }
 
+    #[test]
+    fn replica_engine_serves_reads_refuses_writes_and_promotes() {
+        let (mut shipping, replica) = university_replica();
         let mut e = Engine::with_replica(replica);
-        // Reads come from the replica's state.
-        assert_eq!(e.execute_line("TRUTH teach(euclid, math)").unwrap(), "T\n");
-        assert!(e
-            .execute_line("QUERY teach(euclid)")
-            .unwrap()
-            .contains("math"));
+        // Every read kind is answered from the replica's state.
+        let tmp = std::env::temp_dir().join(format!("fdb_replica_reads_{}", std::process::id()));
+        let (save, dump) = (tmp.with_extension("snap"), tmp.with_extension("fdb"));
+        for (line, want) in [
+            ("TRUTH teach(euclid, math)", "T\n"),
+            ("TRUTH pupil(euclid, john)", "T\n"),
+            ("QUERY teach(euclid)", "{math}"),
+            ("QUERY pupil(euclid)", "{john}"),
+            ("INVERSE pupil(john)", "{euclid}"),
+            ("EVAL euclid : teach o class_list", "{john}"),
+            ("SHOW pupil", "euclid  john\n"),
+            ("SHOW teach", "euclid  math  T"),
+            ("DERIVATIONS pupil", "pupil = teach o class_list"),
+            ("EXPLAIN pupil(euclid, john)", "verdict: T"),
+            ("EXPLAIN PLAN pupil(euclid, john)", "actual chains: 1"),
+            (
+                "EXPLAIN ANALYZE pupil(euclid, john)",
+                "verdict T, cache hit",
+            ),
+            ("SCHEMA", "3. pupil: faculty -> student"),
+            ("STATS", "base facts: 2 |"),
+            ("DISCOVER", "discover: "),
+            ("CHECK DATA", "data-clean"),
+            ("CHECK", "consistent"),
+            (&format!("SAVE \"{}\"", save.display()), "saved snapshot"),
+            (&format!("DUMP \"{}\"", dump.display()), "dumped script"),
+        ] {
+            let out = e
+                .execute_line(line)
+                .unwrap_or_else(|err| panic!("`{line}` failed on a replica: {err}"));
+            assert!(out.contains(want), "`{line}` printed: {out}");
+        }
+        assert!(std::fs::read(&save).unwrap().starts_with(b"FDBSNAP1"));
+        let dumped = std::fs::read_to_string(&dump).unwrap();
+        assert!(dumped.contains("INSERT teach(euclid, math)"), "{dumped}");
+        std::fs::remove_file(&save).ok();
+        std::fs::remove_file(&dump).ok();
+        assert!(e.snapshot().resolve("pupil").is_ok());
         // Writes are refused while the replica is attached.
         let err = e.execute_line("INSERT teach(a, b)").unwrap_err();
         assert!(matches!(err, FdbError::TxnControl(_)), "got {err:?}");
@@ -1793,6 +1966,16 @@ mod tests {
         let status = e.execute_line("REPLICA STATUS").unwrap();
         assert!(status.contains("applied_seq="), "got: {status}");
         assert!(status.contains("diverged=false"), "got: {status}");
+
+        // A shipped write inside pupil's support set reaches the cached
+        // answers like a local one would.
+        let p = &mut shipping.primary;
+        p.insert("class_list", Value::atom("math"), Value::atom("bill"))
+            .unwrap();
+        shipping.ship(e.replica_mut().unwrap());
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bill)").unwrap(), "T\n");
+        let show = e.execute_line("SHOW pupil").unwrap();
+        assert_eq!(show, "euclid  bill\neuclid  john\n");
 
         // Fail over: the engine becomes writable on a new term.
         let out = e.execute_line("PROMOTE").unwrap();
@@ -1805,6 +1988,63 @@ mod tests {
         );
         // A second PROMOTE has nothing to promote.
         assert!(e.execute_line("PROMOTE").is_err());
+    }
+
+    #[test]
+    fn replica_assumptions_are_revalidated_against_shipped_writes() {
+        let (mut shipping, replica) = university_replica();
+        shipping
+            .primary
+            .insert("teach", Value::atom("laplace"), Value::atom("stat"))
+            .unwrap();
+        let mut e = Engine::with_replica(replica);
+        shipping.ship(e.replica_mut().unwrap());
+        // teach's two rows are one-one while it is declared many-many.
+        let out = e.execute_line("DISCOVER").unwrap();
+        assert!(out.contains("fd teach: observed one-one"), "got: {out}");
+        assert_eq!(e.nongenuine().len(), 2);
+        // The primary gives euclid a second course; once the batch is
+        // applied, the next statement finds the functional direction
+        // broken in the store it serves.
+        shipping
+            .primary
+            .insert("teach", Value::atom("euclid"), Value::atom("geom"))
+            .unwrap();
+        shipping.ship(e.replica_mut().unwrap());
+        e.execute_line("SCHEMA").unwrap();
+        assert_eq!(e.nongenuine().len(), 1);
+        let out = e.execute_line("CHECK DATA").unwrap();
+        assert!(out.contains("FDB053"), "got: {out}");
+        assert!(out.contains("teach is functional"), "got: {out}");
+    }
+
+    #[test]
+    fn attaching_a_replica_drops_answers_of_the_own_database() {
+        // The engine's own database mirrors the primary's schema and
+        // write counts, but euclid's pupil is bob, not john.
+        let mut e = Engine::new();
+        run(
+            &mut e,
+            "DECLARE teach: faculty -> course (many-many)\n\
+             DECLARE class_list: course -> student (many-many)\n\
+             DECLARE pupil: faculty -> student (many-many)\n\
+             DERIVE pupil = teach o class_list\n\
+             INSERT teach(euclid, math)\n\
+             INSERT class_list(math, bob)",
+        )
+        .into_iter()
+        .for_each(|r| {
+            r.unwrap();
+        });
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bob)").unwrap(), "T\n");
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  bob\n");
+        let (_shipping, replica) = university_replica();
+        e.attach_replica(replica);
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bob)").unwrap(), "F\n");
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  john\n");
+        e.detach_replica().unwrap();
+        assert_eq!(e.execute_line("TRUTH pupil(euclid, bob)").unwrap(), "T\n");
+        assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  bob\n");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod lexer;
 pub mod parser;
 pub mod repl;
 
-pub use ast::{DeriveStep, Statement};
+pub use ast::{Admission, DeriveStep, Governed, Statement};
 pub use check::{lower, lower_script};
 pub use engine::Engine;
 pub use parser::{parse_statement, parse_statement_spanned, SpannedStatement, StmtSpans};

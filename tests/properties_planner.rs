@@ -324,6 +324,16 @@ proptest! {
             fdb::exec::derived_extension_governed(store, &derivations, limits, &budget()),
             &full,
         )?;
+        // `SHOW top`: the same enumeration behind the result cache, which
+        // hands a partial through and remembers only a complete answer.
+        let mut cache = fdb::exec::ResultCache::new();
+        let show = cache
+            .extension_or_compute(store, top, &derivations, || {
+                Ok(fdb::exec::derived_extension_governed(store, &derivations, limits, &budget()))
+            })
+            .expect("the computation cannot fail");
+        prop_assert_eq!(cache.report().extension_entries, usize::from(show.is_complete()));
+        check("show", show, &full)?;
         if let Some(p) = full.get(seed as usize % full.len().max(1)) {
             check(
                 "image",

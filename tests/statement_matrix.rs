@@ -56,9 +56,6 @@ fn statement_matrix_transcript_is_byte_stable() {
     std::fs::create_dir_all(&tmp).expect("scratch directory");
     fdb::obs::flight::set_dump_dir(Some(tmp.clone()));
     let actual = transcript(tmp.to_str().expect("utf-8 temp path"));
-    // Leave the engine's process-wide switches as they were found.
-    fdb::obs::causal::set_tracing(false);
-    fdb::obs::flight::set_dump_dir(None);
     std::fs::remove_dir_all(&tmp).ok();
 
     let golden = std::fs::read_to_string(GOLDEN).unwrap_or_default();

@@ -136,6 +136,17 @@ fn traced_statement_records_exec_attribution() {
         assert!(out.contains(needle), "missing {needle:?} in:\n{out}");
     }
 
+    // A write into pupil's support set: the next lookup drops pupil's
+    // answers, and the eviction names the function whose counter moved
+    // (class_list is function 1, pupil function 2).
+    e.execute_line("INSERT class_list(math, amy)").unwrap();
+    e.execute_line("TRUTH pupil(euclid, john)").unwrap();
+    let out = e.execute_line("SHOW TRACE").unwrap();
+    let evicted = "fdb.cache.evict";
+    assert!(out.contains(evicted), "missing {evicted:?} in:\n{out}");
+    let cause = "f=2 entries=1 cause=support:1";
+    assert!(out.contains(cause), "missing {cause:?} in:\n{out}");
+
     restore_defaults();
 }
 
