@@ -1,7 +1,8 @@
 //! The analysis passes.
 //!
-//! [`analyze_script`] walks a [`CheckStmt`] list once, front to back,
-//! interleaving four kinds of checks:
+//! [`analyze_script`] walks a [`CheckStmt`] list once, front to back —
+//! [`analyze_script_in`] on top of the catalog of an existing database
+//! (a [`World`]) — interleaving four kinds of checks:
 //!
 //! 1. **Resolution / well-formedness** — undefined or duplicate names,
 //!    derivations that do not chain, wrong endpoints or functionality,
@@ -19,10 +20,11 @@
 //!    (`FDB023`). Anything that opens the world (`LOAD`, `SOURCE`)
 //!    mutes these lints — "guaranteed" claims need a closed world.
 //!    Transaction control is modeled precisely: `BEGIN`/`SAVEPOINT`
-//!    snapshot the abstract state and `ROLLBACK`/`ROLLBACK TO` restore
-//!    it, exactly the way the engine restores the database, while
-//!    unbalanced statements (`FDB018`) and scripts that end with an open
-//!    transaction (`FDB019`) are flagged.
+//!    snapshot the abstract state (when a later statement rolls back to
+//!    them) and `ROLLBACK`/`ROLLBACK TO` restore it, exactly the way the
+//!    engine restores the database, while unbalanced statements
+//!    (`FDB018`) and scripts that end with an open transaction
+//!    (`FDB019`) are flagged.
 //! 3. **Cost / feasibility** — the final abstract table sizes feed
 //!    [`fdb_exec::estimate`] per registered derivation; an unbound
 //!    enumeration whose estimated chain count exceeds the configured
@@ -33,12 +35,12 @@
 //!    in the function graph (`FDB031`, the paper's warning that design
 //!    analysis without the UFA can be exponential).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::str::FromStr;
 
 use fdb_exec::StepProfile;
 use fdb_graph::{lint, PathLimits};
-use fdb_types::{Functionality, Schema, Span};
+use fdb_types::{Derivation, FunctionId, Functionality, Op, Schema, Span};
 
 use crate::diag::{sort_diagnostics, tally, Code, Diagnostic};
 use crate::script::{CheckStmt, Name, StepRef, TxnOp};
@@ -92,14 +94,38 @@ pub fn detect_replica_mode(text: &str) -> bool {
     false
 }
 
+/// The catalog a statement list starts in: what the database held when
+/// the first statement ran. A script read on its own starts in the empty
+/// one ([`analyze_script`]); a session's history starts in the catalog of
+/// the database it was opened on, loaded or promoted to.
+#[derive(Clone, Debug, Default)]
+pub struct World {
+    /// The declared functions.
+    pub schema: Schema,
+    /// The registered derivations, by derived function.
+    pub derived: BTreeMap<FunctionId, Vec<Derivation>>,
+    /// The functions whose tables hold stored facts. Which facts is not
+    /// part of the catalog, so the closed-world lints stay quiet about
+    /// these tables; a table that starts out empty is known exactly.
+    pub populated: BTreeSet<FunctionId>,
+}
+
 /// Analyzes a whole script. Pure with respect to any database: the only
 /// observable side effect is bumping the `fdb.check.*` metrics counters.
 pub fn analyze_script(stmts: &[CheckStmt], config: &CheckConfig) -> Vec<Diagnostic> {
-    let mut a = Analyzer::new(config);
-    for s in stmts {
-        a.visit(s);
-    }
-    let mut diags = a.finish();
+    analyze_script_in(&World::default(), stmts, config)
+}
+
+/// [`analyze_script`] for statements that ran on top of `world`: its
+/// names resolve, its edges are in the function graph, and a `DERIVE`
+/// of a function that already holds facts is the `FDB008` the engine
+/// refuses it with.
+pub fn analyze_script_in(
+    world: &World,
+    stmts: &[CheckStmt],
+    config: &CheckConfig,
+) -> Vec<Diagnostic> {
+    let mut diags = Analyzer::run(world, stmts, config).finish();
     sort_diagnostics(&mut diags);
     bump_counters(&diags);
     diags
@@ -177,11 +203,12 @@ struct Chain {
     links: Vec<(String, (String, String))>,
 }
 
-/// A snapshot of the analyzer's mutable abstract state, taken at `BEGIN`
-/// and at every `SAVEPOINT` and restored on rollback — the analyzer-side
-/// mirror of the engine's undo journal. Read/write ordering state
-/// (`seq`, `reads_seen`) deliberately stays live across rollbacks: a
-/// read that happened inside a rolled-back transaction still happened.
+/// A snapshot of the analyzer's mutable abstract state, taken at a
+/// `BEGIN` or `SAVEPOINT` that a later statement rolls back to and
+/// restored there — the analyzer-side mirror of the engine's undo
+/// journal. Read/write ordering state (`seq`, `reads_seen`) deliberately
+/// stays live across rollbacks: a read that happened inside a
+/// rolled-back transaction still happened.
 #[derive(Clone)]
 struct AbsState {
     schema: Schema,
@@ -195,14 +222,106 @@ struct AbsState {
     pending_inserts: HashMap<(String, String, String), (Span, usize)>,
 }
 
-/// The abstract shadow of an open transaction.
-struct TxnShadow {
+/// The shadow of an open transaction, generic in what a scope
+/// remembers: the analysis keeps abstract states in it, and
+/// [`restored_scopes`] runs the same statements over statement indices
+/// to learn beforehand which scopes are worth a state.
+struct TxnShadow<T> {
     /// Where the `BEGIN` sits (the `FDB019` anchor).
     begin: Span,
-    /// State at `BEGIN`, restored by a whole-transaction rollback.
-    base: AbsState,
+    /// What `BEGIN` remembered, handed back by a whole-transaction
+    /// rollback.
+    base: T,
     /// Named savepoints in creation order (same-named replaces).
-    savepoints: Vec<(String, AbsState)>,
+    savepoints: Vec<(String, T)>,
+}
+
+/// Applies one transaction-control statement to `txn` the way the
+/// database does. `BEGIN` and `SAVEPOINT` remember `scope()`; a rollback
+/// returns what its target remembered; an unbalanced statement changes
+/// nothing and is the `FDB018` returned.
+fn apply_txn<T: Clone>(
+    txn: &mut Option<TxnShadow<T>>,
+    keyword: Span,
+    op: TxnOp,
+    name: Option<&Name>,
+    scope: impl FnOnce() -> T,
+) -> Result<Option<T>, Box<Diagnostic>> {
+    let unbalanced = |anchor: Span, message: String, hint: &str| {
+        Err(Box::new(
+            Diagnostic::new(Code::UnbalancedTxn, anchor, message).with_hint(hint),
+        ))
+    };
+    let text = |n: Option<&Name>| n.map(|n| n.text.clone()).unwrap_or_default();
+    let Some(t) = txn.as_mut() else {
+        let what = match op {
+            TxnOp::Begin => {
+                *txn = Some(TxnShadow {
+                    begin: keyword,
+                    base: scope(),
+                    savepoints: Vec::new(),
+                });
+                return Ok(None);
+            }
+            TxnOp::Commit => "COMMIT",
+            TxnOp::Rollback => "ROLLBACK",
+            TxnOp::Savepoint => "SAVEPOINT",
+            TxnOp::RollbackTo => "ROLLBACK TO",
+        };
+        return unbalanced(
+            keyword,
+            format!("{what} without an open BEGIN"),
+            "open a transaction with BEGIN first",
+        );
+    };
+    match op {
+        TxnOp::Begin => unbalanced(
+            keyword,
+            "BEGIN inside an open transaction".to_owned(),
+            "transactions do not nest; use SAVEPOINT for nested scopes",
+        ),
+        TxnOp::Commit => {
+            *txn = None;
+            Ok(None)
+        }
+        TxnOp::Rollback => Ok(txn.take().map(|t| t.base)),
+        TxnOp::Savepoint => {
+            let n = text(name);
+            t.savepoints.retain(|(s, _)| *s != n);
+            t.savepoints.push((n, scope()));
+            Ok(None)
+        }
+        TxnOp::RollbackTo => {
+            let target = text(name);
+            match t.savepoints.iter().rposition(|(s, _)| *s == target) {
+                Some(pos) => {
+                    t.savepoints.truncate(pos + 1);
+                    Ok(Some(t.savepoints[pos].1.clone()))
+                }
+                None => unbalanced(
+                    name.map_or(keyword, |n| n.span),
+                    format!("ROLLBACK TO unknown savepoint `{target}`"),
+                    "set it with SAVEPOINT <name> inside the transaction first",
+                ),
+            }
+        }
+    }
+}
+
+/// Per statement: `true` for a `BEGIN` or `SAVEPOINT` that a later
+/// statement rolls back to. A scope nothing restores — every committed
+/// transaction — needs no snapshot of the abstract state.
+fn restored_scopes(stmts: &[CheckStmt]) -> Vec<bool> {
+    let mut restored = vec![false; stmts.len()];
+    let mut txn = None;
+    for (at, s) in stmts.iter().enumerate() {
+        if let CheckStmt::Txn { keyword, op, name } = s {
+            if let Ok(Some(opened_at)) = apply_txn(&mut txn, *keyword, *op, name.as_ref(), || at) {
+                restored[opened_at] = true;
+            }
+        }
+    }
+    restored
 }
 
 struct Analyzer<'a> {
@@ -231,16 +350,22 @@ struct Analyzer<'a> {
     pending_inserts: HashMap<(String, String, String), (Span, usize)>,
     /// Last read touching each function (directly or via a derivation).
     reads_seen: HashMap<String, usize>,
-    /// The open transaction's abstract shadow, if any.
-    txn: Option<TxnShadow>,
+    /// [`restored_scopes`] of the statement list being visited.
+    restored: Vec<bool>,
+    /// The open transaction's abstract shadow, if any; a scope nothing
+    /// restores remembers `None`.
+    txn: Option<TxnShadow<Option<AbsState>>>,
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(cfg: &'a CheckConfig) -> Self {
-        Analyzer {
+    /// An analyzer whose abstract state is `world`. Seeded functions
+    /// have no declaration site: diagnostics about them carry no
+    /// location, and a seeded derivation is no `FDB030` site.
+    fn new(cfg: &'a CheckConfig, world: &World) -> Self {
+        let mut a = Analyzer {
             cfg,
             diags: Vec::new(),
-            schema: Schema::new(),
+            schema: world.schema.clone(),
             declare_spans: HashMap::new(),
             derived: HashMap::new(),
             derive_sites: Vec::new(),
@@ -252,8 +377,43 @@ impl<'a> Analyzer<'a> {
             seq: 0,
             pending_inserts: HashMap::new(),
             reads_seen: HashMap::new(),
+            restored: Vec::new(),
             txn: None,
+        };
+        let name = |f: FunctionId| world.schema.function(f).name.clone();
+        for def in world.schema.functions() {
+            a.dsu_union(
+                world.schema.type_name(def.domain),
+                world.schema.type_name(def.range),
+            );
+            let table = Table {
+                fuzzy: world.populated.contains(&def.id),
+                ..Table::default()
+            };
+            a.tables.insert(def.name.clone(), table);
         }
+        for (f, derivations) in &world.derived {
+            let rstep = |s: &fdb_types::Step| RStep {
+                function: name(s.function),
+                inverse: s.op == Op::Inverse,
+            };
+            let steps = derivations
+                .iter()
+                .map(|d| d.steps().iter().map(rstep).collect())
+                .collect();
+            a.derived.insert(name(*f), steps);
+        }
+        a
+    }
+
+    /// Visits every statement of `stmts` on top of `world`.
+    fn run(world: &World, stmts: &[CheckStmt], cfg: &'a CheckConfig) -> Self {
+        let mut a = Analyzer::new(cfg, world);
+        a.restored = restored_scopes(stmts);
+        for (at, s) in stmts.iter().enumerate() {
+            a.visit(at, s);
+        }
+        a
     }
 
     /// Captures the mutable abstract state (for `BEGIN` / `SAVEPOINT`).
@@ -326,7 +486,7 @@ impl<'a> Analyzer<'a> {
 
     // ---- the visitor ----
 
-    fn visit(&mut self, stmt: &CheckStmt) {
+    fn visit(&mut self, at: usize, stmt: &CheckStmt) {
         // FDB040 fires independently of the abstract interpretation — a
         // replica engine refuses a write no matter what came before it,
         // so an open world does not mute this lint.
@@ -418,7 +578,9 @@ impl<'a> Analyzer<'a> {
                 }
                 self.derived_deleted.clear();
             }
-            CheckStmt::Txn { keyword, op, name } => self.visit_txn(*keyword, *op, name.as_ref()),
+            CheckStmt::Txn { keyword, op, name } => {
+                self.visit_txn(at, *keyword, *op, name.as_ref())
+            }
             CheckStmt::Other { opens_world, .. } => {
                 if *opens_world {
                     self.open_world = true;
@@ -429,99 +591,15 @@ impl<'a> Analyzer<'a> {
 
     /// Transaction control: balance checking (`FDB018`) plus exact
     /// snapshot/restore of the abstract state, mirroring the engine.
-    fn visit_txn(&mut self, keyword: Span, op: TxnOp, name: Option<&Name>) {
-        match op {
-            TxnOp::Begin => {
-                if self.txn.is_some() {
-                    self.push(
-                        Diagnostic::new(
-                            Code::UnbalancedTxn,
-                            keyword,
-                            "BEGIN inside an open transaction",
-                        )
-                        .with_hint("transactions do not nest; use SAVEPOINT for nested scopes"),
-                    );
-                    return;
-                }
-                self.txn = Some(TxnShadow {
-                    begin: keyword,
-                    base: self.capture(),
-                    savepoints: Vec::new(),
-                });
-            }
-            TxnOp::Commit => {
-                if self.txn.take().is_none() {
-                    self.push(
-                        Diagnostic::new(
-                            Code::UnbalancedTxn,
-                            keyword,
-                            "COMMIT without an open BEGIN",
-                        )
-                        .with_hint("open a transaction with BEGIN first"),
-                    );
-                }
-            }
-            TxnOp::Rollback => match self.txn.take() {
-                Some(shadow) => self.restore(shadow.base),
-                None => self.push(
-                    Diagnostic::new(
-                        Code::UnbalancedTxn,
-                        keyword,
-                        "ROLLBACK without an open BEGIN",
-                    )
-                    .with_hint("open a transaction with BEGIN first"),
-                ),
-            },
-            TxnOp::Savepoint => {
-                let state = self.capture();
-                let n = name.map(|n| n.text.clone()).unwrap_or_default();
-                let Some(t) = self.txn.as_mut() else {
-                    self.push(
-                        Diagnostic::new(
-                            Code::UnbalancedTxn,
-                            keyword,
-                            "SAVEPOINT without an open BEGIN",
-                        )
-                        .with_hint("open a transaction with BEGIN first"),
-                    );
-                    return;
-                };
-                t.savepoints.retain(|(s, _)| *s != n);
-                t.savepoints.push((n, state));
-            }
-            TxnOp::RollbackTo => {
-                let target = name.map(|n| n.text.clone()).unwrap_or_default();
-                let anchor = name.map_or(keyword, |n| n.span);
-                let Some(t) = self.txn.as_mut() else {
-                    self.push(
-                        Diagnostic::new(
-                            Code::UnbalancedTxn,
-                            keyword,
-                            "ROLLBACK TO without an open BEGIN",
-                        )
-                        .with_hint("open a transaction with BEGIN first"),
-                    );
-                    return;
-                };
-                let state = match t.savepoints.iter().rposition(|(s, _)| *s == target) {
-                    Some(pos) => {
-                        t.savepoints.truncate(pos + 1);
-                        Some(t.savepoints[pos].1.clone())
-                    }
-                    None => None,
-                };
-                match state {
-                    Some(s) => self.restore(s),
-                    None => self.push(
-                        Diagnostic::new(
-                            Code::UnbalancedTxn,
-                            anchor,
-                            format!("ROLLBACK TO unknown savepoint `{target}`"),
-                        )
-                        .with_hint("set it with SAVEPOINT <name> inside the transaction first"),
-                    ),
-                }
-            }
+    fn visit_txn(&mut self, at: usize, keyword: Span, op: TxnOp, name: Option<&Name>) {
+        let mut txn = self.txn.take();
+        let scope = || self.restored[at].then(|| self.capture());
+        let applied = apply_txn(&mut txn, keyword, op, name, scope);
+        self.txn = txn;
+        match applied {
+            Ok(Some(state)) => self.restore(state.expect("restored_scopes saw this rollback")),
+            Ok(None) => {}
+            Err(unbalanced) => self.push(*unbalanced),
         }
     }
 
@@ -1342,6 +1420,180 @@ fn schema_pass(
                 "under the Unique Form Assumption this function is derived; \
                  DERIVE it or drop it from the conceptual schema",
             ),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn name(text: &str) -> Name {
+        Name::new(text, Span::default())
+    }
+
+    fn txn(op: TxnOp, savepoint: Option<&str>) -> CheckStmt {
+        CheckStmt::Txn {
+            keyword: Span::default(),
+            op,
+            name: savepoint.map(name),
+        }
+    }
+
+    fn declare_teach() -> CheckStmt {
+        CheckStmt::Declare {
+            keyword: Span::default(),
+            name: name("teach"),
+            domain: "faculty".into(),
+            range: "course".into(),
+            functionality: name("many-many"),
+        }
+    }
+
+    fn insert_teach(x: &str) -> CheckStmt {
+        CheckStmt::Insert {
+            keyword: Span::default(),
+            function: name("teach"),
+            x: x.into(),
+            y: "math".into(),
+        }
+    }
+
+    /// What each open scope remembers: `BEGIN` first, then the savepoints.
+    fn remembered(a: &Analyzer<'_>) -> Vec<(String, bool)> {
+        let t = a.txn.as_ref().expect("a transaction is open");
+        std::iter::once(("BEGIN".to_owned(), t.base.is_some()))
+            .chain(t.savepoints.iter().map(|(n, s)| (n.clone(), s.is_some())))
+            .collect()
+    }
+
+    #[test]
+    fn a_committed_transaction_captures_nothing() {
+        let cfg = CheckConfig::default();
+        let mut stmts = vec![declare_teach()];
+        for i in 0..50 {
+            stmts.extend([
+                txn(TxnOp::Begin, None),
+                insert_teach(&format!("a{i}")),
+                txn(TxnOp::Savepoint, Some("s")),
+                insert_teach(&format!("b{i}")),
+                txn(TxnOp::Commit, None),
+            ]);
+        }
+        assert!(restored_scopes(&stmts).iter().all(|restored| !restored));
+        // Seen from inside the last transaction: neither scope holds a state.
+        stmts.pop();
+        let a = Analyzer::run(&World::default(), &stmts, &cfg);
+        assert_eq!(
+            remembered(&a),
+            [("BEGIN".to_owned(), false), ("s".to_owned(), false)]
+        );
+        assert!(a.finish().iter().all(|d| d.code == Code::UnclosedTxn));
+    }
+
+    #[test]
+    fn a_scope_is_captured_when_a_later_statement_rolls_back_to_it() {
+        let cfg = CheckConfig::default();
+        let stmts = vec![
+            declare_teach(),
+            txn(TxnOp::RollbackTo, Some("a")), // unbalanced: FDB018
+            txn(TxnOp::Begin, None),
+            txn(TxnOp::Savepoint, Some("a")),
+            txn(TxnOp::Savepoint, Some("b")),
+            insert_teach("euclid"),
+            txn(TxnOp::RollbackTo, Some("ghost")), // unknown: FDB018
+            txn(TxnOp::RollbackTo, Some("a")),
+            txn(TxnOp::Savepoint, Some("b")),
+            txn(TxnOp::Savepoint, Some("a")), // replaces the first `a`
+            txn(TxnOp::Rollback, None),
+            txn(TxnOp::Begin, None),
+            txn(TxnOp::Savepoint, Some("a")),
+            insert_teach("gauss"),
+        ];
+        let restored: Vec<usize> = restored_scopes(&stmts)
+            .iter()
+            .enumerate()
+            .filter_map(|(at, restored)| restored.then_some(at))
+            .collect();
+        assert_eq!(restored, [2, 3]);
+        // Up to the second `SAVEPOINT b`, no ABORT is in sight: only the
+        // first `a` holds a state, and rolling back to it dropped the
+        // first `b` and undid the insert.
+        let a = Analyzer::run(&World::default(), &stmts[..9], &cfg);
+        assert_eq!(
+            remembered(&a),
+            [
+                ("BEGIN".to_owned(), false),
+                ("a".to_owned(), true),
+                ("b".to_owned(), false)
+            ]
+        );
+        assert!(a.tables["teach"].pairs.is_empty());
+        // The whole script leaves two FDB018s, an open transaction, and
+        // `gauss` as the only fact.
+        let a = Analyzer::run(&World::default(), &stmts, &cfg);
+        assert_eq!(a.tables["teach"].pairs.len(), 1);
+        let codes: Vec<Code> = a.finish().iter().map(|d| d.code).collect();
+        assert_eq!(
+            codes,
+            [Code::UnbalancedTxn, Code::UnbalancedTxn, Code::UnclosedTxn]
+        );
+    }
+
+    #[test]
+    fn a_seeded_table_is_unknown_only_if_it_holds_facts() {
+        let schema = Schema::builder()
+            .function("teach", "faculty", "course", "many-many")
+            .function("class_list", "course", "student", "many-many")
+            .function("pupil", "faculty", "student", "many-many")
+            .build()
+            .expect("valid schema");
+        let [teach, class_list, pupil] =
+            ["teach", "class_list", "pupil"].map(|f| schema.resolve(f).expect("declared"));
+        let chain = Derivation::new(vec![
+            fdb_types::Step::identity(teach),
+            fdb_types::Step::identity(class_list),
+        ])
+        .expect("non-empty");
+        let mut world = World {
+            schema,
+            derived: BTreeMap::from([(pupil, vec![chain])]),
+            populated: BTreeSet::new(),
+        };
+        // A derived delete, then a DERIVE of a function of the catalog.
+        let stmts = [
+            CheckStmt::Delete {
+                keyword: Span::default(),
+                function: name("pupil"),
+                x: "euclid".into(),
+                y: "john".into(),
+            },
+            CheckStmt::Derive {
+                keyword: Span::default(),
+                name: name("teach"),
+                steps: vec![StepRef {
+                    name: name("teach"),
+                    inverse: false,
+                }],
+            },
+        ];
+        let codes = |world: &World, stmts: &[CheckStmt]| -> Vec<Code> {
+            let cfg = CheckConfig::default();
+            let diags = analyze_script_in(world, stmts, &cfg);
+            diags.iter().map(|d| d.code).collect()
+        };
+        // Both tables empty: there is provably no chain to negate.
+        assert!(codes(&world, &stmts[..1]).contains(&Code::UndischargeableDelete));
+        // `teach` holds facts the statements do not spell out: no claim.
+        world.populated.insert(teach);
+        assert!(!codes(&world, &stmts[..1]).contains(&Code::UndischargeableDelete));
+        // The catalog's names resolve and its derivation is known...
+        assert!(!codes(&world, &stmts).contains(&Code::UndefinedFunction));
+        // ...and nothing is declared twice without a site to point at.
+        let redeclared = codes(&world, &[declare_teach()]);
+        assert!(
+            redeclared.contains(&Code::DuplicateDeclare),
+            "{redeclared:?}"
         );
     }
 }

@@ -19,10 +19,12 @@
 //! | `FDB05x` | data-aware discovery (via [`discover`]) | info/warn |
 //!
 //! Entry points: [`analyze_script`] over a [`CheckStmt`] list (the
-//! spanned IR that `fdb-lang` lowers its AST into) and [`analyze_schema`]
-//! over a bare [`fdb_types::Schema`]. Output renders as plain text
-//! ([`render_text`]), a JSON array ([`render_json`]) or a SARIF 2.1.0
-//! log ([`render_sarif`]); CI noise is managed with [`Baseline`] files.
+//! spanned IR that `fdb-lang` lowers its AST into), [`analyze_script_in`]
+//! for a list that ran on top of an existing catalog (a [`World`]), and
+//! [`analyze_schema`] over a bare [`fdb_types::Schema`]. Output renders
+//! as plain text ([`render_text`]), a JSON array ([`render_json`]) or a
+//! SARIF 2.1.0 log ([`render_sarif`]); CI noise is managed with
+//! [`Baseline`] files.
 //!
 //! The analyzer is pure: it never touches a store, never mutates the
 //! schema it is given, and its only observable side effect is bumping
@@ -39,7 +41,9 @@ pub mod discover;
 pub mod sarif;
 pub mod script;
 
-pub use analyzer::{analyze_schema, analyze_script, detect_replica_mode, CheckConfig};
+pub use analyzer::{
+    analyze_schema, analyze_script, analyze_script_in, detect_replica_mode, CheckConfig, World,
+};
 pub use baseline::{baseline_key, Baseline};
 pub use diag::{
     render_content, render_json, render_text, sort_diagnostics, summary_line, tally, Code,

@@ -624,8 +624,8 @@ impl LoggedDatabase {
         self.logged(record)
     }
 
-    /// Replays another database's schema and (first) derivations into
-    /// this log, so the log is self-contained. The target must be
+    /// Replays another database's schema and derivations into this log,
+    /// so the log is self-contained. The target must be
     /// freshly created.
     pub fn import_schema(&mut self, source: &Database) -> Result<()> {
         for f in source
@@ -643,7 +643,7 @@ impl LoggedDatabase {
         }
         for f in source.derived_functions() {
             let def = source.schema().function(f);
-            for d in source.derivations(f).iter().take(1) {
+            for d in source.derivations(f) {
                 let steps: Vec<(&str, bool)> = d
                     .steps()
                     .iter()

@@ -936,7 +936,7 @@ pub fn apply_record(db: &mut Database, record: &LogRecord) -> Result<()> {
                     })
                 })
                 .collect();
-            db.register_derived(f, vec![Derivation::new(steps?)?])
+            db.add_derivation(f, Derivation::new(steps?)?)
         }
         LogRecord::Insert { function, x, y } => {
             let f = db.resolve(function)?;

@@ -180,16 +180,19 @@ pub fn lower(s: &SpannedStatement) -> Option<CheckStmt> {
 /// Parse failures surface as `(line_no, error)` so callers can turn them
 /// into `FDB000` diagnostics without losing position.
 pub fn lower_script(text: &str) -> (Vec<CheckStmt>, Vec<(u32, fdb_types::FdbError)>) {
+    lower_script_from(text, 1)
+}
+
+/// [`lower_script`] of text that starts at line `first_line` of its source.
+pub fn lower_script_from(
+    text: &str,
+    first_line: u32,
+) -> (Vec<CheckStmt>, Vec<(u32, fdb_types::FdbError)>) {
     let mut stmts = Vec::new();
     let mut errors = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = (i + 1) as u32;
+    for (line_no, line) in (first_line..).zip(text.lines()) {
         match crate::parser::parse_statement_spanned(line, line_no) {
-            Ok(sp) => {
-                if let Some(cs) = lower(&sp) {
-                    stmts.push(cs);
-                }
-            }
+            Ok(sp) => stmts.extend(lower(&sp)),
             Err(e) => errors.push((line_no, e)),
         }
     }

@@ -1,17 +1,18 @@
 //! Statement evaluator: one pipeline for every statement (see
 //! [`Engine::execute`]), whichever entry point it came through.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-use fdb_check::{analyze_script, CheckConfig, CheckStmt, DiscoverConfig, Severity, TxnOp};
+use fdb_check::{analyze_script_in, CheckConfig, CheckStmt, DiscoverConfig, Severity, World};
 use fdb_core::{resolve_ambiguities, Budget, CancelToken, Database, Governance, Governor, Outcome};
 use fdb_exec::{Assumption, AssumptionSet, CacheReport, FdKind, QuerySpec, ResultCache};
 use fdb_repl::{Promotion, Replica};
 use fdb_types::{Derivation, FdbError, Result, Schema, Step, Value};
 
 use crate::ast::{DeriveStep, Governed, Statement};
-use crate::format::{render_base_table, render_derived_pairs, render_set};
+use crate::check::lower_script_from;
+use crate::format::{render_base_table, render_derived_pairs, render_set, script_word};
 use crate::parser::parse_statement_spanned;
 
 /// The engine's own database and, while one is attached, the hot-standby
@@ -35,6 +36,33 @@ impl Served {
             Some(r) => r.database(),
             None => &self.own,
         }
+    }
+}
+
+/// What the session ran since its history last started over — what
+/// `CHECK` and the `STRICT` pre-flight lint.
+#[derive(Debug, Default)]
+struct History {
+    /// The catalog of the engine's own database where the history started.
+    world: World,
+    /// The session line number of the transcript's first line.
+    first_line: u32,
+    /// One line per [`Engine::execute_line`] call: the statement's own
+    /// text when it ran; empty when it failed, and for a `SOURCE`, whose
+    /// lines follow it and speak for themselves. `fdb-lint` of this text
+    /// therefore says what `CHECK` says, in the session's own `line:col`.
+    transcript: String,
+}
+
+/// The catalog of `db`, as the analyzer is seeded with it.
+fn world_of(db: &Database) -> World {
+    let functions = db.schema().functions().iter().map(|def| def.id);
+    let derived = db.derived_functions().into_iter();
+    let stored = |f: &_| !db.store().table(*f).is_empty();
+    World {
+        schema: db.schema().clone(),
+        derived: derived.map(|f| (f, db.derivations(f).to_vec())).collect(),
+        populated: functions.filter(stored).collect(),
     }
 }
 
@@ -77,16 +105,10 @@ pub struct Engine {
     /// change of lineage ([`Engine::lineage_changed`]) or a dropped
     /// assumption needs a clear.
     cache: ResultCache,
-    /// The session's statement history in the `fdb-check` IR, replayed by
-    /// `CHECK` for static diagnostics. A change of lineage clears it;
-    /// `ABORT` truncates it back to the `BEGIN` mark and `ROLLBACK TO`
-    /// back to the savepoint's mark, mirroring the database.
-    check_log: Vec<CheckStmt>,
-    /// `check_log` length at the open `BEGIN`, for `ABORT` truncation.
-    check_log_mark: usize,
-    /// `(name, check_log length)` per live savepoint, in creation order —
-    /// the check-log mirror of the database's savepoint stack.
-    savepoint_marks: Vec<(String, usize)>,
+    /// The session's history, linted by `CHECK` and the `STRICT`
+    /// pre-flight. A change of lineage starts it over; rollbacks stay in
+    /// it as the statements they are — the analyzer models them.
+    history: History,
     /// `STRICT ON`: pre-flight `SOURCE`d scripts through the analyzer
     /// and refuse to run them when error-severity findings show up.
     strict: bool,
@@ -145,7 +167,7 @@ impl Engine {
 
     /// An engine over an existing database.
     pub fn with_database(db: Database) -> Self {
-        Engine {
+        let mut engine = Engine {
             served: Served {
                 own: db,
                 replica: None,
@@ -155,13 +177,13 @@ impl Engine {
             deadline: None,
             cancel: CancelToken::new(),
             cache: ResultCache::new(),
-            check_log: Vec::new(),
-            check_log_mark: 0,
-            savepoint_marks: Vec::new(),
+            history: History::default(),
             strict: false,
             nongenuine: AssumptionSet::new(),
             invalidated_log: Vec::new(),
-        }
+        };
+        engine.lineage_changed();
+        engine
     }
 
     /// An engine serving read-only queries from a hot-standby replica.
@@ -200,13 +222,17 @@ impl Engine {
         self.served.replica.as_mut()
     }
 
-    /// A different store lineage is served from here on (`LOAD`,
-    /// `PROMOTE`, a replica attached or detached): its mutation counters
-    /// are not comparable with the cache's guards, and the check log no
-    /// longer describes the state.
+    /// A store lineage is served from here on that was not before (a new
+    /// engine, `LOAD`, `PROMOTE`, a replica attached or detached): the
+    /// cache's guards cannot be compared with its mutation counters, and
+    /// the history starts over at the next line, on the own database.
     fn lineage_changed(&mut self) {
         self.cache.clear("lineage");
-        self.check_log.clear();
+        self.history = History {
+            world: world_of(&self.served.own),
+            first_line: self.line + 1,
+            transcript: String::new(),
+        };
     }
 
     /// Refuses write statements while a replica is attached.
@@ -312,26 +338,31 @@ impl Engine {
         // SOURCEd script's trace, inert otherwise (zero allocation).
         let mut cspan =
             fdb_obs::causal::statement_span("fdb.lang.statement", || line.trim().to_string());
-        let result = parse_statement_spanned(line, self.line).and_then(|spanned| {
-            let lowered = crate::check::lower(&spanned);
-            let out = self.execute(spanned.stmt)?;
-            // Successful statements land in the check log. The engine
-            // models LOAD/SOURCE itself, so `Other` entries are dropped
-            // rather than muting the analyzer's closed world; rollbacks
-            // and savepoints are modeled by truncating the log, so of the
-            // transaction ops only BEGIN/COMMIT are recorded.
-            if let Some(stmt) = lowered {
-                let keep = match &stmt {
-                    CheckStmt::Other { .. } => false,
-                    CheckStmt::Txn { op, .. } => matches!(op, TxnOp::Begin | TxnOp::Commit),
-                    _ => true,
-                };
-                if keep {
-                    self.check_log.push(stmt);
-                }
+        let parsed = parse_statement_spanned(line, self.line);
+        // One line of transcript per call (see `History::transcript`): a
+        // SOURCE's goes in before its lines run, any other once it ran —
+        // unless it started the history over and is no part of the new one.
+        let source = matches!(&parsed, Ok(s) if matches!(s.stmt, Statement::Source { .. }));
+        if source {
+            self.history.transcript.push('\n');
+        }
+        let result = parsed.and_then(|spanned| self.execute(spanned.stmt));
+        if !source && self.history.first_line <= self.line {
+            let ran = match &result {
+                Ok(_) => Cow::Borrowed(line.trim_end()),
+                // A governed stop ran a rollback in the statement's place.
+                Err(FdbError::TxnAborted { savepoint, .. }) => match savepoint {
+                    Some(name) => format!("ROLLBACK TO {}", script_word(name)).into(),
+                    None => "ABORT".into(),
+                },
+                Err(_) => "".into(),
+            };
+            // A text with a line break inside cannot be kept aligned.
+            if !ran.contains('\n') {
+                self.history.transcript.push_str(&ran);
             }
-            Ok(out)
-        });
+            self.history.transcript.push('\n');
+        }
         let latency_ns = t0.elapsed().as_nanos() as u64;
         let reg = fdb_obs::registry();
         reg.lang_statements.inc();
@@ -385,6 +416,9 @@ impl Engine {
     ///    write that violated an assumed FD drops the assumption, logs
     ///    it for `CHECK DATA` (`FDB053`), and clears the result cache —
     ///    answers and plans compiled under it are no longer trustworthy.
+    ///
+    /// A statement that comes here and not through [`Engine::execute_line`]
+    /// has no text: it leaves nothing in the history `CHECK` lints.
     pub fn execute(&mut self, stmt: Statement) -> Result<String> {
         let admission = stmt.admission();
         if let Some(keyword) = admission.replica_refuses {
@@ -428,15 +462,10 @@ impl Engine {
     /// DATA`); the tables of registered derived functions are skipped.
     fn discover(&self) -> fdb_check::DiscoveryReport {
         let db = self.served.database();
-        let derived: BTreeMap<_, _> = db
-            .derived_functions()
-            .into_iter()
-            .map(|f| (f, db.derivations(f).to_vec()))
-            .collect();
         fdb_check::discover(
             db.store(),
             db.schema(),
-            &derived,
+            &world_of(db).derived,
             &DiscoverConfig::default(),
         )
     }
@@ -640,7 +669,7 @@ impl Engine {
                 Ok(text)
             }
             Statement::Check { json } => {
-                let diags = analyze_script(&self.check_log, &CheckConfig::default());
+                let diags = self.analyze();
                 if json {
                     let mut out = fdb_check::render_json(&diags);
                     out.push('\n');
@@ -829,40 +858,22 @@ impl Engine {
             }
             Statement::Begin => {
                 self.served.own.txn_begin()?;
-                self.check_log_mark = self.check_log.len();
-                self.savepoint_marks.clear();
                 Ok("transaction started\n".to_owned())
             }
             Statement::Commit => {
                 self.served.own.txn_commit()?;
-                self.savepoint_marks.clear();
                 Ok("committed\n".to_owned())
             }
             Statement::Abort => {
                 self.served.own.txn_rollback()?;
-                // The check log rolls back with the database it
-                // describes.
-                self.check_log.truncate(self.check_log_mark);
-                self.savepoint_marks.clear();
                 Ok("rolled back\n".to_owned())
             }
             Statement::Savepoint { name } => {
                 self.served.own.txn_savepoint(&name)?;
-                self.savepoint_marks.retain(|(n, _)| n != &name);
-                self.savepoint_marks
-                    .push((name.clone(), self.check_log.len()));
                 Ok(format!("savepoint {name} set\n"))
             }
             Statement::RollbackTo { name } => {
                 self.served.own.txn_rollback_to(&name)?;
-                // The database accepted the name, so the mirror stack
-                // holds it; truncate the check log to the savepoint and
-                // drop the savepoints set after it (keeping the target,
-                // which stays live for repeated rollbacks).
-                if let Some(pos) = self.savepoint_marks.iter().rposition(|(n, _)| n == &name) {
-                    self.check_log.truncate(self.savepoint_marks[pos].1);
-                    self.savepoint_marks.truncate(pos + 1);
-                }
                 Ok(format!("rolled back to {name}\n"))
             }
             Statement::Save { path } => {
@@ -944,18 +955,18 @@ impl Engine {
     /// it entirely when none is set — after a governed stop, returning
     /// the typed [`FdbError::TxnAborted`] the statement surfaces.
     fn governed_abort(&mut self, cause: FdbError) -> FdbError {
-        let last = self.savepoint_marks.last().cloned();
-        let (rolled_back, mark) = match &last {
-            Some((name, mark)) => (self.served.own.txn_rollback_to(name), *mark),
-            None => (self.served.own.txn_rollback(), self.check_log_mark),
+        let db = &mut self.served.own;
+        let savepoint = db.txn_last_savepoint().map(str::to_owned);
+        let rolled_back = match &savepoint {
+            Some(name) => db.txn_rollback_to(name),
+            None => db.txn_rollback(),
         };
         if let Err(e) = rolled_back {
             return e;
         }
-        self.check_log.truncate(mark);
         fdb_obs::registry().txn_governed_aborts.inc();
         FdbError::TxnAborted {
-            savepoint: last.map(|(name, _)| name),
+            savepoint,
             cause: Box::new(cause),
         }
     }
@@ -970,10 +981,22 @@ impl Engine {
         self.strict
     }
 
-    /// Runs the static analyzer over the session's statement history —
-    /// what `CHECK` prints, as structured diagnostics.
+    /// Runs the static analyzer over the session's history — what
+    /// `CHECK` prints, as structured diagnostics.
     pub fn analyze(&self) -> Vec<fdb_check::Diagnostic> {
-        analyze_script(&self.check_log, &CheckConfig::default())
+        self.lint_history(Vec::new())
+    }
+
+    /// `fdb-lint` of the session's transcript, then of `script` (a file
+    /// about to be `SOURCE`d, numbered from its own line 1), over the
+    /// catalog the history started from — or a replica's as it is now:
+    /// it moves under a session that can itself declare nothing.
+    fn lint_history(&self, script: Vec<CheckStmt>) -> Vec<fdb_check::Diagnostic> {
+        let live = self.served.replica.as_ref().map(|r| world_of(r.database()));
+        let world = live.as_ref().unwrap_or(&self.history.world);
+        let (mut stmts, _) = lower_script_from(&self.history.transcript, self.history.first_line);
+        stmts.extend(script);
+        analyze_script_in(world, &stmts, &CheckConfig::default())
     }
 
     /// Strict-mode pre-flight: analyzes the session history plus the
@@ -987,10 +1010,8 @@ impl Engine {
                 message: format!("strict: {path}:{line} does not parse: {e}"),
             });
         }
-        let mut stmts = self.check_log.clone();
-        stmts.extend(script);
-        let diags = analyze_script(&stmts, &CheckConfig::default());
-        let errors: Vec<String> = diags
+        let errors: Vec<String> = self
+            .lint_history(script)
             .iter()
             .filter(|d| d.severity() == Severity::Error)
             .map(|d| d.render().replace('\n', "\n  "))
@@ -2045,6 +2066,245 @@ mod tests {
         e.detach_replica().unwrap();
         assert_eq!(e.execute_line("TRUTH pupil(euclid, bob)").unwrap(), "T\n");
         assert_eq!(e.execute_line("SHOW pupil").unwrap(), "euclid  bob\n");
+    }
+
+    /// One engine per way a history starts on a database the session did
+    /// not type in: the university of [`university_replica`]. The last
+    /// one serves an attached replica and refuses writes.
+    fn engines_on_the_university() -> Vec<(&'static str, Engine)> {
+        let (_, replica) = university_replica();
+        let stored = replica.database().clone();
+        // Tests call this concurrently: one snapshot file per caller.
+        let caller = format!("{}_{:?}", std::process::id(), std::thread::current().id());
+        let path = std::env::temp_dir().join(format!("fdb_seeded_{caller}.snap"));
+        std::fs::write(&path, stored.to_snapshot().unwrap()).unwrap();
+        let mut loaded = Engine::new();
+        // Lines before the LOAD belong to a history that is over.
+        loaded
+            .execute_line("DECLARE gone: a -> b (one-one)")
+            .unwrap();
+        loaded
+            .execute_line(&format!("LOAD \"{}\"", path.display()))
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut promoted = Engine::with_replica(replica);
+        promoted.execute_line("PROMOTE").unwrap();
+        let mut attached = Engine::new();
+        attached.attach_replica(university_replica().1);
+        vec![
+            ("with_database", Engine::with_database(stored)),
+            ("LOAD", loaded),
+            ("PROMOTE", promoted),
+            ("attach_replica", attached),
+        ]
+    }
+
+    fn codes(e: &Engine) -> Vec<fdb_check::Code> {
+        e.analyze().iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn check_knows_the_functions_the_database_holds() {
+        for (how, mut e) in engines_on_the_university() {
+            if e.replica().is_none() {
+                e.execute_line("INSERT teach(gauss, algebra)").unwrap();
+            }
+            assert_eq!(e.execute_line("TRUTH pupil(euclid, john)").unwrap(), "T\n");
+            assert!(
+                !codes(&e).contains(&fdb_check::Code::UndefinedFunction),
+                "{how}: {:?}",
+                e.analyze()
+            );
+            let check = e.execute_line("CHECK").unwrap();
+            assert!(check.starts_with("consistent\n"), "{how}: {check}");
+            assert!(!check.contains("FDB001"), "{how}: {check}");
+            // A line the engine refused is not in the history.
+            e.execute_line("TRUTH ghost(a, b)").unwrap_err();
+            assert!(!codes(&e).contains(&fdb_check::Code::UndefinedFunction));
+        }
+    }
+
+    #[test]
+    fn strict_preflight_knows_the_functions_the_database_holds() {
+        let tmp = std::env::temp_dir().join(format!("fdb_strict_seeded_{}", std::process::id()));
+        let (ok, bad) = (tmp.with_extension("ok.fdb"), tmp.with_extension("bad.fdb"));
+        std::fs::write(&ok, "TRUTH teach(euclid, math)\nQUERY pupil(euclid)\n").unwrap();
+        std::fs::write(&bad, "TRUTH teach(euclid, math)\nQUERY ghost(euclid)\n").unwrap();
+        for (how, mut e) in engines_on_the_university() {
+            e.execute_line("STRICT ON").unwrap();
+            let out = e
+                .execute_line(&format!("SOURCE \"{}\"", ok.display()))
+                .unwrap_or_else(|err| panic!("{how}: a valid script was refused: {err}"));
+            assert_eq!(out, "T\npupil(euclid) = {john}\n", "{how}");
+            let err = e
+                .execute_line(&format!("SOURCE \"{}\"", bad.display()))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("rejected by pre-flight analysis"),
+                "{how}: {err}"
+            );
+            assert!(
+                err.contains("FDB001 error 2:7: unknown function `ghost`"),
+                "{how}: {err}"
+            );
+        }
+        std::fs::remove_file(&ok).ok();
+        std::fs::remove_file(&bad).ok();
+    }
+
+    #[test]
+    fn derive_of_a_stored_function_is_judged_by_what_it_holds() {
+        let mut e = university_with_advises();
+        e.execute_line("DECLARE mentor: faculty -> student (many-many)")
+            .unwrap();
+        let mut e = Engine::with_database(e.into_database());
+        // Empty where the history starts: derivable, and CHECK agrees.
+        e.execute_line("DERIVE mentor = teach o class_list")
+            .unwrap();
+        assert!(!codes(&e).contains(&fdb_check::Code::ShadowsFacts));
+        // Non-empty: the engine refuses it, so it is never recorded...
+        e.execute_line("DERIVE advises = teach o class_list")
+            .unwrap_err();
+        assert!(!codes(&e).contains(&fdb_check::Code::ShadowsFacts));
+        // ...and the pre-flight refuses a script that would try.
+        let path = std::env::temp_dir().join(format!("fdb_shadow_{}.fdb", std::process::id()));
+        std::fs::write(&path, "DERIVE advises = teach o class_list\n").unwrap();
+        e.execute_line("STRICT ON").unwrap();
+        let err = e
+            .execute_line(&format!("SOURCE \"{}\"", path.display()))
+            .unwrap_err()
+            .to_string();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("FDB008 error 1:8"), "{err}");
+    }
+
+    #[test]
+    fn a_read_inside_a_rolled_back_transaction_still_happened() {
+        let mut e = Engine::new();
+        let lines = "DECLARE teach: faculty -> course (many-many)\n\
+                     INSERT teach(gauss, algebra)\n\
+                     BEGIN\n\
+                     TRUTH teach(gauss, algebra)\n\
+                     ABORT\n\
+                     DELETE teach(gauss, algebra)";
+        run(&mut e, lines).into_iter().for_each(|r| {
+            r.unwrap();
+        });
+        // What fdb-lint says of the same lines: no dead write.
+        let (stmts, _) = crate::lower_script(lines);
+        let lint = fdb_check::analyze_script(&stmts, &CheckConfig::default());
+        assert_eq!(e.analyze(), lint);
+        assert!(!codes(&e).contains(&fdb_check::Code::DeadWrite));
+    }
+
+    #[test]
+    fn a_declare_can_close_a_cycle_with_a_stored_function() {
+        for (how, mut e) in engines_on_the_university() {
+            if e.replica().is_some() {
+                continue;
+            }
+            e.execute_line("DECLARE advises: faculty -> student (many-many)")
+                .unwrap();
+            let check = e.execute_line("CHECK").unwrap();
+            let line = e.line - 1;
+            assert!(
+                check.contains(&format!(
+                    "FDB031 info {line}:9: `advises` closes a cycle in the function graph \
+                     (faculty and student were already connected)"
+                )),
+                "{how}: {check}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_on_a_replica_reads_the_catalog_as_it_is_now() {
+        let (mut shipping, replica) = university_replica();
+        let mut e = Engine::new();
+        e.attach_replica(replica);
+        // `office` arrives in a batch shipped after the attach.
+        let p = &mut shipping.primary;
+        p.declare("office", "faculty", "room", "many-one".parse().unwrap())
+            .unwrap();
+        p.insert("office", Value::atom("euclid"), Value::atom("e101"))
+            .unwrap();
+        shipping.ship(e.replica_mut().unwrap());
+        assert_eq!(e.execute_line("TRUTH office(euclid, e101)").unwrap(), "T\n");
+        let check = e.execute_line("CHECK").unwrap();
+        assert!(!check.contains("FDB001"), "{check}");
+    }
+
+    #[test]
+    fn a_governed_stop_is_recorded_as_the_rollback_it_ran() {
+        let mut e = Engine::new();
+        run(
+            &mut e,
+            "DECLARE teach: faculty -> course (many-many)\n\
+             BEGIN\n\
+             SAVEPOINT \"half way\"\n\
+             INSERT teach(gauss, algebra)",
+        )
+        .into_iter()
+        .for_each(|r| {
+            r.unwrap();
+        });
+        e.set_statement_deadline(Some(Duration::from_millis(0)));
+        std::thread::sleep(Duration::from_millis(5));
+        e.execute_line("INSERT teach(noether, rings)").unwrap_err();
+        e.set_statement_deadline(None);
+        e.execute_line("COMMIT").unwrap();
+        // The insert the stop rolled back is not in the database, so a
+        // delete of it is no dead write; the statement numbering holds.
+        e.execute_line("DELETE teach(gauss, algebra)").unwrap();
+        assert_eq!(
+            e.history.transcript.lines().nth(4),
+            Some("ROLLBACK TO \"half way\"")
+        );
+        assert_eq!(e.history.transcript.lines().count(), 7);
+        assert_eq!(codes(&e), []);
+    }
+
+    #[test]
+    fn a_line_break_inside_a_line_leaves_its_slot_empty() {
+        let mut e = Engine::new();
+        // At the end of the line (a host that reads with `read_line`) it
+        // is white space like any other.
+        e.execute_line("DECLARE teach: faculty -> course (many-many)\r\n")
+            .unwrap();
+        e.execute_line("INSERT teach(gauss,\n algebra)").unwrap();
+        e.execute_line("DELETE teach(gauss, algebra)").unwrap();
+        assert_eq!(
+            e.history.transcript,
+            "DECLARE teach: faculty -> course (many-many)\n\nDELETE teach(gauss, algebra)\n"
+        );
+    }
+
+    #[test]
+    fn statements_without_text_leave_nothing_in_the_history() {
+        let mut e = Engine::new();
+        e.execute_line("DECLARE teach: faculty -> course (many-many)")
+            .unwrap();
+        let insert = crate::parse_statement("INSERT teach(gauss, algebra)", 2).unwrap();
+        e.execute(insert).unwrap();
+        assert_eq!(
+            e.execute_line("TRUTH teach(gauss, algebra)").unwrap(),
+            "T\n"
+        );
+        e.execute_line("DELETE teach(gauss, algebra)").unwrap();
+        assert_eq!(e.history.transcript.lines().count(), 3);
+        // CHECK never saw the insert: to it the read found nothing and
+        // the delete removes nothing, so there is no dead write either.
+        assert_eq!(codes(&e), []);
+        // A LOAD that arrives as a statement still starts the history
+        // over, at the next line.
+        let path = std::env::temp_dir().join(format!("fdb_textless_{}.snap", std::process::id()));
+        std::fs::write(&path, e.snapshot().to_snapshot().unwrap()).unwrap();
+        let load = crate::parse_statement(&format!("LOAD \"{}\"", path.display()), 9).unwrap();
+        e.execute(load).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(e.history.first_line, 4);
+        assert!(e.history.transcript.is_empty());
     }
 
     #[test]

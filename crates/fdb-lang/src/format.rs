@@ -158,12 +158,17 @@ pub fn render_analyze_report(
 
 /// Quotes a value for script output when it is not a bare identifier.
 fn script_value(v: &fdb_types::Value) -> String {
-    let s = v.to_string();
+    script_word(&v.to_string())
+}
+
+/// Quotes a name or value for script output when it is not a bare
+/// identifier.
+pub(crate) fn script_word(s: &str) -> String {
     let bare = !s.is_empty()
         && s.chars()
             .all(|c| c.is_alphanumeric() || matches!(c, '_' | '#' | '.' | '-'));
     if bare {
-        s
+        s.to_owned()
     } else {
         format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
     }

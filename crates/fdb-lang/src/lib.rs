@@ -41,7 +41,7 @@ pub mod parser;
 pub mod repl;
 
 pub use ast::{Admission, DeriveStep, Governed, Statement};
-pub use check::{lower, lower_script};
+pub use check::{lower, lower_script, lower_script_from};
 pub use engine::Engine;
 pub use parser::{parse_statement, parse_statement_spanned, SpannedStatement, StmtSpans};
 pub use repl::run_repl;

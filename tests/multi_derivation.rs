@@ -233,3 +233,141 @@ fn pair_evaluation_over_two_derivations_matches_interpreter() {
     assert!(tally.with_ncs > 0, "{tally:?}");
     assert!(tally.ambiguous_pairs > 0, "{tally:?}");
 }
+
+/// The durable path keeps every derivation of a function: a second
+/// logged `derive` adds to the first (as a second `DERIVE` does in the
+/// language engine) on the live database, after recovery, and on a
+/// replica that tailed the log.
+#[test]
+fn a_second_logged_derive_adds_to_the_first() {
+    use fdb::core::{DurabilityConfig, LoggedDatabase, SimDisk, WalStorage};
+    use fdb::repl::{Replica, ReplicationSource};
+    use std::sync::Arc;
+
+    let storage: Arc<dyn WalStorage> = Arc::new(SimDisk::new());
+    let (mut ldb, _) =
+        LoggedDatabase::open_with(Arc::clone(&storage), "/p", DurabilityConfig::default()).unwrap();
+    for (name, domain, range) in [
+        ("teach", "faculty", "course"),
+        ("class_list", "course", "student"),
+        ("advises", "faculty", "student"),
+        ("pupil", "faculty", "student"),
+    ] {
+        ldb.declare(name, domain, range, "many-many".parse().unwrap())
+            .unwrap();
+    }
+    ldb.derive("pupil", &[("teach", false), ("class_list", false)])
+        .unwrap();
+    ldb.derive("pupil", &[("advises", false)]).unwrap();
+    ldb.insert("teach", v("euclid"), v("math")).unwrap();
+    ldb.insert("class_list", v("math"), v("john")).unwrap();
+
+    let both_derivations_answer = |db: &Database, what: &str| {
+        let pupil = db.resolve("pupil").unwrap();
+        let rendered: Vec<String> = db
+            .derivations(pupil)
+            .iter()
+            .map(|d| d.render(db.schema()))
+            .collect();
+        assert_eq!(rendered, ["teach o class_list", "advises"], "{what}");
+        assert_eq!(
+            db.truth(pupil, &v("euclid"), &v("john")).unwrap(),
+            Truth::True,
+            "{what}"
+        );
+    };
+    both_derivations_answer(ldb.database(), "live");
+
+    let mut replica = Replica::open(Arc::clone(&storage), "/r").unwrap();
+    let batch = ReplicationSource::for_primary(&ldb)
+        .poll(replica.next_seq(), 10_000)
+        .unwrap();
+    replica.apply_batch(&batch).unwrap();
+    both_derivations_answer(replica.database(), "replica");
+    assert_eq!(
+        replica.database().to_snapshot().unwrap(),
+        ldb.database().to_snapshot().unwrap()
+    );
+
+    drop(ldb);
+    let (recovered, report) =
+        LoggedDatabase::open_with(storage, "/p", DurabilityConfig::default()).unwrap();
+    assert!(report.corruption.is_empty());
+    both_derivations_answer(recovered.database(), "recovered");
+}
+
+/// `import_schema` logs every derivation of the source, so a database
+/// with a two-derivation function comes back from recovery byte-equal.
+#[test]
+fn import_schema_round_trips_every_derivation_through_recovery() {
+    use fdb::core::{DurabilityConfig, LoggedDatabase, SimDisk, WalStorage};
+    use std::sync::Arc;
+
+    let source = diamond();
+    let storage: Arc<dyn WalStorage> = Arc::new(SimDisk::new());
+    let mut ldb =
+        LoggedDatabase::create_with(Arc::clone(&storage), "/d", DurabilityConfig::default())
+            .unwrap();
+    ldb.import_schema(&source).unwrap();
+    let imported = ldb.database().to_snapshot().unwrap();
+    assert_eq!(imported, source.to_snapshot().unwrap());
+    drop(ldb);
+    let (recovered, _) =
+        LoggedDatabase::open_with(storage, "/d", DurabilityConfig::default()).unwrap();
+    assert_eq!(recovered.database().to_snapshot().unwrap(), imported);
+    let reaches = recovered.database().resolve("reaches").unwrap();
+    assert_eq!(recovered.database().derivations(reaches).len(), 2);
+}
+
+/// The §2 outcome made durable: both derivations Method 2.1 confirmed for
+/// `pupil` are in the log, not only the first.
+#[test]
+fn design_logged_database_keeps_every_confirmed_derivation() {
+    use fdb::core::session::FunctionDecl;
+    use fdb::core::{design_logged_database, DurabilityConfig, LoggedDatabase, SimDisk};
+    use fdb::graph::{DesignConfig, ScriptedDesigner};
+    use std::sync::Arc;
+
+    let decls: Vec<FunctionDecl> = [
+        ("teach", "faculty", "course"),
+        ("class_list", "course", "student"),
+        ("advises", "faculty", "student"),
+        ("pupil", "faculty", "student"),
+    ]
+    .iter()
+    .map(|(n, d, r)| FunctionDecl::new(n, d, r, "many-many").unwrap())
+    .collect();
+    // `advises` closes a cycle the designer keeps; `pupil` is then
+    // derivable both ways.
+    let mut designer = ScriptedDesigner::new();
+    designer.push_keep().push_decision_by_name("pupil");
+    designer.default_confirm(true);
+    let disk = Arc::new(SimDisk::new());
+    let ldb = design_logged_database(
+        &decls,
+        &mut designer,
+        DesignConfig::default(),
+        disk.clone(),
+        "/design",
+        DurabilityConfig::default(),
+    )
+    .unwrap();
+    let rendered = |db: &Database| -> Vec<String> {
+        let pupil = db.resolve("pupil").unwrap();
+        let mut all: Vec<String> = db
+            .derivations(pupil)
+            .iter()
+            .map(|d| d.render(db.schema()))
+            .collect();
+        all.sort();
+        all
+    };
+    assert_eq!(rendered(ldb.database()), ["advises", "teach o class_list"]);
+    drop(ldb);
+    let (recovered, _) =
+        LoggedDatabase::open_with(disk, "/design", DurabilityConfig::default()).unwrap();
+    assert_eq!(
+        rendered(recovered.database()),
+        ["advises", "teach o class_list"]
+    );
+}

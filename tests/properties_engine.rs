@@ -2,9 +2,10 @@
 //! through the full stack must preserve consistency, snapshot round-trip
 //! fidelity (the binary codec against the serde derive it replaced, and
 //! against damaged bytes), WAL-replay equivalence and transaction
-//! atomicity; and the language engine's three derived reads must agree
+//! atomicity; the language engine's three derived reads must agree
 //! with each other and with the database after every statement of a
-//! random script.
+//! random script; and a session's `CHECK` is `fdb-lint` of the lines
+//! that ran.
 
 use std::time::Duration;
 
@@ -12,10 +13,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fdb::check::{analyze_script, CheckConfig};
 use fdb::core::{replay, resolve_ambiguities, Budget, Database, Governor, LogRecord, Update, Wal};
 use fdb::lang::format::render_derived_pairs;
-use fdb::lang::Engine;
+use fdb::lang::{lower_script, Engine};
 use fdb::storage::Truth;
+use fdb::types::FdbError;
 use fdb::types::{Derivation, Schema, Step, Value};
 use fdb::workload::{update_stream, UpdateStreamConfig};
 
@@ -175,8 +178,188 @@ fn assert_reads_agree(e: &mut Engine, context: &str) {
     }
 }
 
+/// One random line of a session: every statement kind the analyzer
+/// models, over functions that may or may not be declared (or derived,
+/// or populated) by then, transaction control wherever it falls, lines
+/// that do not parse, blanks and comments.
+fn random_session_line(rng: &mut StdRng) -> String {
+    let (f, c, s) = (
+        format!("f{}", rng.gen_range(0..3)),
+        format!("c{}", rng.gen_range(0..3)),
+        format!("s{}", rng.gen_range(0..3)),
+    );
+    let verb = ["INSERT", "INSERT", "DELETE"][rng.gen_range(0..3usize)];
+    let student_of = ["pupil", "advises", "mentor", "ghost"][rng.gen_range(0..4usize)];
+    let savepoint = ["a", "b"][rng.gen_range(0..2usize)];
+    match rng.gen_range(0..40) {
+        0 => "DECLARE mentor: faculty -> student (many-many)".to_owned(),
+        1 => "DECLARE office: faculty -> room (many-many)".to_owned(),
+        2 => "DERIVE pupil = advises".to_owned(),
+        3 => "DERIVE mentor = teach o class_list".to_owned(),
+        4 => "DERIVE mentor = teach".to_owned(),
+        5..=7 => format!("{verb} teach({f}, {c})"),
+        8..=10 => format!("{verb} class_list({c}, {s})"),
+        11..=14 => format!("{verb} {student_of}({f}, {s})"),
+        15 => format!("REPLACE teach({f}, {c}) WITH ({f}, c9)"),
+        16 => format!("  TRUTH {student_of}({f}, {s})  -- indented, with a comment"),
+        17 => format!("TRUTH teach({f}, {c})"),
+        18 => format!("QUERY {student_of}({f})"),
+        19 => format!("INVERSE {student_of}({s})"),
+        20 => format!("SHOW {student_of}"),
+        21 => format!("DERIVATIONS {student_of}"),
+        22 => format!("EVAL {f} : teach o class_list"),
+        23 => format!("EXPLAIN {student_of}({f}, {s})"),
+        24 => format!("EXPLAIN PLAN {student_of}({f}, {s})"),
+        25 => format!("EXPLAIN ANALYZE {student_of}({f}, {s})"),
+        26 => "RESOLVE".to_owned(),
+        27..=28 => "BEGIN".to_owned(),
+        29..=30 => format!("SAVEPOINT {savepoint}"),
+        31..=32 => format!("ROLLBACK TO {savepoint}"),
+        33 => "ABORT".to_owned(),
+        34..=35 => "COMMIT".to_owned(),
+        36 => "SCHEMA".to_owned(),
+        37 => "GIBBERISH".to_owned(),
+        38 => "-- a note".to_owned(),
+        _ => "   ".to_owned(),
+    }
+}
+
+/// An engine and the text `fdb-lint` should read to say what the
+/// engine's `CHECK` says: every line that ran, a failed line emptied, a
+/// `SOURCE` line empty before the lines it ran.
+struct LintedSession {
+    engine: Engine,
+    lines: String,
+}
+
+impl LintedSession {
+    fn run(&mut self, line: &str) {
+        if self.engine.execute_line(line).is_ok() {
+            self.lines.push_str(line);
+        }
+        self.lines.push('\n');
+    }
+
+    /// `SOURCE`s a file of `ok` lines that run whatever the state, then
+    /// (if `fails`) one that does not and one that is never reached.
+    fn source(&mut self, path: &std::path::Path, ok: &[&str], fails: bool) {
+        let mut file = ok.join("\n");
+        if fails {
+            file.push_str("\nINSERT ghost(a, b)\nINSERT teach(never, reached)");
+        }
+        std::fs::write(path, file).unwrap();
+        let result = self
+            .engine
+            .execute_line(&format!("SOURCE \"{}\"", path.display()));
+        std::fs::remove_file(path).ok();
+        assert_eq!(result.is_err(), fails, "{result:?}");
+        self.lines.push('\n');
+        for line in ok {
+            self.lines.push_str(line);
+            self.lines.push('\n');
+        }
+        if fails {
+            self.lines.push('\n');
+        }
+    }
+
+    /// Stops a write inside the open transaction with an expired
+    /// deadline: the line reads as the rollback the engine ran.
+    fn governed_stop(&mut self) {
+        let db = self.engine.database();
+        assert!(db.txn_active());
+        let ran = match db.txn_last_savepoint() {
+            Some(name) => format!("ROLLBACK TO {name}"),
+            None => "ABORT".to_owned(),
+        };
+        self.engine
+            .set_statement_deadline(Some(Duration::from_millis(0)));
+        let err = self
+            .engine
+            .execute_line("INSERT teach(f0, c0)")
+            .unwrap_err();
+        self.engine.set_statement_deadline(None);
+        assert!(matches!(err, FdbError::TxnAborted { .. }), "{err}");
+        self.lines.push_str(&ran);
+        self.lines.push('\n');
+    }
+
+    fn assert_check_is_lint(&self, context: &str) {
+        let (stmts, errors) = lower_script(&self.lines);
+        assert!(errors.is_empty(), "{errors:?} {context}");
+        assert_eq!(
+            self.engine.analyze(),
+            analyze_script(&stmts, &CheckConfig::default()),
+            "{context}\n{}",
+            self.lines
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The engine keeps the text of what it ran and `CHECK` lints it, so
+    /// the session's diagnostics — codes, messages and `line:col` — are
+    /// `fdb-lint`'s on the same lines, rollbacks included: the analyzer
+    /// is the only model of them.
+    #[test]
+    fn session_check_is_lint_of_the_lines_that_ran(
+        seed in 0u64..10_000,
+        before in 0usize..40,
+        after in 0usize..25,
+        source_fails in 0usize..2,
+    ) {
+        let mut session = LintedSession { engine: Engine::new(), lines: String::new() };
+        for line in [
+            "DECLARE teach: faculty -> course (many-many)",
+            "DECLARE class_list: course -> student (many-many)",
+            "DECLARE advises: faculty -> student (many-many)",
+            "DECLARE pupil: faculty -> student (many-many)",
+            "DERIVE pupil = teach o class_list",
+        ] {
+            session.run(line);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..before {
+            session.run(&random_session_line(&mut rng));
+        }
+        let path = std::env::temp_dir()
+            .join(format!("fdb_prop_lint_{}_{seed}_{before}.fdb", std::process::id()));
+        session.source(
+            &path,
+            &[
+                "-- sourced in mid-session",
+                "INSERT teach(f0, c0)",
+                "",
+                "  QUERY pupil(f0)",
+                "DELETE class_list(c0, s0)",
+                "SHOW advises",
+                // A dead write (FDB023) that cites two sourced lines.
+                "INSERT teach(f9, c9)",
+                "DELETE teach(f9, c9)",
+            ],
+            source_fails == 1,
+        );
+        for _ in 0..after {
+            session.run(&random_session_line(&mut rng));
+        }
+        session.assert_check_is_lint(&format!("seed {seed}"));
+
+        if !session.engine.database().txn_active() {
+            session.run("BEGIN");
+            if rng.gen_range(0..2) == 0 {
+                session.run("SAVEPOINT b");
+            }
+            session.run("INSERT advises(f1, s1)");
+        }
+        session.governed_stop();
+        session.assert_check_is_lint(&format!("after a governed stop, seed {seed}"));
+        for _ in 0..5 {
+            session.run(&random_session_line(&mut rng));
+        }
+        session.assert_check_is_lint(&format!("five lines after a governed stop, seed {seed}"));
+    }
 
     /// §3.2 makes the truth of a derived fact a function of its chains
     /// and nothing else, so the cached reads (`TRUTH`, `SHOW`), the

@@ -3,7 +3,9 @@
 //! multi-derivation function, NCs and nulls, `STRICT ON` + `SOURCE`
 //! included), and the `Ok`/`Err` text of every line, concatenated, must
 //! equal `statement_matrix.golden` byte for byte. A refactor of the
-//! engine that changes any answer shows up here as a one-line diff.
+//! engine that changes any answer shows up here as a one-line diff: the
+//! failure message lists every drifting line, so "identical but for
+//! these lines" can be read off it.
 //!
 //! To regenerate after an intended change, copy the `.actual` file the
 //! failing assertion names over the golden and review the diff.
@@ -50,6 +52,49 @@ fn transcript(tmp: &str) -> String {
     out
 }
 
+/// Every line that differs between the two transcripts, `- <golden line
+/// number>: …` for one only the golden has and `+ <actual line number>:
+/// …` for one only the actual run printed: a line diff over their
+/// longest common subsequence, so an answer that grew or shrank by a
+/// line does not mark everything after it.
+fn drift(golden: &str, actual: &str) -> String {
+    let (g, a): (Vec<&str>, Vec<&str>) = (golden.lines().collect(), actual.lines().collect());
+    // common[i][j]: length of the longest common subsequence of g[i..], a[j..].
+    let mut common = vec![vec![0u32; a.len() + 1]; g.len() + 1];
+    for i in (0..g.len()).rev() {
+        for j in (0..a.len()).rev() {
+            common[i][j] = if g[i] == a[j] {
+                common[i + 1][j + 1] + 1
+            } else {
+                common[i + 1][j].max(common[i][j + 1])
+            };
+        }
+    }
+    let (mut i, mut j, mut out) = (0, 0, String::new());
+    while i < g.len() || j < a.len() {
+        if i < g.len() && j < a.len() && g[i] == a[j] {
+            (i, j) = (i + 1, j + 1);
+        } else if j == a.len() || (i < g.len() && common[i + 1][j] >= common[i][j + 1]) {
+            out.push_str(&format!("- {:>4}: {}\n", i + 1, g[i]));
+            i += 1;
+        } else {
+            out.push_str(&format!("+ {:>4}: {}\n", j + 1, a[j]));
+            j += 1;
+        }
+    }
+    out
+}
+
+#[test]
+fn drift_lists_every_changed_line_and_nothing_after_a_length_change() {
+    let golden = "a\nb\nc\nd\ne\n";
+    assert_eq!(drift(golden, golden), "");
+    assert_eq!(
+        drift(golden, "a\nB1\nB2\nc\ne\nf\n"),
+        "-    2: b\n+    2: B1\n+    3: B2\n-    4: d\n+    6: f\n"
+    );
+}
+
 #[test]
 fn statement_matrix_transcript_is_byte_stable() {
     let tmp = std::env::temp_dir().join(format!("fdb_statement_matrix_{}", std::process::id()));
@@ -62,15 +107,10 @@ fn statement_matrix_transcript_is_byte_stable() {
     if actual != golden {
         let path = std::env::temp_dir().join("statement_matrix.actual");
         std::fs::write(&path, &actual).expect("write actual transcript");
-        let line = actual
-            .lines()
-            .zip(golden.lines())
-            .position(|(a, g)| a != g)
-            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
         panic!(
-            "transcript drifted from {GOLDEN} at line {}; actual written to {}",
-            line + 1,
-            path.display()
+            "transcript drifted from {GOLDEN}; actual written to {}\n{}",
+            path.display(),
+            drift(&golden, &actual)
         );
     }
 }
