@@ -1,6 +1,7 @@
 //! MVCC read-scaling bench: reader throughput at 1/2/4/8 threads with a
-//! concurrent writer, snapshot path vs the two pre-MVCC lock paths,
-//! written to `BENCH_mvcc.json` (CI's bench-smoke job regenerates).
+//! concurrent writer, the shared handle's snapshot path vs two lock
+//! strawmen, written to `BENCH_mvcc.json` (CI's bench-smoke job
+//! regenerates it, and annotates the run when `gates_enforced` is false).
 //!
 //! ```sh
 //! cargo run -p fdb-bench --bin mvcc_scaling --release
@@ -9,13 +10,15 @@
 //! Three arms run the identical derived-truth query workload against the
 //! identical store while one writer mutates continuously:
 //!
-//! * **snapshot** — `SharedDatabase::pin()` per query, the PR's read
-//!   path: no lock, reads never wait for the writer.
-//! * **rwlock** — readers take a `std::sync::RwLock` read guard, the
-//!   old `SharedDatabase` path: readers share, but stall whenever the
-//!   writer holds or wants the exclusive lock.
-//! * **mutex** — readers take a `std::sync::Mutex`, the old
-//!   `SharedLoggedDatabase` path: every read fully serialised.
+//! * **snapshot** — `SharedDatabase::pin()` per query and writes through
+//!   `SharedDatabase::write`, the only arm that is a handle of this
+//!   repo: no lock on the read side, reads never wait for the writer.
+//! * **rwlock** — a plain `std::sync::RwLock<Database>`, not a handle:
+//!   what reads cost if they took a shared guard (the shape the shared
+//!   handle had before snapshots) — readers share, but stall whenever
+//!   the writer holds or wants the exclusive lock.
+//! * **mutex** — a plain `std::sync::Mutex<Database>`, not a handle:
+//!   every read fully serialised with the writer.
 //!
 //! Gates are enforced only when the machine has enough cores to make
 //! scaling physically possible (≥ 5: four readers plus the writer);
@@ -171,7 +174,7 @@ fn main() {
             };
             snapshot_tp.push(run_arm(threads, &read, &write));
         }
-        // Old RwLock path: shared read guards, exclusive writer.
+        // RwLock strawman: shared read guards, exclusive writer.
         {
             let (db, teach, pupil) = university();
             let lock = Arc::new(RwLock::new(db));
@@ -187,7 +190,7 @@ fn main() {
             };
             rwlock_tp.push(run_arm(threads, &read, &write));
         }
-        // Old Mutex path: every access serialised.
+        // Mutex strawman: every access serialised.
         {
             let (db, teach, pupil) = university();
             let lock = Arc::new(Mutex::new(db));

@@ -92,6 +92,14 @@ struct TxnState {
     savepoints: Vec<(String, TxnMeta)>,
 }
 
+/// A database lends itself: lets code be generic over "anything with a
+/// [`Database`] inside" ([`crate::Shared`]).
+impl AsRef<Database> for Database {
+    fn as_ref(&self) -> &Database {
+        self
+    }
+}
+
 impl Database {
     /// A database over `schema` with every function base.
     pub fn new(schema: Schema) -> Self {

@@ -113,6 +113,12 @@ pub struct LoggedDatabase {
     defer_sync: bool,
 }
 
+impl AsRef<Database> for LoggedDatabase {
+    fn as_ref(&self) -> &Database {
+        &self.db
+    }
+}
+
 impl LoggedDatabase {
     /// Creates a fresh logged database in `dir` (a directory; created if
     /// absent, existing log state cleared) on the real filesystem with
@@ -668,7 +674,7 @@ impl LoggedDatabase {
     }
 
     /// Turns deferred-sync mode on or off (see the `defer_sync` field).
-    /// Only the group-commit path in `SharedLoggedDatabase` should set
+    /// Only the group-commit path of the shared handle should set
     /// this: whoever defers a sync owns making the record durable before
     /// acknowledging the write.
     pub fn set_defer_sync(&mut self, defer: bool) {
@@ -696,10 +702,12 @@ impl LoggedDatabase {
 /// sequential path (grouping changes *when* `fsync` runs, never what is
 /// appended), so replication and recovery see the same frames.
 ///
-/// Failure contract: if the leader's fsync fails, every writer whose
-/// sequence was covered by the failed attempt gets an error — the
-/// record is applied and appended but its durability is unknown, the
-/// same contract as a failed inline sync on the sequential path.
+/// Failure contract: if the leader's fsync fails or cannot run, or a
+/// follower's wait times out, the writer gets one typed error (`wal:
+/// group fsync covering seq N failed: …`) — the record is applied and
+/// appended but its durability is unknown, the same contract as a failed
+/// inline sync on the sequential path. It is never
+/// [`FdbError::Overloaded`], which promises that nothing was executed.
 /// Transactional `COMMIT` never routes through here: the commit marker
 /// is force-fsynced synchronously (and revoked on failure), preserving
 /// the invariant that recovery lands at pre-`BEGIN` or post-`COMMIT`.
@@ -742,9 +750,10 @@ impl GroupCommit {
     /// shed engine lock). Returns `Ok(true)` if this call led the fsync,
     /// `Ok(false)` if it piggybacked on another writer's.
     ///
-    /// The wait is bounded by `timeout`; timing out sheds the request
-    /// with [`FdbError::Overloaded`] (the record's durability is then
-    /// unknown, exactly as if the caller had crashed before its fsync).
+    /// The wait is bounded by `timeout`; timing out is counted as an
+    /// overload shed and reported like a failed fsync (the record's
+    /// durability is then unknown, exactly as if the caller had crashed
+    /// before its fsync).
     pub fn sync_to(
         &self,
         seq: u64,
@@ -759,6 +768,11 @@ impl GroupCommit {
         let mut span =
             fdb_obs::causal::child_span("fdb.commit.group_sync", || format!("seq={seq}"));
         let mut do_sync = Some(do_sync);
+        let unknown = |cause: &dyn std::fmt::Display| {
+            FdbError::Internal(format!(
+                "wal: group fsync covering seq {seq} failed: {cause}"
+            ))
+        };
         let mut st = self.lock_state();
         loop {
             if st.synced >= seq {
@@ -769,11 +783,8 @@ impl GroupCommit {
                 return Ok(false);
             }
             if st.failed_at >= seq {
-                let msg = st.last_error.clone().unwrap_or_default();
                 span.set_error();
-                return Err(FdbError::Internal(format!(
-                    "wal: group fsync covering seq {seq} failed: {msg}"
-                )));
+                return Err(unknown(&st.last_error.as_deref().unwrap_or_default()));
             }
             if !st.leader_running {
                 st.leader_running = true;
@@ -814,7 +825,7 @@ impl GroupCommit {
                         lead_span.set_error();
                         drop(lead_span);
                         span.set_error();
-                        return Err(e);
+                        return Err(unknown(&e));
                     }
                 }
             }
@@ -823,10 +834,10 @@ impl GroupCommit {
             let Some(remaining) = timeout.checked_sub(waited) else {
                 fdb_obs::registry().governor_overload_sheds.inc();
                 span.set_error();
-                return Err(FdbError::Overloaded {
-                    what: "group commit fsync wait".to_owned(),
-                    waited_ms: waited.as_millis() as u64,
-                });
+                return Err(unknown(&format_args!(
+                    "no leader finished it within {} ms",
+                    waited.as_millis()
+                )));
             };
             let (guard, _) = self
                 .cv
@@ -1368,5 +1379,41 @@ mod tests {
                 .unwrap(),
             Truth::True
         );
+    }
+
+    /// A follower whose leader does not finish in time has its record
+    /// applied and appended already: the error must not be the one that
+    /// promises "not executed".
+    #[test]
+    fn group_commit_follower_timeout_is_not_reported_as_overloaded() {
+        let group = Arc::new(GroupCommit::new());
+        let (release, go) = std::sync::mpsc::channel::<()>();
+        let (leading_tx, leading) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let group = Arc::clone(&group);
+            std::thread::spawn(move || {
+                group.sync_to(1, std::time::Duration::from_secs(5), || {
+                    leading_tx.send(()).unwrap();
+                    let _ = go.recv();
+                    (1, Ok(()))
+                })
+            })
+        };
+        leading.recv().unwrap();
+        let sheds = fdb_obs::registry().governor_overload_sheds.get();
+        let err = group
+            .sync_to(2, std::time::Duration::from_millis(10), || {
+                unreachable!("a leader is already running")
+            })
+            .unwrap_err();
+        assert!(!matches!(err, FdbError::Overloaded { .. }), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("wal: group fsync covering seq 2 failed"),
+            "{err}"
+        );
+        assert!(fdb_obs::registry().governor_overload_sheds.get() > sheds);
+        drop(release);
+        assert!(leader.join().unwrap().unwrap(), "the first caller led");
     }
 }

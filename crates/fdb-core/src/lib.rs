@@ -41,7 +41,7 @@ pub use explain::{
 };
 pub use resolve::{resolve_ambiguities, ResolutionOutcome};
 pub use session::{design_database, design_logged_database};
-pub use shared::{OverloadPolicy, PinnedSnapshot, SharedDatabase, SharedLoggedDatabase};
+pub use shared::{OverloadPolicy, PinnedSnapshot, Shared, SharedDatabase, SharedLoggedDatabase};
 pub use stats::DatabaseStats;
 pub use storage::{FileStorage, SimDisk, WalFile, WalStorage};
 pub use txn::Transaction;

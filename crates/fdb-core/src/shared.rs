@@ -2,39 +2,36 @@
 //! bounded writes, group-committed durability.
 //!
 //! The paper's design aid is single-user, but a database library needs a
-//! concurrency story. Since PR 8 the shared handles are **readers never
-//! wait**: every read entry point (`truth`/`extension`/`image`/eval/
-//! EXPLAIN/STATS closures) runs against a *pinned snapshot* — an
-//! immutable [`Database`] published by the last commit — acquired with a
-//! single `Arc` clone and **zero write-lock acquisition**. A writer
-//! stalling in an fsync, holding the write path, or queueing behind the
-//! admission gate cannot delay a reader by more than the nanoseconds it
-//! takes to swap a pointer.
+//! concurrency story. There is one handle, [`Shared<E>`], over any engine
+//! `E` that lends a [`Database`]: a plain [`Database`]
+//! ([`SharedDatabase`]) or a [`LoggedDatabase`]
+//! ([`SharedLoggedDatabase`]).
 //!
-//! **Snapshot lifecycle.** The store is copy-on-write at per-function
-//! granularity (`fdb-storage`), so cloning a [`Database`] is
-//! O(#functions) `Arc` bumps. Each handle keeps a published-snapshot
-//! slot; writers republish after every mutation that moved the store's
+//! **Readers never wait.** Every read entry point runs against a *pinned
+//! snapshot* — an immutable [`Database`] published by the last commit —
+//! acquired with a single `Arc` clone and no engine lock. A writer
+//! stalling in an fsync, holding the engine, or queueing behind the
+//! admission gate cannot delay a reader by more than a pointer swap.
+//!
+//! **Snapshot lifecycle.** The store is copy-on-write per function
+//! (`fdb-storage`), so cloning a [`Database`] is O(#functions) `Arc`
+//! bumps. Writers republish after every mutation that moved the store's
 //! monotone version counter, *except* while a transaction is open —
-//! uncommitted state is never published, so a reader can never observe a
-//! torn or rolled-back transaction. The open transaction itself still
-//! reads its own uncommitted journal through the write path (its live
-//! `&mut` database), overlaid on the state it pinned at `BEGIN`.
-//! Publication is ordered by the version stamp: a publish only installs
-//! a strictly newer snapshot, so racing publishers cannot regress the
-//! slot.
+//! uncommitted state is never published, so a reader never observes a
+//! torn or rolled-back transaction (the open transaction reads its own
+//! journal through the write path). A publish only installs a strictly
+//! newer snapshot, so racing publishers cannot regress the slot.
 //!
-//! **Write side.** Writes are unchanged in spirit: exclusive, bounded by
-//! an [`OverloadPolicy`] (lock timeout + admission gate capping in-flight
-//! writers), shed with the typed [`FdbError::Overloaded`] *before* any
-//! mutation, so retries are always safe. [`SharedLoggedDatabase`]
-//! additionally batches concurrent autocommit fsyncs through the
-//! [`GroupCommit`] coordinator: each writer appends its WAL record under
-//! the engine lock with the inline fsync deferred, releases the lock,
-//! and one leader fsyncs the whole group — identical WAL bytes, one disk
-//! flush for N writers. Transactional `COMMIT` keeps its synchronous
-//! force-fsync (and failure revocation) path: the PR 6 invariant that
-//! recovery lands at pre-`BEGIN` or post-`COMMIT` is untouched.
+//! **One write path.** Every write entry point is a call of
+//! `Shared::write_path`: admission gate → engine lock, bounded by the
+//! [`OverloadPolicy`] and the caller's governor → governor re-check
+//! under the lock → closure → publication. A request shed on the way in
+//! gets the typed [`FdbError::Overloaded`] *before* any mutation, so a
+//! retry is always safe. On a [`LoggedDatabase`] the autocommit writes
+//! also batch their fsyncs through the [`GroupCommit`] coordinator:
+//! identical WAL bytes, one disk flush for N writers. Transactional
+//! `COMMIT` keeps its synchronous force-fsync (and failure revocation):
+//! recovery still lands at pre-`BEGIN` or post-`COMMIT`.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,15 +49,14 @@ use crate::durability::{GroupCommit, LoggedDatabase, SyncPolicy};
 use crate::stats::DatabaseStats;
 use crate::update::Update;
 
-/// Bounds on lock acquisition for the shared handles.
+/// Bounds on the write path of a [`Shared`] handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverloadPolicy {
-    /// How long a writer may wait for the lock (or a group-commit
-    /// follower for its leader's fsync) before the request is shed with
-    /// [`FdbError::Overloaded`].
+    /// How long a writer may wait for the engine lock (or a group-commit
+    /// follower for its leader's fsync) before the request is shed.
     pub lock_timeout: Duration,
-    /// Maximum writers simultaneously holding-or-awaiting the lock;
-    /// one more is rejected immediately (admission control) instead of
+    /// Maximum writers in flight — admitted and not yet returned; one
+    /// more is rejected immediately (admission control) instead of
     /// queueing behind a convoy.
     pub max_inflight_writers: usize,
 }
@@ -175,61 +171,96 @@ impl SnapshotCell {
     }
 }
 
-/// A cloneable, thread-safe handle to a [`Database`].
-#[derive(Clone, Debug)]
-pub struct SharedDatabase {
-    inner: Arc<RwLock<Database>>,
-    cell: Arc<SnapshotCell>,
-    gate: Arc<AtomicUsize>,
+/// A cloneable, thread-safe handle to an engine `E` that lends a
+/// [`Database`].
+///
+/// Writers serialise on one mutex, so on a [`LoggedDatabase`] the log
+/// order *is* the apply order — replaying the log reproduces the live
+/// state, however many threads were appending. Reads never touch that
+/// mutex: they pin the snapshot published at the last commit boundary.
+#[derive(Debug)]
+pub struct Shared<E> {
+    inner: Arc<Inner<E>>,
+}
+
+/// A [`Shared`] in-memory [`Database`].
+pub type SharedDatabase = Shared<Database>;
+
+/// A [`Shared`] [`LoggedDatabase`]: every mutation is written ahead to
+/// the log. Under [`SyncPolicy::Always`] the autocommit writes (`insert`,
+/// `delete`, `apply_update`) group-commit: concurrent writers' records
+/// are made durable by one batched fsync (see [`GroupCommit`]), and a
+/// write is acknowledged — and its state published to readers — only
+/// after the fsync covering it succeeded.
+pub type SharedLoggedDatabase = Shared<LoggedDatabase>;
+
+#[derive(Debug)]
+struct Inner<E> {
+    engine: Mutex<E>,
+    cell: SnapshotCell,
+    /// Writers in flight: admitted and not yet returned.
+    gate: AtomicUsize,
+    /// Idle unless `E` is a [`LoggedDatabase`].
+    group: GroupCommit,
     policy: OverloadPolicy,
 }
 
-impl SharedDatabase {
-    /// Wraps a database for shared access with the default
-    /// [`OverloadPolicy`].
-    pub fn new(db: Database) -> Self {
-        SharedDatabase::with_policy(db, OverloadPolicy::default())
+impl<E> Clone for Shared<E> {
+    fn clone(&self) -> Self {
+        Shared {
+            inner: Arc::clone(&self.inner),
+        }
+    }
+}
+
+impl<E: AsRef<Database>> Shared<E> {
+    /// Wraps an engine with the default [`OverloadPolicy`].
+    pub fn new(engine: E) -> Self {
+        Shared::with_policy(engine, OverloadPolicy::default())
     }
 
-    /// Wraps a database for shared access with an explicit policy.
-    pub fn with_policy(db: Database, policy: OverloadPolicy) -> Self {
-        let cell = Arc::new(SnapshotCell::new(&db));
-        SharedDatabase {
-            inner: Arc::new(RwLock::new(db)),
-            cell,
-            gate: Arc::new(AtomicUsize::new(0)),
-            policy,
+    /// Wraps an engine with an explicit policy.
+    pub fn with_policy(engine: E, policy: OverloadPolicy) -> Self {
+        Shared {
+            inner: Arc::new(Inner {
+                cell: SnapshotCell::new(engine.as_ref()),
+                engine: Mutex::new(engine),
+                gate: AtomicUsize::new(0),
+                group: GroupCommit::new(),
+                policy,
+            }),
         }
     }
 
     /// The handle's overload policy.
     pub fn policy(&self) -> OverloadPolicy {
-        self.policy
+        self.inner.policy
     }
 
     /// Pins the current published snapshot: a zero-lock, immutable view
     /// of the database as of the last completed write. Hold it as long
     /// as you like — it never blocks a writer and never changes.
     pub fn pin(&self) -> PinnedSnapshot {
-        if self.gate.load(Ordering::Acquire) > 0 {
+        // The one definition of a stale read: some writer is in flight
+        // (awaiting the engine, holding it, or awaiting its group fsync).
+        if self.inner.gate.load(Ordering::Acquire) > 0 {
             fdb_obs::registry().mvcc_stale_snapshot_reads.inc();
         }
-        self.cell.pin()
+        self.inner.cell.pin()
     }
 
     /// Runs a closure against a pinned snapshot. Lock-free: a writer
-    /// holding the write path cannot delay this (the closure sees the
-    /// state as of the last completed write).
+    /// holding the engine cannot delay this (the closure sees the state
+    /// as of the last completed write).
     pub fn read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.pin())
     }
 
-    /// [`SharedDatabase::read`] with the governor consulted up front:
-    /// an expired deadline or tripped cancellation token sheds the read
-    /// with the corresponding typed error before the snapshot is pinned.
-    /// (Snapshot pins cannot block, so unlike writes there is no lock
-    /// wait to clamp — pass the governor on to `*_governed` query
-    /// methods inside the closure to bound the query itself.)
+    /// [`Shared::read`] with the governor consulted up front: an expired
+    /// deadline or tripped cancellation token sheds the read with its
+    /// typed error before the snapshot is pinned. (Pins cannot block, so
+    /// there is no wait to clamp — pass the governor on to `*_governed`
+    /// query methods inside the closure to bound the query itself.)
     pub fn read_governed<R>(
         &self,
         governor: &Governor,
@@ -241,94 +272,134 @@ impl SharedDatabase {
         Ok(self.read(f))
     }
 
-    /// Runs a closure with exclusive write access.
+    /// Runs a closure with exclusive access to the engine.
     ///
-    /// Bounded: if the admission gate is full the request is rejected
-    /// immediately; if the lock cannot be acquired within the policy's
-    /// timeout the request is shed. Either way the error is
-    /// [`FdbError::Overloaded`], nothing was executed, and a retry is
-    /// safe. On success the new state is published for readers before
-    /// this returns (read-your-write through any handle clone).
-    pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> Result<R> {
-        self.write_bounded(self.policy.lock_timeout, f)
+    /// Bounded: a full admission gate rejects the request at once, a lock
+    /// not acquired within the policy's timeout sheds it. Either way the
+    /// error is [`FdbError::Overloaded`], nothing was executed, and a
+    /// retry is safe. On success the new state is published for readers
+    /// before this returns (read-your-write through any handle clone) —
+    /// unless the closure left a transaction open.
+    pub fn with<R>(&self, f: impl FnOnce(&mut E) -> R) -> Result<R> {
+        self.write_path(None, |engine| (f(engine), None), |_| Ok(()))
     }
 
-    /// [`SharedDatabase::write`] with the wait additionally clamped to
-    /// `governor`'s remaining time (a request that would outlive its
-    /// deadline is shed early; a cancelled governor sheds immediately).
-    pub fn write_governed<R>(
+    /// [`Shared::with`] with the lock wait additionally clamped to
+    /// `governor`'s remaining time, and the governor re-checked while
+    /// holding the lock, so the closure (typically an append + fsync)
+    /// never even starts past the deadline or after a cancellation.
+    pub fn with_governed<R>(&self, governor: &Governor, f: impl FnOnce(&mut E) -> R) -> Result<R> {
+        self.write_path(Some(governor), |engine| (f(engine), None), |_| Ok(()))
+    }
+
+    /// The one write path: admission gate → bounded engine lock →
+    /// governor re-check → `f` → publication. Nothing else takes the
+    /// engine lock for a write (the group leader re-locks it, already
+    /// admitted, only to fsync).
+    ///
+    /// `f` returns its result and, if what it wrote is not to be seen
+    /// yet, the log sequence that must be durable first: the state is
+    /// then captured, the lock released, and the snapshot published once
+    /// `durable(seq)` succeeded — with the gate pass still held, so the
+    /// writer counts as in flight until it returns.
+    fn write_path<R>(
         &self,
-        governor: &Governor,
-        f: impl FnOnce(&mut Database) -> R,
+        governor: Option<&Governor>,
+        f: impl FnOnce(&mut E) -> (R, Option<u64>),
+        durable: impl FnOnce(u64) -> Result<()>,
     ) -> Result<R> {
-        governor
-            .check()
-            .map_err(|r| r.into_error("database write"))?;
-        let timeout = match governor.remaining_time() {
-            Some(left) => left.min(self.policy.lock_timeout),
-            None => self.policy.lock_timeout,
-        };
-        self.write_bounded(timeout, f)
-    }
-
-    fn write_bounded<R>(&self, timeout: Duration, f: impl FnOnce(&mut Database) -> R) -> Result<R> {
-        let inflight = self.gate.fetch_add(1, Ordering::AcqRel);
-        let _pass = GatePass(&self.gate);
-        if inflight >= self.policy.max_inflight_writers {
+        let inner = &*self.inner;
+        let check = |g: &Governor| g.check().map_err(|r| r.into_error("database write"));
+        let mut timeout = inner.policy.lock_timeout;
+        if let Some(g) = governor {
+            check(g)?;
+            timeout = g.remaining_time().map_or(timeout, |left| left.min(timeout));
+        }
+        let inflight = inner.gate.fetch_add(1, Ordering::AcqRel);
+        let _pass = GatePass(&inner.gate);
+        if inflight >= inner.policy.max_inflight_writers {
             return Err(overloaded("write admission gate", Duration::ZERO));
         }
         let t0 = Instant::now();
-        match self.inner.try_write_for(timeout) {
-            Some(mut guard) => {
-                let r = f(&mut guard);
-                // Publish while still holding the write lock: the slot
-                // always advances in commit order.
-                self.cell.publish_from(&guard);
-                Ok(r)
+        let Some(mut engine) = inner.engine.try_lock_for(timeout) else {
+            return Err(overloaded("database write lock", t0.elapsed()));
+        };
+        governor.map_or(Ok(()), check)?;
+        let (r, pending) = f(&mut engine);
+        let db: &Database = (*engine).as_ref();
+        let Some(seq) = pending else {
+            // Publish while still holding the lock: the slot always
+            // advances in commit order.
+            inner.cell.publish_from(db);
+            return Ok(r);
+        };
+        let snap = Arc::new(db.clone());
+        drop(engine);
+        durable(seq)?;
+        inner.cell.publish(snap);
+        Ok(r)
+    }
+
+    /// Runs `f` under the lock, retrying with jittered exponential
+    /// backoff whenever the attempt is shed with
+    /// [`FdbError::Overloaded`] — the one error that guarantees nothing
+    /// was executed, so a retry is always safe. Any other outcome is
+    /// returned as-is.
+    ///
+    /// The backoff is deterministic (a seeded LCG supplies the jitter, so
+    /// chaos runs replay bit-identically) and bounded by `max_retries` and
+    /// by `governor`'s remaining deadline: a sleep that would outlive it
+    /// is not taken, the last `Overloaded` is returned instead.
+    pub fn retry_on_overload<R>(
+        &self,
+        governor: &Governor,
+        max_retries: u32,
+        mut f: impl FnMut(&mut E) -> Result<R>,
+    ) -> Result<R> {
+        const BASE_DELAY: Duration = Duration::from_millis(2);
+        const MAX_DELAY: Duration = Duration::from_millis(100);
+        // Deterministic jitter: Knuth's MMIX LCG over the attempt index.
+        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut attempt = 0u32;
+        loop {
+            // Flatten the two layers: a shed lock (outer) and an
+            // `Overloaded` surfaced by the closure (inner) are retried
+            // the same way.
+            let shed = match self.with_governed(governor, &mut f).and_then(|r| r) {
+                Err(e @ FdbError::Overloaded { .. }) if attempt < max_retries => e,
+                settled => return settled,
+            };
+            attempt += 1;
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let capped = BASE_DELAY
+                .saturating_mul(1u32 << attempt.min(6))
+                .min(MAX_DELAY);
+            // Jitter in [capped/2, capped): desynchronises colliding
+            // retriers without ever zeroing the wait.
+            let half = capped / 2;
+            let jitter_ns = (rng >> 33) % half.as_nanos().max(1) as u64;
+            let delay = half + Duration::from_nanos(jitter_ns);
+            if governor.remaining_time().is_some_and(|left| left <= delay) {
+                return Err(shed);
             }
-            None => Err(overloaded("database write lock", t0.elapsed())),
+            fdb_obs::registry().txn_overload_retries.inc();
+            std::thread::sleep(delay);
         }
     }
 
-    /// Extracts the database, if this is the last handle; otherwise
+    /// Extracts the engine, if this is the last handle; otherwise
     /// returns the handle back.
-    pub fn try_unwrap(self) -> std::result::Result<Database, SharedDatabase> {
-        let SharedDatabase {
-            inner,
-            cell,
-            gate,
-            policy,
-        } = self;
-        Arc::try_unwrap(inner)
-            .map(RwLock::into_inner)
-            .map_err(|inner| SharedDatabase {
-                inner,
-                cell,
-                gate,
-                policy,
-            })
+    pub fn try_unwrap(self) -> std::result::Result<E, Self> {
+        Arc::try_unwrap(self.inner)
+            .map(|inner| inner.engine.into_inner())
+            .map_err(|inner| Shared { inner })
     }
-
-    // --- convenience wrappers for the common operations ---
 
     /// Resolves a function name.
     pub fn resolve(&self, name: &str) -> Result<FunctionId> {
         self.read(|db| db.resolve(name))
-    }
-
-    /// `INS(f, <x, y>)`.
-    pub fn insert(&self, f: FunctionId, x: Value, y: Value) -> Result<()> {
-        self.write(|db| db.insert(f, x, y))?
-    }
-
-    /// `DEL(f, <x, y>)`.
-    pub fn delete(&self, f: FunctionId, x: &Value, y: &Value) -> Result<()> {
-        self.write(|db| db.delete(f, x, y))?
-    }
-
-    /// Applies a batch atomically.
-    pub fn apply_all(&self, updates: Vec<Update>) -> Result<usize> {
-        self.write(|db| db.apply_all(updates))?
     }
 
     /// Truth of a fact.
@@ -336,9 +407,10 @@ impl SharedDatabase {
         self.read(|db| db.truth(f, x, y))
     }
 
-    /// Instance statistics.
-    pub fn stats(&self) -> DatabaseStats {
-        self.read(|db| db.stats())
+    /// Instance statistics. Cannot fail; the `Result` is what the frozen
+    /// `benchmark/` crate unwraps on the durable alias.
+    pub fn stats(&self) -> Result<DatabaseStats> {
+        Ok(self.read(|db| db.stats()))
     }
 
     /// Consistency check.
@@ -347,183 +419,80 @@ impl SharedDatabase {
     }
 }
 
-/// A cloneable, thread-safe handle to a [`LoggedDatabase`]: shared
-/// access with every mutation written ahead to the log.
-///
-/// Writers serialise on one mutex so the log order *is* the apply order
-/// — replaying the log always reproduces the live state, no matter how
-/// many threads were appending. Reads never touch that mutex: they pin
-/// the snapshot published at the last commit boundary, so a writer stuck
-/// in an fsync cannot stall them. Under [`SyncPolicy::Always`] the
-/// autocommit write path group-commits: concurrent writers' WAL records
-/// are made durable by one batched fsync (see [`GroupCommit`]), and a
-/// write is acknowledged — and its state published to readers — only
-/// after the fsync covering it succeeded. Write-side access is bounded
-/// by the handle's [`OverloadPolicy`] lock timeout: a request that
-/// cannot get the mutex (or, for a group-commit follower, its leader's
-/// fsync) in time is shed with [`FdbError::Overloaded`].
-#[derive(Clone, Debug)]
-pub struct SharedLoggedDatabase {
-    inner: Arc<Mutex<LoggedDatabase>>,
-    cell: Arc<SnapshotCell>,
-    group: Arc<GroupCommit>,
-    policy: OverloadPolicy,
+/// The in-memory handle's names for the write path, and its updates by
+/// [`FunctionId`].
+impl Shared<Database> {
+    /// [`Shared::with`].
+    pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> Result<R> {
+        self.with(f)
+    }
+
+    /// [`Shared::with_governed`].
+    pub fn write_governed<R>(
+        &self,
+        governor: &Governor,
+        f: impl FnOnce(&mut Database) -> R,
+    ) -> Result<R> {
+        self.with_governed(governor, f)
+    }
+
+    /// `INS(f, <x, y>)`.
+    pub fn insert(&self, f: FunctionId, x: Value, y: Value) -> Result<()> {
+        self.with(|db| db.insert(f, x, y))?
+    }
+
+    /// `DEL(f, <x, y>)`.
+    pub fn delete(&self, f: FunctionId, x: &Value, y: &Value) -> Result<()> {
+        self.with(|db| db.delete(f, x, y))?
+    }
+
+    /// Applies a batch atomically.
+    pub fn apply_all(&self, updates: Vec<Update>) -> Result<usize> {
+        self.with(|db| db.apply_all(updates))?
+    }
 }
 
-impl SharedLoggedDatabase {
-    /// Wraps a logged database for shared access with the default
-    /// [`OverloadPolicy`].
-    pub fn new(ldb: LoggedDatabase) -> Self {
-        SharedLoggedDatabase::with_policy(ldb, OverloadPolicy::default())
-    }
-
-    /// Wraps a logged database for shared access with an explicit
-    /// policy.
-    pub fn with_policy(ldb: LoggedDatabase, policy: OverloadPolicy) -> Self {
-        let cell = Arc::new(SnapshotCell::new(ldb.database()));
-        SharedLoggedDatabase {
-            inner: Arc::new(Mutex::new(ldb)),
-            cell,
-            group: Arc::new(GroupCommit::new()),
-            policy,
-        }
-    }
-
-    /// The handle's overload policy.
-    pub fn policy(&self) -> OverloadPolicy {
-        self.policy
-    }
-
-    /// Pins the current published snapshot (see
-    /// [`SharedDatabase::pin`]): zero-lock, immutable, never stalled by
-    /// a writer holding the engine mutex or an fsync.
-    pub fn pin(&self) -> PinnedSnapshot {
-        if self.inner.is_locked() {
-            fdb_obs::registry().mvcc_stale_snapshot_reads.inc();
-        }
-        self.cell.pin()
-    }
-
-    /// Runs a closure against a pinned snapshot of the live database.
-    /// Lock-free and infallible; the `Result` is kept for signature
-    /// compatibility with the bounded-lock era.
-    pub fn read<R>(&self, f: impl FnOnce(&Database) -> R) -> Result<R> {
-        Ok(f(&self.pin()))
-    }
-
-    /// [`SharedLoggedDatabase::read`] with the governor consulted up
-    /// front (see [`SharedDatabase::read_governed`]).
-    pub fn read_governed<R>(
-        &self,
-        governor: &Governor,
-        f: impl FnOnce(&Database) -> R,
-    ) -> Result<R> {
-        governor
-            .check()
-            .map_err(|r| r.into_error("logged database read"))?;
-        self.read(f)
-    }
-
-    /// Runs a closure with exclusive access to the logged engine. On
-    /// return, if no transaction is open and the state changed, the new
-    /// state is published for readers.
-    pub fn with<R>(&self, f: impl FnOnce(&mut LoggedDatabase) -> R) -> Result<R> {
-        let mut guard = self.lock_bounded(self.policy.lock_timeout, "logged database lock")?;
-        let r = f(&mut guard);
-        self.cell.publish_from(guard.database());
-        Ok(r)
-    }
-
-    /// [`SharedLoggedDatabase::with`] with the lock wait clamped to
-    /// `governor`'s remaining time, and the governor re-checked while
-    /// holding the lock so the closure (typically an append + fsync)
-    /// never even starts past the deadline.
-    pub fn with_governed<R>(
-        &self,
-        governor: &Governor,
-        f: impl FnOnce(&mut LoggedDatabase) -> R,
-    ) -> Result<R> {
-        governor
-            .check()
-            .map_err(|r| r.into_error("logged database access"))?;
-        let timeout = match governor.remaining_time() {
-            Some(left) => left.min(self.policy.lock_timeout),
-            None => self.policy.lock_timeout,
-        };
-        let mut guard = self.lock_bounded(timeout, "logged database lock")?;
-        governor
-            .check()
-            .map_err(|r| r.into_error("logged database access"))?;
-        let r = f(&mut guard);
-        self.cell.publish_from(guard.database());
-        Ok(r)
-    }
-
+/// What needs a log: group-committed autocommit writes, syncs,
+/// checkpoints and the transaction verbs.
+impl Shared<LoggedDatabase> {
     /// The autocommit group-commit write path. Under
     /// [`SyncPolicy::Always`] with no open transaction: apply + append
     /// under the engine lock with the inline fsync deferred, release the
     /// lock, then make the record durable through the [`GroupCommit`]
     /// coordinator (one batched fsync per group of concurrent writers).
-    /// The new state is published to readers only after the fsync
-    /// covering it succeeded — a reader can never observe a state that
-    /// an immediate crash would lose under `Always`.
-    ///
-    /// Any other configuration (lazy sync policies, open transaction)
-    /// falls back to the plain [`SharedLoggedDatabase::with`] semantics.
+    /// The new state is published only after the fsync covering it
+    /// succeeded — a reader never observes a state an immediate crash
+    /// would lose. An error from the fsync stage is never
+    /// [`FdbError::Overloaded`]: the record is applied and appended, only
+    /// its durability is unknown. Any other configuration (lazy sync
+    /// policies, open transaction) has the plain [`Shared::with`] semantics.
     fn write_grouped(&self, f: impl FnOnce(&mut LoggedDatabase) -> Result<()>) -> Result<()> {
-        let mut guard = self.lock_bounded(self.policy.lock_timeout, "logged database lock")?;
-        let grouped = guard.config().sync_policy == SyncPolicy::Always && !guard.txn_active();
-        if !grouped {
-            let r = f(&mut guard);
-            self.cell.publish_from(guard.database());
-            return r;
-        }
-        guard.set_defer_sync(true);
-        let r = f(&mut guard);
-        guard.set_defer_sync(false);
-        r?;
-        let seq = guard.last_seq();
-        let snap = Arc::new(guard.database().clone());
-        drop(guard);
-
-        self.group.sync_to(seq, self.policy.lock_timeout, || {
-            match self.lock_bounded(self.policy.lock_timeout, "group fsync lock") {
-                Ok(mut g) => (g.last_seq(), g.sync()),
-                Err(e) => (0, Err(e)),
-            }
-        })?;
-        self.cell.publish(snap);
-        Ok(())
-    }
-
-    fn lock_bounded(
-        &self,
-        timeout: Duration,
-        what: &str,
-    ) -> Result<parking_lot::MutexGuard<'_, LoggedDatabase>> {
-        let t0 = Instant::now();
-        self.inner
-            .try_lock_for(timeout)
-            .ok_or_else(|| overloaded(what, t0.elapsed()))
-    }
-
-    /// Extracts the engine, if this is the last handle; otherwise
-    /// returns the handle back.
-    pub fn try_unwrap(self) -> std::result::Result<LoggedDatabase, SharedLoggedDatabase> {
-        let SharedLoggedDatabase {
-            inner,
-            cell,
-            group,
-            policy,
-        } = self;
-        Arc::try_unwrap(inner)
-            .map(Mutex::into_inner)
-            .map_err(|inner| SharedLoggedDatabase {
-                inner,
-                cell,
-                group,
-                policy,
-            })
+        let inner = &*self.inner;
+        let timeout = inner.policy.lock_timeout;
+        self.write_path(
+            None,
+            |ldb| {
+                if ldb.config().sync_policy != SyncPolicy::Always || ldb.txn_active() {
+                    return (f(ldb), None);
+                }
+                let before = ldb.last_seq();
+                ldb.set_defer_sync(true);
+                let r = f(ldb);
+                ldb.set_defer_sync(false);
+                let seq = ldb.last_seq();
+                (r, (seq > before).then_some(seq))
+            },
+            |seq| {
+                let lead = || {
+                    let t0 = Instant::now();
+                    match inner.engine.try_lock_for(timeout) {
+                        Some(mut ldb) => (ldb.last_seq(), ldb.sync()),
+                        None => (0, Err(overloaded("group fsync lock", t0.elapsed()))),
+                    }
+                };
+                inner.group.sync_to(seq, timeout, lead).map(drop)
+            },
+        )?
     }
 
     /// `INS` by function name (logged, group-committed).
@@ -546,9 +515,8 @@ impl SharedLoggedDatabase {
         self.with(LoggedDatabase::sync)?
     }
 
-    /// Durably syncs the log under a deadline: the lock wait is clamped
-    /// to the governor's remaining time and the fsync is not started if
-    /// the deadline already passed.
+    /// [`Shared::sync`] under a deadline: the lock wait is clamped to it
+    /// and the fsync is not started once it passed.
     pub fn sync_governed(&self, governor: &Governor) -> Result<()> {
         self.with_governed(governor, LoggedDatabase::sync)?
     }
@@ -558,16 +526,14 @@ impl SharedLoggedDatabase {
         self.with(LoggedDatabase::checkpoint)?
     }
 
-    /// Opens a logged transaction frame ([`LoggedDatabase::begin`]).
-    /// While the transaction is open, readers keep pinning the
-    /// pre-`BEGIN` snapshot — uncommitted state is never published.
+    /// Opens a logged transaction frame ([`LoggedDatabase::begin`]). While
+    /// it is open, readers keep pinning the pre-`BEGIN` snapshot.
     pub fn begin(&self) -> Result<()> {
         self.with(LoggedDatabase::begin)?
     }
 
     /// Commits the open transaction ([`LoggedDatabase::commit`]): the
-    /// commit marker is force-fsynced synchronously, then the committed
-    /// state becomes visible to readers atomically.
+    /// marker is force-fsynced, then the frame becomes visible at once.
     pub fn commit(&self) -> Result<()> {
         self.with(LoggedDatabase::commit)?
     }
@@ -582,90 +548,24 @@ impl SharedLoggedDatabase {
         self.with(|ldb| ldb.savepoint(name))?
     }
 
-    /// Rolls back to a named savepoint
-    /// ([`LoggedDatabase::rollback_to`]).
+    /// Rolls back to a named savepoint ([`LoggedDatabase::rollback_to`]).
     pub fn rollback_to(&self, name: &str) -> Result<()> {
         self.with(|ldb| ldb.rollback_to(name))?
-    }
-
-    /// Runs `f` under the lock, retrying with jittered exponential
-    /// backoff whenever the attempt is shed with
-    /// [`FdbError::Overloaded`] — the one error that guarantees nothing
-    /// was executed, so a retry is always safe. Any other outcome
-    /// (success or a different error) is returned as-is.
-    ///
-    /// The backoff is deterministic (a seeded LCG supplies the jitter, so
-    /// chaos runs replay bit-identically) and bounded twice over: by
-    /// `max_retries`, and by `governor`'s remaining deadline — a sleep
-    /// that would outlive the deadline is not taken, the last `Overloaded`
-    /// is returned instead.
-    pub fn retry_on_overload<R>(
-        &self,
-        governor: &Governor,
-        max_retries: u32,
-        mut f: impl FnMut(&mut LoggedDatabase) -> Result<R>,
-    ) -> Result<R> {
-        const BASE_DELAY: Duration = Duration::from_millis(2);
-        const MAX_DELAY: Duration = Duration::from_millis(100);
-        // Deterministic jitter: Knuth's MMIX LCG over the attempt index.
-        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut attempt = 0u32;
-        loop {
-            // Flatten the two layers: a shed lock (outer) and an
-            // `Overloaded` surfaced by the closure (inner) are retried
-            // the same way.
-            let outcome = self.with_governed(governor, &mut f).and_then(|r| r);
-            match outcome {
-                Ok(r) => return Ok(r),
-                Err(e) if matches!(e, FdbError::Overloaded { .. }) && attempt < max_retries => {
-                    attempt += 1;
-                    rng = rng
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407);
-                    let exp = BASE_DELAY.saturating_mul(1u32 << attempt.min(6));
-                    let capped = exp.min(MAX_DELAY);
-                    // Jitter in [capped/2, capped): desynchronises
-                    // colliding retriers without ever zeroing the wait.
-                    let half = capped / 2;
-                    let jitter_ns = (rng >> 33) % half.as_nanos().max(1) as u64;
-                    let delay = half + Duration::from_nanos(jitter_ns);
-                    match governor.remaining_time() {
-                        Some(left) if left <= delay => return Err(e),
-                        _ => {}
-                    }
-                    fdb_obs::registry().txn_overload_retries.inc();
-                    std::thread::sleep(delay);
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Changes when appends are fsynced.
     pub fn set_sync_policy(&self, policy: SyncPolicy) -> Result<()> {
         self.with(|ldb| ldb.set_sync_policy(policy))
     }
-
-    /// Truth of a fact.
-    pub fn truth(&self, f: FunctionId, x: &Value, y: &Value) -> Result<Truth> {
-        self.read(|db| db.truth(f, x, y))?
-    }
-
-    /// Instance statistics.
-    pub fn stats(&self) -> Result<DatabaseStats> {
-        self.read(|db| db.stats())
-    }
-
-    /// Consistency check.
-    pub fn is_consistent(&self) -> Result<bool> {
-        self.read(|db| db.is_consistent())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::DurabilityConfig;
+    use crate::storage::SimDisk;
     use fdb_types::{Derivation, Schema, Step};
+    use std::sync::mpsc;
 
     fn v(s: &str) -> Value {
         Value::atom(s)
@@ -692,14 +592,361 @@ mod tests {
         db
     }
 
-    #[test]
-    fn handles_share_state() {
-        let shared = SharedDatabase::new(university());
-        let other = shared.clone();
-        let teach = shared.resolve("teach").unwrap();
-        shared.insert(teach, v("euclid"), v("math")).unwrap();
-        assert_eq!(other.stats().base_facts, 1);
+    fn logged_university(
+        disk: Arc<SimDisk>,
+        dir: &str,
+        config: DurabilityConfig,
+    ) -> LoggedDatabase {
+        let mut ldb = LoggedDatabase::create_with(disk, dir, config).unwrap();
+        ldb.import_schema(&university()).unwrap();
+        ldb
     }
+
+    fn tight(lock_timeout_ms: u64, max_inflight_writers: usize) -> OverloadPolicy {
+        OverloadPolicy {
+            lock_timeout: Duration::from_millis(lock_timeout_ms),
+            max_inflight_writers,
+        }
+    }
+
+    /// What the handle contract needs from an engine besides lending a
+    /// `Database`: how to build one over the university schema, and how
+    /// the handle spells an update and the transaction verbs on it.
+    trait Engine: AsRef<Database> + std::fmt::Debug + Send + Sized + 'static {
+        fn university() -> Self;
+        fn teach(h: &Shared<Self>, x: &str, y: &str) -> Result<()>;
+        fn begin(h: &Shared<Self>) -> Result<()>;
+        fn commit(h: &Shared<Self>) -> Result<()>;
+        fn rollback(h: &Shared<Self>) -> Result<()>;
+    }
+
+    impl Engine for Database {
+        fn university() -> Self {
+            university()
+        }
+        fn teach(h: &Shared<Self>, x: &str, y: &str) -> Result<()> {
+            h.insert(h.resolve("teach")?, v(x), v(y))
+        }
+        fn begin(h: &Shared<Self>) -> Result<()> {
+            h.write(Database::txn_begin)?
+        }
+        fn commit(h: &Shared<Self>) -> Result<()> {
+            h.write(Database::txn_commit)?
+        }
+        fn rollback(h: &Shared<Self>) -> Result<()> {
+            h.write(Database::txn_rollback)?
+        }
+    }
+
+    impl Engine for LoggedDatabase {
+        fn university() -> Self {
+            logged_university(
+                Arc::new(SimDisk::new()),
+                "/contract_db",
+                DurabilityConfig::default(),
+            )
+        }
+        fn teach(h: &Shared<Self>, x: &str, y: &str) -> Result<()> {
+            h.insert("teach", v(x), v(y))
+        }
+        fn begin(h: &Shared<Self>) -> Result<()> {
+            h.begin()
+        }
+        fn commit(h: &Shared<Self>) -> Result<()> {
+            h.commit()
+        }
+        fn rollback(h: &Shared<Self>) -> Result<()> {
+            h.rollback()
+        }
+    }
+
+    fn taught<E: Engine>(h: &Shared<E>, x: &str, y: &str) -> Truth {
+        h.truth(h.resolve("teach").unwrap(), &v(x), &v(y)).unwrap()
+    }
+
+    /// Parks a thread inside the engine lock; returns once it is held.
+    /// Dropping (or sending on) the sender lets the holder go.
+    fn hold_engine<E: Engine>(h: &Shared<E>) -> (mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+        let holder = h.clone();
+        let (held_tx, held_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || {
+            holder
+                .with(|_engine| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+                .unwrap();
+        });
+        held_rx.recv().unwrap();
+        (release_tx, thread)
+    }
+
+    // --- the handle contract, generic over the engine ---
+
+    fn clones_share_state<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let other = shared.clone();
+        E::teach(&shared, "euclid", "math").unwrap();
+        assert_eq!(other.stats().unwrap().base_facts, 1);
+        assert_eq!(taught(&other, "euclid", "math"), Truth::True);
+        assert_eq!(other.policy(), OverloadPolicy::default());
+    }
+
+    fn pin_is_frozen<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let teach = shared.resolve("teach").unwrap();
+        E::teach(&shared, "euclid", "math").unwrap();
+        let pin = shared.pin();
+        let stamp = pin.version();
+        E::teach(&shared, "gauss", "algebra").unwrap();
+        assert_eq!(
+            pin.truth(teach, &v("gauss"), &v("algebra")).unwrap(),
+            Truth::False
+        );
+        assert_eq!(pin.version(), stamp);
+        assert!(shared.pin().version() > stamp);
+    }
+
+    /// A stuck engine lock sheds writers with the typed error after the
+    /// policy's timeout, never delays a reader, and recovers.
+    fn stuck_lock_sheds<E: Engine>() -> Shared<E> {
+        let shared = Shared::with_policy(E::university(), tight(20, 8));
+        E::teach(&shared, "euclid", "math").unwrap();
+        let (release, hold) = hold_engine(&shared);
+        match E::teach(&shared, "gauss", "algebra").unwrap_err() {
+            FdbError::Overloaded { what, waited_ms } => {
+                assert_eq!(what, "database write lock");
+                assert!(waited_ms >= 20);
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        // Reads proceed against the last published state meanwhile.
+        let t0 = Instant::now();
+        assert_eq!(taught(&shared, "euclid", "math"), Truth::True);
+        assert_eq!(taught(&shared, "gauss", "algebra"), Truth::False);
+        assert!(shared.stats().is_ok());
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "snapshot read stalled behind the engine lock: {:?}",
+            t0.elapsed()
+        );
+        drop(release);
+        hold.join().unwrap();
+        // Lock released: the shed write was not executed, a retry lands.
+        E::teach(&shared, "gauss", "algebra").unwrap();
+        assert_eq!(shared.stats().unwrap().base_facts, 2);
+        shared
+    }
+
+    fn open_transaction_is_invisible<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let teach = shared.resolve("teach").unwrap();
+        E::begin(&shared).unwrap();
+        E::teach(&shared, "euclid", "math").unwrap();
+        // The write path sees its own uncommitted journal…
+        let live = shared.with(|e| e.as_ref().truth(teach, &v("euclid"), &v("math")));
+        assert_eq!(live.unwrap().unwrap(), Truth::True);
+        // …while snapshot readers still see the pre-BEGIN state.
+        assert_eq!(taught(&shared, "euclid", "math"), Truth::False);
+        E::commit(&shared).unwrap();
+        // Commit publishes atomically.
+        assert_eq!(taught(&shared, "euclid", "math"), Truth::True);
+
+        // A rolled-back transaction never becomes visible.
+        E::begin(&shared).unwrap();
+        E::teach(&shared, "noether", "rings").unwrap();
+        assert_eq!(taught(&shared, "noether", "rings"), Truth::False);
+        E::rollback(&shared).unwrap();
+        assert_eq!(taught(&shared, "noether", "rings"), Truth::False);
+    }
+
+    fn try_unwrap_returns_engine<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let clone = shared.clone();
+        let shared = match shared.try_unwrap() {
+            Err(handle) => handle, // clone still alive
+            Ok(_) => panic!("should not unwrap with two handles"),
+        };
+        E::teach(&clone, "euclid", "math").unwrap();
+        drop(clone);
+        let pin = shared.pin(); // a pin does not keep the engine alive
+        let engine = shared.try_unwrap().expect("last handle unwraps");
+        assert!(engine.as_ref().is_consistent());
+        assert_eq!(engine.as_ref().stats().base_facts, 1);
+        assert_eq!(pin.stats().base_facts, 1);
+    }
+
+    fn gate_rejects_writer_n_plus_1<E: Engine>() {
+        let shared = Shared::with_policy(E::university(), tight(500, 1));
+        let (release, hold) = hold_engine(&shared); // one writer in flight = at capacity
+        let t0 = Instant::now();
+        let err = E::teach(&shared, "euclid", "math").unwrap_err();
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "gate rejection must be immediate, waited {:?}",
+            t0.elapsed()
+        );
+        match err {
+            FdbError::Overloaded { what, waited_ms } => {
+                assert_eq!(what, "write admission gate");
+                assert_eq!(waited_ms, 0);
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        drop(release);
+        hold.join().unwrap();
+        E::teach(&shared, "euclid", "math").unwrap();
+        assert_eq!(shared.stats().unwrap().base_facts, 1);
+    }
+
+    /// Three governors: past its deadline, cancelled, healthy.
+    fn governors() -> [Governor; 3] {
+        let expired = Governor::with_deadline(Duration::from_millis(0));
+        std::thread::sleep(Duration::from_millis(5));
+        let cancelled = Governor::unbounded();
+        cancelled.cancel_token().cancel();
+        let healthy = Governor::with_deadline(Duration::from_secs(10));
+        [expired, cancelled, healthy]
+    }
+
+    /// A stopped governor sheds a write before it touches gate or lock.
+    fn governed_write_is_shed_up_front<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let [expired, cancelled, healthy] = governors();
+        let mut ran = 0;
+        assert!(matches!(
+            shared.with_governed(&expired, |_| ran += 1),
+            Err(FdbError::DeadlineExceeded(_))
+        ));
+        assert!(matches!(
+            shared.with_governed(&cancelled, |_| ran += 1),
+            Err(FdbError::Cancelled)
+        ));
+        shared.with_governed(&healthy, |_| ran += 1).unwrap();
+        assert_eq!(ran, 1);
+    }
+
+    fn governed_read_is_shed_up_front<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let [expired, cancelled, healthy] = governors();
+        assert!(matches!(
+            shared.read_governed(&expired, |db| db.stats()),
+            Err(FdbError::DeadlineExceeded(_))
+        ));
+        assert!(matches!(
+            shared.read_governed(&cancelled, |db| db.stats()),
+            Err(FdbError::Cancelled)
+        ));
+        assert!(shared.read_governed(&healthy, |db| db.stats()).is_ok());
+    }
+
+    /// The governor is consulted again under the lock: a request stopped
+    /// while it waited for the engine does not run its closure. (A
+    /// cancellation, because a deadline also clamps the wait itself.)
+    fn governed_write_stopped_in_the_lock_wait_never_runs<E: Engine>() {
+        let shared = Shared::with_policy(E::university(), tight(5_000, 8));
+        let (release, hold) = hold_engine(&shared);
+        let gov = Governor::unbounded();
+        let token = gov.cancel_token();
+        let waiter = {
+            let shared = shared.clone();
+            std::thread::spawn(move || shared.with_governed(&gov, |_| "ran"))
+        };
+        // Holder + waiter are both past the gate: the waiter has checked
+        // its governor once and is now waiting for the lock.
+        while shared.inner.gate.load(Ordering::Acquire) < 2 {
+            std::thread::yield_now();
+        }
+        token.cancel();
+        drop(release);
+        hold.join().unwrap();
+        match waiter.join().unwrap() {
+            Err(FdbError::Cancelled) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+
+    fn pin_during_a_write_is_a_stale_read<E: Engine>() {
+        let shared = Shared::new(E::university());
+        let stale = || fdb_obs::registry().mvcc_stale_snapshot_reads.get();
+        // Under the engine lock…
+        let moved = shared.with(|_| {
+            let before = stale();
+            shared.pin();
+            stale() - before
+        });
+        assert!(moved.unwrap() >= 1);
+        // …and admitted but off the lock (where a grouped writer waits
+        // for its fsync).
+        let mut moved = 0;
+        let off_lock = |_seq: u64| {
+            let before = stale();
+            shared.pin();
+            moved = stale() - before;
+            Ok(())
+        };
+        shared
+            .write_path(None, |_| ((), Some(0)), off_lock)
+            .unwrap();
+        assert!(moved >= 1);
+    }
+
+    macro_rules! contract {
+        ($($case:ident: $in_memory:ident, $durable:ident;)*) => {$(
+            #[test]
+            fn $in_memory() {
+                $case::<Database>();
+            }
+            #[test]
+            fn $durable() {
+                $case::<LoggedDatabase>();
+            }
+        )*};
+    }
+
+    contract! {
+        clones_share_state: handles_share_state, durable_handles_share_state;
+        pin_is_frozen: pinned_snapshot_is_frozen, durable_pinned_snapshot_is_frozen;
+        open_transaction_is_invisible:
+            uncommitted_transaction_is_invisible_in_memory,
+            uncommitted_transaction_is_invisible_to_readers;
+        try_unwrap_returns_engine:
+            try_unwrap_returns_database_when_unique, try_unwrap_returns_logged_database_when_unique;
+        gate_rejects_writer_n_plus_1:
+            admission_gate_rejects_excess_writers, durable_admission_gate_rejects_excess_writers;
+        governed_write_is_shed_up_front:
+            governed_write_respects_deadline_and_cancel,
+            durable_governed_write_respects_deadline_and_cancel;
+        governed_read_is_shed_up_front:
+            read_governed_sheds_on_expired_deadline, durable_read_governed_sheds_on_expired_deadline;
+        governed_write_stopped_in_the_lock_wait_never_runs:
+            in_memory_governed_write_stopped_in_the_lock_wait_never_runs,
+            durable_governed_write_stopped_in_the_lock_wait_never_runs;
+        pin_during_a_write_is_a_stale_read:
+            in_memory_pin_during_a_write_is_a_stale_read,
+            durable_pin_during_a_write_is_a_stale_read;
+    }
+
+    #[test]
+    fn write_sheds_instead_of_blocking_forever() {
+        stuck_lock_sheds::<Database>();
+    }
+
+    #[test]
+    fn logged_handle_sheds_when_lock_is_stuck() {
+        let shared = stuck_lock_sheds::<LoggedDatabase>();
+        // sync under an expired deadline is refused up front.
+        let gov = Governor::with_deadline(Duration::from_millis(0));
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(matches!(
+            shared.sync_governed(&gov),
+            Err(FdbError::DeadlineExceeded(_))
+        ));
+        shared.sync().unwrap();
+    }
+
+    // --- the in-memory handle ---
 
     #[test]
     fn concurrent_writers_and_readers() {
@@ -732,7 +979,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(shared.stats().base_facts, 4 * 50 * 2);
+        assert_eq!(shared.stats().unwrap().base_facts, 4 * 50 * 2);
         assert!(shared.is_consistent());
     }
 
@@ -743,7 +990,7 @@ mod tests {
         shared.insert(teach, v("euclid"), v("math")).unwrap();
 
         let holder = shared.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel::<()>();
         let hold = std::thread::spawn(move || {
             holder
                 .write(|db| {
@@ -757,14 +1004,8 @@ mod tests {
         let t0 = Instant::now();
         // The read completes immediately against the last *published*
         // state: euclid is visible, the in-flight gauss is not.
-        assert_eq!(
-            shared.truth(teach, &v("euclid"), &v("math")).unwrap(),
-            Truth::True
-        );
-        assert_eq!(
-            shared.truth(teach, &v("gauss"), &v("algebra")).unwrap(),
-            Truth::False
-        );
+        assert_eq!(taught(&shared, "euclid", "math"), Truth::True);
+        assert_eq!(taught(&shared, "gauss", "algebra"), Truth::False);
         assert!(
             t0.elapsed() < Duration::from_millis(100),
             "snapshot read stalled behind a writer: {:?}",
@@ -772,422 +1013,7 @@ mod tests {
         );
         hold.join().unwrap();
         // After the write completed, its state is published.
-        assert_eq!(
-            shared.truth(teach, &v("gauss"), &v("algebra")).unwrap(),
-            Truth::True
-        );
-    }
-
-    #[test]
-    fn pinned_snapshot_is_frozen() {
-        let shared = SharedDatabase::new(university());
-        let teach = shared.resolve("teach").unwrap();
-        shared.insert(teach, v("euclid"), v("math")).unwrap();
-        let pin = shared.pin();
-        let stamp = pin.version();
-        shared.insert(teach, v("gauss"), v("algebra")).unwrap();
-        assert_eq!(
-            pin.truth(teach, &v("gauss"), &v("algebra")).unwrap(),
-            Truth::False
-        );
-        assert_eq!(pin.version(), stamp);
-        assert!(shared.pin().version() > stamp);
-    }
-
-    #[test]
-    fn read_governed_sheds_on_expired_deadline() {
-        let shared = SharedDatabase::new(university());
-        let gov = Governor::with_deadline(Duration::from_millis(0));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(matches!(
-            shared.read_governed(&gov, |db| db.stats()),
-            Err(FdbError::DeadlineExceeded(_))
-        ));
-        let gov = Governor::unbounded();
-        gov.cancel_token().cancel();
-        assert!(matches!(
-            shared.read_governed(&gov, |db| db.stats()),
-            Err(FdbError::Cancelled)
-        ));
-        let gov = Governor::with_deadline(Duration::from_secs(10));
-        assert!(shared.read_governed(&gov, |db| db.stats()).is_ok());
-    }
-
-    #[test]
-    fn try_unwrap_returns_database_when_unique() {
-        let shared = SharedDatabase::new(university());
-        let clone = shared.clone();
-        let shared = match shared.try_unwrap() {
-            Err(handle) => handle, // clone still alive
-            Ok(_) => panic!("should not unwrap with two handles"),
-        };
-        drop(clone);
-        let db = shared.try_unwrap().expect("last handle unwraps");
-        assert!(db.is_consistent());
-    }
-
-    #[test]
-    fn shared_logged_writers_replay_to_live_state() {
-        use crate::durability::DurabilityConfig;
-        use crate::storage::SimDisk;
-
-        let disk = Arc::new(SimDisk::new());
-        let mut ldb = LoggedDatabase::create_with(
-            disk.clone(),
-            "/shared_db",
-            DurabilityConfig {
-                sync_policy: SyncPolicy::EveryN(16),
-                checkpoint_every: Some(64),
-                segment_max_bytes: 4096,
-            },
-        )
-        .unwrap();
-        ldb.import_schema(&university()).unwrap();
-        let shared = SharedLoggedDatabase::new(ldb);
-
-        let mut handles = Vec::new();
-        for w in 0..4 {
-            let h = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..25 {
-                    h.insert("teach", v(&format!("prof{w}_{i}")), v(&format!("c{i}")))
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(shared.is_consistent().unwrap());
-        let live = shared.read(|db| db.to_snapshot().unwrap()).unwrap();
-        let ldb = shared.try_unwrap().expect("last handle");
-        drop(ldb);
-
-        let (recovered, _) = LoggedDatabase::open_with(
-            disk,
-            "/shared_db",
-            crate::durability::DurabilityConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(recovered.database().to_snapshot().unwrap(), live);
-    }
-
-    #[test]
-    fn grouped_writes_are_durable_when_acknowledged() {
-        use crate::durability::DurabilityConfig;
-        use crate::storage::SimDisk;
-
-        let disk = Arc::new(SimDisk::new());
-        let mut ldb = LoggedDatabase::create_with(
-            disk.clone(),
-            "/group_db",
-            DurabilityConfig::default(), // SyncPolicy::Always → grouped
-        )
-        .unwrap();
-        ldb.import_schema(&university()).unwrap();
-        let shared = SharedLoggedDatabase::new(ldb);
-        let mut handles = Vec::new();
-        for w in 0..4 {
-            let h = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..10 {
-                    h.insert("teach", v(&format!("p{w}_{i}")), v(&format!("c{i}")))
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let live = shared.read(|db| db.to_snapshot().unwrap()).unwrap();
-        // No explicit sync, no graceful close: drop the engine cold. Every
-        // acknowledged write must already be durable.
-        drop(shared.try_unwrap().expect("last handle"));
-        let (recovered, _) = LoggedDatabase::open_with(
-            disk,
-            "/group_db",
-            crate::durability::DurabilityConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(recovered.database().to_snapshot().unwrap(), live);
-        assert_eq!(recovered.database().stats().base_facts, 40);
-    }
-
-    #[test]
-    fn group_fsync_failure_surfaces_to_the_writer() {
-        use crate::durability::DurabilityConfig;
-        use crate::storage::SimDisk;
-
-        let disk = Arc::new(SimDisk::new());
-        let mut ldb =
-            LoggedDatabase::create_with(disk.clone(), "/gfail_db", DurabilityConfig::default())
-                .unwrap();
-        ldb.import_schema(&university()).unwrap();
-        let shared = SharedLoggedDatabase::new(ldb);
-        disk.fail_sync(1);
-        assert!(shared.insert("teach", v("euclid"), v("math")).is_err());
-        // The disk healed: later writes succeed and are durable.
-        shared.insert("teach", v("gauss"), v("algebra")).unwrap();
-        assert_eq!(
-            shared
-                .truth(
-                    shared.read(|db| db.resolve("teach")).unwrap().unwrap(),
-                    &v("gauss"),
-                    &v("algebra")
-                )
-                .unwrap(),
-            Truth::True
-        );
-    }
-
-    #[test]
-    fn uncommitted_transaction_is_invisible_to_readers() {
-        use crate::durability::DurabilityConfig;
-        use crate::storage::SimDisk;
-
-        let disk = Arc::new(SimDisk::new());
-        let mut ldb =
-            LoggedDatabase::create_with(disk, "/txnvis_db", DurabilityConfig::default()).unwrap();
-        ldb.import_schema(&university()).unwrap();
-        let shared = SharedLoggedDatabase::new(ldb);
-        let teach = shared.read(|db| db.resolve("teach")).unwrap().unwrap();
-
-        shared.begin().unwrap();
-        shared
-            .with(|ldb| ldb.insert("teach", v("euclid"), v("math")))
-            .unwrap()
-            .unwrap();
-        // The write path sees its own uncommitted journal…
-        assert_eq!(
-            shared
-                .with(|ldb| ldb.database().truth(teach, &v("euclid"), &v("math")))
-                .unwrap()
-                .unwrap(),
-            Truth::True
-        );
-        // …while snapshot readers still see the pre-BEGIN state.
-        assert_eq!(
-            shared.truth(teach, &v("euclid"), &v("math")).unwrap(),
-            Truth::False
-        );
-        shared.commit().unwrap();
-        // Commit publishes atomically.
-        assert_eq!(
-            shared.truth(teach, &v("euclid"), &v("math")).unwrap(),
-            Truth::True
-        );
-
-        // A rolled-back transaction never becomes visible.
-        shared.begin().unwrap();
-        shared
-            .with(|ldb| ldb.insert("teach", v("noether"), v("rings")))
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            shared.truth(teach, &v("noether"), &v("rings")).unwrap(),
-            Truth::False
-        );
-        shared.rollback().unwrap();
-        assert_eq!(
-            shared.truth(teach, &v("noether"), &v("rings")).unwrap(),
-            Truth::False
-        );
-    }
-
-    #[test]
-    fn write_sheds_instead_of_blocking_forever() {
-        let shared = SharedDatabase::with_policy(
-            university(),
-            OverloadPolicy {
-                lock_timeout: Duration::from_millis(20),
-                max_inflight_writers: 8,
-            },
-        );
-        let holder = shared.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let hold = std::thread::spawn(move || {
-            holder
-                .write(|_db| {
-                    tx.send(()).unwrap();
-                    std::thread::sleep(Duration::from_millis(200));
-                })
-                .unwrap();
-        });
-        rx.recv().unwrap(); // lock is now held
-        let err = shared.write(|_db| ()).unwrap_err();
-        match err {
-            FdbError::Overloaded { what, .. } => assert_eq!(what, "database write lock"),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        hold.join().unwrap();
-        // Lock released: writes succeed again.
-        shared.write(|_db| ()).unwrap();
-    }
-
-    #[test]
-    fn admission_gate_rejects_excess_writers() {
-        let shared = SharedDatabase::with_policy(
-            university(),
-            OverloadPolicy {
-                lock_timeout: Duration::from_millis(500),
-                max_inflight_writers: 1,
-            },
-        );
-        let holder = shared.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let hold = std::thread::spawn(move || {
-            holder
-                .write(|_db| {
-                    tx.send(()).unwrap();
-                    std::thread::sleep(Duration::from_millis(150));
-                })
-                .unwrap();
-        });
-        rx.recv().unwrap(); // one writer in flight = at capacity
-        let t0 = Instant::now();
-        let err = shared.write(|_db| ()).unwrap_err();
-        assert!(
-            t0.elapsed() < Duration::from_millis(100),
-            "gate rejection must be immediate, waited {:?}",
-            t0.elapsed()
-        );
-        match err {
-            FdbError::Overloaded { what, waited_ms } => {
-                assert_eq!(what, "write admission gate");
-                assert_eq!(waited_ms, 0);
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        hold.join().unwrap();
-        shared.write(|_db| ()).unwrap();
-    }
-
-    #[test]
-    fn governed_write_respects_deadline_and_cancel() {
-        let shared = SharedDatabase::new(university());
-        // Expired deadline: shed before touching the lock.
-        let gov = Governor::with_deadline(Duration::from_millis(0));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(matches!(
-            shared.write_governed(&gov, |_db| ()),
-            Err(FdbError::DeadlineExceeded(_))
-        ));
-        // Cancelled token: shed as Cancelled.
-        let gov = Governor::unbounded();
-        gov.cancel_token().cancel();
-        assert!(matches!(
-            shared.write_governed(&gov, |_db| ()),
-            Err(FdbError::Cancelled)
-        ));
-        // Healthy governor: goes through.
-        let gov = Governor::with_deadline(Duration::from_secs(10));
-        shared.write_governed(&gov, |_db| ()).unwrap();
-    }
-
-    #[test]
-    fn logged_handle_sheds_when_lock_is_stuck() {
-        use crate::durability::DurabilityConfig;
-        use crate::storage::SimDisk;
-
-        let disk = Arc::new(SimDisk::new());
-        let mut ldb =
-            LoggedDatabase::create_with(disk, "/stuck_db", DurabilityConfig::default()).unwrap();
-        ldb.import_schema(&university()).unwrap();
-        let shared = SharedLoggedDatabase::with_policy(
-            ldb,
-            OverloadPolicy {
-                lock_timeout: Duration::from_millis(20),
-                max_inflight_writers: 8,
-            },
-        );
-        let holder = shared.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let hold = std::thread::spawn(move || {
-            holder
-                .with(|_ldb| {
-                    tx.send(()).unwrap();
-                    std::thread::sleep(Duration::from_millis(150));
-                })
-                .unwrap();
-        });
-        rx.recv().unwrap();
-        assert!(matches!(
-            shared.insert("teach", v("euclid"), v("math")),
-            Err(FdbError::Overloaded { .. })
-        ));
-        // Reads, by contrast, proceed against the snapshot while the
-        // engine mutex is stuck.
-        let t0 = Instant::now();
-        assert!(shared.stats().is_ok());
-        assert!(
-            t0.elapsed() < Duration::from_millis(100),
-            "snapshot read stalled behind the engine mutex"
-        );
-        // sync under an expired deadline is refused up front.
-        let gov = Governor::with_deadline(Duration::from_millis(0));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(matches!(
-            shared.sync_governed(&gov),
-            Err(FdbError::DeadlineExceeded(_))
-        ));
-        hold.join().unwrap();
-        shared.insert("teach", v("euclid"), v("math")).unwrap();
-        shared.sync().unwrap();
-    }
-
-    #[test]
-    fn retry_on_overload_waits_out_a_stuck_lock() {
-        use crate::durability::DurabilityConfig;
-        use crate::storage::SimDisk;
-
-        let disk = Arc::new(SimDisk::new());
-        let mut ldb =
-            LoggedDatabase::create_with(disk, "/retry_db", DurabilityConfig::default()).unwrap();
-        ldb.import_schema(&university()).unwrap();
-        let shared = SharedLoggedDatabase::with_policy(
-            ldb,
-            OverloadPolicy {
-                lock_timeout: Duration::from_millis(10),
-                max_inflight_writers: 8,
-            },
-        );
-        let holder = shared.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let hold = std::thread::spawn(move || {
-            holder
-                .with(|_ldb| {
-                    tx.send(()).unwrap();
-                    std::thread::sleep(Duration::from_millis(80));
-                })
-                .unwrap();
-        });
-        rx.recv().unwrap(); // lock held: first attempts will be shed
-        let gov = Governor::with_deadline(Duration::from_secs(5));
-        shared
-            .retry_on_overload(&gov, 16, |ldb| ldb.insert("teach", v("euclid"), v("math")))
-            .unwrap();
-        hold.join().unwrap();
-        assert_eq!(shared.stats().unwrap().base_facts, 1);
-
-        // Zero remaining deadline: the retry loop refuses to sleep and
-        // surfaces the overload instead.
-        let holder = shared.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let hold = std::thread::spawn(move || {
-            holder
-                .with(|_ldb| {
-                    tx.send(()).unwrap();
-                    std::thread::sleep(Duration::from_millis(80));
-                })
-                .unwrap();
-        });
-        rx.recv().unwrap();
-        let gov = Governor::with_deadline(Duration::from_millis(15));
-        let err = shared
-            .retry_on_overload(&gov, 16, |ldb| ldb.insert("teach", v("gauss"), v("math")))
-            .unwrap_err();
-        assert!(err.is_governed_stop(), "got {err:?}");
-        hold.join().unwrap();
+        assert_eq!(taught(&shared, "gauss", "algebra"), Truth::True);
     }
 
     #[test]
@@ -1207,7 +1033,7 @@ mod tests {
             },
         ]);
         assert!(err.is_err());
-        assert_eq!(shared.stats().base_facts, 0);
+        assert_eq!(shared.stats().unwrap().base_facts, 0);
     }
 
     #[test]
@@ -1223,5 +1049,200 @@ mod tests {
             .unwrap();
         let via_read = shared.truth(teach, &v("a"), &v("b")).unwrap();
         assert_eq!(via_write, via_read);
+    }
+
+    // --- the durable handle ---
+
+    #[test]
+    fn shared_logged_writers_replay_to_live_state() {
+        let disk = Arc::new(SimDisk::new());
+        let shared = SharedLoggedDatabase::new(logged_university(
+            disk.clone(),
+            "/shared_db",
+            DurabilityConfig {
+                sync_policy: SyncPolicy::EveryN(16),
+                checkpoint_every: Some(64),
+                segment_max_bytes: 4096,
+            },
+        ));
+
+        let mut handles = Vec::new();
+        for w in 0..4 {
+            let h = shared.clone();
+            handles.push(std::thread::spawn(move || {
+                for i in 0..25 {
+                    h.insert("teach", v(&format!("prof{w}_{i}")), v(&format!("c{i}")))
+                        .unwrap();
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(shared.is_consistent());
+        let live = shared.read(|db| db.to_snapshot().unwrap());
+        drop(shared.try_unwrap().expect("last handle"));
+
+        let (recovered, _) =
+            LoggedDatabase::open_with(disk, "/shared_db", DurabilityConfig::default()).unwrap();
+        assert_eq!(recovered.database().to_snapshot().unwrap(), live);
+    }
+
+    #[test]
+    fn grouped_writes_are_durable_when_acknowledged() {
+        let disk = Arc::new(SimDisk::new());
+        let shared = SharedLoggedDatabase::new(logged_university(
+            disk.clone(),
+            "/group_db",
+            DurabilityConfig::default(), // SyncPolicy::Always → grouped
+        ));
+        let mut handles = Vec::new();
+        for w in 0..4 {
+            let h = shared.clone();
+            handles.push(std::thread::spawn(move || {
+                for i in 0..10 {
+                    h.insert("teach", v(&format!("p{w}_{i}")), v(&format!("c{i}")))
+                        .unwrap();
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let live = shared.read(|db| db.to_snapshot().unwrap());
+        // No explicit sync, no graceful close: drop the engine cold. Every
+        // acknowledged write must already be durable.
+        drop(shared.try_unwrap().expect("last handle"));
+        let (recovered, _) =
+            LoggedDatabase::open_with(disk, "/group_db", DurabilityConfig::default()).unwrap();
+        assert_eq!(recovered.database().to_snapshot().unwrap(), live);
+        assert_eq!(recovered.database().stats().base_facts, 40);
+    }
+
+    #[test]
+    fn group_fsync_failure_surfaces_to_the_writer() {
+        let disk = Arc::new(SimDisk::new());
+        let shared = SharedLoggedDatabase::new(logged_university(
+            disk.clone(),
+            "/gfail_db",
+            DurabilityConfig::default(),
+        ));
+        disk.fail_sync(1);
+        assert!(shared.insert("teach", v("euclid"), v("math")).is_err());
+        // The disk healed: later writes succeed and are durable.
+        shared.insert("teach", v("gauss"), v("algebra")).unwrap();
+        assert_eq!(taught(&shared, "gauss", "algebra"), Truth::True);
+    }
+
+    /// `Overloaded` means "not executed". A grouped write whose record is
+    /// already applied and appended when its leader's re-lock for the
+    /// batched fsync is shed must report unknown durability instead.
+    #[test]
+    fn shed_group_fsync_is_not_reported_as_overloaded() {
+        let shared = SharedLoggedDatabase::with_policy(LoggedDatabase::university(), tight(200, 8));
+        let teach = shared.resolve("teach").unwrap();
+        let sheds = || fdb_obs::registry().governor_overload_sheds.get();
+        let stale = || fdb_obs::registry().mvcc_stale_snapshot_reads.get();
+
+        // A stand-in leader occupies the coordinator (without the engine
+        // lock), so the writer below queues up behind it as a follower.
+        let (release_leader, leader_go) = mpsc::channel::<()>();
+        let (leading_tx, leading) = mpsc::channel::<()>();
+        let stand_in = {
+            let shared = shared.clone();
+            std::thread::spawn(move || {
+                let stalled = || {
+                    leading_tx.send(()).unwrap();
+                    let _ = leader_go.recv();
+                    (0, Err(FdbError::Internal("stand-in leader".to_owned())))
+                };
+                let timeout = Duration::from_secs(5);
+                assert!(shared
+                    .inner
+                    .group
+                    .sync_to(u64::MAX, timeout, stalled)
+                    .is_err());
+            })
+        };
+        leading.recv().unwrap();
+        let writer = {
+            let shared = shared.clone();
+            std::thread::spawn(move || shared.insert("teach", v("euclid"), v("math")))
+        };
+        // Park on the engine lock once the writer's record is applied…
+        let engine = loop {
+            let engine = shared.inner.engine.lock();
+            if engine
+                .database()
+                .truth(teach, &v("euclid"), &v("math"))
+                .unwrap()
+                == Truth::True
+            {
+                break engine;
+            }
+            drop(engine);
+            std::thread::yield_now();
+        };
+        // (the writer is in flight — off the lock, awaiting its fsync —
+        // so this pin is a stale read; its write is not visible yet)
+        let (stale_before, sheds_before) = (stale(), sheds());
+        assert_eq!(taught(&shared, "euclid", "math"), Truth::False);
+        assert!(stale() > stale_before);
+        // …then let the stand-in fail: the writer takes over as leader
+        // and its re-lock is shed.
+        drop(release_leader);
+        stand_in.join().unwrap();
+        let err = writer.join().unwrap().unwrap_err();
+        assert!(
+            !matches!(err, FdbError::Overloaded { .. }),
+            "an applied and appended write reported as not executed: {err:?}"
+        );
+        assert!(
+            err.to_string().contains("wal: group fsync covering seq"),
+            "{err}"
+        );
+        assert!(sheds() > sheds_before, "the shed re-lock is still counted");
+        // The fact is in the live database (and in the log: the next
+        // write's fsync covers it and publishes both).
+        assert_eq!(
+            engine
+                .database()
+                .truth(teach, &v("euclid"), &v("math"))
+                .unwrap(),
+            Truth::True
+        );
+        drop(engine);
+        shared.insert("teach", v("gauss"), v("algebra")).unwrap();
+        assert_eq!(taught(&shared, "euclid", "math"), Truth::True);
+    }
+
+    #[test]
+    fn retry_on_overload_waits_out_a_stuck_lock() {
+        let shared = SharedLoggedDatabase::with_policy(LoggedDatabase::university(), tight(10, 8));
+        let hold_for = |ms: u64| {
+            let (release, hold) = hold_engine(&shared);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(ms));
+                drop(release);
+                hold.join().unwrap();
+            })
+        };
+        let hold = hold_for(80); // lock held: first attempts will be shed
+        let gov = Governor::with_deadline(Duration::from_secs(5));
+        shared
+            .retry_on_overload(&gov, 16, |ldb| ldb.insert("teach", v("euclid"), v("math")))
+            .unwrap();
+        hold.join().unwrap();
+        assert_eq!(shared.stats().unwrap().base_facts, 1);
+
+        // Zero remaining deadline: the retry loop refuses to sleep and
+        // surfaces the overload instead.
+        let hold = hold_for(80);
+        let gov = Governor::with_deadline(Duration::from_millis(15));
+        let err = shared
+            .retry_on_overload(&gov, 16, |ldb| ldb.insert("teach", v("gauss"), v("math")))
+            .unwrap_err();
+        assert!(err.is_governed_stop(), "got {err:?}");
+        hold.join().unwrap();
     }
 }

@@ -344,7 +344,7 @@ registry! {
         /// (commit or rollback) — a cost measure of transactional churn.
         txn_undo_log_bytes => "fdb.txn.undo_log_bytes",
         /// Statement retries performed by the overload backoff policy
-        /// (`SharedLoggedDatabase::retry_on_overload`).
+        /// (`Shared::retry_on_overload`).
         txn_overload_retries => "fdb.txn.overload_retries",
         /// Log records inside uncommitted transactions discarded by
         /// recovery (the crash-atomicity guarantee at work).
@@ -439,9 +439,11 @@ registry! {
         mvcc_snapshots_published => "fdb.mvcc.snapshots_published",
         /// Snapshot pins taken by lock-free readers.
         mvcc_snapshot_pins => "fdb.mvcc.snapshot_pins",
-        /// Pins taken while a writer held or awaited the write path —
-        /// reads that the old exclusive-lock design would have stalled,
-        /// served instead from the (necessarily slightly stale) snapshot.
+        /// Pins taken while a writer was in flight on the same handle —
+        /// admitted and not yet returned: awaiting the engine, holding
+        /// it, or awaiting its group fsync (`Shared::pin`, the one place
+        /// this is counted). An exclusive-lock design would have stalled
+        /// these reads; they are served from the last published snapshot.
         mvcc_stale_snapshot_reads => "fdb.mvcc.stale_snapshot_reads",
 
         // ---- fdb-core: group commit ----

@@ -334,6 +334,9 @@ fn chaos_transactions_with_overload_retry() {
         ldb,
         OverloadPolicy {
             lock_timeout: Duration::from_millis(5),
+            // Live on the durable handle: with THREADS = 6 the third
+            // concurrent attempt is rejected at the gate at once, by
+            // design — `retry_on_overload` below backs off and retries.
             max_inflight_writers: 2,
         },
     );
@@ -375,12 +378,12 @@ fn chaos_transactions_with_overload_retry() {
         h.join().expect("worker panicked");
     }
 
-    assert!(shared.is_consistent().unwrap());
+    assert!(shared.is_consistent());
     assert!(
         committed.load(Ordering::Relaxed) > 0,
         "every transaction was shed or aborted"
     );
-    let live = shared.read(|db| db.to_snapshot().unwrap()).unwrap();
+    let live = shared.read(|db| db.to_snapshot().unwrap());
     drop(shared.try_unwrap().expect("last handle"));
     let (recovered, report) =
         LoggedDatabase::open_with(disk, "/chaos_txn_db", DurabilityConfig::default()).unwrap();
@@ -413,6 +416,8 @@ fn chaos_logged_database_with_disk_faults() {
         ldb,
         OverloadPolicy {
             lock_timeout: Duration::from_millis(50),
+            // Live on the durable handle; 8 > THREADS, so admission never
+            // sheds here and every `Overloaded` is a lock timeout.
             max_inflight_writers: 8,
         },
     );
@@ -465,8 +470,8 @@ fn chaos_logged_database_with_disk_faults() {
     }
 
     // Whatever got through must be a consistent, replayable state.
-    assert!(shared.is_consistent().unwrap());
-    let live = shared.read(|db| db.to_snapshot().unwrap()).unwrap();
+    assert!(shared.is_consistent());
+    let live = shared.read(|db| db.to_snapshot().unwrap());
     drop(shared.try_unwrap().expect("last handle"));
     let (recovered, _report) =
         LoggedDatabase::open_with(disk, "/chaos_db", DurabilityConfig::default()).unwrap();

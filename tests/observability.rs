@@ -323,3 +323,56 @@ fn base_image_is_one_index_probe() {
         }
     }
 }
+
+/// `fdb.mvcc.stale_snapshot_reads` has one definition on both shared
+/// handles: a pin taken while a writer is in flight. An idle handle's
+/// pins are not stale; a pin taken while a write holds the engine is.
+/// (A pin taken while a grouped write waits for its fsync is one too:
+/// `shared.rs`'s unit tests stage that.)
+#[test]
+fn stale_snapshot_reads_count_pins_taken_during_a_write() {
+    use fdb::core::{
+        Database, DurabilityConfig, LoggedDatabase, Shared, SharedDatabase, SharedLoggedDatabase,
+        SimDisk,
+    };
+    use fdb::types::{Schema, Value};
+
+    fn pins_while_idle_and_while_writing<E: AsRef<Database>>(shared: &Shared<E>) -> (u64, u64) {
+        let stale = || obs::registry().mvcc_stale_snapshot_reads.get();
+        let before = stale();
+        shared.pin();
+        let idle = stale() - before;
+        shared
+            .with(|_engine| {
+                shared.pin();
+                shared.pin();
+            })
+            .unwrap();
+        (idle, stale() - before - idle)
+    }
+
+    let _guard = lock();
+    obs::set_enabled(true);
+    let schema = Schema::builder()
+        .function("teach", "faculty", "course", "many-many")
+        .build()
+        .unwrap();
+    let in_memory = SharedDatabase::new(Database::new(schema.clone()));
+    assert_eq!(pins_while_idle_and_while_writing(&in_memory), (0, 2));
+
+    let disk = std::sync::Arc::new(SimDisk::new());
+    let mut ldb = LoggedDatabase::create_with(disk, "/stale_db", DurabilityConfig::default())
+        .expect("fresh log");
+    ldb.import_schema(&Database::new(schema)).unwrap();
+    let durable = SharedLoggedDatabase::new(ldb);
+    assert_eq!(pins_while_idle_and_while_writing(&durable), (0, 2));
+
+    // A grouped autocommit write pins nothing itself, and leaves no
+    // writer in flight behind it.
+    let stale = obs::registry().mvcc_stale_snapshot_reads.get();
+    durable
+        .insert("teach", Value::atom("euclid"), Value::atom("math"))
+        .unwrap();
+    assert_eq!(durable.stats().unwrap().base_facts, 1);
+    assert_eq!(obs::registry().mvcc_stale_snapshot_reads.get(), stale);
+}

@@ -230,8 +230,8 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
-        prop_assert!(shared.is_consistent().unwrap());
-        let live = shared.read(|db| db.to_snapshot().unwrap()).unwrap();
+        prop_assert!(shared.is_consistent());
+        let live = shared.read(|db| db.to_snapshot().unwrap());
         // Abrupt stop: no graceful close, no final sync.
         drop(shared.try_unwrap().expect("last handle"));
 

@@ -267,8 +267,8 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
-        prop_assert!(shared.is_consistent().unwrap());
-        let live = shared.read(|db| db.to_snapshot().unwrap()).unwrap();
+        prop_assert!(shared.is_consistent());
+        let live = shared.read(|db| db.to_snapshot().unwrap());
         drop(shared.try_unwrap().expect("last handle"));
 
         let (recovered, report) = LoggedDatabase::open_with(
