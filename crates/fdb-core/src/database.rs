@@ -1,8 +1,9 @@
 //! The [`Database`]: schema + derivations + extensional store.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use fdb_graph::{minimal_schema, DesignOutcome};
 use fdb_storage::chain::DeletePolicy;
@@ -51,36 +52,38 @@ pub enum InsertPolicy {
 /// );
 /// # Ok::<(), fdb_types::FdbError>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Database {
-    schema: Schema,
-    derived: BTreeMap<FunctionId, Vec<Derivation>>,
+    /// Shared by every clone — a publication, a savepoint — until a
+    /// `DECLARE` or `DERIVE` copies it.
+    catalog: Arc<Catalog>,
     store: Store,
     /// Cap applied to chain enumeration in queries and derived updates.
     chain_limits: ChainLimits,
     /// Ambiguous-chain knob for derived deletes (default: the paper's
     /// faithful semantics).
-    #[serde(default)]
     delete_policy: DeletePolicy,
     /// Derivation choice for derived inserts.
-    #[serde(default)]
     insert_policy: InsertPolicy,
-    /// Open-transaction bookkeeping: schema/derivation snapshots per
-    /// savepoint (the store's row data is covered by its undo journal, so
-    /// only this cheap metadata is cloned). Never serialized — open
-    /// transactions do not survive snapshots.
-    #[serde(skip)]
+    /// Open-transaction bookkeeping: the catalog per savepoint (the
+    /// store's row data is covered by its undo journal). Never serialized
+    /// — open transactions do not survive snapshots.
     txn: Option<TxnState>,
 }
 
-/// Cheap metadata snapshot taken at `BEGIN` and at every savepoint: the
-/// store itself is not cloned (its undo journal covers row data), only
-/// the schema and derivation registry plus the journal mark to roll the
-/// store back to.
+/// The schema and the derived-function registry.
 #[derive(Clone, Debug)]
-struct TxnMeta {
+struct Catalog {
     schema: Schema,
     derived: BTreeMap<FunctionId, Vec<Derivation>>,
+}
+
+/// The state taken at `BEGIN` and at every savepoint: the store itself is
+/// not cloned (its undo journal covers row data), only the catalog
+/// pointer plus the journal mark to roll the store back to.
+#[derive(Clone, Debug)]
+struct TxnMeta {
+    catalog: Arc<Catalog>,
     mark: usize,
 }
 
@@ -100,19 +103,61 @@ impl AsRef<Database> for Database {
     }
 }
 
+/// The legacy JSON snapshot form, which old checkpoints and `SAVE` files
+/// hold: one flat map of `schema`, `derived`, `store`, `chain_limits`,
+/// `delete_policy` and `insert_policy` (the last two optional).
+impl Serialize for Database {
+    fn to_content(&self) -> Content {
+        let field = |name: &str, value: Content| (Content::Str(name.to_owned()), value);
+        Content::Map(vec![
+            field("schema", self.catalog.schema.to_content()),
+            field("derived", self.catalog.derived.to_content()),
+            field("store", self.store.to_content()),
+            field("chain_limits", self.chain_limits.to_content()),
+            field("delete_policy", self.delete_policy.to_content()),
+            field("insert_policy", self.insert_policy.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for Database {
+    fn from_content(c: &Content) -> std::result::Result<Database, DeError> {
+        let fields = c
+            .as_map()
+            .ok_or_else(|| DeError::new("Database: expected map"))?;
+        let field = |name: &str| serde::map_get(fields, name);
+        let required = |name: &str| {
+            field(name).ok_or_else(|| DeError::new(format!("Database: missing field `{name}`")))
+        };
+        Ok(Database::from_parts(
+            Schema::from_content(required("schema")?)?,
+            BTreeMap::from_content(required("derived")?)?,
+            Store::from_content(required("store")?)?,
+            ChainLimits::from_content(required("chain_limits")?)?,
+            match field("delete_policy") {
+                Some(p) => DeletePolicy::from_content(p)?,
+                None => DeletePolicy::default(),
+            },
+            match field("insert_policy") {
+                Some(p) => InsertPolicy::from_content(p)?,
+                None => InsertPolicy::default(),
+            },
+        ))
+    }
+}
+
 impl Database {
     /// A database over `schema` with every function base.
     pub fn new(schema: Schema) -> Self {
         let store = Store::new(schema.len());
-        Database {
+        Database::from_parts(
             schema,
-            derived: BTreeMap::new(),
+            BTreeMap::new(),
             store,
-            chain_limits: ChainLimits::default(),
-            delete_policy: DeletePolicy::default(),
-            insert_policy: InsertPolicy::default(),
-            txn: None,
-        }
+            ChainLimits::default(),
+            DeletePolicy::default(),
+            InsertPolicy::default(),
+        )
     }
 
     /// Reassembles a database from its serialised parts (snapshot
@@ -126,14 +171,19 @@ impl Database {
         insert_policy: InsertPolicy,
     ) -> Self {
         Database {
-            schema,
-            derived,
+            catalog: Arc::new(Catalog { schema, derived }),
             store,
             chain_limits,
             delete_policy,
             insert_policy,
             txn: None,
         }
+    }
+
+    /// The catalog, detached from every clone sharing it: only `DECLARE`,
+    /// `DERIVE` and index rebuilds take this.
+    fn catalog_mut(&mut self) -> &mut Catalog {
+        Arc::make_mut(&mut self.catalog)
     }
 
     /// Builds a database from a finished design session: the outcome's
@@ -167,7 +217,10 @@ impl Database {
         range: &str,
         functionality: fdb_types::Functionality,
     ) -> Result<FunctionId> {
-        let id = self.schema.declare(name, domain, range, functionality)?;
+        let id = self
+            .catalog_mut()
+            .schema
+            .declare(name, domain, range, functionality)?;
         self.store.ensure_table(id);
         Ok(id)
     }
@@ -177,22 +230,22 @@ impl Database {
     /// Every derivation must be well-formed for `f` (endpoints and
     /// functionality must match) and mention only base functions.
     pub fn register_derived(&mut self, f: FunctionId, derivations: Vec<Derivation>) -> Result<()> {
-        let def = self.schema.function(f).clone();
+        let def = self.catalog.schema.function(f).clone();
         for d in &derivations {
-            let (dom, rng) = d.endpoints(&self.schema)?;
+            let (dom, rng) = d.endpoints(&self.catalog.schema)?;
             if (dom, rng) != (def.domain, def.range) {
                 return Err(FdbError::MalformedDerivation(format!(
                     "derivation {} of {} has wrong endpoints",
-                    d.render(&self.schema),
+                    d.render(&self.catalog.schema),
                     def.name
                 )));
             }
-            if d.functionality(&self.schema) != def.functionality {
+            if d.functionality(&self.catalog.schema) != def.functionality {
                 return Err(FdbError::MalformedDerivation(format!(
                     "derivation {} of {} has functionality {} but {} is declared {}",
-                    d.render(&self.schema),
+                    d.render(&self.catalog.schema),
                     def.name,
-                    d.functionality(&self.schema),
+                    d.functionality(&self.catalog.schema),
                     def.name,
                     def.functionality
                 )));
@@ -204,11 +257,11 @@ impl Database {
                         def.name
                     )));
                 }
-                if self.derived.contains_key(&step.function) {
+                if self.catalog.derived.contains_key(&step.function) {
                     return Err(FdbError::MalformedDerivation(format!(
                         "derivation of {} uses derived function {}",
                         def.name,
-                        self.schema.function(step.function).name
+                        self.catalog.schema.function(step.function).name
                     )));
                 }
             }
@@ -220,7 +273,7 @@ impl Database {
                 def.name
             )));
         }
-        self.derived.insert(f, derivations);
+        self.catalog_mut().derived.insert(f, derivations);
         Ok(())
     }
 
@@ -236,22 +289,27 @@ impl Database {
 
     /// `true` if `f` is a derived function.
     pub fn is_derived(&self, f: FunctionId) -> bool {
-        self.derived.contains_key(&f)
+        self.catalog.derived.contains_key(&f)
     }
 
     /// The derivations of `f` (empty slice if base).
     pub fn derivations(&self, f: FunctionId) -> &[Derivation] {
-        self.derived.get(&f).map(Vec::as_slice).unwrap_or(&[])
+        self.catalog
+            .derived
+            .get(&f)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
     /// The whole derived-function registry (what a snapshot serialises).
     pub(crate) fn derived_registry(&self) -> &BTreeMap<FunctionId, Vec<Derivation>> {
-        &self.derived
+        &self.catalog.derived
     }
 
     /// The base functions, in declaration order.
     pub fn base_functions(&self) -> Vec<FunctionId> {
-        self.schema
+        self.catalog
+            .schema
             .functions()
             .iter()
             .map(|d| d.id)
@@ -261,7 +319,8 @@ impl Database {
 
     /// The derived functions, in declaration order.
     pub fn derived_functions(&self) -> Vec<FunctionId> {
-        self.schema
+        self.catalog
+            .schema
             .functions()
             .iter()
             .map(|d| d.id)
@@ -271,7 +330,7 @@ impl Database {
 
     /// The conceptual schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.catalog.schema
     }
 
     /// Read access to the extensional store.
@@ -321,21 +380,19 @@ impl Database {
 
     fn txn_meta(&self) -> TxnMeta {
         TxnMeta {
-            schema: self.schema.clone(),
-            derived: self.derived.clone(),
+            catalog: Arc::clone(&self.catalog),
             mark: self.store.undo_mark(),
         }
     }
 
-    /// Restores the metadata of `meta` and rolls the store's undo journal
-    /// back to its mark. Tables created by `DECLARE`s inside the rolled-
-    /// back scope are dropped (the journal already emptied them).
+    /// Restores the catalog of `meta` (its name indexes came with it) and
+    /// rolls the store's undo journal back to its mark. Tables created by
+    /// `DECLARE`s inside the rolled-back scope are dropped (the journal
+    /// already emptied them).
     fn txn_restore(&mut self, meta: TxnMeta) {
-        self.schema = meta.schema;
-        self.derived = meta.derived;
+        self.catalog = meta.catalog;
         self.store.undo_rollback_to(meta.mark);
-        self.store.truncate_tables(self.schema.len());
-        self.schema.rebuild_index();
+        self.store.truncate_tables(self.catalog.schema.len());
     }
 
     /// Opens a transaction: subsequent updates are journaled and can be
@@ -426,11 +483,9 @@ impl Database {
         fdb_obs::registry()
             .txn_undo_log_bytes
             .add(self.store.undo_bytes() as u64);
-        self.schema = t.base.schema;
-        self.derived = t.base.derived;
+        self.catalog = t.base.catalog;
         self.store.undo_abort();
-        self.store.truncate_tables(self.schema.len());
-        self.schema.rebuild_index();
+        self.store.truncate_tables(self.catalog.schema.len());
         fdb_obs::registry().txn_rollbacks.inc();
         fdb_obs::causal::point("fdb.txn.rollback", String::new);
         Ok(())
@@ -454,12 +509,12 @@ impl Database {
 
     /// Resolves a function by name.
     pub fn resolve(&self, name: &str) -> Result<FunctionId> {
-        self.schema.resolve(name)
+        self.catalog.schema.resolve(name)
     }
 
     /// Rebuilds in-memory indexes after deserialisation.
     pub fn rebuild_index(&mut self) {
-        self.schema.rebuild_index();
+        self.catalog_mut().schema.rebuild_index();
         self.store.rebuild_index();
     }
 

@@ -13,9 +13,13 @@
 //! stalling in an fsync, holding the engine, or queueing behind the
 //! admission gate cannot delay a reader by more than a pointer swap.
 //!
-//! **Snapshot lifecycle.** The store is copy-on-write per function
-//! (`fdb-storage`), so cloning a [`Database`] is O(#functions) `Arc`
-//! bumps. Writers republish after every mutation that moved the store's
+//! **Snapshot lifecycle.** The store is copy-on-write per function and,
+//! inside a table, per row chunk, bitmap block and index map
+//! (`fdb-storage`); the schema and derivations sit behind one `Arc`.
+//! Cloning a [`Database`] is O(#functions) `Arc` bumps, and the first
+//! write after a publication copies a few chunk-sized pieces of the table
+//! it writes.
+//! Writers republish after every mutation that moved the store's
 //! monotone version counter, *except* while a transaction is open —
 //! uncommitted state is never published, so a reader never observes a
 //! torn or rolled-back transaction (the open transaction reads its own
@@ -1052,6 +1056,44 @@ mod tests {
     }
 
     // --- the durable handle ---
+
+    /// An autocommit write copies at most one row chunk, one bitmap block
+    /// and the delta of each index of the table it writes — no index
+    /// base; everything else stays shared with the snapshot published
+    /// before it.
+    #[test]
+    fn autocommit_write_detaches_one_chunk_and_the_index_deltas() {
+        let shared = SharedLoggedDatabase::new(logged_university(
+            Arc::new(SimDisk::new()),
+            "/cow_db",
+            DurabilityConfig::default(),
+        ));
+        for i in 0..3 * fdb_storage::table::CHUNK_ROWS + 5 {
+            let (course, student) = (format!("c{}", i % 40), format!("s{i}"));
+            shared
+                .insert("class_list", v(&course), v(&student))
+                .unwrap();
+        }
+        let before = shared.pin();
+        shared.insert("class_list", v("c7"), v("fresh")).unwrap();
+        let after = shared.pin();
+        let unshared = |f: &str| {
+            let f = shared.resolve(f).unwrap();
+            after.store().unshared_with(before.store(), f)
+        };
+        let written = unshared("class_list");
+        assert!(
+            written.chunks <= 1
+                && written.alive_blocks <= 1
+                && written.index_bases == 0
+                && written.index_deltas <= 3
+                && written.null_lists == 0,
+            "{written:?}"
+        );
+        for f in ["teach", "pupil"] {
+            assert_eq!(unshared(f), fdb_storage::Unshared::default());
+        }
+    }
 
     #[test]
     fn shared_logged_writers_replay_to_live_state() {

@@ -296,6 +296,13 @@ registry! {
         storage_table_scans => "fdb.storage.table_scans",
         /// Point index probes (`rows_with_x` / `rows_with_y`).
         storage_index_probes => "fdb.storage.index_probes",
+        /// Pieces a copy-on-write detach cloned because a snapshot still
+        /// shared them: one per row chunk, alive-bitmap block, index map
+        /// (delta, or base when a delta folds), null-endpoint list or NC
+        /// store copied. A write with no snapshot outstanding adds
+        /// nothing; one after a publication adds a few, whatever the
+        /// table's size.
+        storage_cow_copies => "fdb.storage.cow_copies",
 
         // ---- WAL / recovery (fdb-core durability) ----
         /// Records appended to a write-ahead log.

@@ -42,6 +42,6 @@ pub use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
 pub use nc::{NcId, NcStore};
 pub use snapshot::Snapshot;
 pub use store::{CompactionPolicy, Store};
-pub use table::{RowView, Table, TableStats};
+pub use table::{RowView, Table, TableStats, Unshared};
 pub use truth::Truth;
 pub use undo::{UndoJournal, UndoOp};

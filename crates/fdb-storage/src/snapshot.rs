@@ -5,10 +5,18 @@
 //! per-function table and the NC store sit behind `Arc`s inside the
 //! store, so the "copy" is a round of reference-count bumps. The first
 //! write the live store makes to a function *after* a snapshot was taken
-//! detaches just that function's table (`Arc::make_mut`), which is what
-//! makes publication copy-on-write at per-function-extension
-//! granularity: a commit that touched two functions shares every other
-//! table with all outstanding snapshots.
+//! detaches that function's table spine and, inside it, only the pieces
+//! the write changes (`Arc::make_mut`; see [`crate::table`]): the row
+//! chunk of an insert, the alive-bitmap block of a delete, and the small
+//! delta maps that take index writes while a snapshot shares the index
+//! bases. Publication is therefore copy-on-write at chunk granularity: a
+//! commit that wrote one row of a 60k-row table copies at most one chunk
+//! of [`crate::table::CHUNK_ROWS`] rows, one bitmap block and three
+//! deltas of at most [`crate::table::DELTA_KEYS`] keys — plus, one such
+//! write in `DELTA_KEYS`, the index bases the deltas fold into — and
+//! shares every other piece and every other table with all outstanding
+//! snapshots; the release of the last pin on a retired snapshot frees
+//! just as much.
 //!
 //! Readers holding a snapshot see a state that can never change —
 //! there is no locking, no torn read, and no coordination with writers.
@@ -72,6 +80,7 @@ mod tests {
 
     use crate::fact::Fact;
     use crate::store::Store;
+    use crate::table::{Unshared, CHUNK_ROWS};
     use crate::truth::Truth;
 
     fn f(i: u32) -> FunctionId {
@@ -110,20 +119,33 @@ mod tests {
     #[test]
     fn publication_is_copy_on_write_per_function() {
         let mut s = Store::new(3);
-        s.base_insert(f(0), v("a"), v("b"));
+        for i in 0..3 * CHUNK_ROWS {
+            s.base_insert(f(0), v(&format!("a{}", i % 50)), v(&format!("b{i}")));
+        }
         s.base_insert(f(1), v("c"), v("d"));
         s.base_insert(f(2), v("e"), v("g"));
         let snap = s.snapshot();
 
         // Before any write, every table is physically shared.
         for i in 0..3 {
-            assert!(s.shares_table_with(snap.store(), f(i)));
+            assert_eq!(s.unshared_with(snap.store(), f(i)), Unshared::default());
         }
-        // A write to f0 detaches exactly f0's table.
-        s.base_insert(f(0), v("a2"), v("b2"));
-        assert!(!s.shares_table_with(snap.store(), f(0)));
-        assert!(s.shares_table_with(snap.store(), f(1)));
-        assert!(s.shares_table_with(snap.store(), f(2)));
+        // A write to f0 adds one chunk, sets a bit in one bitmap block and
+        // detaches the deltas of f0's indexes — not their bases — and
+        // nothing of the other tables.
+        s.base_insert(f(0), v("a2"), v("fresh"));
+        assert_eq!(
+            s.unshared_with(snap.store(), f(0)),
+            Unshared {
+                chunks: 1,
+                alive_blocks: 1,
+                index_bases: 0,
+                index_deltas: 3,
+                null_lists: 0,
+            }
+        );
+        assert_eq!(s.unshared_with(snap.store(), f(1)), Unshared::default());
+        assert_eq!(s.unshared_with(snap.store(), f(2)), Unshared::default());
     }
 
     #[test]

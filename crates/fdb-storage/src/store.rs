@@ -5,6 +5,14 @@
 //! procedures (`derived-insert` / `derived-delete` and their NVC helpers)
 //! live in [`crate::nvc`] and [`crate::chain`] because they need a
 //! derivation; the full update dispatch is assembled in `fdb-core`.
+//!
+//! The store is copy-on-write at three levels: the table vector holds one
+//! `Arc` per function, each table is a spine of `Arc`'d row chunks,
+//! alive-bitmap blocks and index maps (see [`crate::table`]), and the NC
+//! store sits behind an `Arc`. A write after a snapshot copies the touched
+//! table's spine and the few pieces the write changes —
+//! `fdb.storage.cow_copies` counts each piece copied — and every
+//! untouched table stays shared.
 
 use std::sync::Arc;
 
@@ -15,7 +23,7 @@ use fdb_types::{FunctionId, NullGen, Result, Value};
 
 use crate::fact::Fact;
 use crate::nc::{NcId, NcStore};
-use crate::table::Table;
+use crate::table::{detach, Table, Unshared};
 use crate::truth::Truth;
 use crate::undo::{UndoJournal, UndoOp};
 
@@ -58,10 +66,14 @@ impl CompactionPolicy {
 ///
 /// Tables and the NC store sit behind [`Arc`]s so cloning a store is
 /// O(#functions) pointer bumps, not O(#facts) — the basis of the MVCC
-/// snapshot read path (see [`crate::snapshot::Snapshot`]). Mutators go
-/// through [`Arc::make_mut`], which copies a table only on the *first*
-/// write after a snapshot was taken (copy-on-write at per-function
-/// granularity). The `Arc`s serialize transparently as their contents.
+/// snapshot read path (see [`crate::snapshot::Snapshot`]). A table is
+/// itself a spine of `Arc`'d row chunks, bitmap blocks and index maps
+/// ([`crate::table`]): the first write to it after a snapshot was taken
+/// copies the spine and the pieces it changes; a table that was not
+/// written stays one shared pointer. A
+/// write that changes nothing — a re-insert of a true fact, a dismantle
+/// whose conjunct row is gone — detaches nothing. The `Arc`s serialize
+/// transparently as their contents.
 ///
 /// The serde derive is the reader of snapshots written before the binary
 /// format and the oracle the tests compare [`Store::encode`] with; both
@@ -174,14 +186,15 @@ impl Store {
     }
 
     /// Copy-on-write access to the table at raw index `i`: clones the
-    /// table iff a snapshot still shares it.
+    /// table's spine iff a snapshot still shares it (its mutators then
+    /// detach the pieces they change).
     fn tab(&mut self, i: usize) -> &mut Table {
         Arc::make_mut(&mut self.tables[i])
     }
 
     /// Copy-on-write access to the NC store.
     fn ncs_cow(&mut self) -> &mut NcStore {
-        Arc::make_mut(&mut self.ncs)
+        detach(&mut self.ncs)
     }
 
     /// Number of allocated tables (declared functions may trail behind
@@ -216,7 +229,8 @@ impl Store {
     }
 
     /// Mutable access to the table of `f` (copy-on-write: detaches the
-    /// table from any live snapshot before handing out the reference).
+    /// table's spine from any live snapshot before handing out the
+    /// reference; its pieces detach as they are written).
     pub fn table_mut(&mut self, f: FunctionId) -> &mut Table {
         self.ensure_table(f);
         Arc::make_mut(&mut self.tables[f.index()])
@@ -343,6 +357,11 @@ impl Store {
     pub fn dismantle_nc(&mut self, id: NcId) {
         fdb_obs::registry().storage_ncs_dismantled.inc();
         self.version += 1;
+        // An NC that is not live has nothing to unlink — and journaling
+        // its "dismantle" would make a rollback restore it, empty.
+        if !self.ncs.contains(id) {
+            return;
+        }
         let conjuncts = self.ncs_cow().dismantle(id);
         if let Some(j) = self.journal.as_mut() {
             j.push(UndoOp::NcDismantled {
@@ -352,25 +371,20 @@ impl Store {
         }
         for fact in conjuncts {
             self.bump_fn(fact.function);
-            let journaling = self.journal.is_some();
-            if let Some(t) = self
-                .tables
-                .get_mut(fact.function.index())
-                .map(Arc::make_mut)
-            {
-                if let Some(i) = t.position(&fact.x, &fact.y) {
-                    let detached = t.row(i).is_some_and(|r| r.ncl.contains(&id));
-                    t.detach_nc(i, id);
-                    if journaling && detached {
-                        if let Some(j) = self.journal.as_mut() {
-                            j.push(UndoOp::NcDetached {
-                                f: fact.function,
-                                index: i,
-                                id,
-                            });
-                        }
-                    }
-                }
+            let fi = fact.function.index();
+            let Some(i) = self.tables.get(fi).and_then(|t| {
+                t.position(&fact.x, &fact.y)
+                    .filter(|&i| t.row(i).is_some_and(|r| r.ncl.contains(&id)))
+            }) else {
+                continue;
+            };
+            self.tab(fi).detach_nc(i, id);
+            if let Some(j) = self.journal.as_mut() {
+                j.push(UndoOp::NcDetached {
+                    f: fact.function,
+                    index: i,
+                    id,
+                });
             }
         }
     }
@@ -406,7 +420,11 @@ impl Store {
                 if let Some(j) = self.journal.as_mut() {
                     j.push(UndoOp::TruthSet { f, index: i, prior });
                 }
-                self.tab(f.index()).set_truth(i, Truth::True);
+                // A true row carries no NCs, so re-asserting it changes
+                // nothing and must not detach its table.
+                if prior != Truth::True {
+                    self.tab(f.index()).set_truth(i, Truth::True);
+                }
             }
         }
     }
@@ -714,13 +732,18 @@ impl Store {
         crate::snapshot::Snapshot::new(store)
     }
 
-    /// `true` if the table of `f` is physically shared with `other`
-    /// (same `Arc`) — used by tests and benches to prove snapshot
-    /// publication is copy-on-write, not a deep copy.
-    pub fn shares_table_with(&self, other: &Store, f: FunctionId) -> bool {
-        match (self.tables.get(f.index()), other.tables.get(f.index())) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+    /// The pieces of `f`'s table — row chunks, bitmap blocks, index maps,
+    /// null lists — that are not physically shared with `other`'s (all of
+    /// them if `other` has no table for `f`). Tests use it to prove a
+    /// publication is copy-on-write by chunk, not a deep copy.
+    pub fn unshared_with(&self, other: &Store, f: FunctionId) -> Unshared {
+        let Some(mine) = self.tables.get(f.index()) else {
+            return Unshared::default();
+        };
+        match other.tables.get(f.index()) {
+            Some(theirs) if Arc::ptr_eq(mine, theirs) => Unshared::default(),
+            Some(theirs) => mine.unshared_with(theirs),
+            None => mine.unshared_with(&Table::new()),
         }
     }
 
@@ -1018,6 +1041,30 @@ mod tests {
             s.base_delete(f(0), &v(&format!("z{i}")), &v(&format!("w{i}")));
         }
         assert_eq!(s.table(f(0)).tombstones(), 8);
+    }
+
+    /// Re-inserting a true fact and dismantling an NC whose conjunct row
+    /// is gone change no row, so they copy nothing a snapshot shares.
+    #[test]
+    fn no_op_writes_detach_nothing() {
+        let mut s = Store::new(2);
+        for i in 0..4 * crate::table::CHUNK_ROWS {
+            s.base_insert(f(0), v(&format!("x{i}")), v(&format!("y{i}")));
+        }
+        s.base_insert(f(1), v("a"), v("b"));
+        let nc = s.create_nc(vec![Fact::new(f(0), "x1", "y1")]);
+        // The conjunct row goes without the NC store hearing of it.
+        s.table_mut(f(0)).remove(&v("x1"), &v("y1"));
+        let snap = s.snapshot();
+        let version = s.version();
+        s.base_insert(f(0), v("x7"), v("y7"));
+        s.dismantle_nc(nc);
+        for fi in 0..2 {
+            assert_eq!(s.unshared_with(snap.store(), f(fi)), Unshared::default());
+        }
+        assert!(s.version() > version, "version counters still move");
+        assert!(!s.ncs().contains(nc));
+        assert!(s.check_duality().is_none());
     }
 
     #[test]

@@ -4,10 +4,37 @@
 //! printed in insertion order) and are tombstoned on delete so row indices
 //! remain stable within one table. Lookup indexes by domain value, range
 //! value, and null-valuedness support the chain traversal of [`crate::chain`].
+//!
+//! A table is a two-level persistent structure, so that snapshots share
+//! it piece by piece (see [`crate::snapshot`]):
+//!
+//! * the **row log** is a vector of `Arc`'d chunks of [`CHUNK_ROWS`] rows,
+//!   held inline — row `i` lives in chunk `i / CHUNK_ROWS`, slot
+//!   `i % CHUNK_ROWS` — beside a bitmap of which rows are alive, in
+//!   `Arc`'d blocks of [`ALIVE_BLOCK_ROWS`] bits, so that a delete copies
+//!   a block of bits rather than a chunk of values;
+//! * each **endpoint index** (`(x, y)` → row, `x` → rows, `y` → rows) is a
+//!   *base* map and a *delta* map, each behind its own `Arc`. While no
+//!   snapshot shares the base, writes go straight to it and the delta
+//!   stays empty. While one does, writes go to the delta, which is folded
+//!   into the base — copying the base once — when it reaches
+//!   [`DELTA_KEYS`] keys. A delete made while the base is shared leaves
+//!   its base entry behind; lookups drop it by the row's tombstone.
+//!
+//! Every mutator detaches (`Arc::make_mut`) only the pieces it changes,
+//! and only when it really changes them. The first write after a snapshot
+//! therefore copies a chunk, a bitmap block and the deltas — O(
+//! [`CHUNK_ROWS`] + [`DELTA_KEYS`]) — plus, one write in [`DELTA_KEYS`],
+//! the base; the release of a retired snapshot frees as much. A lookup
+//! reads the base, and the delta only when it is not empty.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use fdb_types::codec::{put_uint, Reader};
 use fdb_types::{Result, Value};
@@ -15,12 +42,40 @@ use fdb_types::{Result, Value};
 use crate::nc::NcId;
 use crate::truth::Truth;
 
-/// A stored row (internal representation).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Rows per chunk of the row log.
+///
+/// Measured on `snapshot_churn` (60k- and 4k-row tables, one write per
+/// publication) and `derived_read_mix` (rounds of writes into a fresh
+/// copy-on-write clone): a detach copies the table's vector of chunk
+/// pointers and one chunk, and 128 keeps their sum near its least.
+pub const CHUNK_ROWS: usize = 128;
+
+/// Keys an index delta takes before it is folded into its base.
+///
+/// Measured on `snapshot_churn` with [`CHUNK_ROWS`]: a write after a
+/// publication copies the deltas (growing with this bound) and, once per
+/// this many writes, the base (shrinking with it).
+pub const DELTA_KEYS: usize = 256;
+
+/// Rows per block of the alive bitmap.
+const ALIVE_BLOCK_ROWS: usize = 4096;
+
+/// A stored row (internal representation); whether it is alive is the
+/// table's alive bitmap's to say.
+#[derive(Clone, Debug)]
 struct Row {
     x: Value,
     y: Value,
     truth: Truth, // True or Ambiguous; never False while alive
+    ncl: BTreeSet<NcId>,
+}
+
+/// A row as the JSON snapshot form writes it.
+#[derive(Serialize, Deserialize)]
+struct RowJson {
+    x: Value,
+    y: Value,
+    truth: Truth,
     ncl: BTreeSet<NcId>,
     alive: bool,
 }
@@ -38,23 +93,33 @@ pub struct RowView<'t> {
     pub ncl: &'t BTreeSet<NcId>,
 }
 
+/// One chunk of the row log, its rows inline in the `Arc`'s allocation
+/// so that reaching a row costs no more pointer hops than a flat vector.
+/// Slots past the end of the log are `None`.
+#[derive(Clone, Debug)]
+struct Chunk([Option<Row>; CHUNK_ROWS]);
+
+/// One block of the alive bitmap: bit `i % 64` of word `i / 64` is row
+/// `i`'s, counted from the block's first row.
+#[derive(Clone, Debug)]
+struct AliveBlock([u64; ALIVE_BLOCK_ROWS / 64]);
+
 /// The extensional table of one base function.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Table {
-    rows: Vec<Row>,
-    #[serde(skip)]
-    index: HashMap<(Value, Value), usize>,
-    #[serde(skip)]
-    by_x: HashMap<Value, Vec<usize>>,
-    #[serde(skip)]
-    by_y: HashMap<Value, Vec<usize>>,
-    #[serde(skip)]
-    null_x: Vec<usize>,
-    #[serde(skip)]
-    null_y: Vec<usize>,
-    #[serde(skip)]
+    chunks: Vec<Arc<Chunk>>,
+    alive: Vec<Arc<AliveBlock>>,
+    /// Rows in the log, tombstones included.
+    logged: usize,
+    index: Layered<(Value, Value), usize>,
+    by_x: Layered<Value, Vec<usize>>,
+    by_y: Layered<Value, Vec<usize>>,
+    /// Distinct keys of `by_x` and `by_y` over base and delta.
+    distinct_x: usize,
+    distinct_y: usize,
+    null_x: Arc<Vec<usize>>,
+    null_y: Arc<Vec<usize>>,
     live: usize,
-    #[serde(skip)]
     dead: usize,
 }
 
@@ -78,6 +143,303 @@ pub struct TableStats {
     pub null_y: usize,
 }
 
+/// The pieces of one table that another does not physically share —
+/// what copy-on-write detaches have copied since the two diverged (see
+/// [`Table::unshared_with`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Unshared {
+    /// Row chunks.
+    pub chunks: usize,
+    /// Blocks of the alive bitmap.
+    pub alive_blocks: usize,
+    /// Base maps of the three endpoint indexes.
+    pub index_bases: usize,
+    /// Delta maps of the three endpoint indexes.
+    pub index_deltas: usize,
+    /// Null-endpoint lists (at most two).
+    pub null_lists: usize,
+}
+
+/// [`Arc::make_mut`] that counts `fdb.storage.cow_copies` when the piece
+/// is shared and so is cloned; the unshared path counts nothing.
+pub(crate) fn detach<T: Clone>(piece: &mut Arc<T>) -> &mut T {
+    if shared(piece) {
+        fdb_obs::registry().storage_cow_copies.inc();
+    }
+    Arc::make_mut(piece)
+}
+
+/// `true` if another `Arc` points at `piece`. A plain load, no atomic
+/// read-modify-write: the store never makes `Weak`s, and holding
+/// `&mut` to the one `Arc` means no other thread can clone it meanwhile
+/// (a concurrent drop only makes the answer stale towards "shared").
+fn shared<T>(piece: &Arc<T>) -> bool {
+    Arc::strong_count(piece) > 1
+}
+
+/// A `(x, y)` key borrowed from two values, so the pair index is probed
+/// without cloning (and later dropping) both.
+trait PairKey {
+    fn pair(&self) -> (&Value, &Value);
+}
+
+impl PairKey for (Value, Value) {
+    fn pair(&self) -> (&Value, &Value) {
+        (&self.0, &self.1)
+    }
+}
+
+impl PairKey for (&Value, &Value) {
+    fn pair(&self) -> (&Value, &Value) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn PairKey + 'a> for (Value, Value) {
+    fn borrow(&self) -> &(dyn PairKey + 'a) {
+        self
+    }
+}
+
+/// Hashes as the owned tuple does: a tuple hashes its fields in order,
+/// and `&Value` hashes as `Value`.
+impl Hash for dyn PairKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pair().hash(state);
+    }
+}
+
+impl PartialEq for dyn PairKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.pair() == other.pair()
+    }
+}
+
+impl Eq for dyn PairKey + '_ {}
+
+/// How a delta entry folds into the base entry under the same key.
+trait Fold {
+    fn fold(&mut self, later: Self);
+}
+
+/// Pair index: the delta's row replaces the base's tombstoned one.
+impl Fold for usize {
+    fn fold(&mut self, later: usize) {
+        *self = later;
+    }
+}
+
+/// Value index: the delta's rows come after the base's.
+impl Fold for Vec<usize> {
+    fn fold(&mut self, later: Vec<usize>) {
+        self.extend(later);
+    }
+}
+
+/// One endpoint index: a base map and a delta map (see the module
+/// documentation for which takes a write).
+#[derive(Clone, Debug)]
+struct Layered<K, V> {
+    base: Arc<HashMap<K, V>>,
+    delta: Arc<HashMap<K, V>>,
+}
+
+impl<K, V> Default for Layered<K, V> {
+    fn default() -> Self {
+        Layered {
+            base: Arc::default(),
+            delta: Arc::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Fold + Clone> Layered<K, V> {
+    /// The map a write goes to, and `true` if it is the delta: the delta
+    /// while a snapshot shares the base and the delta has room, else the
+    /// base, with the delta folded into it first.
+    fn target(&mut self) -> (&mut HashMap<K, V>, bool) {
+        if shared(&self.base) && self.delta.len() < DELTA_KEYS {
+            if self.delta.is_empty() {
+                // Sized for every key it will take before its fold.
+                self.delta = Arc::new(HashMap::with_capacity(DELTA_KEYS));
+            }
+            return (detach(&mut self.delta), true);
+        }
+        let base = detach(&mut self.base);
+        if !self.delta.is_empty() {
+            let delta = std::mem::take(&mut self.delta);
+            let delta = Arc::try_unwrap(delta).unwrap_or_else(|shared| (*shared).clone());
+            for (k, v) in delta {
+                match base.entry(k) {
+                    Entry::Occupied(mut e) => e.get_mut().fold(v),
+                    Entry::Vacant(e) => {
+                        e.insert(v);
+                    }
+                }
+            }
+        }
+        (base, false)
+    }
+
+    /// The map holding `key`'s entry with value `i`, detached: the delta
+    /// if it is there, else the base (for a rollback, which may find it
+    /// in a shared base).
+    fn holding(&mut self, key: &K, is: impl Fn(&V) -> bool) -> Option<&mut HashMap<K, V>> {
+        if self.delta.get(key).is_some_and(&is) {
+            return Some(detach(&mut self.delta));
+        }
+        if self.base.get(key).is_some_and(is) {
+            return Some(detach(&mut self.base));
+        }
+        None
+    }
+
+    /// Empties the index, keeping the maps' allocations where no
+    /// snapshot shares them.
+    fn clear(&mut self) {
+        clear(&mut self.base);
+        clear(&mut self.delta);
+    }
+
+    fn unshared_with(&self, other: &Layered<K, V>) -> (usize, usize) {
+        (
+            usize::from(!Arc::ptr_eq(&self.base, &other.base)),
+            usize::from(!Arc::ptr_eq(&self.delta, &other.delta)),
+        )
+    }
+}
+
+impl Layered<(Value, Value), usize> {
+    /// Candidate rows of `(x, y)`: the base's (possibly tombstoned) and
+    /// the delta's.
+    fn get(&self, x: &Value, y: &Value) -> [Option<usize>; 2] {
+        let key: &dyn PairKey = &(x, y);
+        let delta = if self.delta.is_empty() {
+            None
+        } else {
+            self.delta.get(key).copied()
+        };
+        [self.base.get(key).copied(), delta]
+    }
+
+    /// Drops the entry of the live row `i` under `key` where a write may:
+    /// from the delta, or from the base if no snapshot shares it. A base
+    /// entry a snapshot shares stays, tombstoned by the row.
+    fn forget(&mut self, x: &Value, y: &Value, i: usize) {
+        let key: &dyn PairKey = &(x, y);
+        if self.delta.get(key) == Some(&i) {
+            detach(&mut self.delta).remove(key);
+        } else if !shared(&self.base) {
+            detach(&mut self.base).remove(key);
+        }
+    }
+
+    fn insert(&mut self, x: Value, y: Value, i: usize) {
+        self.target().0.insert((x, y), i);
+    }
+}
+
+impl Layered<Value, Vec<usize>> {
+    /// `key`'s rows, ascending: the base's, then the delta's (appended
+    /// after every base row).
+    fn rows(&self, key: &Value) -> impl Iterator<Item = usize> + '_ {
+        fn bucket<'m>(map: &'m HashMap<Value, Vec<usize>>, key: &Value) -> &'m [usize] {
+            map.get(key).map_or(&[], Vec::as_slice)
+        }
+        let delta = if self.delta.is_empty() {
+            &[]
+        } else {
+            bucket(&self.delta, key)
+        };
+        bucket(&self.base, key).iter().chain(delta).copied()
+    }
+
+    fn width(&self, key: &Value) -> usize {
+        let delta = if self.delta.is_empty() {
+            0
+        } else {
+            self.delta.get(key).map_or(0, Vec::len)
+        };
+        self.base.get(key).map_or(0, Vec::len) + delta
+    }
+
+    /// Appends row `i` to `key`'s bucket; `true` if `key` is new.
+    fn push(&mut self, key: &Value, i: usize) -> bool {
+        let (map, into_delta) = self.target();
+        let before = map.len();
+        map.entry(key.clone()).or_default().push(i);
+        let added = map.len() > before;
+        added && !(into_delta && self.base.contains_key(key))
+    }
+
+    /// Undoes [`Layered::push`] of the table's last row `i`: bucket
+    /// vectors hold ascending row indices, so its entry — if present — is
+    /// the last one of `key`'s bucket. Returns `true` if `key` is gone.
+    fn pop_last(&mut self, key: &Value, i: usize) -> bool {
+        let Some(map) = self.holding(key, |b| b.last() == Some(&i)) else {
+            return false;
+        };
+        let Entry::Occupied(mut bucket) = map.entry(key.clone()) else {
+            return false;
+        };
+        bucket.get_mut().pop();
+        if !bucket.get().is_empty() {
+            return false;
+        }
+        bucket.remove();
+        !self.base.contains_key(key) && !self.delta.contains_key(key)
+    }
+}
+
+/// A collection [`clear`] can empty in place.
+trait Clear: Default {
+    fn clear(&mut self);
+}
+
+impl<K, V> Clear for HashMap<K, V> {
+    fn clear(&mut self) {
+        HashMap::clear(self);
+    }
+}
+
+impl<T> Clear for Vec<T> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+}
+
+/// Empties a collection behind an `Arc`: in place if no snapshot shares
+/// it (its allocation is reused), else by starting a new one.
+fn clear<T: Clear>(piece: &mut Arc<T>) {
+    match Arc::get_mut(piece) {
+        Some(p) => p.clear(),
+        None => *piece = Arc::default(),
+    }
+}
+
+/// Pieces of `mine` that are not the same `Arc` as `theirs` at the same
+/// position.
+fn unshared<T>(mine: &[Arc<T>], theirs: &[Arc<T>]) -> usize {
+    mine.iter()
+        .enumerate()
+        .filter(|&(i, p)| !theirs.get(i).is_some_and(|q| Arc::ptr_eq(p, q)))
+        .count()
+}
+
+/// Splits a row log into chunks.
+fn chunked(rows: impl IntoIterator<Item = Row>) -> Vec<Arc<Chunk>> {
+    let mut chunks = Vec::new();
+    let mut rows = rows.into_iter().peekable();
+    while rows.peek().is_some() {
+        let mut chunk = Chunk(std::array::from_fn(|_| None));
+        for (slot, row) in chunk.0.iter_mut().zip(rows.by_ref()) {
+            *slot = Some(row);
+        }
+        chunks.push(Arc::new(chunk));
+    }
+    chunks
+}
+
 impl Row {
     /// Smallest encoded row: two empty atoms, the flags, an empty NCL.
     const MIN_ENCODED: usize = 6;
@@ -85,7 +447,7 @@ impl Row {
     /// flag (0 false, 1 ambiguous, 2 true).
     const ALIVE: u8 = 1;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, alive: bool, out: &mut Vec<u8>) {
         self.x.encode(out);
         self.y.encode(out);
         let truth = match self.truth {
@@ -93,14 +455,14 @@ impl Row {
             Truth::Ambiguous => 1,
             Truth::True => 2,
         };
-        out.push(truth << 1 | u8::from(self.alive));
+        out.push(truth << 1 | u8::from(alive));
         put_uint(out, self.ncl.len() as u64);
         for nc in &self.ncl {
             put_uint(out, nc.0);
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Row> {
+    fn decode(r: &mut Reader<'_>) -> Result<(Row, bool)> {
         let x = Value::decode(r)?;
         let y = Value::decode(r)?;
         let flags = r.byte()?;
@@ -114,13 +476,52 @@ impl Row {
         for _ in 0..r.count(1)? {
             ncl.insert(NcId(r.uint()?));
         }
-        Ok(Row {
-            x,
-            y,
-            truth,
-            ncl,
-            alive: flags & Row::ALIVE != 0,
-        })
+        Ok((Row { x, y, truth, ncl }, flags & Row::ALIVE != 0))
+    }
+}
+
+/// The flat layout of the row log, `{"rows": [...]}` — the legacy JSON
+/// snapshot reader's input and the tests' oracle, whatever the chunking.
+impl Serialize for Table {
+    fn to_content(&self) -> Content {
+        let rows = self
+            .all_rows()
+            .map(|(r, alive)| {
+                RowJson {
+                    x: r.x.clone(),
+                    y: r.y.clone(),
+                    truth: r.truth,
+                    ncl: r.ncl.clone(),
+                    alive,
+                }
+                .to_content()
+            })
+            .collect();
+        Content::Map(vec![(Content::Str("rows".into()), Content::Seq(rows))])
+    }
+}
+
+/// Reads the flat layout; the lookup indexes are left empty: call
+/// [`Table::rebuild_index`].
+impl Deserialize for Table {
+    fn from_content(c: &Content) -> std::result::Result<Table, DeError> {
+        let fields = c
+            .as_map()
+            .ok_or_else(|| DeError::new("Table: expected map"))?;
+        let rows: Vec<RowJson> = Vec::from_content(
+            serde::map_get(fields, "rows")
+                .ok_or_else(|| DeError::new("Table: missing field `rows`"))?,
+        )?;
+        Ok(Table::from_rows(rows.into_iter().map(|r| {
+            let RowJson {
+                x,
+                y,
+                truth,
+                ncl,
+                alive,
+            } = r;
+            (Row { x, y, truth, ncl }, alive)
+        })))
     }
 }
 
@@ -130,14 +531,95 @@ impl Table {
         Self::default()
     }
 
+    /// A table over a row log, its indexes empty.
+    fn from_rows(rows: impl IntoIterator<Item = (Row, bool)>) -> Table {
+        let mut t = Table::default();
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|(row, alive)| {
+                t.push_alive(alive);
+                row
+            })
+            .collect();
+        t.chunks = chunked(rows);
+        t
+    }
+
+    /// Every row in physical order with its alive flag, tombstones
+    /// included.
+    fn all_rows(&self) -> impl Iterator<Item = (&Row, bool)> {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.0.iter().flatten())
+            .enumerate()
+            .map(|(i, r)| (r, self.is_alive(i)))
+    }
+
+    fn at(&self, i: usize) -> Option<&Row> {
+        self.chunks.get(i / CHUNK_ROWS)?.0[i % CHUNK_ROWS].as_ref()
+    }
+
+    fn is_alive(&self, i: usize) -> bool {
+        let bit = i % ALIVE_BLOCK_ROWS;
+        self.alive
+            .get(i / ALIVE_BLOCK_ROWS)
+            .is_some_and(|b| b.0[bit / 64] >> (bit % 64) & 1 == 1)
+    }
+
+    /// Flips row `i`'s alive bit, detaching its block.
+    fn set_alive(&mut self, i: usize, alive: bool) {
+        let bit = i % ALIVE_BLOCK_ROWS;
+        let word = &mut detach(&mut self.alive[i / ALIVE_BLOCK_ROWS]).0[bit / 64];
+        if alive {
+            *word |= 1 << (bit % 64);
+        } else {
+            *word &= !(1 << (bit % 64));
+        }
+    }
+
+    /// Sets the alive bit of the row about to be appended as row `len`.
+    fn push_alive(&mut self, alive: bool) {
+        if self.logged / ALIVE_BLOCK_ROWS == self.alive.len() {
+            self.alive
+                .push(Arc::new(AliveBlock([0; ALIVE_BLOCK_ROWS / 64])));
+        }
+        if alive {
+            self.set_alive(self.logged, true);
+        }
+        self.logged += 1;
+    }
+
+    /// Row `i`, its chunk detached from every snapshot sharing it.
+    ///
+    /// # Panics
+    /// Panics if there is no row `i`.
+    fn row_mut(&mut self, i: usize) -> &mut Row {
+        detach(&mut self.chunks[i / CHUNK_ROWS]).0[i % CHUNK_ROWS]
+            .as_mut()
+            .expect("row index inside the log")
+    }
+
+    /// Applies `change` to the live row `i` if `changes` says it alters
+    /// it: a chunk is detached only for a real change.
+    fn update(
+        &mut self,
+        i: usize,
+        changes: impl FnOnce(&Row) -> bool,
+        change: impl FnOnce(&mut Row),
+    ) {
+        if self.is_alive(i) && self.at(i).is_some_and(changes) {
+            change(self.row_mut(i));
+        }
+    }
+
     /// Appends the table's binary snapshot form: every row in physical
     /// order, tombstones included. Snapshot equality is physical — a
     /// restored table has the row indices, and reaches its compaction
     /// threshold at the same delete, as the one it was taken from.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_uint(out, self.rows.len() as u64);
-        for row in &self.rows {
-            row.encode(out);
+        put_uint(out, self.logged as u64);
+        for (row, alive) in self.all_rows() {
+            row.encode(alive, out);
         }
     }
 
@@ -149,10 +631,7 @@ impl Table {
         for _ in 0..len {
             rows.push(Row::decode(r)?);
         }
-        Ok(Table {
-            rows,
-            ..Table::default()
-        })
+        Ok(Table::from_rows(rows))
     }
 
     /// Rebuilds the lookup indexes from the row log (after deserialising).
@@ -160,65 +639,86 @@ impl Table {
         self.index.clear();
         self.by_x.clear();
         self.by_y.clear();
-        self.null_x.clear();
-        self.null_y.clear();
-        self.live = 0;
-        self.dead = 0;
-        for i in 0..self.rows.len() {
-            if self.rows[i].alive {
-                self.live += 1;
-                self.index_row(i);
-            } else {
+        for list in [&mut self.null_x, &mut self.null_y] {
+            clear(list);
+        }
+        (self.distinct_x, self.distinct_y) = (0, 0);
+        (self.live, self.dead) = (0, 0);
+        for i in 0..self.logged {
+            let Some(r) = self.at(i).filter(|_| self.is_alive(i)) else {
                 self.dead += 1;
-            }
+                continue;
+            };
+            let (x, y) = (r.x.clone(), r.y.clone());
+            self.live += 1;
+            self.index_row(i, x, y);
         }
     }
 
-    fn index_row(&mut self, i: usize) {
-        let (x, y) = (self.rows[i].x.clone(), self.rows[i].y.clone());
-        self.index.insert((x.clone(), y.clone()), i);
-        self.by_x.entry(x.clone()).or_default().push(i);
-        self.by_y.entry(y.clone()).or_default().push(i);
+    fn index_row(&mut self, i: usize, x: Value, y: Value) {
+        self.distinct_x += usize::from(self.by_x.push(&x, i));
+        self.distinct_y += usize::from(self.by_y.push(&y, i));
         if x.is_null() {
-            self.null_x.push(i);
+            detach(&mut self.null_x).push(i);
         }
         if y.is_null() {
-            self.null_y.push(i);
+            detach(&mut self.null_y).push(i);
         }
+        self.index.insert(x, y, i);
+    }
+
+    /// Appends a live row and indexes it, returning its index.
+    fn append(&mut self, x: Value, y: Value, truth: Truth, ncl: BTreeSet<NcId>) -> usize {
+        let i = self.logged;
+        self.index_row(i, x.clone(), y.clone());
+        let row = Some(Row { x, y, truth, ncl });
+        match self.chunks.get_mut(i / CHUNK_ROWS) {
+            Some(chunk) => detach(chunk).0[i % CHUNK_ROWS] = row,
+            None => {
+                let mut chunk = Chunk(std::array::from_fn(|_| None));
+                chunk.0[0] = row;
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+        self.push_alive(true);
+        self.live += 1;
+        i
     }
 
     /// Inserts `(x, y)` with flag `T` and empty NCL, or returns the index
     /// of the already-present row. The boolean is `true` if a new row was
     /// created.
     pub fn insert(&mut self, x: Value, y: Value) -> (usize, bool) {
-        if let Some(&i) = self.index.get(&(x.clone(), y.clone())) {
-            return (i, false);
+        match self.position(&x, &y) {
+            Some(i) => (i, false),
+            None => (self.append(x, y, Truth::True, BTreeSet::new()), true),
         }
-        let i = self.rows.len();
-        self.rows.push(Row {
-            x,
-            y,
-            truth: Truth::True,
-            ncl: BTreeSet::new(),
-            alive: true,
-        });
-        self.live += 1;
-        self.index_row(i);
-        (i, true)
     }
 
-    /// Removes `(x, y)` if present, returning the NCL it carried.
+    /// Removes `(x, y)` if present, returning the NCL it carried. The row
+    /// stays in the log as a tombstone, its chunk untouched unless it
+    /// carried NCs.
     pub fn remove(&mut self, x: &Value, y: &Value) -> Option<BTreeSet<NcId>> {
-        let i = self.index.remove(&(x.clone(), y.clone()))?;
-        self.rows[i].alive = false;
+        let i = self.position(x, y)?;
+        self.index.forget(x, y, i);
+        self.set_alive(i, false);
         self.live -= 1;
         self.dead += 1;
-        Some(std::mem::take(&mut self.rows[i].ncl))
+        let carries_ncs = self.at(i).is_some_and(|r| !r.ncl.is_empty());
+        Some(if carries_ncs {
+            std::mem::take(&mut self.row_mut(i).ncl)
+        } else {
+            BTreeSet::new()
+        })
     }
 
     /// Index of the live row `(x, y)`, if present.
     pub fn position(&self, x: &Value, y: &Value) -> Option<usize> {
-        self.index.get(&(x.clone(), y.clone())).copied()
+        self.index
+            .get(x, y)
+            .into_iter()
+            .flatten()
+            .find(|&i| self.is_alive(i))
     }
 
     /// `true` if the pair is present (alive).
@@ -228,8 +728,11 @@ impl Table {
 
     /// View of the live row at `i`, if alive.
     pub fn row(&self, i: usize) -> Option<RowView<'_>> {
-        let r = self.rows.get(i)?;
-        r.alive.then_some(RowView {
+        if !self.is_alive(i) {
+            return None;
+        }
+        let r = self.at(i)?;
+        Some(RowView {
             x: &r.x,
             y: &r.y,
             truth: r.truth,
@@ -240,8 +743,8 @@ impl Table {
     /// Truth flag of a live pair ([`Truth::False`] if absent — absent base
     /// facts are false, §3.2).
     pub fn truth_of(&self, x: &Value, y: &Value) -> Truth {
-        match self.position(x, y) {
-            Some(i) => self.rows[i].truth,
+        match self.position(x, y).and_then(|i| self.row(i)) {
+            Some(r) => r.truth,
             None => Truth::False,
         }
     }
@@ -249,30 +752,28 @@ impl Table {
     /// Sets the truth flag of a live row.
     pub fn set_truth(&mut self, i: usize, truth: Truth) {
         debug_assert!(truth != Truth::False, "stored rows are never false");
-        if let Some(r) = self.rows.get_mut(i) {
-            if r.alive {
-                r.truth = truth;
-            }
-        }
+        self.update(i, |r| r.truth != truth, |r| r.truth = truth);
     }
 
     /// Adds an NC to a live row's NCL (and flags the row ambiguous, per
     /// `create-NC`).
     pub fn attach_nc(&mut self, i: usize, nc: NcId) {
-        if let Some(r) = self.rows.get_mut(i) {
-            if r.alive {
+        self.update(
+            i,
+            |r| r.truth != Truth::Ambiguous || !r.ncl.contains(&nc),
+            |r| {
                 r.ncl.insert(nc);
                 r.truth = Truth::Ambiguous;
-            }
-        }
+            },
+        );
     }
 
-    /// Removes an NC from a live row's NCL. Per the paper's
-    /// `dismantle-NC`, the flag is *not* reset: the member facts remain
-    /// ambiguous until a direct insert asserts them true.
+    /// Removes an NC from a row's NCL. Per the paper's `dismantle-NC`, the
+    /// flag is *not* reset: the member facts remain ambiguous until a
+    /// direct insert asserts them true.
     pub fn detach_nc(&mut self, i: usize, nc: NcId) {
-        if let Some(r) = self.rows.get_mut(i) {
-            r.ncl.remove(&nc);
+        if self.at(i).is_some_and(|r| r.ncl.contains(&nc)) {
+            self.row_mut(i).ncl.remove(&nc);
         }
     }
 
@@ -287,13 +788,10 @@ impl Table {
         truth: Truth,
         ncl: BTreeSet<NcId>,
     ) -> Option<usize> {
-        if self.index.contains_key(&(x.clone(), y.clone())) {
+        if self.contains(&x, &y) {
             return None;
         }
-        let (i, _) = self.insert(x, y);
-        self.rows[i].truth = truth;
-        self.rows[i].ncl = ncl;
-        Some(i)
+        Some(self.append(x, y, truth, ncl))
     }
 
     /// Undoes the most recent append (transaction rollback): pops the last
@@ -302,38 +800,30 @@ impl Table {
     /// suspended, so the row to un-append is always the physically last
     /// one and is always alive.
     pub(crate) fn undo_append(&mut self) {
-        let Some(r) = self.rows.pop() else {
+        let Some(i) = self.logged.checked_sub(1) else {
             debug_assert!(false, "undo_append on an empty table");
             return;
         };
-        debug_assert!(r.alive, "undo_append must target a live row");
-        let i = self.rows.len();
-        self.index.remove(&(r.x.clone(), r.y.clone()));
-        // Bucket vectors hold ascending row indices, so the popped row's
-        // entry — if present — is the bucket's last element.
-        if let Some(b) = self.by_x.get_mut(&r.x) {
-            if b.last() == Some(&i) {
-                b.pop();
-            }
-            if b.is_empty() {
-                self.by_x.remove(&r.x);
-            }
-        }
-        if let Some(b) = self.by_y.get_mut(&r.y) {
-            if b.last() == Some(&i) {
-                b.pop();
-            }
-            if b.is_empty() {
-                self.by_y.remove(&r.y);
-            }
-        }
+        debug_assert!(self.is_alive(i), "undo_append must target a live row");
+        let Some(r) = detach(&mut self.chunks[i / CHUNK_ROWS]).0[i % CHUNK_ROWS].take() else {
+            debug_assert!(false, "row {i} is in the log");
+            return;
+        };
+        self.set_alive(i, false);
+        self.logged = i;
+        self.live -= 1;
+        self.distinct_x -= usize::from(self.by_x.pop_last(&r.x, i));
+        self.distinct_y -= usize::from(self.by_y.pop_last(&r.y, i));
         if self.null_x.last() == Some(&i) {
-            self.null_x.pop();
+            detach(&mut self.null_x).pop();
         }
         if self.null_y.last() == Some(&i) {
-            self.null_y.pop();
+            detach(&mut self.null_y).pop();
         }
-        self.live -= 1;
+        let key = (r.x, r.y);
+        if let Some(index) = self.index.holding(&key, |&j| j == i) {
+            index.remove(&key);
+        }
     }
 
     /// Undoes a tombstoning (transaction rollback): revives the row at `i`
@@ -341,29 +831,35 @@ impl Table {
     /// position were preserved by [`Table::remove`], so this reproduces
     /// the exact pre-removal serialized layout; the value-bucket indexes
     /// still reference `i` (removal never scrubbed them) and become
-    /// valid again the moment `alive` flips back.
+    /// valid again the moment the row is alive again.
     pub(crate) fn resurrect(&mut self, i: usize, ncl: BTreeSet<NcId>) {
-        let Some(r) = self.rows.get_mut(i) else {
+        let Some(r) = self.at(i) else {
             debug_assert!(false, "resurrect of unknown row {i}");
             return;
         };
-        debug_assert!(!r.alive, "resurrect must target a tombstoned row");
-        r.alive = true;
-        r.ncl = ncl;
-        let key = (r.x.clone(), r.y.clone());
-        self.index.insert(key, i);
+        debug_assert!(!self.is_alive(i), "resurrect must target a tombstoned row");
+        let (x, y) = (r.x.clone(), r.y.clone());
+        if !ncl.is_empty() {
+            self.row_mut(i).ncl = ncl;
+        }
+        self.set_alive(i, true);
+        if !self.index.get(&x, &y).contains(&Some(i)) {
+            self.index.insert(x, y, i);
+        }
         self.live += 1;
         self.dead -= 1;
     }
 
     /// Live rows in insertion order.
     pub fn rows(&self) -> impl Iterator<Item = RowView<'_>> {
-        self.rows.iter().filter(|r| r.alive).map(|r| RowView {
-            x: &r.x,
-            y: &r.y,
-            truth: r.truth,
-            ncl: &r.ncl,
-        })
+        self.all_rows()
+            .filter(|&(_, alive)| alive)
+            .map(|(r, _)| RowView {
+                x: &r.x,
+                y: &r.y,
+                truth: r.truth,
+                ncl: &r.ncl,
+            })
     }
 
     /// Number of live rows (O(1): maintained incrementally).
@@ -375,8 +871,8 @@ impl Table {
     pub fn stats(&self) -> TableStats {
         TableStats {
             rows: self.live,
-            distinct_x: self.by_x.len(),
-            distinct_y: self.by_y.len(),
+            distinct_x: self.distinct_x,
+            distinct_y: self.distinct_y,
             null_x: self.null_x.len(),
             null_y: self.null_y.len(),
         }
@@ -395,17 +891,17 @@ impl Table {
         let mut seen_y: HashMap<&Value, &Value> = HashMap::new();
         let mut functional = true;
         let mut injective = true;
-        for r in self.rows.iter().filter(|r| r.alive) {
-            match seen_x.get(&r.x) {
-                Some(y) if *y != &r.y => functional = false,
+        for r in self.rows() {
+            match seen_x.get(r.x) {
+                Some(y) if *y != r.y => functional = false,
                 _ => {
-                    seen_x.insert(&r.x, &r.y);
+                    seen_x.insert(r.x, r.y);
                 }
             }
-            match seen_y.get(&r.y) {
-                Some(x) if *x != &r.x => injective = false,
+            match seen_y.get(r.y) {
+                Some(x) if *x != r.x => injective = false,
                 _ => {
-                    seen_y.insert(&r.y, &r.x);
+                    seen_y.insert(r.y, r.x);
                 }
             }
             if !functional && !injective {
@@ -418,13 +914,13 @@ impl Table {
     /// Width of the `by_x` index bucket for `v` — an O(1) upper bound on
     /// `rows_with_x(v).count()` (tombstoned entries are not subtracted).
     pub fn x_width(&self, v: &Value) -> usize {
-        self.by_x.get(v).map_or(0, Vec::len)
+        self.by_x.width(v)
     }
 
     /// Width of the `by_y` index bucket for `v` — an O(1) upper bound on
     /// `rows_with_y(v).count()`.
     pub fn y_width(&self, v: &Value) -> usize {
-        self.by_y.get(v).map_or(0, Vec::len)
+        self.by_y.width(v)
     }
 
     /// `true` if the table has no live rows.
@@ -435,23 +931,13 @@ impl Table {
     /// Indices of live rows whose domain value equals `v` exactly.
     pub fn rows_with_x(&self, v: &Value) -> impl Iterator<Item = usize> + '_ {
         fdb_obs::registry().storage_index_probes.inc();
-        self.by_x
-            .get(v)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(move |&i| self.rows[i].alive)
+        self.by_x.rows(v).filter(move |&i| self.is_alive(i))
     }
 
     /// Indices of live rows whose range value equals `v` exactly.
     pub fn rows_with_y(&self, v: &Value) -> impl Iterator<Item = usize> + '_ {
         fdb_obs::registry().storage_index_probes.inc();
-        self.by_y
-            .get(v)
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(move |&i| self.rows[i].alive)
+        self.by_y.rows(v).filter(move |&i| self.is_alive(i))
     }
 
     /// Indices of live rows whose domain value is a null.
@@ -459,7 +945,7 @@ impl Table {
         self.null_x
             .iter()
             .copied()
-            .filter(move |&i| self.rows[i].alive)
+            .filter(move |&i| self.is_alive(i))
     }
 
     /// Indices of live rows whose range value is a null.
@@ -467,13 +953,13 @@ impl Table {
         self.null_y
             .iter()
             .copied()
-            .filter(move |&i| self.rows[i].alive)
+            .filter(move |&i| self.is_alive(i))
     }
 
     /// Indices of all live rows.
     pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
         fdb_obs::registry().storage_table_scans.inc();
-        (0..self.rows.len()).filter(move |&i| self.rows[i].alive)
+        (0..self.logged).filter(move |&i| self.is_alive(i))
     }
 
     /// Number of tombstoned rows awaiting compaction (O(1)).
@@ -490,8 +976,55 @@ impl Table {
             return;
         }
         fdb_obs::registry().storage_compactions.inc();
-        self.rows.retain(|r| r.alive);
+        // Slide the live rows down in place; the chunks and bitmap blocks
+        // left empty stay allocated for the appends to come.
+        let mut kept = 0;
+        for i in 0..self.logged {
+            if !self.is_alive(i) {
+                continue;
+            }
+            if i != kept {
+                let row = detach(&mut self.chunks[i / CHUNK_ROWS]).0[i % CHUNK_ROWS].take();
+                detach(&mut self.chunks[kept / CHUNK_ROWS]).0[kept % CHUNK_ROWS] = row;
+            }
+            kept += 1;
+        }
+        for i in kept..self.logged {
+            if self.at(i).is_some() {
+                detach(&mut self.chunks[i / CHUNK_ROWS]).0[i % CHUNK_ROWS] = None;
+            }
+        }
+        for (b, block) in self.alive.iter_mut().enumerate() {
+            for (w, word) in detach(block).0.iter_mut().enumerate() {
+                *word = match kept.saturating_sub(b * ALIVE_BLOCK_ROWS + w * 64) {
+                    0 => 0,
+                    n if n >= 64 => u64::MAX,
+                    n => (1 << n) - 1,
+                };
+            }
+        }
+        self.logged = kept;
         self.rebuild_index();
+    }
+
+    /// The pieces of this table — row chunks, bitmap blocks, index maps,
+    /// null lists — that are not physically shared with `other`. Against
+    /// a snapshot taken earlier, that is what the writes since have
+    /// copied (or added).
+    pub fn unshared_with(&self, other: &Table) -> Unshared {
+        let maps = [
+            self.index.unshared_with(&other.index),
+            self.by_x.unshared_with(&other.by_x),
+            self.by_y.unshared_with(&other.by_y),
+        ];
+        Unshared {
+            chunks: unshared(&self.chunks, &other.chunks),
+            alive_blocks: unshared(&self.alive, &other.alive),
+            index_bases: maps.iter().map(|m| m.0).sum(),
+            index_deltas: maps.iter().map(|m| m.1).sum(),
+            null_lists: usize::from(!Arc::ptr_eq(&self.null_x, &other.null_x))
+                + usize::from(!Arc::ptr_eq(&self.null_y, &other.null_y)),
+        }
     }
 }
 
@@ -675,5 +1208,78 @@ mod tests {
         assert!(back.contains(&v("c"), &v("d")));
         assert!(!back.contains(&v("a"), &v("b")));
         assert_eq!(back.len(), 1);
+    }
+
+    /// A write to a clone copies the chunk, bitmap block and deltas it
+    /// changes; the bases and every other piece stay shared. A delete
+    /// flips a bit and leaves the shared base alone: the tombstone drops
+    /// its entry.
+    #[test]
+    fn a_write_to_a_clone_detaches_one_chunk_and_the_deltas() {
+        let mut t = Table::new();
+        for i in 0..5 * CHUNK_ROWS {
+            t.insert(v(&format!("x{}", i % 97)), v(&format!("y{i}")));
+        }
+        let snap = t.clone();
+        assert_eq!(t.unshared_with(&snap), Unshared::default());
+        t.remove(&v("x3"), &v("y3"));
+        assert_eq!(
+            t.unshared_with(&snap),
+            Unshared {
+                alive_blocks: 1,
+                ..Unshared::default()
+            }
+        );
+        assert!(!t.contains(&v("x3"), &v("y3")));
+        assert!(snap.contains(&v("x3"), &v("y3")));
+        // Re-inserted while the base is shared: the delta takes it.
+        t.insert(v("x3"), v("y3"));
+        t.insert(v("x3"), v("fresh"));
+        assert_eq!(
+            t.unshared_with(&snap),
+            Unshared {
+                chunks: 1,
+                alive_blocks: 1,
+                index_deltas: 3,
+                ..Unshared::default()
+            }
+        );
+        assert_eq!(
+            t.rows_with_x(&v("x3")).count(),
+            snap.rows_with_x(&v("x3")).count() + 1
+        );
+        assert_eq!(t.x_width(&v("x3")), snap.x_width(&v("x3")) + 2);
+        assert_eq!(t.stats().distinct_y, snap.stats().distinct_y + 1);
+        // No-op writes detach nothing.
+        let snap = t.clone();
+        let i = t.position(&v("x5"), &v("y5")).unwrap();
+        t.set_truth(i, Truth::True);
+        t.detach_nc(i, NcId(9));
+        assert!(t.remove(&v("x5"), &v("absent")).is_none());
+        assert_eq!(t.unshared_with(&snap), Unshared::default());
+    }
+
+    /// A full delta folds into a copy of the base; with no snapshot left
+    /// the next write folds it in place.
+    #[test]
+    fn deltas_fold_into_the_base() {
+        let mut t = Table::new();
+        t.insert(v("a"), v("b"));
+        let first = t.clone();
+        for i in 0..DELTA_KEYS + 1 {
+            t.insert(v("a"), v(&format!("y{i}")));
+        }
+        // The pair and `y` deltas filled up and folded; the `x` delta
+        // holds one key, `a`, and did not.
+        assert_eq!(t.unshared_with(&first).index_bases, 2);
+        assert_eq!(t.x_width(&v("a")), DELTA_KEYS + 2);
+        let snap = t.clone();
+        t.insert(v("c"), v("d"));
+        drop((first, snap));
+        t.insert(v("e"), v("f"));
+        assert!(t.by_x.delta.is_empty() && t.index.delta.is_empty());
+        assert_eq!(t.stats().distinct_x, 3);
+        assert_eq!(t.rows_with_x(&v("a")).count(), DELTA_KEYS + 2);
+        assert_eq!(t.position(&v("c"), &v("d")), Some(DELTA_KEYS + 2));
     }
 }

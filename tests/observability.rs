@@ -376,3 +376,70 @@ fn stale_snapshot_reads_count_pins_taken_during_a_write() {
     assert_eq!(durable.stats().unwrap().base_facts, 1);
     assert_eq!(obs::registry().mvcc_stale_snapshot_reads.get(), stale);
 }
+
+/// `fdb.storage.cow_copies` counts the pieces a write copies because a
+/// snapshot still shares them: a few after a publication, however large
+/// the table, and none when nothing else holds the table.
+#[test]
+fn cow_copies_count_the_pieces_a_write_after_a_publication_copies() {
+    use fdb::core::Database;
+    use fdb::types::{Schema, Value};
+
+    let _guard = lock();
+    obs::set_enabled(true);
+    let schema = Schema::builder()
+        .function("class_list", "course", "student", "many-many")
+        .build()
+        .unwrap();
+    let mut db = Database::new(schema);
+    let class_list = db.resolve("class_list").unwrap();
+    for i in 0..5_000 {
+        db.insert(
+            class_list,
+            Value::atom(format!("c{}", i % 97)),
+            Value::atom(format!("s{i}")),
+        )
+        .unwrap();
+    }
+    let copies = || obs::registry().storage_cow_copies.get();
+    let moved = |db: &mut Database, write: &dyn Fn(&mut Database)| {
+        let before = copies();
+        write(db);
+        copies() - before
+    };
+    let insert = |i: u32| {
+        move |db: &mut Database| {
+            db.insert(
+                class_list,
+                Value::atom("c3"),
+                Value::atom(format!("new{i}")),
+            )
+            .unwrap()
+        }
+    };
+    let delete = |i: u32| {
+        move |db: &mut Database| {
+            let (x, y) = (
+                Value::atom(format!("c{}", i % 97)),
+                Value::atom(format!("s{i}")),
+            );
+            db.delete(class_list, &x, &y).unwrap()
+        }
+    };
+
+    // After a publication: a chunk, a bitmap block and the three index
+    // deltas at most for an insert; one bitmap block for a delete.
+    let published = db.clone();
+    let n = moved(&mut db, &insert(0));
+    assert!(
+        (1..=5).contains(&n),
+        "insert after a publication copied {n}"
+    );
+    let published_again = db.clone();
+    assert_eq!(moved(&mut db, &delete(10)), 1);
+    drop((published, published_again));
+
+    // Nothing else holds the table: nothing is copied.
+    assert_eq!(moved(&mut db, &insert(1)), 0);
+    assert_eq!(moved(&mut db, &delete(11)), 0);
+}
