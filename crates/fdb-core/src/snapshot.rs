@@ -99,10 +99,16 @@ fn decode(bytes: &[u8]) -> Result<Database> {
             "snapshot: checksum mismatch (crc32 expected {stored:#010x}, found {actual:#010x})"
         )));
     }
-    let mut r = Reader::new(&body[SNAPSHOT_MAGIC.len()..]);
+    decode_body(Reader::new(&body[SNAPSHOT_MAGIC.len()..])).map_err(|e| match e {
+        FdbError::Parse { message, .. } => corrupt(format!("snapshot: {message}")),
+        other => other,
+    })
+}
+
+/// Everything between the magic and the checksum.
+fn decode_body(mut r: Reader<'_>) -> Result<Database> {
     let (schema, derived): (Schema, BTreeMap<FunctionId, Vec<Derivation>>) =
-        serde_json::from_str(r.str()?)
-            .map_err(|e| corrupt(format!("snapshot: schema section: {e}")))?;
+        serde_json::from_str(r.str()?).map_err(|e| corrupt(format!("schema section: {e}")))?;
     let max_chains = usize::try_from(r.uint()?).map_err(|_| r.error("chain limit out of range"))?;
     let delete_policy = match r.byte()? {
         0 => DeletePolicy::Faithful,

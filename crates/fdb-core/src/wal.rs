@@ -20,14 +20,19 @@
 //! |---|---|
 //! | log directory | `checkpoint.snap` (optional) + `wal-<first seq, 10 digits>.seg` segments; recovery is *checkpoint, then segments in order of first seq* |
 //! | segment (v2) | 8-byte magic `FDBWAL2\n`, then frames with contiguous sequence numbers |
-//! | frame | `[len: u32 LE][crc32: u32 LE][seq: u64 LE][payload]` — the payload is the record's JSON, the CRC covers seq and payload |
+//! | frame | `[len: u32 LE][crc32: u32 LE][seq: u64 LE][payload]` — the CRC covers seq and payload |
+//! | payload | the record-format byte `0x01`, the variant's tag byte (declaration order: `Declare` 0, `Derive` 1, `Insert` 2, `Delete` 3, `Replace` 4, `TxnBegin` 5, `TxnCommit` 6, `TxnAbort` 7, `TxnSavepoint` 8, `TxnRollbackTo` 9, `NewTerm` 10), then the fields in declaration order: strings and integers as in [`fdb_types::codec`], values by [`Value::encode`], a functionality or a step's inversion mark as one byte |
+//! | legacy payload | the record's JSON (it starts with `{`), as earlier versions wrote it; read, never written |
 //! | checkpoint | `FDBCKPT2`, then `[seq: u64 LE][term: u64 LE][body_len: u64 LE][crc32: u32 LE][body]` — the body is [`Database::to_snapshot`]'s bytes as they are, the CRC covers seq, term, body_len and body; written to `checkpoint.tmp`, fsynced, renamed into place |
 //! | legacy checkpoint | a file starting with `{`: JSON `{seq, snapshot, term}` with the snapshot as an escaped JSON string and no checksum; read, never written — the next checkpoint replaces it |
 //! | legacy file (v1) | newline-delimited plain JSON, one record per line, numbered by position |
 //!
 //! A path that names a *file* is a one-file log (v1, or a single v2
 //! segment) with no checkpoint; [`Wal::open_append`] on a v1 file keeps
-//! appending v1 lines so a legacy log never becomes mixed-format.
+//! appending v1 lines so a legacy log never becomes mixed-format. The
+//! legacy rows are read by one private module, `legacy`; nothing else
+//! parses or writes record JSON, so a segment whose older frames carry
+//! JSON simply continues with binary ones.
 //!
 //! # Recovery
 //!
@@ -45,10 +50,13 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use fdb_types::codec::{put_str, put_uint, Reader};
 use fdb_types::{Derivation, FdbError, Functionality, Result, Step, Value};
 
 use crate::database::Database;
 use crate::storage::{FileStorage, WalFile, WalStorage};
+
+mod legacy;
 
 /// One durable log entry.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,8 +146,7 @@ pub enum LogRecord {
     /// A new replication term (epoch) starts at this point in the log.
     /// Written by failover promotion; a replica rejects batches stamped
     /// with a term lower than the highest it has applied, fencing off a
-    /// resurrected old primary. Carries no data — older readers skip it
-    /// via the unknown-record path.
+    /// resurrected old primary. Carries no data.
     NewTerm {
         /// The monotonically increasing term number.
         term: u64,
@@ -158,6 +165,151 @@ impl LogRecord {
                 | LogRecord::TxnSavepoint { .. }
                 | LogRecord::TxnRollbackTo { .. }
         )
+    }
+
+    /// Appends the record's binary payload: [`RECORD_FORMAT`], the
+    /// variant's tag, then its fields in declaration order.
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(RECORD_FORMAT);
+        match self {
+            LogRecord::Declare {
+                name,
+                domain,
+                range,
+                functionality,
+            } => {
+                out.push(TAG_DECLARE);
+                put_str(out, name);
+                put_str(out, domain);
+                put_str(out, range);
+                out.push(functionality_code(*functionality));
+            }
+            LogRecord::Derive { name, steps } => {
+                out.push(TAG_DERIVE);
+                put_str(out, name);
+                put_uint(out, steps.len() as u64);
+                for (step, inverted) in steps {
+                    put_str(out, step);
+                    out.push(u8::from(*inverted));
+                }
+            }
+            LogRecord::Insert { function, x, y } => put_named(out, TAG_INSERT, function, [x, y]),
+            LogRecord::Delete { function, x, y } => put_named(out, TAG_DELETE, function, [x, y]),
+            LogRecord::Replace { function, old, new } => {
+                put_named(out, TAG_REPLACE, function, [&old.0, &old.1, &new.0, &new.1])
+            }
+            LogRecord::TxnBegin { id } => put_tagged_uint(out, TAG_TXN_BEGIN, *id),
+            LogRecord::TxnCommit { id } => put_tagged_uint(out, TAG_TXN_COMMIT, *id),
+            LogRecord::TxnAbort { id } => put_tagged_uint(out, TAG_TXN_ABORT, *id),
+            LogRecord::TxnSavepoint { name } => put_named(out, TAG_TXN_SAVEPOINT, name, []),
+            LogRecord::TxnRollbackTo { name } => put_named(out, TAG_TXN_ROLLBACK_TO, name, []),
+            LogRecord::NewTerm { term } => put_tagged_uint(out, TAG_NEW_TERM, *term),
+        }
+    }
+
+    /// Reads the tag and fields [`LogRecord::encode`] wrote after the
+    /// format byte. `Ok(None)` is a tag this version does not know: a
+    /// record type written by a newer version, whose fields are not read.
+    fn decode(r: &mut Reader<'_>) -> Result<Option<LogRecord>> {
+        let record = match r.byte()? {
+            TAG_DECLARE => LogRecord::Declare {
+                name: r.str()?.to_owned(),
+                domain: r.str()?.to_owned(),
+                range: r.str()?.to_owned(),
+                functionality: match r.byte()? {
+                    0 => Functionality::OneOne,
+                    1 => Functionality::OneMany,
+                    2 => Functionality::ManyOne,
+                    3 => Functionality::ManyMany,
+                    _ => return Err(r.error("unknown functionality")),
+                },
+            },
+            TAG_DERIVE => {
+                let name = r.str()?.to_owned();
+                // A step is at least a length byte and a mark byte.
+                let n = r.count(2)?;
+                let mut steps = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let step = r.str()?.to_owned();
+                    let inverted = match r.byte()? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err(r.error("unknown inversion mark")),
+                    };
+                    steps.push((step, inverted));
+                }
+                LogRecord::Derive { name, steps }
+            }
+            TAG_INSERT => LogRecord::Insert {
+                function: r.str()?.to_owned(),
+                x: Value::decode(r)?,
+                y: Value::decode(r)?,
+            },
+            TAG_DELETE => LogRecord::Delete {
+                function: r.str()?.to_owned(),
+                x: Value::decode(r)?,
+                y: Value::decode(r)?,
+            },
+            TAG_REPLACE => LogRecord::Replace {
+                function: r.str()?.to_owned(),
+                old: (Value::decode(r)?, Value::decode(r)?),
+                new: (Value::decode(r)?, Value::decode(r)?),
+            },
+            TAG_TXN_BEGIN => LogRecord::TxnBegin { id: r.uint()? },
+            TAG_TXN_COMMIT => LogRecord::TxnCommit { id: r.uint()? },
+            TAG_TXN_ABORT => LogRecord::TxnAbort { id: r.uint()? },
+            TAG_TXN_SAVEPOINT => LogRecord::TxnSavepoint {
+                name: r.str()?.to_owned(),
+            },
+            TAG_TXN_ROLLBACK_TO => LogRecord::TxnRollbackTo {
+                name: r.str()?.to_owned(),
+            },
+            TAG_NEW_TERM => LogRecord::NewTerm { term: r.uint()? },
+            _ => return Ok(None),
+        };
+        Ok(Some(record))
+    }
+}
+
+/// First byte of every binary record payload. Every JSON payload an
+/// earlier version wrote starts with `{` instead.
+const RECORD_FORMAT: u8 = 0x01;
+
+// The variant tags, in declaration order.
+const TAG_DECLARE: u8 = 0;
+const TAG_DERIVE: u8 = 1;
+const TAG_INSERT: u8 = 2;
+const TAG_DELETE: u8 = 3;
+const TAG_REPLACE: u8 = 4;
+const TAG_TXN_BEGIN: u8 = 5;
+const TAG_TXN_COMMIT: u8 = 6;
+const TAG_TXN_ABORT: u8 = 7;
+const TAG_TXN_SAVEPOINT: u8 = 8;
+const TAG_TXN_ROLLBACK_TO: u8 = 9;
+const TAG_NEW_TERM: u8 = 10;
+
+fn put_tagged_uint(out: &mut Vec<u8>, tag: u8, v: u64) {
+    out.push(tag);
+    put_uint(out, v);
+}
+
+/// A tag, a name, then values: the layout of the update records and of
+/// the savepoint markers (which carry no values).
+fn put_named<const N: usize>(out: &mut Vec<u8>, tag: u8, name: &str, values: [&Value; N]) {
+    out.push(tag);
+    put_str(out, name);
+    for v in values {
+        v.encode(out);
+    }
+}
+
+/// A functionality as one byte, in the order of [`Functionality::ALL`].
+fn functionality_code(f: Functionality) -> u8 {
+    match f {
+        Functionality::OneOne => 0,
+        Functionality::OneMany => 1,
+        Functionality::ManyOne => 2,
+        Functionality::ManyMany => 3,
     }
 }
 
@@ -253,31 +405,87 @@ pub fn frame_len(payload_len: usize) -> u64 {
 /// a segment file.
 pub fn raw_frame(seq: u64, crc: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    put_raw_frame(&mut out, seq, crc, payload);
+    out
+}
+
+/// [`raw_frame`], appended to `out`.
+fn put_raw_frame(out: &mut Vec<u8>, seq: u64, crc: u32, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Encodes one framed v2 record.
 pub fn encode_frame(seq: u64, record: &LogRecord) -> Result<Vec<u8>> {
-    let payload = serde_json::to_string(record)
-        .map_err(|e| FdbError::Internal(format!("wal: serialise: {e}")))?;
-    let payload = payload.as_bytes();
-    Ok(raw_frame(seq, frame_crc(seq, payload), payload))
+    // Room for the header and a typical record: one allocation.
+    let mut out = Vec::with_capacity(FRAME_HEADER + 64);
+    put_frame(&mut out, seq, record)?;
+    Ok(out)
 }
 
-/// Decodes a record payload (a frame's, or a v1 line). `Ok(None)` is
-/// valid JSON that is not a [`LogRecord`] this version knows — written
-/// deliberately by a newer version, to be skipped rather than treated as
-/// corruption. `Err` says what failed to decode.
+/// [`encode_frame`], appended to `out`: the header's place is taken, the
+/// payload encoded straight after it, then its length and the checksum
+/// over seq and payload are filled in — one buffer, no copy of the
+/// payload. A record over [`MAX_PAYLOAD`] is refused rather than written
+/// as a frame every reader would stop at.
+fn put_frame(out: &mut Vec<u8>, seq: u64, record: &LogRecord) -> Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    record.encode(out);
+    let len = out.len() - start - FRAME_HEADER;
+    let Some(len) = u32::try_from(len).ok().filter(|&l| l <= MAX_PAYLOAD) else {
+        out.truncate(start);
+        return Err(FdbError::Internal(format!(
+            "wal: a {len}-byte record exceeds the {MAX_PAYLOAD}-byte frame limit"
+        )));
+    };
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Decodes a record payload by its first byte: [`RECORD_FORMAT`] is the
+/// binary layout, `{` the JSON one earlier versions wrote, anything else
+/// is malformed. `Ok(None)` is a record type this version does not know
+/// — a binary payload with an unknown tag, or valid JSON that is not a
+/// [`LogRecord`] — written deliberately by a newer version, to be
+/// skipped rather than treated as corruption. A known tag whose fields
+/// do not fill the payload exactly is malformed. `Err` says what failed
+/// to decode.
 pub fn decode_payload(payload: &[u8]) -> std::result::Result<Option<LogRecord>, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
-    match serde_json::from_str::<LogRecord>(text) {
-        Ok(record) => Ok(Some(record)),
-        Err(_) if serde_json::parse(text).is_ok() => Ok(None),
-        Err(e) => Err(format!("payload JSON: {e}")),
+    match payload.split_first() {
+        Some((&RECORD_FORMAT, body)) => {
+            let mut r = Reader::new(body);
+            let record = LogRecord::decode(&mut r).and_then(|record| match record {
+                Some(_) => r.finish().map(|()| record),
+                None => Ok(None),
+            });
+            record.map_err(|e| match e {
+                FdbError::Parse { message, .. } => format!("binary record: {message}"),
+                other => format!("binary record: {other}"),
+            })
+        }
+        Some((b'{', _)) => legacy::decode_json(payload),
+        _ => Err("payload is neither a binary nor a JSON record".to_owned()),
+    }
+}
+
+/// The term a record payload announces, if it is a
+/// [`LogRecord::NewTerm`]: the tag byte decides for a binary payload, so
+/// a data record costs one comparison; a JSON payload goes to the legacy
+/// reader.
+pub fn payload_term(payload: &[u8]) -> Option<u64> {
+    match payload {
+        [RECORD_FORMAT, TAG_NEW_TERM, ..] => match decode_payload(payload) {
+            Ok(Some(LogRecord::NewTerm { term })) => Some(term),
+            _ => None,
+        },
+        [b'{', ..] => legacy::json_term(payload),
+        _ => None,
     }
 }
 
@@ -397,7 +605,7 @@ pub struct RawFrame<'a> {
     pub seq: u64,
     /// The checksum in its header (already verified, see [`frame_crc`]).
     pub crc: u32,
-    /// The raw record payload (JSON text as bytes).
+    /// The raw record payload (see [`decode_payload`]).
     pub payload: &'a [u8],
     /// Byte offset of the frame's header in its segment file.
     pub offset: u64,
@@ -561,11 +769,11 @@ pub struct Scan {
     pub next_seq: u64,
     /// What stopped the scan, if anything.
     pub flaw: Option<Corruption>,
-    /// Well-formed records whose payload was valid JSON but not a known
-    /// [`LogRecord`] — written by a newer version, skipped with a warning
-    /// rather than treated as corruption. Bit rot still halts the scan:
-    /// a v2 frame must pass its CRC, and a v1 line must be valid JSON,
-    /// before it can be "unknown".
+    /// Well-formed records of a type this version does not know (see
+    /// [`decode_payload`]) — written by a newer version, skipped with a
+    /// warning rather than treated as corruption. Bit rot still halts the
+    /// scan: a v2 frame must pass its CRC, and a v1 line must be valid
+    /// JSON, before it can be "unknown".
     pub skipped: usize,
     /// `(seq, crc)` of every intact v2 frame, skipped ones included
     /// (empty for a v1 file, which has no checksums).
@@ -591,7 +799,7 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> Scan {
     if v2 {
         scan_v2(bytes, &mut scan);
     } else {
-        scan_v1(bytes, &mut scan);
+        legacy::scan_v1(bytes, &mut scan);
     }
     scan
 }
@@ -618,45 +826,6 @@ fn scan_v2(bytes: &[u8], scan: &mut Scan) {
     scan.flaw = frames.flaw;
 }
 
-fn scan_v1(bytes: &[u8], scan: &mut Scan) {
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let (line, advance, complete) = match rest.iter().position(|&b| b == b'\n') {
-            Some(nl) => (&rest[..nl], nl + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        if !line.iter().all(|b| b.is_ascii_whitespace()) {
-            match decode_payload(line) {
-                Ok(Some(record)) => {
-                    scan.records.push((scan.next_seq, record));
-                    scan.next_seq += 1;
-                }
-                _ if !complete => {
-                    // A partial final line: the classic torn tail.
-                    scan.flaw = Some(Corruption::TornRecord {
-                        offset: offset as u64,
-                    });
-                    break;
-                }
-                // A complete line of valid JSON that is not a known record
-                // was written deliberately (by a newer version); skip it.
-                // Anything that fails even generic JSON parsing is damage.
-                Ok(None) => scan.skipped += 1,
-                Err(_) => {
-                    scan.flaw = Some(Corruption::Malformed {
-                        offset: offset as u64,
-                        detail: "unparseable v1 line".to_owned(),
-                    });
-                    break;
-                }
-            }
-        }
-        offset += advance;
-    }
-    scan.valid_len = offset as u64;
-}
-
 // --------------------------------------------------------------- writer
 
 /// An append-only log file (one v2 segment, or a legacy v1 file being
@@ -668,7 +837,14 @@ pub struct Wal {
     format: WalFormat,
     next_seq: u64,
     len: u64,
+    /// Where each append is laid out before it is handed to the file,
+    /// kept between appends so a steady log allocates nothing for it.
+    scratch: Vec<u8>,
 }
+
+/// Largest scratch buffer a [`Wal`] keeps after an append; one outsized
+/// record does not pin its memory for the life of the log.
+const SCRATCH_KEEP: usize = 64 * 1024;
 
 impl Wal {
     /// Creates a new, empty v2 log (truncating any existing file) on the
@@ -701,6 +877,7 @@ impl Wal {
             format: WalFormat::V2,
             next_seq: first_seq,
             len: WAL_MAGIC.len() as u64,
+            scratch: Vec::new(),
         })
     }
 
@@ -777,6 +954,7 @@ impl Wal {
             format,
             next_seq,
             len: valid_len,
+            scratch: Vec::new(),
         })
     }
 
@@ -812,17 +990,11 @@ impl Wal {
     /// the record's sequence number.
     pub fn append(&mut self, record: &LogRecord) -> Result<u64> {
         let seq = self.next_seq;
-        let frame = match self.format {
-            WalFormat::V2 => encode_frame(seq, record)?,
-            WalFormat::V1 => {
-                let mut line = serde_json::to_string(record)
-                    .map_err(|e| FdbError::Internal(format!("wal: serialise: {e}")))?
-                    .into_bytes();
-                line.push(b'\n');
-                line
-            }
-        };
-        self.write(&frame)?;
+        let format = self.format;
+        self.write_with(|out| match format {
+            WalFormat::V2 => put_frame(out, seq, record),
+            WalFormat::V1 => legacy::push_line(out, record),
+        })?;
         Ok(seq)
     }
 
@@ -837,7 +1009,22 @@ impl Wal {
                 self.format
             )));
         }
-        self.write(&raw_frame(seq, crc, payload))
+        self.write_with(|out| {
+            put_raw_frame(out, seq, crc, payload);
+            Ok(())
+        })
+    }
+
+    /// Lays out the next record's bytes in the scratch buffer with
+    /// `lay_out`, then writes them.
+    fn write_with(&mut self, lay_out: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        let written = lay_out(&mut out).and_then(|()| self.write(&out));
+        if out.capacity() <= SCRATCH_KEEP {
+            self.scratch = out;
+        }
+        written
     }
 
     /// Hands the next record's bytes to the storage layer.
@@ -1228,18 +1415,6 @@ fn checkpoint_crc(fields: &[u8], body: &[u8]) -> u32 {
     !crc32_update(crc32_update(0xFFFF_FFFF, fields), body)
 }
 
-/// A checkpoint file as written before the binary layout: one JSON
-/// document with the snapshot — itself JSON — as a string field. Read
-/// only; the next checkpoint replaces the file with the binary layout.
-#[derive(Deserialize)]
-struct LegacyCheckpoint {
-    seq: u64,
-    snapshot: String,
-    /// Absent in pre-replication checkpoints.
-    #[serde(default = "initial_term")]
-    term: u64,
-}
-
 /// Reads the installed checkpoint in `dir`, if any. A file whose checksum
 /// does not match its bytes is an error naming the file and both values
 /// (and a flight-recorder dump, like a failed fsync): a damaged
@@ -1257,16 +1432,9 @@ pub fn read_checkpoint(storage: &dyn WalStorage, dir: &Path) -> Result<Option<Ch
     let corrupt =
         |what: String| FdbError::Internal(format!("wal: checkpoint {}: {what}", ckpt.display()));
     if bytes.first() == Some(&b'{') {
-        let legacy: LegacyCheckpoint = std::str::from_utf8(&bytes)
-            .map_err(|e| corrupt(format!("not UTF-8: {e}")))
-            .and_then(|text| {
-                serde_json::from_str(text).map_err(|e| corrupt(format!("corrupt: {e}")))
-            })?;
-        return Ok(Some(CheckpointInfo {
-            seq: legacy.seq,
-            snapshot: legacy.snapshot.into_bytes(),
-            term: legacy.term,
-        }));
+        return legacy::read_checkpoint_json(&bytes)
+            .map(Some)
+            .map_err(corrupt);
     }
     if bytes.len() < CHECKPOINT_HEADER || !bytes.starts_with(CHECKPOINT_MAGIC) {
         return Err(corrupt(
@@ -1537,12 +1705,18 @@ pub fn replay_on(storage: &dyn WalStorage, path: &Path) -> Result<(Database, Rec
     walk_log(storage, path)?.finish()
 }
 
-/// A CRC-valid frame whose payload is valid JSON but not a
-/// `LogRecord` this version knows — a future record type. Laid out
-/// by hand: the tests pin the format, they do not ask it.
+/// A CRC-valid frame whose payload is in the binary record format but
+/// carries a tag this version does not know — a future record type.
+/// Laid out by hand: the tests pin the format, they do not ask it.
 #[cfg(test)]
 pub(crate) fn unknown_frame(seq: u64) -> Vec<u8> {
-    let payload = br#"{"Vacuum":{"aggressive":true}}"#;
+    // Format 0x01, tag 0xEE, then a field no reader of this version reads.
+    frame_by_hand(seq, &[0x01, 0xEE, 3, b'f', b'o', b'g'])
+}
+
+/// `[len][crc][seq][payload]`, without the writer's help.
+#[cfg(test)]
+fn frame_by_hand(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut checked = Vec::new();
     checked.extend_from_slice(&seq.to_le_bytes());
     checked.extend_from_slice(payload);
@@ -1926,13 +2100,22 @@ mod tests {
 
     #[test]
     fn trailing_unknown_frame_keeps_its_sequence_number() {
+        trailing_frame_keeps_its_sequence_number(unknown_frame);
+    }
+
+    #[test]
+    fn trailing_unknown_json_frame_keeps_its_sequence_number() {
+        trailing_frame_keeps_its_sequence_number(legacy::unknown_json_frame);
+    }
+
+    fn trailing_frame_keeps_its_sequence_number(unknown: fn(u64) -> Vec<u8>) {
         let disk = SimDisk::new();
         let path = disk_path();
         let mut wal = Wal::create_on(Arc::new(disk.clone()), &path, 1).unwrap();
         wal.append(&sample_records()[0]).unwrap();
         drop(wal);
         let mut f = disk.open_append(&path).unwrap();
-        f.append(&unknown_frame(2)).unwrap();
+        f.append(&unknown(2)).unwrap();
         drop(f);
 
         // The skipped frame used seq 2 up: the next append is seq 3, and
@@ -2119,5 +2302,117 @@ mod tests {
         drop(wal);
         let (_, report) = replay_on(&disk, &path).unwrap();
         assert_eq!(report.applied, 1);
+    }
+
+    fn payload_of(record: &LogRecord) -> Vec<u8> {
+        encode_frame(1, record).unwrap()[FRAME_HEADER..].to_vec()
+    }
+
+    #[test]
+    fn binary_payload_layout_is_pinned() {
+        // Format, tag, the name's length and bytes, then each value's tag
+        // and its text or null index.
+        let insert = LogRecord::Insert {
+            function: "f".into(),
+            x: v("ab"),
+            y: Value::Null(fdb_types::NullId(300)),
+        };
+        assert_eq!(
+            payload_of(&insert),
+            [0x01, 2, 1, b'f', 0, 2, b'a', b'b', 1, 0xAC, 0x02]
+        );
+        let declare = LogRecord::Declare {
+            name: "g".into(),
+            domain: "a".into(),
+            range: "b".into(),
+            functionality: Functionality::ManyOne,
+        };
+        assert_eq!(
+            payload_of(&declare),
+            [0x01, 0, 1, b'g', 1, b'a', 1, b'b', 2]
+        );
+        let derive = LogRecord::Derive {
+            name: "h".into(),
+            steps: vec![("f".into(), false), ("g".into(), true)],
+        };
+        assert_eq!(
+            payload_of(&derive),
+            [0x01, 1, 1, b'h', 2, 1, b'f', 0, 1, b'g', 1]
+        );
+        assert_eq!(payload_of(&LogRecord::TxnCommit { id: 7 }), [0x01, 6, 7]);
+        assert_eq!(
+            payload_of(&LogRecord::TxnRollbackTo { name: "s".into() }),
+            [0x01, 9, 1, b's']
+        );
+        assert_eq!(payload_of(&LogRecord::NewTerm { term: 2 }), [0x01, 10, 2]);
+    }
+
+    #[test]
+    fn payloads_dispatch_on_their_first_byte() {
+        let record = sample_records()[4].clone();
+        let binary = payload_of(&record);
+        let json = serde_json::to_string(&record).unwrap();
+        assert_eq!(decode_payload(&binary), Ok(Some(record.clone())));
+        assert_eq!(decode_payload(json.as_bytes()), Ok(Some(record)));
+        // An unknown tag is skipped; a known one must fill the payload
+        // exactly; any other first byte is damage.
+        assert_eq!(decode_payload(&[0x01, 0xEE, 0xFF]), Ok(None));
+        let mut long = binary.clone();
+        long.push(0);
+        assert!(decode_payload(&long).is_err());
+        assert!(decode_payload(&binary[..binary.len() - 1]).is_err());
+        for other in [&b""[..], b"\x02\x02", b" {}", b"[1]"] {
+            assert!(decode_payload(other).is_err(), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn payload_term_reads_binary_and_json_term_records() {
+        let term = LogRecord::NewTerm { term: 9 };
+        assert_eq!(payload_term(&payload_of(&term)), Some(9));
+        let json = serde_json::to_string(&term).unwrap();
+        assert_eq!(payload_term(json.as_bytes()), Some(9));
+        // A data record that merely mentions the name is no term record.
+        let named = LogRecord::Insert {
+            function: "NewTerm".into(),
+            x: v("NewTerm"),
+            y: v("y"),
+        };
+        assert_eq!(payload_term(&payload_of(&named)), None);
+        let json = serde_json::to_string(&named).unwrap();
+        assert_eq!(payload_term(json.as_bytes()), None);
+    }
+
+    #[test]
+    fn oversized_record_is_refused_not_written() {
+        let disk = SimDisk::new();
+        let path = disk_path();
+        let mut wal = Wal::create_on(Arc::new(disk.clone()), &path, 1).unwrap();
+        let huge = LogRecord::TxnSavepoint {
+            name: "s".repeat(MAX_PAYLOAD as usize),
+        };
+        assert!(encode_frame(1, &huge).is_err());
+        assert!(wal.append(&huge).is_err());
+        assert_eq!(wal.next_seq(), 1);
+        assert_eq!(disk.size_of(&path).unwrap(), WAL_MAGIC.len() as u64);
+        assert_eq!(wal.append(&LogRecord::TxnBegin { id: 1 }).unwrap(), 1);
+    }
+
+    #[test]
+    fn json_checkpoint_without_a_term_opens_in_the_first_term() {
+        let disk = SimDisk::new();
+        let dir = PathBuf::from("/ckpt");
+        let snapshot = serde_json::to_string(&Database::new(fdb_types::Schema::new())).unwrap();
+        let doc = format!(
+            "{{\"seq\":4,\"snapshot\":{}}}",
+            serde_json::to_string(&snapshot).unwrap()
+        );
+        disk.create(&dir.join(CHECKPOINT))
+            .unwrap()
+            .append(doc.as_bytes())
+            .unwrap();
+        let info = read_checkpoint(&disk, &dir).unwrap().unwrap();
+        assert_eq!((info.seq, info.term), (4, initial_term()));
+        assert_eq!(info.snapshot, snapshot.into_bytes());
     }
 }

@@ -12,7 +12,8 @@ use fdb_core::LogRecord;
 use fdb_types::{FdbError, Result};
 
 /// One WAL frame in transit: the sequence number and checksum from the
-/// frame header plus the raw (still JSON) payload bytes.
+/// frame header plus the raw, still encoded payload bytes — binary, or
+/// the JSON of a frame an older primary wrote, shipped as they are.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShippedFrame {
     /// The frame's sequence number.
@@ -20,7 +21,7 @@ pub struct ShippedFrame {
     /// CRC32 over the little-endian seq followed by the payload, exactly
     /// as stored in the source's segment file.
     pub crc: u32,
-    /// The raw record payload (JSON text as bytes).
+    /// The raw record payload (see `fdb_core::wal::decode_payload`).
     pub payload: Vec<u8>,
 }
 
@@ -53,11 +54,12 @@ impl ShippedFrame {
         frame_len(self.payload.len())
     }
 
-    /// Decodes the payload. `Ok(None)` means the payload is valid JSON
-    /// but not a record type this version knows — written by a newer
-    /// version; store it, skip applying it (same forward-compatibility
-    /// rule as recovery). `Err` means the payload is malformed despite a
-    /// passing CRC, which only a buggy writer can produce.
+    /// Decodes the payload. `Ok(None)` means a record type this version
+    /// does not know (a binary payload with an unknown tag, or valid JSON
+    /// that is not a record) — written by a newer version; store it, skip
+    /// applying it (same forward-compatibility rule as recovery). `Err`
+    /// means the payload is malformed despite a passing CRC, which only a
+    /// buggy writer can produce.
     pub fn record(&self) -> Result<Option<LogRecord>> {
         decode_payload(&self.payload)
             .map_err(|detail| FdbError::Internal(format!("frame {} {detail}", self.seq)))
@@ -92,14 +94,31 @@ mod tests {
         assert!(!bad.crc_valid());
     }
 
+    fn sealed(seq: u64, payload: &[u8]) -> ShippedFrame {
+        ShippedFrame {
+            seq,
+            crc: frame_crc(seq, payload),
+            payload: payload.to_vec(),
+        }
+    }
+
     #[test]
     fn unknown_record_payload_is_skippable_not_error() {
-        let payload = br#"{"FromTheFuture":{"x":1}}"#.to_vec();
-        let f = ShippedFrame {
-            seq: 9,
-            crc: frame_crc(9, &payload),
-            payload,
-        };
+        // The binary record format (0x01) with a tag no version assigns.
+        let f = sealed(9, &[0x01, 0xEE, 1, 2, 3]);
+        assert!(f.crc_valid());
+        assert_eq!(f.record().unwrap(), None);
+        // A known tag whose fields do not fill the payload is damage.
+        let mut payload = ShippedFrame::for_record(9, &LogRecord::NewTerm { term: 3 })
+            .unwrap()
+            .payload;
+        payload.push(0);
+        assert!(sealed(9, &payload).record().is_err());
+    }
+
+    #[test]
+    fn unknown_json_record_payload_from_an_older_writer_is_skippable_not_error() {
+        let f = sealed(9, br#"{"FromTheFuture":{"x":1}}"#);
         assert!(f.crc_valid());
         assert_eq!(f.record().unwrap(), None);
     }

@@ -3,8 +3,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use fdb_core::wal::{decode_payload, frame_len, list_segments, walk_log, Frames, RawFrame};
-use fdb_core::{read_checkpoint, LogRecord, LoggedDatabase, WalStorage};
+use fdb_core::wal::{frame_len, list_segments, payload_term, walk_log, Frames};
+use fdb_core::{read_checkpoint, LoggedDatabase, WalStorage};
 use fdb_types::{FdbError, Result};
 
 use crate::frame::ShippedFrame;
@@ -191,7 +191,7 @@ impl ReplicationSource {
                 None => Frames::segment(&bytes, *first_seq),
             };
             for f in walker.by_ref() {
-                if let Some(t) = frame_term(&f) {
+                if let Some(t) = payload_term(f.payload) {
                     self.term = self.term.max(t);
                 }
                 source_last_seq = source_last_seq.max(f.seq);
@@ -276,23 +276,6 @@ fn ckpt_floor(seed: &Option<Seed>, resume: u64) -> u64 {
     match seed {
         Some(s) => s.seq,
         None => resume.saturating_sub(1),
-    }
-}
-
-/// The term a frame announces, if it is a `NewTerm` record. Checks for
-/// the variant name in the raw bytes first so ordinary data frames skip
-/// the JSON parse.
-fn frame_term(frame: &RawFrame<'_>) -> Option<u64> {
-    if !frame
-        .payload
-        .windows(b"NewTerm".len())
-        .any(|w| w == b"NewTerm")
-    {
-        return None;
-    }
-    match decode_payload(frame.payload) {
-        Ok(Some(LogRecord::NewTerm { term })) => Some(term),
-        _ => None,
     }
 }
 
@@ -439,5 +422,20 @@ mod tests {
         let storage: Arc<dyn WalStorage> = Arc::clone(&disk) as _;
         let src = ReplicationSource::new(storage, "/p").unwrap();
         assert_eq!(src.term(), 4);
+    }
+
+    #[test]
+    fn tailing_source_adopts_a_term_started_after_it_opened() {
+        let disk = Arc::new(SimDisk::new());
+        let mut p = primary(&disk, "/p");
+        p.insert("person", atom("a"), atom("y")).unwrap();
+        let mut src = ReplicationSource::for_primary(&p);
+        let b = src.poll(1, 1024).unwrap();
+        assert_eq!(b.term, 1);
+        // The term record lands in the segment the source is tailing.
+        p.start_term(4).unwrap();
+        let b = src.poll(p.last_seq(), 1024).unwrap();
+        assert_eq!(b.frames.len(), 1);
+        assert_eq!(b.term, 4);
     }
 }

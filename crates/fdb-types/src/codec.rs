@@ -1,6 +1,7 @@
-//! Byte-level primitives of the binary snapshot codec.
+//! Byte-level primitives of the binary codecs: the snapshot and the WAL
+//! record payload.
 //!
-//! A snapshot body is a flat byte string of unsigned integers (lengths,
+//! An encoded body is a flat byte string of unsigned integers (lengths,
 //! counts, ids — little-endian base-128, low group first, so the small
 //! numbers that dominate take one byte) and length-prefixed UTF-8
 //! strings. Writers append to a `Vec<u8>`; the [`Reader`] is the only
@@ -9,8 +10,9 @@
 //! for it, the way `MAX_PAYLOAD` bounds a WAL frame.
 //!
 //! The types that own the data ([`crate::Value`] here, tables and the NC
-//! store in `fdb-storage`, the database in `fdb-core`) each encode and
-//! decode their own private fields with these.
+//! store in `fdb-storage`, the database and the log records in
+//! `fdb-core`) each encode and decode their own private fields with
+//! these.
 
 use crate::error::{FdbError, Result};
 
@@ -43,11 +45,12 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
-    /// The error every decode failure is reported as.
+    /// The error every decode failure is reported as; the caller that
+    /// knows what was being decoded names it.
     pub fn error(&self, what: &str) -> FdbError {
         FdbError::Parse {
             line: 0,
-            message: format!("snapshot: {what} at byte {}", self.pos),
+            message: format!("{what} at byte {}", self.pos),
         }
     }
 

@@ -20,11 +20,15 @@
 //! anywhere in it must fail the open (never load a different database),
 //! and a directory whose checkpoint is in the JSON layout of earlier
 //! versions must open, seed a replica, and be rewritten in the binary
-//! layout by the next checkpoint.
+//! layout by the next checkpoint. Last, a segment whose frames an earlier
+//! version wrote with JSON payloads is continued with binary frames, cut
+//! at every byte of that continuation, and shipped to a replica.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use fdb_core::wal::{frame_crc, raw_frame, scan, Frames, WAL_MAGIC};
 use fdb_core::{
     read_checkpoint, Database, DurabilityConfig, LoggedDatabase, SimDisk, SyncPolicy, Update,
     WalStorage,
@@ -807,4 +811,183 @@ fn checkpoint_in_the_json_layout_opens_seeds_and_upgrades() {
     let (reopened, report) = LoggedDatabase::open_with(storage, dir(), config).unwrap();
     assert_eq!(report.applied, 0);
     assert_eq!(reopened.database().to_snapshot().unwrap(), live);
+}
+
+// ---------------------------------------------------------------------
+// A segment an earlier version began: frames with JSON payloads, which
+// this version continues with binary ones instead of refusing or
+// rewriting them.
+
+/// Durability settings under which everything below stays in one
+/// segment and no checkpoint replaces it.
+fn one_segment() -> DurabilityConfig {
+    DurabilityConfig {
+        sync_policy: SyncPolicy::Always,
+        checkpoint_every: None,
+        segment_max_bytes: 1 << 20,
+    }
+}
+
+fn first_segment() -> PathBuf {
+    dir().join("wal-0000000001.seg")
+}
+
+/// Writes the log directory a version with JSON record payloads left
+/// behind: the triangle, partial information, a committed transaction
+/// with a partial rollback, an aborted one and a term change — logged by
+/// this version, then every frame's payload replaced by the record's JSON
+/// through its serde derive and re-sealed under the same sequence
+/// number. Returns the state the log holds.
+fn json_payload_directory(disk: &Arc<SimDisk>) -> Vec<u8> {
+    let storage: Arc<dyn WalStorage> = disk.clone();
+    let mut ldb = LoggedDatabase::create_with(storage, dir(), one_segment()).unwrap();
+    for (name, dom, rng) in [
+        ("teach", "faculty", "course"),
+        ("class_list", "course", "student"),
+        ("pupil", "faculty", "student"),
+    ] {
+        ldb.declare(name, dom, rng, Functionality::ManyMany)
+            .unwrap();
+    }
+    ldb.derive("pupil", &[("teach", false), ("class_list", false)])
+        .unwrap();
+    let v = |s: &str| Value::atom(s);
+    ldb.insert("teach", v("euclid"), v("math")).unwrap();
+    ldb.insert("class_list", v("math"), v("john")).unwrap();
+    ldb.delete("pupil", v("euclid"), v("john")).unwrap();
+    ldb.insert("pupil", v("gauss"), v("bill")).unwrap();
+    ldb.begin().unwrap();
+    ldb.insert("teach", v("laplace"), v("physics")).unwrap();
+    ldb.savepoint("sp").unwrap();
+    ldb.insert("class_list", v("physics"), v("ann")).unwrap();
+    ldb.rollback_to("sp").unwrap();
+    ldb.commit().unwrap();
+    ldb.begin().unwrap();
+    ldb.insert("teach", v("noether"), v("algebra")).unwrap();
+    ldb.rollback().unwrap();
+    ldb.start_term(2).unwrap();
+    let live = ldb.database().to_snapshot().unwrap();
+    drop(ldb);
+
+    let binary = scan(&disk.read(&first_segment()).unwrap(), 1);
+    assert!(binary.flaw.is_none() && binary.skipped == 0);
+    let mut json = WAL_MAGIC.to_vec();
+    for (seq, record) in &binary.records {
+        let payload = serde_json::to_string(record).unwrap();
+        let payload = payload.as_bytes();
+        json.extend_from_slice(&raw_frame(*seq, frame_crc(*seq, payload), payload));
+    }
+    disk.create(&first_segment())
+        .unwrap()
+        .append(&json)
+        .unwrap();
+    live
+}
+
+/// What this version appends to that segment: derived consequences on
+/// the old rows, then a derived delete. Stops at the first failed write,
+/// as a crashed writer does.
+fn continue_in_binary(ldb: &mut LoggedDatabase, mut after: impl FnMut(&LoggedDatabase)) {
+    let v = |s: &str| Value::atom(s);
+    for i in 0..4 {
+        if ldb.insert("teach", v(&format!("t{i}")), v("math")).is_err() {
+            return;
+        }
+        after(ldb);
+    }
+    if ldb.delete("pupil", v("t0"), v("john")).is_ok() {
+        after(ldb);
+    }
+}
+
+#[test]
+fn json_payload_segment_continues_in_binary_recovers_and_ships() {
+    let disk = Arc::new(SimDisk::new());
+    let storage: Arc<dyn WalStorage> = disk.clone();
+    let at_open = json_payload_directory(&disk);
+    let json_bytes = disk.read(&first_segment()).unwrap();
+
+    // The old directory opens to its state and its segment continues in
+    // binary, the JSON frames before it left as they are.
+    let (mut ldb, report) =
+        LoggedDatabase::open_with(storage.clone(), dir(), one_segment()).unwrap();
+    assert!(!report.damaged(), "{report:?}");
+    assert_eq!(ldb.term(), 2);
+    assert_eq!(ldb.database().to_snapshot().unwrap(), at_open);
+    let json_seq = ldb.last_seq();
+    let mut bounds = vec![disk.total_written()];
+    let mut states = vec![at_open];
+    continue_in_binary(&mut ldb, |ldb| {
+        bounds.push(disk.total_written());
+        states.push(ldb.database().to_snapshot().unwrap());
+    });
+    assert_eq!(states.len(), 6);
+    let live = ldb.database().to_snapshot().unwrap();
+    drop(ldb);
+    let mixed = disk.read(&first_segment()).unwrap();
+    assert!(mixed.starts_with(&json_bytes));
+    let kinds: BTreeSet<u8> = Frames::segment(&mixed, 1).map(|f| f.payload[0]).collect();
+    assert_eq!(kinds, BTreeSet::from([0x01, b'{']));
+    let (recovered, report) =
+        LoggedDatabase::open_with(storage.clone(), dir(), one_segment()).unwrap();
+    assert!(report.corruption.is_empty(), "{report:?}");
+    assert_eq!(recovered.database().to_snapshot().unwrap(), live);
+    drop(recovered);
+
+    // A crash at every byte of the continuation recovers the state after
+    // the binary records that landed whole.
+    let last = *bounds.last().unwrap();
+    for budget in bounds[0] + 1..=last {
+        let disk = Arc::new(SimDisk::new());
+        let storage: Arc<dyn WalStorage> = disk.clone();
+        json_payload_directory(&disk);
+        let (mut ldb, _) =
+            LoggedDatabase::open_with(storage.clone(), dir(), one_segment()).unwrap();
+        disk.set_write_budget(Some(budget));
+        continue_in_binary(&mut ldb, |_| {});
+        drop(ldb);
+        disk.revive();
+        let (recovered, report) = LoggedDatabase::open_with(storage, dir(), one_segment())
+            .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
+        assert!(!report.damaged(), "budget {budget}: {report:?}");
+        let k = (report.last_seq.unwrap() - json_seq) as usize;
+        assert!(
+            bounds[k] <= budget && bounds.get(k + 1).is_none_or(|&b| budget < b),
+            "budget {budget} recovered {k} binary records of {bounds:?}"
+        );
+        assert_eq!(
+            recovered.database().to_snapshot().unwrap(),
+            states[k],
+            "budget {budget}"
+        );
+    }
+
+    // The mixed frames ship as they are: a fresh replica accepts them,
+    // adopts the term a JSON frame carries, serves the primary's state
+    // and stores the primary's bytes.
+    let mut source = ReplicationSource::new(storage, dir()).unwrap();
+    assert_eq!(source.term(), 2);
+    let replica_disk = Arc::new(SimDisk::new());
+    let mut replica = Replica::open(replica_disk.clone() as Arc<dyn WalStorage>, "/r").unwrap();
+    loop {
+        let batch = source.poll(replica.next_seq(), 8).unwrap();
+        if batch.is_empty() {
+            break;
+        }
+        assert!(matches!(
+            replica.apply_batch(&batch).unwrap(),
+            ApplyOutcome::Applied { .. }
+        ));
+    }
+    assert_eq!(replica.term(), 2);
+    assert_eq!(
+        replica.consistent_view().unwrap().to_snapshot().unwrap(),
+        live
+    );
+    assert_eq!(
+        replica_disk
+            .read(&PathBuf::from("/r/wal-0000000001.seg"))
+            .unwrap(),
+        mixed
+    );
 }
