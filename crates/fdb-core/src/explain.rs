@@ -80,7 +80,7 @@ impl Database {
                 &Ungoverned,
             );
             for chain in outcome.value() {
-                let covered = self.store().ncs().chain_covers_some_nc(&chain.facts);
+                let covered = self.covered_by_nc(&chain.facts);
                 chains.push(ChainEvidence {
                     derivation: di,
                     facts: chain.facts,
@@ -95,6 +95,15 @@ impl Database {
             is_derived: true,
             chains,
         })
+    }
+
+    /// Whether some live NC negates the chain of `facts` — the count
+    /// evaluation makes, from the NCLs of the chain's rows.
+    fn covered_by_nc(&self, facts: &[Fact]) -> bool {
+        let store = self.store();
+        store
+            .nc_coverage(facts.iter().filter_map(|f| store.row_of(f)))
+            .covered
     }
 
     /// Compiles — and executes — the [`fdb_exec::ChainPlan`] each
@@ -163,7 +172,7 @@ impl Database {
             for c in &chains {
                 if c.matching == MatchKind::Exact && c.flags == Truth::True {
                     exact_true_chains += 1;
-                } else if self.store().ncs().chain_covers_some_nc(&c.facts) {
+                } else if self.covered_by_nc(&c.facts) {
                     nc_demoted_chains += 1;
                 }
             }

@@ -7,10 +7,17 @@
 //!
 //! * truth folds each derivation's chains, as the executor streams them,
 //!   into one verdict with three-valued OR: a proving chain ends the run
-//!   with `Complete(True)` (True is final on the lattice), an exactly
-//!   matching chain covered by an NC is demoted, and once the verdict is
-//!   `Ambiguous` no further coverage scan is made — only a proof can
-//!   still change it;
+//!   with `Complete(True)` (True is final on the lattice), a chain covered
+//!   by an NC is demoted, and once the verdict is `Ambiguous` no further
+//!   coverage check is made — only a proof can still change it;
+//! * NC coverage is counted from the NCLs of the rows the chain walked
+//!   ([`fdb_storage::Store::nc_coverage`]): an NC covers the chain iff it
+//!   is on the NCL of as many distinct chain rows as it has distinct
+//!   conjuncts. The check materialises no facts, allocates nothing and
+//!   looks at no NC outside those NCLs; `fdb.exec.ncl_entries_examined`
+//!   adds up what it visited. The interpreter's scan of every live NC is
+//!   the definition this count is tested against; there is no fallback
+//!   to it here;
 //! * extension / image / inverse-image evaluate **set-at-a-time**: one
 //!   enumeration per derivation — the selected endpoint bound by
 //!   [`Bind::Matches`], the other unbound — answers every pair. A chain
@@ -62,19 +69,22 @@ pub fn derived_truth_governed(
 }
 
 /// Whether some live NC negates `chain` (§3.2: such a chain cannot make
-/// its derived fact ambiguous). The facts are only materialised when
-/// there is an NC to compare them with.
+/// its derived fact ambiguous), counted from the NCLs of its rows.
 fn covered(store: &Store, chain: &ChainView<'_, '_>) -> bool {
-    let ncs = store.ncs();
-    let covered = !ncs.is_empty() && ncs.chain_covers_some_nc(&chain.facts());
-    if covered {
-        fdb_obs::registry().exec_nc_demotions.inc();
+    if store.ncs().is_empty() {
+        return false;
     }
-    covered
+    let coverage = store.nc_coverage(chain.rows());
+    let reg = fdb_obs::registry();
+    reg.exec_ncl_entries_examined.add(coverage.examined);
+    if coverage.covered {
+        reg.exec_nc_demotions.inc();
+    }
+    coverage.covered
 }
 
 /// Raises `verdict` by the evidence of one chain whose endpoints are the
-/// judged pair's own. The coverage scan runs only while it can still
+/// judged pair's own. The coverage check runs only while it can still
 /// change the verdict.
 fn raise(store: &Store, verdict: &mut Truth, chain: &ChainView<'_, '_>) {
     if chain.proves_true() {
@@ -150,7 +160,7 @@ impl<'a> PairEvidence<'a> {
                 let verdict = self.verdicts.entry((left, right)).or_insert(Truth::False);
                 raise(store, verdict, chain);
             }
-            // A wildcard that lifts nothing new needs no coverage scan.
+            // A wildcard that lifts nothing new needs no coverage check.
             _ if self.wild_all => {}
             (true, true) => self.wild_all = !covered(store, chain),
             (true, false) => {

@@ -2,17 +2,21 @@
 //!
 //! Replaces the one-row-at-a-time recursion of `fdb_storage::chain` with
 //! frontier execution over *binding sets*: one level of nodes per
-//! derivation step, each node recording the row it consumed, the value it
-//! carries to the next step, the endpoint its partial chain started from,
-//! and the accumulated match quality and truth flags. Nodes *borrow*
-//! their values from the store, candidate rows are walked straight off
-//! the table's index and null buckets, and a node's prefix is shared by
-//! all of its extensions through parent pointers — so examining a row
-//! clones nothing and allocates nothing beyond the node itself.
+//! derivation step, each node recording the index of the row it consumed,
+//! the value it carries to the next step, the endpoint its partial chain
+//! started from, and the accumulated match quality and truth flags. Nodes
+//! *borrow* their values from the store, candidate rows are walked
+//! straight off the table's index and null buckets, and a node's prefix is
+//! shared by all of its extensions through parent pointers — so examining
+//! a row clones nothing and allocates nothing beyond the node itself.
 //!
 //! A completed chain is handed to a **sink** as a `ChainView`: its two
-//! endpoints, match quality and flags, with the member facts materialised
-//! only if the sink asks (`ChainView::facts`). There are two sinks:
+//! endpoints, match quality and flags, and its member rows as
+//! `(function, row index)` handles read up the parent pointers
+//! (`ChainView::rows`). A row's facts and NCL are looked up by its index
+//! only when a sink asks: NC coverage reads the NCLs
+//! ([`fdb_storage::Store::nc_coverage`]), and the member facts are cloned
+//! only by `ChainView::facts`. There are two sinks:
 //!
 //! * the *streaming* sink — a closure that folds each chain into its own
 //!   evidence and may end the run early (`stream_planned`; truth and
@@ -43,7 +47,7 @@ use std::ops::ControlFlow;
 
 use fdb_governor::{Governance, Outcome, StopReason};
 use fdb_obs::causal::CausalSpan;
-use fdb_storage::{Chain, ChainLimits, Fact, Store, Table, Truth};
+use fdb_storage::{Chain, ChainLimits, Fact, RowRef, Store, Table, Truth};
 use fdb_types::{Derivation, MatchKind, Op, Step, Value};
 
 use crate::plan::{Bind, ChainPlan, Direction, QuerySpec};
@@ -74,6 +78,36 @@ impl View {
     }
 }
 
+/// The rows of a partial chain, read up the parent pointers from node
+/// `at` of the last of `levels`: the last level's row first.
+#[derive(Clone, Copy)]
+struct Walk<'e, 'a> {
+    levels: &'e [Vec<Node<'a>>],
+    /// The step view of each level.
+    views: &'e [View],
+    at: usize,
+}
+
+impl Walk<'_, '_> {
+    const EMPTY: Self = Walk {
+        levels: &[],
+        views: &[],
+        at: 0,
+    };
+}
+
+impl Iterator for Walk<'_, '_> {
+    type Item = RowRef;
+
+    fn next(&mut self) -> Option<RowRef> {
+        let (level, rest) = self.levels.split_last()?;
+        let node = &level[self.at];
+        self.levels = rest;
+        self.at = node.parent;
+        Some((self.views[rest.len()].function, node.row))
+    }
+}
+
 /// One completed chain as a sink sees it. The endpoint values are
 /// borrowed from the store the chain was enumerated over, so a sink can
 /// keep them for as long as it holds that store.
@@ -86,15 +120,44 @@ pub(crate) struct ChainView<'a, 'e> {
     pub matching: MatchKind,
     /// Three-valued conjunction of the member facts' truth flags.
     pub flags: Truth,
-    facts: &'e dyn Fn() -> Vec<Fact>,
+    store: &'a Store,
+    /// The member rows in derivation-step order are `before` read
+    /// backwards, then `last`, then `after`.
+    before: Walk<'e, 'a>,
+    last: Option<RowRef>,
+    after: Walk<'e, 'a>,
 }
 
-impl ChainView<'_, '_> {
-    /// Materialises the member facts, in derivation-step order (walks the
-    /// parent pointers and clones each row's values: call it only when
-    /// the facts themselves are needed).
+impl<'e> ChainView<'_, 'e> {
+    /// The member rows, one per derivation step (a row two steps passed
+    /// comes twice), in no particular order. Walks parent pointers;
+    /// allocates nothing.
+    pub fn rows(&self) -> impl Iterator<Item = RowRef> + Clone + 'e {
+        self.before.chain(self.last).chain(self.after)
+    }
+
+    /// Materialises the member facts, in derivation-step order (clones
+    /// each row's values: call it only when the facts themselves are
+    /// needed).
     pub fn facts(&self) -> Vec<Fact> {
-        (self.facts)()
+        let fact = |(function, i): RowRef| {
+            let row = self
+                .store
+                .table(function)
+                .row(i)
+                .expect("a chain's rows are live");
+            Fact {
+                function,
+                x: row.x.clone(),
+                y: row.y.clone(),
+            }
+        };
+        let steps = self.before.levels.len() + 1 + self.after.levels.len();
+        let mut facts = Vec::with_capacity(steps);
+        facts.extend(self.before.map(fact));
+        facts.reverse();
+        facts.extend(self.last.into_iter().chain(self.after).map(fact));
+        facts
     }
 
     /// `true` if this chain proves its derived fact true: exact matching
@@ -151,8 +214,8 @@ where
 struct Node<'a> {
     /// Index into the previous level (`usize::MAX` for seed nodes).
     parent: usize,
-    x: &'a Value,
-    y: &'a Value,
+    /// The row consumed, as an index into its step's table.
+    row: usize,
     /// The boundary value carried to the next step: the row's right value
     /// walking forward, its left value walking backward.
     carried: &'a Value,
@@ -275,8 +338,7 @@ fn expand<'a, G: Governance>(
         }
         each(Node {
             parent: source.parent,
-            x: row.x,
-            y: row.y,
+            row: i,
             carried,
             origin: source.origin.unwrap_or(matched),
             matching,
@@ -317,34 +379,6 @@ fn build_levels<'a, G: Governance>(
         levels.push(next);
     }
     Ok(levels)
-}
-
-/// Appends the facts of the partial chain ending at
-/// `levels.last()[idx]`, in derivation-step order.
-fn extend_facts(
-    facts: &mut Vec<Fact>,
-    levels: &[Vec<Node<'_>>],
-    views: &[View],
-    idx: usize,
-    backward: bool,
-) {
-    let start = facts.len();
-    let mut p = idx;
-    for (d, level) in levels.iter().enumerate().rev() {
-        let n = &level[p];
-        facts.push(Fact {
-            function: views[d].function,
-            x: n.x.clone(),
-            y: n.y.clone(),
-        });
-        p = n.parent;
-    }
-    if !backward {
-        // Forward processing visits steps first-to-last, so the parent
-        // walk yields them last-to-first; backward processing's walk is
-        // already in step order.
-        facts[start..].reverse();
-    }
 }
 
 /// Forward or backward linear execution: build all interior levels, then
@@ -400,28 +434,29 @@ where
             } else {
                 (last.origin, last.carried)
             };
-            let facts = || {
-                let last_fact = Fact {
-                    function: view.function,
-                    x: last.x.clone(),
-                    y: last.y.clone(),
-                };
-                let mut facts = Vec::with_capacity(k);
-                if backward {
-                    facts.push(last_fact);
-                    extend_facts(&mut facts, &levels, views, p, true);
-                } else {
-                    extend_facts(&mut facts, &levels, views, p, false);
-                    facts.push(last_fact);
-                }
-                facts
+            // Forward processing visits steps first-to-last, so the parent
+            // walk yields them last-to-first and the last row ends the
+            // chain; backward processing's walk is in step order after the
+            // last row, which is step 0.
+            let walk = Walk {
+                levels: &levels,
+                views,
+                at: p,
+            };
+            let (before, after) = if backward {
+                (Walk::EMPTY, walk)
+            } else {
+                (walk, Walk::EMPTY)
             };
             out.emit(ChainView {
                 left,
                 right,
                 matching,
                 flags: last.flags,
-                facts: &facts,
+                store,
+                before,
+                last: Some((view.function, last.row)),
+                after,
             })
         })
     };
@@ -486,18 +521,23 @@ where
             if !amb && matching != MatchKind::Exact {
                 return Ok(());
             }
-            let facts = || {
-                let mut facts = Vec::with_capacity(views.len());
-                extend_facts(&mut facts, &fwd, fwd_views, fi, false);
-                extend_facts(&mut facts, &bwd, &rev_views, bi, true);
-                facts
-            };
             out.emit(ChainView {
                 left: fp.origin,
                 right: bp.origin,
                 matching,
                 flags: fp.flags.and(bp.flags),
-                facts: &facts,
+                store,
+                before: Walk {
+                    levels: &fwd,
+                    views: fwd_views,
+                    at: fi,
+                },
+                last: None,
+                after: Walk {
+                    levels: &bwd,
+                    views: &rev_views,
+                    at: bi,
+                },
             })
         };
         if amb && fp.carried.is_null() {

@@ -379,6 +379,11 @@ registry! {
         /// chain is counted: a chain is only checked while the outcome
         /// could still change its pair's verdict.
         exec_nc_demotions => "fdb.exec.nc_demotions",
+        /// NCL entries visited by NC-coverage checks during truth and pair
+        /// evaluation, added once per check. A check reads only the NCLs
+        /// of the rows its chain walked, so this grows with those NCLs and
+        /// stays flat however many unrelated NCs the store holds.
+        exec_ncl_entries_examined => "fdb.exec.ncl_entries_examined",
         /// Result-cache lookups answered from a valid entry.
         cache_hits => "fdb.cache.hits",
         /// Result-cache lookups that computed fresh.

@@ -321,6 +321,8 @@ pub(crate) fn derived_truth_impl<G: Governance>(
                 // the answer, so it is complete even after a stop.
                 return Outcome::Complete(Truth::True);
             }
+            // The reference scan of every live NC; evaluation counts the
+            // chain's NCLs instead (`Store::nc_coverage`).
             if !store.ncs().chain_covers_some_nc(&chain.facts) {
                 best = Truth::Ambiguous;
             }

@@ -39,7 +39,7 @@ pub mod undo;
 pub use chain::{Chain, ChainLimits, DerivedPair};
 pub use fact::Fact;
 pub use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
-pub use nc::{NcId, NcStore};
+pub use nc::{Coverage, NcId, NcStore, RowRef};
 pub use snapshot::Snapshot;
 pub use store::{CompactionPolicy, Store};
 pub use table::{RowView, Table, TableStats, Unshared};

@@ -22,7 +22,7 @@ use fdb_types::codec::{put_uint, Reader};
 use fdb_types::{FunctionId, NullGen, Result, Value};
 
 use crate::fact::Fact;
-use crate::nc::{NcId, NcStore};
+use crate::nc::{Coverage, NcId, NcStore, RowRef};
 use crate::table::{detach, Table, Unshared};
 use crate::truth::Truth;
 use crate::undo::{UndoJournal, UndoOp};
@@ -241,6 +241,26 @@ impl Store {
         &self.ncs
     }
 
+    /// The live row holding `fact`, if it is stored.
+    pub fn row_of(&self, fact: &Fact) -> Option<RowRef> {
+        let table = self.tables.get(fact.function.index())?;
+        Some((fact.function, table.position(&fact.x, &fact.y)?))
+    }
+
+    /// Whether some live NC covers the chain through `rows` (each row once
+    /// per step that passed it), counted from those rows' NCLs: an NC
+    /// covers it iff the NC is on the NCL of as many distinct rows as it
+    /// has distinct conjuncts. Under the duality invariant that is
+    /// [`NcStore::chain_covers_some_nc`] of the rows' facts, at the cost of
+    /// their NCL entries, whatever the number of live NCs. Rows that are
+    /// not live carry no NCL.
+    pub fn nc_coverage(&self, rows: impl Iterator<Item = RowRef> + Clone) -> Coverage {
+        self.ncs.cover(rows.filter_map(|(f, i)| {
+            let row = self.tables.get(f.index())?.row(i)?;
+            Some(((f, i), row.ncl))
+        }))
+    }
+
     /// The null generator.
     pub fn nulls(&self) -> &NullGen {
         &self.nulls
@@ -320,6 +340,9 @@ impl Store {
     /// rows); unknown conjuncts are ignored defensively after a debug
     /// assertion.
     pub fn create_nc(&mut self, conjuncts: Vec<Fact>) -> NcId {
+        // An NC without conjuncts would negate every chain, and no NCL
+        // could say so.
+        debug_assert!(!conjuncts.is_empty(), "create-NC of an empty conjunction");
         fdb_obs::registry().storage_ncs_created.inc();
         self.version += 1;
         let id = self.ncs_cow().create(conjuncts.clone());

@@ -56,12 +56,33 @@ pub struct Tally {
     pub with_null_endpoints: usize,
     /// Ambiguous pairs over all compared extensions.
     pub ambiguous_pairs: usize,
+    /// Of the compared: sets where some chain of a listed pair passes one
+    /// row twice (a function used forth and back in adjacent steps) — the
+    /// chains whose NC coverage must count rows distinctly.
+    pub with_repeated_rows: usize,
 }
 
 fn has_null_facts(store: &Store, derivations: &[Derivation]) -> bool {
     derivations.iter().flat_map(Derivation::steps).any(|s| {
         let stats = store.table(s.function).stats();
         stats.null_x + stats.null_y > 0
+    })
+}
+
+fn has_repeated_rows(store: &Store, derivations: &[Derivation], pairs: &[DerivedPair]) -> bool {
+    let self_join = |d: &Derivation| d.steps().windows(2).any(|w| w[0].function == w[1].function);
+    let repeats = |facts: &[fdb::storage::Fact]| {
+        facts
+            .iter()
+            .enumerate()
+            .any(|(i, f)| facts[..i].contains(f))
+    };
+    derivations.iter().filter(|d| self_join(d)).any(|d| {
+        pairs.iter().any(|p| {
+            chain::chains_deriving(store, d, &p.x, &p.y, true, ChainLimits::default())
+                .iter()
+                .any(|c| repeats(&c.facts))
+        })
     })
 }
 
@@ -108,6 +129,7 @@ pub fn assert_pairs_match_interpreter(
     tally.with_nulls += usize::from(has_null_facts(store, derivations));
     tally.with_ncs += usize::from(!store.ncs().is_empty());
     tally.with_null_endpoints += usize::from(has_null_endpoints(store, derivations));
+    tally.with_repeated_rows += usize::from(has_repeated_rows(store, derivations, &oracle));
     tally.ambiguous_pairs += oracle
         .iter()
         .filter(|p| p.truth == Truth::Ambiguous)

@@ -371,3 +371,120 @@ fn design_logged_database_keeps_every_confirmed_derivation() {
         ["advises", "teach o class_list"]
     );
 }
+
+/// A derivation that uses one function twice (`teach o teach^-1`) lets a
+/// chain pass one row twice, and a derived delete of such a chain lists
+/// one fact twice in its NC: `DELETE colleague(a, a)` negates `teach(a,
+/// c)` itself. Coverage must count distinct chain rows against distinct
+/// conjuncts — a count against the conjunct list's length calls
+/// `colleague(a, b)` ambiguous. `TRUTH`, `QUERY`, `INVERSE` and `EXPLAIN`
+/// answer as the interpreter does before the delete, after it, and after
+/// its rollback.
+#[test]
+fn self_join_nc_is_counted_by_distinct_rows() {
+    use fdb::lang::Engine;
+    use fdb::storage::chain;
+
+    fn run(engine: &mut Engine, line: &str) -> String {
+        engine
+            .execute_line(line)
+            .unwrap_or_else(|e| panic!("`{line}` failed: {e}"))
+    }
+    fn set(head: String, members: impl Iterator<Item = (Value, Truth)>) -> String {
+        let members: Vec<String> = members
+            .map(|(v, t)| match t {
+                Truth::Ambiguous => format!("{v}*"),
+                _ => v.to_string(),
+            })
+            .collect();
+        format!("{head} = {{{}}}", members.join(", "))
+    }
+    /// Every read statement over `colleague` against the interpreter.
+    fn reads_match_interpreter(engine: &mut Engine, when: &str) {
+        let db = engine.snapshot();
+        let colleague = db.resolve("colleague").unwrap();
+        let (store, derivations) = (db.store(), db.derivations(colleague));
+        let limits = db.chain_limits();
+        let extension = chain::derived_extension(store, derivations, limits);
+        for x in ["a", "b"] {
+            let query = run(engine, &format!("QUERY colleague({x})"));
+            let image = extension
+                .iter()
+                .filter(|p| p.x == v(x))
+                .map(|p| (p.y.clone(), p.truth));
+            assert_eq!(
+                query.trim(),
+                set(format!("colleague({x})"), image),
+                "{when}"
+            );
+            let inverse = run(engine, &format!("INVERSE colleague({x})"));
+            let preimage = extension
+                .iter()
+                .filter(|p| p.y == v(x))
+                .map(|p| (p.x.clone(), p.truth));
+            assert_eq!(
+                inverse.trim(),
+                set(format!("colleague^-1({x})"), preimage),
+                "{when}"
+            );
+            for y in ["a", "b"] {
+                let truth = chain::derived_truth(store, derivations, &v(x), &v(y), limits);
+                let said = run(engine, &format!("TRUTH colleague({x}, {y})"));
+                assert_eq!(
+                    said.trim(),
+                    truth.flag().to_string(),
+                    "{when}: colleague({x}, {y})"
+                );
+                let explained = run(engine, &format!("EXPLAIN colleague({x}, {y})"));
+                let chains =
+                    chain::chains_deriving(store, &derivations[0], &v(x), &v(y), true, limits);
+                let negated = chains
+                    .iter()
+                    .filter(|c| store.ncs().chain_covers_some_nc(&c.facts))
+                    .count();
+                assert!(
+                    explained.starts_with(&format!("verdict: {}\n", truth.flag())),
+                    "{when}: {explained}"
+                );
+                assert_eq!(
+                    explained.matches("\nchain ").count(),
+                    chains.len(),
+                    "{when}"
+                );
+                assert_eq!(
+                    explained.matches("negated by an NC").count(),
+                    negated,
+                    "{when}: {explained}"
+                );
+            }
+        }
+    }
+
+    let mut engine = Engine::new();
+    for line in [
+        "DECLARE teach: faculty -> course (many-many)",
+        "DECLARE colleague: faculty -> faculty (many-many)",
+        "DERIVE colleague = teach o teach^-1",
+        "INSERT teach(a, c)",
+        "INSERT teach(b, c)",
+    ] {
+        run(&mut engine, line);
+    }
+    reads_match_interpreter(&mut engine, "before the delete");
+    assert_eq!(run(&mut engine, "TRUTH colleague(a, b)").trim(), "T");
+
+    run(&mut engine, "BEGIN");
+    run(&mut engine, "DELETE colleague(a, a)");
+    let ncs = engine.database().store().ncs();
+    let (id, conjuncts) = ncs.iter().next().expect("the delete made an NC");
+    assert_eq!(conjuncts.len(), 2);
+    assert_eq!(ncs.distinct_conjuncts(id), Some(1));
+    reads_match_interpreter(&mut engine, "after the delete");
+    assert_eq!(run(&mut engine, "TRUTH colleague(a, b)").trim(), "F");
+    assert_eq!(run(&mut engine, "TRUTH colleague(b, b)").trim(), "T");
+
+    run(&mut engine, "ROLLBACK");
+    assert!(engine.database().store().ncs().is_empty());
+    reads_match_interpreter(&mut engine, "after the rollback");
+    assert_eq!(run(&mut engine, "TRUTH colleague(a, b)").trim(), "T");
+}

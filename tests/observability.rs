@@ -443,3 +443,39 @@ fn cow_copies_count_the_pieces_a_write_after_a_publication_copies() {
     assert_eq!(moved(&mut db, &insert(1)), 0);
     assert_eq!(moved(&mut db, &delete(11)), 0);
 }
+
+/// `fdb.exec.ncl_entries_examined`: an NC-coverage check reads the NCLs
+/// of the rows its chain walked, so one `TRUTH` over a chain with an NC'd
+/// row examines as many NCL entries beside 1,000 unrelated NCs as beside
+/// one. (A scan of every live NC grows with their number.)
+#[test]
+fn coverage_cost_is_independent_of_unrelated_ncs() {
+    let examined_by_one_truth = |unrelated: usize| {
+        let mut e = university();
+        // g1 negates euclid → math → john: `teach(euclid, math)` is
+        // ambiguous and carries g1, so the chain to bill needs a check.
+        e.execute_line("DELETE pupil(euclid, john)").unwrap();
+        for i in 0..unrelated {
+            for line in [
+                format!("INSERT teach(f{i}, c{i})"),
+                format!("INSERT class_list(c{i}, s{i})"),
+                format!("DELETE pupil(f{i}, s{i})"),
+            ] {
+                e.execute_line(&line).unwrap();
+            }
+        }
+        assert_eq!(e.database().store().ncs().len(), 1 + unrelated);
+        let examined = || obs::registry().exec_ncl_entries_examined.get();
+        let before = examined();
+        assert_eq!(
+            e.execute_line("TRUTH pupil(euclid, bill)").unwrap().trim(),
+            "A"
+        );
+        examined() - before
+    };
+    let _guard = lock();
+    obs::set_enabled(true);
+    let beside_one = examined_by_one_truth(1);
+    assert!(beside_one > 0, "the chain carries an NC, so it was checked");
+    assert_eq!(examined_by_one_truth(1_000), beside_one);
+}
