@@ -18,6 +18,34 @@
 //! The byte layout of all of this belongs to [`crate::wal`]; this module
 //! decides *when* to append, sync, rotate and checkpoint.
 //!
+//! **One write path.** [`LoggedDatabase`] is a log in front of a
+//! [`Database`]: every verb is one call of a crate-private `write` with
+//! the record it logs. `write` takes the record's live effect, appends the
+//! record, syncs it as its kind requires, and runs the housekeeping
+//! (rotation, automatic checkpoint), which waits while a frame is open.
+//! The database's undo journal is the only "transaction open" flag; the
+//! log keeps only the frame-id counter.
+//!
+//! | record | live effect | effect vs. append | sync | counts | housekeeping |
+//! |---|---|---|---|---|---|
+//! | `Declare` `Derive` `Insert` `Delete` `Replace` | [`apply_record`] | before | by [`SyncPolicy`]; under `Always` left to the caller on the group-commit path | yes | yes |
+//! | `TxnBegin` | `txn_begin` | before; undone if the append fails | none | no | waits |
+//! | `TxnSavepoint` `TxnRollbackTo` | `txn_savepoint` / `txn_rollback_to` | before | none | no | waits |
+//! | `TxnAbort` | `txn_rollback` | before | none | no | yes |
+//! | `TxnCommit` | `txn_commit` | after its fsync | forced | no | yes |
+//! | `NewTerm` | the term is adopted | after its fsync | forced | no | no |
+//!
+//! "Counts" means the record moves `unsynced` (toward
+//! [`SyncPolicy::EveryN`]) and `since_checkpoint` (toward
+//! [`DurabilityConfig::checkpoint_every`]). A record the database refuses
+//! is not logged; misuse errors are the database's own. If the append (or
+//! a forced fsync) fails while a frame is open, the frame is rolled back, a
+//! revoking `TxnAbort` is appended best-effort, and the error is
+//! [`FdbError::TxnAborted`], except for `BEGIN`'s own append, which undoes
+//! the begin and returns the raw error. A data record's failed fsync
+//! is returned as it is, and the frame stays open: the commit's fsync
+//! covers the record.
+//!
 //! Recovery ([`LoggedDatabase::open_with`]) is [`walk_log`] followed by
 //! [`LogWalk::repair`](crate::wal::LogWalk::repair): it salvages rather
 //! than fails, and the [`RecoveryReport`] says exactly what happened.
@@ -86,31 +114,21 @@ pub struct LoggedDatabase {
     config: DurabilityConfig,
     /// Seq covered by the last installed checkpoint (0 = none).
     checkpoint_seq: u64,
-    /// Records appended since the last sync.
+    /// Data records appended since the last sync.
     unsynced: u32,
-    /// Records appended since the last checkpoint.
+    /// Data records appended since the last checkpoint.
     since_checkpoint: u64,
     /// `true` when operating on a legacy single-file log (no rotation,
     /// no checkpoints).
     legacy: bool,
-    /// Id of the open logged transaction frame, if any. While set,
-    /// rotation and checkpoints are deferred so a frame never straddles
-    /// a checkpoint boundary.
-    open_txn: Option<u64>,
-    /// Monotonic id source for transaction frames.
+    /// Id of the next transaction frame. While the database has a
+    /// transaction open, its frame's id is one less.
     next_txn_id: u64,
     /// Current replication term (epoch). Starts at 1; failover promotion
     /// bumps it via [`LoggedDatabase::start_term`], stamping a
     /// [`LogRecord::NewTerm`] into the log so shipped batches carry the
     /// new term and a resurrected old primary's frames are rejected.
     term: u64,
-    /// When set, autocommit appends under [`SyncPolicy::Always`] skip the
-    /// per-record inline fsync: the caller (the group-commit coordinator
-    /// in the shared handle) takes over responsibility for making the
-    /// record durable before acknowledging the write. Transactional
-    /// commit markers are unaffected — [`LoggedDatabase::commit`] always
-    /// force-fsyncs, because the commit *is* the durability point.
-    defer_sync: bool,
 }
 
 impl AsRef<Database> for LoggedDatabase {
@@ -153,10 +171,8 @@ impl LoggedDatabase {
             unsynced: 0,
             since_checkpoint: 0,
             legacy: false,
-            open_txn: None,
             next_txn_id: 1,
             term: initial_term(),
-            defer_sync: false,
         })
     }
 
@@ -214,9 +230,7 @@ impl LoggedDatabase {
                 unsynced: 0,
                 since_checkpoint: 0,
                 legacy,
-                open_txn: None,
                 term,
-                defer_sync: false,
             },
             report,
         ))
@@ -277,58 +291,92 @@ impl LoggedDatabase {
     /// current one (terms are a fence, not a clock to rewind) or while a
     /// transaction frame is open.
     pub fn start_term(&mut self, term: u64) -> Result<()> {
-        if term <= self.term {
-            return Err(FdbError::Internal(format!(
-                "wal: cannot start term {term}: current term is {}",
-                self.term
-            )));
-        }
-        if self.open_txn.is_some() {
-            return Err(FdbError::TxnControl(
-                "cannot start a term inside an open transaction".to_owned(),
-            ));
-        }
-        self.wal.append(&LogRecord::NewTerm { term })?;
-        self.wal.sync()?;
-        self.unsynced = 0;
-        self.term = term;
-        Ok(())
+        self.write(LogRecord::NewTerm { term }, false)
     }
 
-    fn logged(&mut self, record: LogRecord) -> Result<()> {
-        apply_record(&mut self.db, &record)?;
-        if let Err(e) = self.wal.append(&record) {
-            // The mutation applied but cannot be made durable. Inside a
-            // transaction the contract is all-or-nothing, so the open
-            // frame is rolled back entirely (on disk it stays unclosed
-            // and recovery discards it).
-            if self.open_txn.is_some() {
-                return Err(self.abort_after_failure(e));
+    /// The one write path (the table in the module doc, row by row):
+    /// takes `record`'s live effect, appends it, syncs it as its kind
+    /// requires and runs the housekeeping. `caller_syncs` leaves a data
+    /// record's [`SyncPolicy::Always`] fsync to the caller, the shared
+    /// handle's group commit, which must make the record durable before
+    /// it acknowledges the write.
+    pub(crate) fn write(&mut self, record: LogRecord, caller_syncs: bool) -> Result<()> {
+        let forced = matches!(
+            record,
+            LogRecord::TxnCommit { .. } | LogRecord::NewTerm { .. }
+        );
+        match &record {
+            LogRecord::TxnBegin { .. } => {
+                self.db.txn_begin()?;
+                self.next_txn_id += 1;
             }
-            return Err(e);
+            LogRecord::TxnSavepoint { name } => self.db.txn_savepoint(name)?,
+            LogRecord::TxnRollbackTo { name } => self.db.txn_rollback_to(name)?,
+            LogRecord::TxnAbort { .. } => self.db.txn_rollback()?,
+            // With no frame open, this is the database's misuse error and
+            // changes nothing.
+            LogRecord::TxnCommit { .. } if !self.db.txn_active() => return self.db.txn_commit(),
+            LogRecord::NewTerm { term } if *term <= self.term => {
+                return Err(FdbError::Internal(format!(
+                    "wal: cannot start term {term}: current term is {}",
+                    self.term
+                )));
+            }
+            LogRecord::NewTerm { .. } if self.db.txn_active() => {
+                return Err(FdbError::TxnControl(
+                    "cannot start a term inside an open transaction".to_owned(),
+                ));
+            }
+            LogRecord::TxnCommit { .. } | LogRecord::NewTerm { .. } => {}
+            data => apply_record(&mut self.db, data)?,
         }
-        self.unsynced += 1;
-        self.since_checkpoint += 1;
-        match self.config.sync_policy {
-            SyncPolicy::Always => {
-                if !self.defer_sync {
+        let appended = self
+            .wal
+            .append(&record)
+            .and_then(|_| if forced { self.sync() } else { Ok(()) });
+        if let Err(e) = appended {
+            return Err(match record {
+                // Nothing of the frame reached the log.
+                LogRecord::TxnBegin { .. } => {
+                    let _ = self.db.txn_rollback();
+                    e
+                }
+                _ if self.db.txn_active() => self.abort_after_failure(e),
+                _ => e,
+            });
+        }
+        match record {
+            LogRecord::TxnCommit { .. } => self.db.txn_commit()?,
+            LogRecord::NewTerm { term } => {
+                self.term = term;
+                return Ok(());
+            }
+            _ if record.is_txn_marker() => {}
+            _ => {
+                self.unsynced += 1;
+                self.since_checkpoint += 1;
+                let due = match self.config.sync_policy {
+                    SyncPolicy::Always => !caller_syncs,
+                    SyncPolicy::EveryN(n) => self.unsynced >= n,
+                    SyncPolicy::OnCheckpoint => false,
+                };
+                if due {
                     self.sync()?;
                 }
             }
-            SyncPolicy::EveryN(n) => {
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::OnCheckpoint => {}
         }
         self.maintain()
+    }
+
+    /// Id of the open transaction frame (meaningless when none is open).
+    fn frame_id(&self) -> u64 {
+        self.next_txn_id - 1
     }
 
     /// Rotation / checkpoint housekeeping, deferred while a transaction
     /// frame is open so a frame never straddles a checkpoint.
     fn maintain(&mut self) -> Result<()> {
-        if self.legacy || self.open_txn.is_some() {
+        if self.legacy || self.db.txn_active() {
             return Ok(());
         }
         if self.wal.len() >= self.config.segment_max_bytes {
@@ -351,10 +399,9 @@ impl LoggedDatabase {
     /// the rolled-back live state. If even the abort cannot be written,
     /// the frame stays unclosed and recovery discards it.
     fn abort_after_failure(&mut self, cause: FdbError) -> FdbError {
-        if let Some(id) = self.open_txn.take() {
-            if self.wal.append(&LogRecord::TxnAbort { id }).is_ok() {
-                let _ = self.sync();
-            }
+        let id = self.frame_id();
+        if self.wal.append(&LogRecord::TxnAbort { id }).is_ok() {
+            let _ = self.sync();
         }
         match self.db.txn_rollback() {
             Ok(()) => FdbError::TxnAborted {
@@ -385,7 +432,7 @@ impl LoggedDatabase {
                     .to_owned(),
             ));
         }
-        if self.open_txn.is_some() {
+        if self.db.txn_active() {
             return Err(FdbError::TxnControl(
                 "cannot checkpoint inside an open transaction".to_owned(),
             ));
@@ -454,7 +501,7 @@ impl LoggedDatabase {
 
     /// Whether a logged transaction frame is open.
     pub fn txn_active(&self) -> bool {
-        self.open_txn.is_some()
+        self.db.txn_active()
     }
 
     /// Opens a transaction frame: a `TxnBegin` marker is logged and the
@@ -462,90 +509,41 @@ impl LoggedDatabase {
     /// [`LoggedDatabase::commit`], recovery treats every logged record as
     /// tentative — a crash lands back on the pre-`BEGIN` state.
     pub fn begin(&mut self) -> Result<()> {
-        if self.open_txn.is_some() {
-            return Err(FdbError::TxnControl(
-                "BEGIN inside an open transaction".to_owned(),
-            ));
-        }
-        self.db.txn_begin()?;
         let id = self.next_txn_id;
-        self.next_txn_id += 1;
-        if let Err(e) = self.wal.append(&LogRecord::TxnBegin { id }) {
-            let _ = self.db.txn_rollback();
-            return Err(e);
-        }
-        self.open_txn = Some(id);
-        Ok(())
+        self.write(LogRecord::TxnBegin { id }, false)
     }
 
     /// Sets (or replaces) a named savepoint inside the open transaction.
     pub fn savepoint(&mut self, name: &str) -> Result<()> {
-        if self.open_txn.is_none() {
-            return Err(FdbError::TxnControl(
-                "SAVEPOINT without an open transaction".to_owned(),
-            ));
-        }
-        self.db.txn_savepoint(name)?;
-        if let Err(e) = self.wal.append(&LogRecord::TxnSavepoint {
-            name: name.to_owned(),
-        }) {
-            return Err(self.abort_after_failure(e));
-        }
-        Ok(())
+        let name = name.to_owned();
+        self.write(LogRecord::TxnSavepoint { name }, false)
     }
 
     /// Rolls the open transaction back to a named savepoint, which stays
     /// set. The partial rollback is logged so recovery of a later commit
     /// replays exactly the surviving records.
     pub fn rollback_to(&mut self, name: &str) -> Result<()> {
-        if self.open_txn.is_none() {
-            return Err(FdbError::TxnControl(
-                "ROLLBACK TO without an open transaction".to_owned(),
-            ));
-        }
-        self.db.txn_rollback_to(name)?;
-        if let Err(e) = self.wal.append(&LogRecord::TxnRollbackTo {
-            name: name.to_owned(),
-        }) {
-            return Err(self.abort_after_failure(e));
-        }
-        Ok(())
+        let name = name.to_owned();
+        self.write(LogRecord::TxnRollbackTo { name }, false)
     }
 
     /// Rolls the whole open transaction back: the live database returns
     /// to its pre-`BEGIN` state and a `TxnAbort` marker closes the frame
-    /// on disk.
+    /// on disk. If the marker fails to append, the frame stays unclosed
+    /// on disk and recovery discards it: consistent either way.
     pub fn rollback(&mut self) -> Result<()> {
-        let id = self.open_txn.take().ok_or_else(|| {
-            FdbError::TxnControl("ROLLBACK without an open transaction".to_owned())
-        })?;
-        self.db.txn_rollback()?;
-        // Even if the marker fails to append, the frame stays unclosed on
-        // disk and recovery discards it — consistent either way.
-        self.wal.append(&LogRecord::TxnAbort { id })?;
-        self.maintain()
+        let id = self.frame_id();
+        self.write(LogRecord::TxnAbort { id }, false)
     }
 
     /// Commits the open transaction: a `TxnCommit` marker is logged and
     /// **force-fsynced regardless of the sync policy** — the commit is
     /// the durability point — then the live journal is discarded and any
-    /// deferred rotation / checkpoint housekeeping runs.
+    /// deferred rotation / checkpoint housekeeping runs. If the marker
+    /// cannot be made durable, the live state is rolled back too.
     pub fn commit(&mut self) -> Result<()> {
-        let id = self
-            .open_txn
-            .ok_or_else(|| FdbError::TxnControl("COMMIT without an open transaction".to_owned()))?;
-        if let Err(e) = self.wal.append(&LogRecord::TxnCommit { id }) {
-            return Err(self.abort_after_failure(e));
-        }
-        if let Err(e) = self.sync() {
-            // Without a durable commit marker the frame may not survive;
-            // honouring the all-or-nothing contract means rolling the
-            // live state back too.
-            return Err(self.abort_after_failure(e));
-        }
-        self.open_txn = None;
-        self.db.txn_commit()?;
-        self.maintain()
+        let id = self.frame_id();
+        self.write(LogRecord::TxnCommit { id }, false)
     }
 
     /// Declares a function (logged).
@@ -556,41 +554,35 @@ impl LoggedDatabase {
         range: &str,
         functionality: Functionality,
     ) -> Result<()> {
-        self.logged(LogRecord::Declare {
+        let record = LogRecord::Declare {
             name: name.to_owned(),
             domain: domain.to_owned(),
             range: range.to_owned(),
             functionality,
-        })
+        };
+        self.write(record, false)
     }
 
     /// Registers a derivation by step names (logged).
     pub fn derive(&mut self, name: &str, steps: &[(&str, bool)]) -> Result<()> {
-        self.logged(LogRecord::Derive {
+        let steps = steps.iter().map(|(n, inv)| ((*n).to_owned(), *inv));
+        let record = LogRecord::Derive {
             name: name.to_owned(),
-            steps: steps
-                .iter()
-                .map(|(n, inv)| ((*n).to_owned(), *inv))
-                .collect(),
-        })
+            steps: steps.collect(),
+        };
+        self.write(record, false)
     }
 
     /// `INS` (logged).
     pub fn insert(&mut self, function: &str, x: Value, y: Value) -> Result<()> {
-        self.logged(LogRecord::Insert {
-            function: function.to_owned(),
-            x,
-            y,
-        })
+        let function = function.to_owned();
+        self.write(LogRecord::Insert { function, x, y }, false)
     }
 
     /// `DEL` (logged).
     pub fn delete(&mut self, function: &str, x: Value, y: Value) -> Result<()> {
-        self.logged(LogRecord::Delete {
-            function: function.to_owned(),
-            x,
-            y,
-        })
+        let function = function.to_owned();
+        self.write(LogRecord::Delete { function, x, y }, false)
     }
 
     /// `REP` (logged).
@@ -600,34 +592,13 @@ impl LoggedDatabase {
         old: (Value, Value),
         new: (Value, Value),
     ) -> Result<()> {
-        self.logged(LogRecord::Replace {
-            function: function.to_owned(),
-            old,
-            new,
-        })
+        let function = function.to_owned();
+        self.write(LogRecord::Replace { function, old, new }, false)
     }
 
-    /// Applies one engine-level [`Update`] (logged); the function id is
-    /// resolved to its name so the log stays id-independent.
+    /// Applies one engine-level [`Update`] (logged).
     pub fn apply_update(&mut self, update: &Update) -> Result<()> {
-        let record = match update {
-            Update::Insert { function, x, y } => LogRecord::Insert {
-                function: self.db.schema().function(*function).name.clone(),
-                x: x.clone(),
-                y: y.clone(),
-            },
-            Update::Delete { function, x, y } => LogRecord::Delete {
-                function: self.db.schema().function(*function).name.clone(),
-                x: x.clone(),
-                y: y.clone(),
-            },
-            Update::Replace { function, old, new } => LogRecord::Replace {
-                function: self.db.schema().function(*function).name.clone(),
-                old: old.clone(),
-                new: new.clone(),
-            },
-        };
-        self.logged(record)
+        self.write(update_record(&self.db, update), false)
     }
 
     /// Replays another database's schema and derivations into this log,
@@ -672,18 +643,28 @@ impl LoggedDatabase {
         self.unsynced = 0;
         Ok(())
     }
+}
 
-    /// Turns deferred-sync mode on or off (see the `defer_sync` field).
-    /// Only the group-commit path of the shared handle should set
-    /// this: whoever defers a sync owns making the record durable before
-    /// acknowledging the write.
-    pub fn set_defer_sync(&mut self, defer: bool) {
-        self.defer_sync = defer;
-    }
-
-    /// Whether deferred-sync mode is on.
-    pub fn defer_sync(&self) -> bool {
-        self.defer_sync
+/// The log record of an engine-level [`Update`] on `db`: the function id
+/// is resolved to its name, so the log stays id-independent.
+pub(crate) fn update_record(db: &Database, update: &Update) -> LogRecord {
+    let name = |f| db.schema().function(f).name.clone();
+    match update {
+        Update::Insert { function, x, y } => LogRecord::Insert {
+            function: name(*function),
+            x: x.clone(),
+            y: y.clone(),
+        },
+        Update::Delete { function, x, y } => LogRecord::Delete {
+            function: name(*function),
+            x: x.clone(),
+            y: y.clone(),
+        },
+        Update::Replace { function, old, new } => LogRecord::Replace {
+            function: name(*function),
+            old: old.clone(),
+            new: new.clone(),
+        },
     }
 }
 
@@ -1269,21 +1250,46 @@ mod tests {
             .contains(&v("lost"), &v("y")));
     }
 
+    /// Misuse is a typed error that logs nothing, and its text is the
+    /// database's own, word for word: what
+    /// `tests/scripts/statement_matrix.golden` pins for the language's
+    /// transaction statements.
     #[test]
     fn txn_control_misuse_is_typed() {
         let disk = Arc::new(SimDisk::new());
         let mut ldb =
             LoggedDatabase::create_with(disk.clone(), disk_dir(), no_auto_checkpoint()).unwrap();
-        assert!(matches!(ldb.commit(), Err(FdbError::TxnControl(_))));
-        assert!(matches!(ldb.rollback(), Err(FdbError::TxnControl(_))));
-        assert!(matches!(ldb.savepoint("s"), Err(FdbError::TxnControl(_))));
+        let text = |r: Result<()>| match r {
+            Err(e @ FdbError::TxnControl(_)) => e.to_string(),
+            other => panic!("expected a TxnControl error, got {other:?}"),
+        };
+        let golden = |line: &str| format!("transaction control error: {line}");
+        assert_eq!(text(ldb.commit()), golden("COMMIT without an open BEGIN"));
+        assert_eq!(
+            text(ldb.rollback()),
+            golden("ROLLBACK without an open BEGIN")
+        );
+        assert_eq!(
+            text(ldb.savepoint("s")),
+            golden("SAVEPOINT without an open BEGIN")
+        );
+        assert_eq!(
+            text(ldb.rollback_to("s")),
+            golden("ROLLBACK TO without an open BEGIN")
+        );
+        assert_eq!(ldb.last_seq(), 0);
         ldb.begin().unwrap();
-        assert!(matches!(ldb.begin(), Err(FdbError::TxnControl(_))));
+        assert_eq!(
+            text(ldb.begin()),
+            golden("BEGIN inside an open transaction (use SAVEPOINT for nested scopes)")
+        );
         assert!(matches!(ldb.checkpoint(), Err(FdbError::TxnControl(_))));
-        assert!(matches!(
-            ldb.rollback_to("missing"),
-            Err(FdbError::TxnControl(_))
-        ));
+        assert_eq!(
+            text(ldb.rollback_to("missing")),
+            golden("unknown savepoint \"missing\"")
+        );
+        assert_eq!(ldb.last_seq(), 1, "only the BEGIN is logged");
+        assert!(ldb.txn_active());
         ldb.commit().unwrap();
     }
 

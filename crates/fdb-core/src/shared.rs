@@ -49,9 +49,10 @@ use fdb_storage::Truth;
 use fdb_types::{FdbError, FunctionId, Result, Value};
 
 use crate::database::Database;
-use crate::durability::{GroupCommit, LoggedDatabase, SyncPolicy};
+use crate::durability::{update_record, GroupCommit, LoggedDatabase, SyncPolicy};
 use crate::stats::DatabaseStats;
 use crate::update::Update;
+use crate::wal::LogRecord;
 
 /// Bounds on the write path of a [`Shared`] handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -459,32 +460,27 @@ impl Shared<Database> {
 /// What needs a log: group-committed autocommit writes, syncs,
 /// checkpoints and the transaction verbs.
 impl Shared<LoggedDatabase> {
-    /// The autocommit group-commit write path. Under
-    /// [`SyncPolicy::Always`] with no open transaction: apply + append
-    /// under the engine lock with the inline fsync deferred, release the
-    /// lock, then make the record durable through the [`GroupCommit`]
-    /// coordinator (one batched fsync per group of concurrent writers).
-    /// The new state is published only after the fsync covering it
-    /// succeeded — a reader never observes a state an immediate crash
-    /// would lose. An error from the fsync stage is never
+    /// The autocommit group-commit write path for the record `record`
+    /// builds from the live database. Under [`SyncPolicy::Always`] with no
+    /// open transaction, the record is applied and appended under the
+    /// engine lock with its fsync left to this caller; the lock is released
+    /// and the [`GroupCommit`] coordinator makes it durable (one batched
+    /// fsync per group of concurrent writers). The new state is published
+    /// only after that fsync succeeded, and an error from it is never
     /// [`FdbError::Overloaded`]: the record is applied and appended, only
-    /// its durability is unknown. Any other configuration (lazy sync
-    /// policies, open transaction) has the plain [`Shared::with`] semantics.
-    fn write_grouped(&self, f: impl FnOnce(&mut LoggedDatabase) -> Result<()>) -> Result<()> {
+    /// its durability is unknown. Otherwise this is [`Shared::with`].
+    fn write_grouped(&self, record: impl FnOnce(&Database) -> LogRecord) -> Result<()> {
         let inner = &*self.inner;
         let timeout = inner.policy.lock_timeout;
         self.write_path(
             None,
             |ldb| {
-                if ldb.config().sync_policy != SyncPolicy::Always || ldb.txn_active() {
-                    return (f(ldb), None);
-                }
+                let record = record(ldb.database());
+                let grouped = ldb.config().sync_policy == SyncPolicy::Always && !ldb.txn_active();
                 let before = ldb.last_seq();
-                ldb.set_defer_sync(true);
-                let r = f(ldb);
-                ldb.set_defer_sync(false);
+                let r = ldb.write(record, grouped);
                 let seq = ldb.last_seq();
-                (r, (seq > before).then_some(seq))
+                (r, (grouped && seq > before).then_some(seq))
             },
             |seq| {
                 let lead = || {
@@ -501,17 +497,19 @@ impl Shared<LoggedDatabase> {
 
     /// `INS` by function name (logged, group-committed).
     pub fn insert(&self, function: &str, x: Value, y: Value) -> Result<()> {
-        self.write_grouped(|ldb| ldb.insert(function, x, y))
+        let function = function.to_owned();
+        self.write_grouped(|_| LogRecord::Insert { function, x, y })
     }
 
     /// `DEL` by function name (logged, group-committed).
     pub fn delete(&self, function: &str, x: Value, y: Value) -> Result<()> {
-        self.write_grouped(|ldb| ldb.delete(function, x, y))
+        let function = function.to_owned();
+        self.write_grouped(|_| LogRecord::Delete { function, x, y })
     }
 
     /// Applies one engine-level update (logged, group-committed).
     pub fn apply_update(&self, update: &Update) -> Result<()> {
-        self.write_grouped(|ldb| ldb.apply_update(update))
+        self.write_grouped(|db| update_record(db, update))
     }
 
     /// Durably syncs the log.

@@ -818,6 +818,7 @@ mod tests {
 
     #[test]
     fn unsampled_statement_is_inert_and_lazy() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         reset_tls();
         set_tracing(false);
@@ -833,6 +834,7 @@ mod tests {
 
     #[test]
     fn sampled_statement_nests_children_and_records() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         reset_tls();
         set_tracing(true);
@@ -865,6 +867,7 @@ mod tests {
 
     #[test]
     fn adopted_span_joins_foreign_trace() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         reset_tls();
         set_tracing(true);
@@ -878,6 +881,7 @@ mod tests {
 
     #[test]
     fn interrupted_spans_surface_open_work() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         reset_tls();
         set_tracing(true);

@@ -169,6 +169,7 @@ mod tests {
     use super::*;
 
     fn sample_registry() -> Registry {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         let reg = Registry::new();
         reg.wal_appends.add(7);

@@ -150,6 +150,7 @@ mod tests {
 
     #[test]
     fn render_flight_includes_open_spans_as_interrupted() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         causal::set_tracing(true);
         causal::set_sample_rate(1);

@@ -90,8 +90,18 @@ pub fn registry() -> &'static Registry {
 mod tests {
     use super::*;
 
+    /// Held by every unit test that sets a process-wide flag
+    /// ([`set_enabled`], [`causal::set_tracing`],
+    /// [`causal::set_sample_rate`]): a test that turns one off must not
+    /// run while a sibling asserts that it records.
+    pub(crate) fn global_flags() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn enable_flag_gates_recording() {
+        let _flags = global_flags();
         // Use a private registry so concurrent tests sharing the global
         // one can't interfere.
         let reg = Registry::new();
@@ -110,6 +120,7 @@ mod tests {
 
     #[test]
     fn global_accessors_are_stable() {
+        let _flags = global_flags();
         set_enabled(true);
         let a = registry() as *const _;
         let b = registry() as *const _;

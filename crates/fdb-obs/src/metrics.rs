@@ -516,6 +516,7 @@ mod tests {
 
     #[test]
     fn counter_basics() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         let c = Counter::new();
         c.inc();
@@ -527,6 +528,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         let h = Histogram::new();
         h.record(0);
@@ -550,6 +552,7 @@ mod tests {
 
     #[test]
     fn registry_snapshot_is_sorted_and_reset_zeroes() {
+        let _flags = crate::tests::global_flags();
         crate::set_enabled(true);
         let reg = Registry::new();
         reg.wal_appends.add(3);

@@ -232,8 +232,9 @@ fn chaos_mvcc_readers_vs_group_committers() {
 }
 
 /// Crash matrix for commit groups: a batch of autocommit records is
-/// appended with the inline fsync deferred (exactly what the group
-/// leader sees just before its batched fsync), and the disk is cut at
+/// appended with no per-record fsync (under `SyncPolicy::OnCheckpoint`:
+/// exactly the bytes the group leader sees just before its batched
+/// fsync), and the disk is cut at
 /// every byte offset inside the batch. Every truncated image must
 /// recover to a prefix of whole records — each autocommit record is a
 /// whole transaction, so recovery may never surface half an update, an
@@ -264,13 +265,13 @@ fn crash_inside_a_commit_group_recovers_to_whole_record_prefix() {
         ldb.import_schema(&teach_only()).unwrap();
         ldb.sync().unwrap();
         expected.push(ldb.database().to_snapshot().unwrap());
-        ldb.set_defer_sync(true); // the group is forming: no per-record fsync
+        // The group is forming: no per-record fsync.
+        ldb.set_sync_policy(SyncPolicy::OnCheckpoint);
         for i in 0..GROUP {
             ldb.insert("teach", v(format!("g{i}")), v(format!("c{i}")))
                 .unwrap();
             expected.push(ldb.database().to_snapshot().unwrap());
         }
-        ldb.set_defer_sync(false);
         ldb.sync().unwrap(); // the leader's batched fsync
     }
     let total_bytes: u64 = full_disk
@@ -278,6 +279,8 @@ fn crash_inside_a_commit_group_recovers_to_whole_record_prefix() {
         .iter()
         .map(|p| full_disk.size_of(p).unwrap())
         .sum();
+    // The same bytes as a group the shared handle forms.
+    assert_eq!(total_bytes, 240);
 
     // Matrix: cut the write budget at every byte of the run.
     for budget in 0..=total_bytes {
@@ -296,7 +299,7 @@ fn crash_inside_a_commit_group_recovers_to_whole_record_prefix() {
             if let Ok(mut ldb) = r {
                 let setup = ldb.import_schema(&teach_only()).and_then(|_| ldb.sync());
                 if setup.is_ok() {
-                    ldb.set_defer_sync(true);
+                    ldb.set_sync_policy(SyncPolicy::OnCheckpoint);
                     for i in 0..GROUP {
                         if ldb
                             .insert("teach", v(format!("g{i}")), v(format!("c{i}")))
@@ -307,7 +310,6 @@ fn crash_inside_a_commit_group_recovers_to_whole_record_prefix() {
                         }
                     }
                     if !disk.crashed() {
-                        ldb.set_defer_sync(false);
                         let _ = ldb.sync();
                     }
                 } else {

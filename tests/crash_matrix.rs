@@ -551,7 +551,7 @@ fn txn_soak_with_fsync_faults() {
         for step in &steps {
             // Every failure must be typed; a fault mid-frame aborts the
             // transaction, so later steps of that chunk may legitimately
-            // report "without an open transaction" — also typed.
+            // report "without an open BEGIN" — also typed.
             let _ = match step {
                 TxnStep::Begin => ldb.begin(),
                 TxnStep::Commit => ldb.commit(),
