@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Content, DeError, Deserialize, Serialize};
-
 use fdb_graph::{minimal_schema, DesignOutcome};
 use fdb_storage::chain::DeletePolicy;
 use fdb_storage::{ChainLimits, Store};
@@ -13,7 +11,7 @@ use fdb_types::{Derivation, FdbError, FunctionId, Result, Schema};
 /// Which derivation realises a derived insert when several are
 /// registered (cyclic function graphs give derived functions multiple
 /// derivations; one witness chain suffices to make the fact true).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InsertPolicy {
     /// Use the first registered derivation (declaration order) — the
     /// paper's implicit choice, since it assumes one derivation.
@@ -103,49 +101,6 @@ impl AsRef<Database> for Database {
     }
 }
 
-/// The legacy JSON snapshot form, which old checkpoints and `SAVE` files
-/// hold: one flat map of `schema`, `derived`, `store`, `chain_limits`,
-/// `delete_policy` and `insert_policy` (the last two optional).
-impl Serialize for Database {
-    fn to_content(&self) -> Content {
-        let field = |name: &str, value: Content| (Content::Str(name.to_owned()), value);
-        Content::Map(vec![
-            field("schema", self.catalog.schema.to_content()),
-            field("derived", self.catalog.derived.to_content()),
-            field("store", self.store.to_content()),
-            field("chain_limits", self.chain_limits.to_content()),
-            field("delete_policy", self.delete_policy.to_content()),
-            field("insert_policy", self.insert_policy.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for Database {
-    fn from_content(c: &Content) -> std::result::Result<Database, DeError> {
-        let fields = c
-            .as_map()
-            .ok_or_else(|| DeError::new("Database: expected map"))?;
-        let field = |name: &str| serde::map_get(fields, name);
-        let required = |name: &str| {
-            field(name).ok_or_else(|| DeError::new(format!("Database: missing field `{name}`")))
-        };
-        Ok(Database::from_parts(
-            Schema::from_content(required("schema")?)?,
-            BTreeMap::from_content(required("derived")?)?,
-            Store::from_content(required("store")?)?,
-            ChainLimits::from_content(required("chain_limits")?)?,
-            match field("delete_policy") {
-                Some(p) => DeletePolicy::from_content(p)?,
-                None => DeletePolicy::default(),
-            },
-            match field("insert_policy") {
-                Some(p) => InsertPolicy::from_content(p)?,
-                None => InsertPolicy::default(),
-            },
-        ))
-    }
-}
-
 impl Database {
     /// A database over `schema` with every function base.
     pub fn new(schema: Schema) -> Self {
@@ -160,8 +115,8 @@ impl Database {
         )
     }
 
-    /// Reassembles a database from its serialised parts (snapshot
-    /// restore); no transaction is open.
+    /// Reassembles a database from its snapshot parts (both snapshot
+    /// readers); no transaction is open.
     pub(crate) fn from_parts(
         schema: Schema,
         derived: BTreeMap<FunctionId, Vec<Derivation>>,
@@ -180,8 +135,8 @@ impl Database {
         }
     }
 
-    /// The catalog, detached from every clone sharing it: only `DECLARE`,
-    /// `DERIVE` and index rebuilds take this.
+    /// The catalog, detached from every clone sharing it: only `DECLARE`
+    /// and `DERIVE` take this.
     fn catalog_mut(&mut self) -> &mut Catalog {
         Arc::make_mut(&mut self.catalog)
     }
@@ -428,12 +383,6 @@ impl Database {
             .map(|(name, _)| name.as_str())
     }
 
-    /// Approximate in-memory size of the open transaction's undo journal
-    /// (0 outside transactions).
-    pub fn txn_undo_bytes(&self) -> usize {
-        self.store.undo_bytes()
-    }
-
     /// Sets (or replaces) the named savepoint at the current transaction
     /// position.
     pub fn txn_savepoint(&mut self, name: &str) -> Result<()> {
@@ -510,12 +459,6 @@ impl Database {
     /// Resolves a function by name.
     pub fn resolve(&self, name: &str) -> Result<FunctionId> {
         self.catalog.schema.resolve(name)
-    }
-
-    /// Rebuilds in-memory indexes after deserialisation.
-    pub fn rebuild_index(&mut self) {
-        self.catalog_mut().schema.rebuild_index();
-        self.store.rebuild_index();
     }
 
     /// Compacts every base table, dropping delete tombstones and

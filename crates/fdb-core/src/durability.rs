@@ -828,11 +828,6 @@ impl GroupCommit {
         }
     }
 
-    /// The highest WAL sequence known durable through this coordinator.
-    pub fn synced_seq(&self) -> u64 {
-        self.lock_state().synced
-    }
-
     fn lock_state(&self) -> std::sync::MutexGuard<'_, GroupState> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }

@@ -15,7 +15,7 @@
 //! | magic | `FDBSNAP1` |
 //! | schema section | length-prefixed JSON of `(schema, derivations)` — O(schema), it does not grow with the data |
 //! | limits and policies | `max_chains`, delete policy, insert policy |
-//! | store | written by [`Store::encode`](fdb_storage::Store::encode): tables, NC store, null watermark, compaction policy |
+//! | store | written by [`Store::encode`](fdb_storage::Store::encode): tables, NC store, null watermark, two reserved fields (the compaction thresholds, written as constants, read and ignored) |
 //! | checksum | CRC-32 (IEEE, little-endian) of every byte before it |
 //!
 //! Integers and lengths are the little-endian base-128 integers of
@@ -25,9 +25,12 @@
 //!
 //! A snapshot written before this format existed is a JSON document; it
 //! starts with `{`, which no binary snapshot does, and
-//! [`Database::from_snapshot`] hands it to the serde reader — the only
-//! JSON path left for a `Database`, kept for such files and as the
-//! tests' differential oracle. Nothing writes that form any more.
+//! [`Database::from_snapshot`] hands it to the log's legacy reader
+//! (`wal::legacy`, where its layout is documented). Nothing writes that
+//! form any more. Both readers build the store through the same
+//! constructors, which refuse a state the store never holds: a live row
+//! flagged false, an NC id the NC counter has not reached, an NC/NCL
+//! duality break.
 
 use std::collections::BTreeMap;
 
@@ -76,13 +79,11 @@ impl Database {
     /// Restores a database from a snapshot, rebuilding indexes. Damaged
     /// or truncated bytes are an error, never a different database.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Database> {
-        let mut db = if bytes.first() == Some(&b'{') {
-            from_legacy_json(bytes)?
+        if bytes.first() == Some(&b'{') {
+            crate::wal::legacy::read_snapshot(bytes)
         } else {
-            decode(bytes)?
-        };
-        db.rebuild_index();
-        Ok(db)
+            decode(bytes)
+        }
     }
 }
 
@@ -107,8 +108,9 @@ fn decode(bytes: &[u8]) -> Result<Database> {
 
 /// Everything between the magic and the checksum.
 fn decode_body(mut r: Reader<'_>) -> Result<Database> {
-    let (schema, derived): (Schema, BTreeMap<FunctionId, Vec<Derivation>>) =
+    let (mut schema, derived): (Schema, BTreeMap<FunctionId, Vec<Derivation>>) =
         serde_json::from_str(r.str()?).map_err(|e| corrupt(format!("schema section: {e}")))?;
+    schema.rebuild_index();
     let max_chains = usize::try_from(r.uint()?).map_err(|_| r.error("chain limit out of range"))?;
     let delete_policy = match r.byte()? {
         0 => DeletePolicy::Faithful,
@@ -130,15 +132,6 @@ fn decode_body(mut r: Reader<'_>) -> Result<Database> {
         delete_policy,
         insert_policy,
     ))
-}
-
-/// The reader of snapshots written as one JSON document (every snapshot
-/// before the binary format: old checkpoints, old `SAVE` files, a seed
-/// from an old primary).
-fn from_legacy_json(bytes: &[u8]) -> Result<Database> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| corrupt(format!("snapshot deserialisation failed: not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| corrupt(format!("snapshot deserialisation failed: {e}")))
 }
 
 #[cfg(test)]
@@ -197,12 +190,9 @@ mod tests {
         assert_eq!(back.truth(p, &v("gauss"), &v("bill")).unwrap(), Truth::True);
         assert_eq!(back.stats(), db.stats());
         assert!(back.is_consistent());
-        // Field for field what the serde round trip yields, tombstone
-        // included, and the same bytes when encoded again.
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&db).unwrap()
-        );
+        // The tombstone included: the same bytes when encoded again.
+        let t = back.resolve("teach").unwrap();
+        assert_eq!(back.store().table(t).tombstones(), 1);
         assert_eq!(back.to_snapshot().unwrap(), bytes);
     }
 
@@ -217,12 +207,15 @@ mod tests {
         assert_eq!(back.store().nulls().generated(), 2);
     }
 
+    /// A JSON snapshot the last version that wrote the form recorded,
+    /// with its binary snapshot (`tests/legacy_snapshots.rs` reads the
+    /// whole corpus).
     #[test]
     fn legacy_json_snapshot_still_loads() {
-        let db = university_with_history();
-        let json = serde_json::to_string(&db).unwrap();
-        let back = Database::from_snapshot(json.as_bytes()).unwrap();
-        assert_eq!(back.to_snapshot().unwrap(), db.to_snapshot().unwrap());
+        let json = include_bytes!("../../../tests/fixtures/legacy/corpus/07.json");
+        let binary = include_bytes!("../../../tests/fixtures/legacy/corpus/07.snap");
+        let back = Database::from_snapshot(json).unwrap();
+        assert_eq!(back.to_snapshot().unwrap(), binary);
     }
 
     #[test]
@@ -250,6 +243,35 @@ mod tests {
         let at = bytes.len() - CRC_LEN;
         let crc = crc32(&bytes[..at]);
         bytes[at..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Re-sealed bodies whose edit makes a state the store never holds
+    /// load as nothing: an NCL id naming no NC, a live row flagged false,
+    /// an NC id the NC counter has not reached.
+    #[test]
+    fn resealed_body_holding_an_impossible_state_is_an_error() {
+        let bytes = university_with_history().to_snapshot().unwrap();
+        let atom = |s: &str| [&[0, s.len() as u8][..], s.as_bytes()].concat();
+        // The row `teach(euclid, math)`: flags 0b011 (ambiguous, alive),
+        // an NCL of one id, g1. Then the NC store: `next` 2, one NC, g1,
+        // of two conjuncts, the first in function 0.
+        let row = [atom("euclid"), atom("math"), vec![0b011, 1, 1]].concat();
+        let ncs = [vec![2, 1, 1, 2, 0], atom("euclid")].concat();
+        for (pattern, at, value, why) in [
+            (&row, row.len() - 1, 2, "duality"),
+            (&row, row.len() - 3, 0b001, "flagged F"),
+            (&ncs, 0, 1, "is not below the next NC id"),
+        ] {
+            let start = bytes
+                .windows(pattern.len())
+                .position(|w| w == pattern.as_slice())
+                .expect("pattern in the snapshot");
+            let mut damaged = bytes.clone();
+            damaged[start + at] = value;
+            reseal(&mut damaged);
+            let err = Database::from_snapshot(&damaged).unwrap_err().to_string();
+            assert!(err.contains(why), "{why}: {err}");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ use fdb_types::{Derivation, FdbError, Functionality, Result, Step, Value};
 use crate::database::Database;
 use crate::storage::{FileStorage, WalFile, WalStorage};
 
-mod legacy;
+pub(crate) mod legacy;
 
 /// One durable log entry.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -1574,7 +1574,12 @@ pub fn walk_log(storage: &dyn WalStorage, path: &Path) -> Result<LogWalk> {
         vec![(1, path.to_owned())]
     } else {
         if let Some(info) = read_checkpoint(storage, path)? {
-            walk.db = Database::from_snapshot(&info.snapshot)?;
+            // A snapshot its decoder refuses is a damaged checkpoint, like
+            // one whose checksum does not match.
+            walk.db = Database::from_snapshot(&info.snapshot).map_err(|e| {
+                let path = path.join(CHECKPOINT);
+                FdbError::Internal(format!("wal: checkpoint {}: corrupt: {e}", path.display()))
+            })?;
             walk.term = info.term;
             walk.next_seq = info.seq + 1;
             walk.report.checkpoint_seq = Some(info.seq);
@@ -2398,21 +2403,27 @@ mod tests {
         assert_eq!(wal.append(&LogRecord::TxnBegin { id: 1 }).unwrap(), 1);
     }
 
+    /// The checkpoint a version before replication wrote of an empty
+    /// database, recorded with its binary snapshot.
     #[test]
     fn json_checkpoint_without_a_term_opens_in_the_first_term() {
         let disk = SimDisk::new();
         let dir = PathBuf::from("/ckpt");
-        let snapshot = serde_json::to_string(&Database::new(fdb_types::Schema::new())).unwrap();
-        let doc = format!(
-            "{{\"seq\":4,\"snapshot\":{}}}",
-            serde_json::to_string(&snapshot).unwrap()
-        );
         disk.create(&dir.join(CHECKPOINT))
             .unwrap()
-            .append(doc.as_bytes())
+            .append(include_bytes!(
+                "../../../tests/fixtures/legacy/empty_checkpoint.json"
+            ))
             .unwrap();
         let info = read_checkpoint(&disk, &dir).unwrap().unwrap();
         assert_eq!((info.seq, info.term), (4, initial_term()));
-        assert_eq!(info.snapshot, snapshot.into_bytes());
+        assert!(info.snapshot.starts_with(b"{\"schema\":"));
+        assert_eq!(
+            Database::from_snapshot(&info.snapshot)
+                .unwrap()
+                .to_snapshot()
+                .unwrap(),
+            include_bytes!("../../../tests/fixtures/legacy/empty_checkpoint.snap")
+        );
     }
 }

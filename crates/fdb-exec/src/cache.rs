@@ -119,8 +119,8 @@ struct Answers {
     /// The store's global version when the guard was last found fresh:
     /// while the store still reports it, *nothing* has changed and no
     /// per-function counter needs examining — the common case under
-    /// MVCC, where a statement evaluates against one pinned
-    /// [`fdb_storage::Snapshot`] whose stamp never moves.
+    /// MVCC, where a statement evaluates against one pinned store clone
+    /// whose version never moves.
     store_version: u64,
     /// The support set with each function's mutation counter.
     support: Vec<(FunctionId, u64)>,
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn pinned_snapshot_keeps_hitting_while_live_store_mutates() {
         let mut s = store();
-        let snap = s.snapshot();
+        let snap = s.clone();
         let ds = pupil();
         let mut cache = ResultCache::new();
         let mut computes = 0;
@@ -418,7 +418,7 @@ mod tests {
         // invisible through the snapshot: its stamp is frozen, so every
         // lookup takes the O(1) fast path and hits.
         for _ in 0..3 {
-            truth(&mut cache, snap.store(), &ds, &mut computes);
+            truth(&mut cache, &snap, &ds, &mut computes);
             s.base_insert(F0, v("mut"), v("mut"));
         }
         assert_eq!(computes, 1);

@@ -119,18 +119,6 @@ impl Budget {
         Budget::default()
     }
 
-    /// The default safety net applied by convenience entry points that
-    /// take no explicit governor: a generous step cap (tens of millions
-    /// of loop iterations — far beyond any sane schema analysis, hit
-    /// only by adversarial inputs) and no deadline.
-    pub fn sane_default() -> Self {
-        Budget {
-            deadline: None,
-            max_steps: Some(50_000_000),
-            max_memory_units: None,
-        }
-    }
-
     /// Sets the wall-clock allowance.
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
@@ -166,12 +154,6 @@ impl CancelToken {
     /// [`StopReason::Cancelled`] at its next check.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
-    }
-
-    /// `true` once [`CancelToken::cancel`] has been called (and not
-    /// reset).
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
     }
 
     /// Clears the token so it can be reused (REPL-style: one token,

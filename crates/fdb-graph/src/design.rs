@@ -29,7 +29,7 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use fdb_governor::{Governor, Outcome, StopReason, Ungoverned};
+use fdb_governor::{StopReason, Ungoverned};
 use fdb_types::{Derivation, FdbError, FunctionId, Functionality, Result, Schema};
 
 use crate::cycles::{cycles_impl, Cycle};
@@ -105,8 +105,7 @@ pub enum DesignEvent {
         /// The designer's decision.
         decision: CycleDecision,
     },
-    /// Cycle enumeration was stopped early — by the configured cap or by
-    /// the session governor's deadline/budget/cancellation — so some
+    /// Cycle enumeration was stopped early by the configured cap, so some
     /// cycles may not have been reported.
     CyclesTruncated {
         /// The function whose addition triggered enumeration.
@@ -172,7 +171,6 @@ pub struct DesignSession {
     schema: Schema,
     graph: FunctionGraph,
     config: DesignConfig,
-    governor: Option<Governor>,
     log: Vec<DesignEvent>,
 }
 
@@ -187,30 +185,6 @@ impl DesignSession {
         DesignSession {
             config,
             ..Self::default()
-        }
-    }
-
-    /// Attaches a [`Governor`] bounding every enumeration the session
-    /// runs (cycle identification, derivation extraction). When the
-    /// governor stops an enumeration the session proceeds with the sound
-    /// prefix and records a [`DesignEvent::CyclesTruncated`] carrying the
-    /// typed reason. Without a governor the session is bounded only by
-    /// its [`DesignConfig`] limits.
-    pub fn set_governor(&mut self, governor: Governor) -> &mut Self {
-        self.governor = Some(governor);
-        self
-    }
-
-    fn governed_paths(
-        &self,
-        from: fdb_types::TypeId,
-        to: fdb_types::TypeId,
-        limits: PathLimits,
-    ) -> Outcome<Vec<crate::paths::Path>> {
-        let none = HashSet::<EdgeId>::new();
-        match &self.governor {
-            Some(g) => simple_paths_impl(&self.graph, from, to, &none, limits, g),
-            None => simple_paths_impl(&self.graph, from, to, &none, limits, &Ungoverned),
         }
     }
 
@@ -247,10 +221,7 @@ impl DesignSession {
         self.log.push(DesignEvent::Added(f));
 
         // Step 2: identify all cycles formed by this function.
-        let outcome = match &self.governor {
-            Some(g) => cycles_impl(&self.graph, new_edge, self.config.cycle_limits, g),
-            None => cycles_impl(&self.graph, new_edge, self.config.cycle_limits, &Ungoverned),
-        };
+        let outcome = cycles_impl(&self.graph, new_edge, self.config.cycle_limits, &Ungoverned);
         let truncated = outcome.reason();
         let cycles = outcome.value();
         if let Some(reason) = truncated {
@@ -326,12 +297,20 @@ impl DesignSession {
     /// paths in the current base graph (before designer filtering).
     pub fn potential_derivations(&self, f: FunctionId) -> Vec<Derivation> {
         let def = self.schema.function(f);
-        self.governed_paths(def.domain, def.range, self.config.derivation_limits)
-            .value()
-            .into_iter()
-            .filter(|p| path_matches_function(&self.graph, p, def))
-            .map(|p| p.to_derivation(&self.graph))
-            .collect()
+        let none = HashSet::<EdgeId>::new();
+        simple_paths_impl(
+            &self.graph,
+            def.domain,
+            def.range,
+            &none,
+            self.config.derivation_limits,
+            &Ungoverned,
+        )
+        .value()
+        .into_iter()
+        .filter(|p| path_matches_function(&self.graph, p, def))
+        .map(|p| p.to_derivation(&self.graph))
+        .collect()
     }
 
     /// Finishes the session: extracts each derived function's potential

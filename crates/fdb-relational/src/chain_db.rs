@@ -46,11 +46,6 @@ impl BinaryRelation {
         self.pairs.iter().filter(move |(a, _)| a == l)
     }
 
-    /// Pairs whose right component equals `r`.
-    pub fn with_right<'r>(&'r self, r: &'r Value) -> impl Iterator<Item = &'r (Value, Value)> {
-        self.pairs.iter().filter(move |(_, b)| b == r)
-    }
-
     /// Number of pairs.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -87,11 +82,6 @@ impl ChainDb {
     /// Access to relation `i`.
     pub fn relation(&self, i: usize) -> &BinaryRelation {
         &self.relations[i]
-    }
-
-    /// Mutable access to relation `i`.
-    pub fn relation_mut(&mut self, i: usize) -> &mut BinaryRelation {
-        &mut self.relations[i]
     }
 
     /// Inserts a base tuple.

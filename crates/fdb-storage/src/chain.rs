@@ -22,8 +22,6 @@
 //! would falsify base facts the update does not speak about, which is
 //! precisely the side-effect behaviour the paper rejects.)
 
-use serde::{Deserialize, Serialize};
-
 use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
 use fdb_types::{Derivation, MatchKind, Op, Step, Value};
 
@@ -33,7 +31,7 @@ use crate::truth::Truth;
 
 /// Caps on chain enumeration (ambiguous matching through nulls can fan
 /// out combinatorially).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ChainLimits {
     /// Maximum number of chains collected per query.
     pub max_chains: usize,
@@ -135,22 +133,10 @@ pub fn chains_deriving(
     .value()
 }
 
-/// [`chains_deriving`] under a [`Governor`]: enumeration stops on
+/// [`chains_deriving`] under a governor: enumeration stops on
 /// deadline/step/memory budget, cancellation, or the `max_chains` cap
 /// (the cap is reported only when one more chain provably exists), and
 /// the chains found so far come back as a sound prefix.
-pub fn chains_deriving_governed(
-    store: &Store,
-    derivation: &Derivation,
-    x: &Value,
-    y: &Value,
-    allow_ambiguous: bool,
-    limits: ChainLimits,
-    governor: &Governor,
-) -> Outcome<Vec<Chain>> {
-    chains_deriving_impl(store, derivation, x, y, allow_ambiguous, limits, governor)
-}
-
 fn chains_deriving_impl<G: Governance>(
     store: &Store,
     derivation: &Derivation,
@@ -563,7 +549,7 @@ fn search_open<G: Governance>(
 }
 
 /// Which chains a derived delete negates — an ablation knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DeletePolicy {
     /// The paper's procedure: negate every *exactly* matching chain.
     /// Chains that only match ambiguously (through mismatched nulls)

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use fdb_types::codec::{put_uint, Reader};
 use fdb_types::{FunctionId, Result, Value};
 
 /// A fact `f(a) = b`, denoted `<f, a, b>` in the paper.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Fact {
     /// The function the fact belongs to.
     pub function: FunctionId,

@@ -40,8 +40,7 @@ pub use chain::{Chain, ChainLimits, DerivedPair};
 pub use fact::Fact;
 pub use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
 pub use nc::{Coverage, NcId, NcStore, RowRef};
-pub use snapshot::Snapshot;
-pub use store::{CompactionPolicy, Store};
+pub use store::Store;
 pub use table::{RowView, Table, TableStats, Unshared};
 pub use truth::Truth;
 pub use undo::{UndoJournal, UndoOp};

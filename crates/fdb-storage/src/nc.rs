@@ -29,17 +29,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Content, DeError, Deserialize, Serialize};
-
 use fdb_types::codec::{put_uint, Reader};
-use fdb_types::{FunctionId, Result};
+use fdb_types::{FdbError, FunctionId, Result};
 
 use crate::fact::Fact;
 
 /// Unique index of a negated conjunction (the paper writes `NC(d)`; the
 /// worked example names its first NC `g₁`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NcId(pub u64);
 
 impl fmt::Display for NcId {
@@ -84,27 +81,13 @@ impl Nc {
     }
 }
 
-/// The JSON snapshot form lists the conjuncts only; the count is derived
-/// from them on the way back.
-impl Serialize for Nc {
-    fn to_content(&self) -> Content {
-        self.conjuncts.to_content()
-    }
-}
-
-impl Deserialize for Nc {
-    fn from_content(c: &Content) -> std::result::Result<Nc, DeError> {
-        Vec::from_content(c).map(Nc::new)
-    }
-}
-
 /// The NC store: `NcId → component facts`.
 ///
 /// Only the bookkeeping lives here; flag/NCL updates on the component
 /// facts are the responsibility of [`crate::Store`], which wraps
 /// [`NcStore::create`] / [`NcStore::dismantle`] in the paper's
 /// `create-NC` / `dismantle-NC` procedures.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NcStore {
     ncs: BTreeMap<NcId, Nc>,
     next: u64,
@@ -136,7 +119,7 @@ impl NcStore {
     /// Reads a store written by [`NcStore::encode`].
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<NcStore> {
         let next = r.uint()?;
-        let mut ncs = BTreeMap::new();
+        let mut ncs = Vec::new();
         for _ in 0..r.count(2)? {
             let id = NcId(r.uint()?);
             let len = r.count(Fact::MIN_ENCODED)?;
@@ -144,11 +127,35 @@ impl NcStore {
             for _ in 0..len {
                 facts.push(Fact::decode(r)?);
             }
-            if ncs.insert(id, Nc::new(facts)).is_some() {
-                return Err(r.error("duplicate NC id"));
+            ncs.push((id, facts));
+        }
+        NcStore::from_parts(ncs, next)
+    }
+
+    /// A store of the live NCs `ncs` whose next NC is `g<next>` — what a
+    /// snapshot holds. A duplicate id, or an id the counter has not
+    /// reached (the next `create` would overwrite it), is refused.
+    pub fn from_parts(
+        ncs: impl IntoIterator<Item = (NcId, Vec<Fact>)>,
+        next: u64,
+    ) -> Result<NcStore> {
+        let mut store = NcStore {
+            ncs: BTreeMap::new(),
+            next,
+        };
+        for (id, conjuncts) in ncs {
+            let refuse = |why: &str| FdbError::Parse {
+                line: 0,
+                message: format!("NC {id} {why}"),
+            };
+            if id.0 >= next {
+                return Err(refuse(&format!("is not below the next NC id {next}")));
+            }
+            if store.ncs.insert(id, Nc::new(conjuncts)).is_some() {
+                return Err(refuse("is listed twice"));
             }
         }
-        Ok(NcStore { ncs, next })
+        Ok(store)
     }
 
     /// Registers a new NC over `conjuncts`, returning its fresh index.
@@ -367,12 +374,32 @@ mod tests {
         let mut bytes = Vec::new();
         s.encode(&mut bytes);
         let decoded = NcStore::decode(&mut Reader::new(&bytes)).unwrap();
-        let json: NcStore = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
-        for back in [&decoded, &json] {
+        // The legacy JSON reader hands the conjunct lists to `from_parts`.
+        let listed = NcStore::from_parts(s.iter().map(|(id, c)| (id, c.to_vec())), 3).unwrap();
+        for back in [&decoded, &listed] {
             assert_eq!(back.distinct_conjuncts(twice), Some(1));
             assert_eq!(back.distinct_conjuncts(pair), Some(2));
             assert_eq!(back.get(twice), s.get(twice));
         }
+    }
+
+    /// An id at or past the counter would be overwritten by the next
+    /// `create`; a repeated id would lose an NC.
+    #[test]
+    fn from_parts_refuses_ids_the_counter_has_not_reached() {
+        let one = |id| (NcId(id), vec![fact(0, "a", "b")]);
+        assert!(NcStore::from_parts([one(1), one(2)], 3).is_ok());
+        for (ncs, next) in [
+            (vec![one(3)], 3),
+            (vec![one(1), one(7)], 3),
+            (vec![one(1), one(1)], 3),
+        ] {
+            assert!(NcStore::from_parts(ncs, next).is_err());
+        }
+        let mut bytes = Vec::new();
+        NcStore::from_parts([one(1)], 2).unwrap().encode(&mut bytes);
+        bytes[0] = 1; // `next`, the first byte written
+        assert!(NcStore::decode(&mut Reader::new(&bytes)).is_err());
     }
 
     /// The NCL count agrees with the scan on hand-built NCLs, with a

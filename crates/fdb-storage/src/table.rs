@@ -27,6 +27,10 @@
 //! [`CHUNK_ROWS`] + [`DELTA_KEYS`]) — plus, one write in [`DELTA_KEYS`],
 //! the base; the release of a retired snapshot frees as much. A lookup
 //! reads the base, and the delta only when it is not empty.
+//!
+//! A table is built empty or, by both snapshot readers, from its row log
+//! ([`Table::from_rows`]), which builds the indexes; only compaction
+//! rebuilds them after that.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
@@ -34,10 +38,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Content, DeError, Deserialize, Serialize};
-
 use fdb_types::codec::{put_uint, Reader};
-use fdb_types::{Result, Value};
+use fdb_types::{FdbError, Result, Value};
 
 use crate::nc::NcId;
 use crate::truth::Truth;
@@ -68,16 +70,6 @@ struct Row {
     y: Value,
     truth: Truth, // True or Ambiguous; never False while alive
     ncl: BTreeSet<NcId>,
-}
-
-/// A row as the JSON snapshot form writes it.
-#[derive(Serialize, Deserialize)]
-struct RowJson {
-    x: Value,
-    y: Value,
-    truth: Truth,
-    ncl: BTreeSet<NcId>,
-    alive: bool,
 }
 
 /// A read-only view of one live row.
@@ -127,8 +119,8 @@ pub struct Table {
 ///
 /// `rows` is exact; the distinct and null counts are *estimates*: they
 /// count index entries, which may include keys whose rows are all
-/// tombstoned. Auto-compaction (see [`crate::store::CompactionPolicy`])
-/// bounds the tombstone fraction, and with it the estimation error.
+/// tombstoned. Auto-compaction (see [`crate::store`]) bounds the
+/// tombstone fraction, and with it the estimation error.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Number of live rows (exact).
@@ -480,69 +472,35 @@ impl Row {
     }
 }
 
-/// The flat layout of the row log, `{"rows": [...]}` — the legacy JSON
-/// snapshot reader's input and the tests' oracle, whatever the chunking.
-impl Serialize for Table {
-    fn to_content(&self) -> Content {
-        let rows = self
-            .all_rows()
-            .map(|(r, alive)| {
-                RowJson {
-                    x: r.x.clone(),
-                    y: r.y.clone(),
-                    truth: r.truth,
-                    ncl: r.ncl.clone(),
-                    alive,
-                }
-                .to_content()
-            })
-            .collect();
-        Content::Map(vec![(Content::Str("rows".into()), Content::Seq(rows))])
-    }
-}
-
-/// Reads the flat layout; the lookup indexes are left empty: call
-/// [`Table::rebuild_index`].
-impl Deserialize for Table {
-    fn from_content(c: &Content) -> std::result::Result<Table, DeError> {
-        let fields = c
-            .as_map()
-            .ok_or_else(|| DeError::new("Table: expected map"))?;
-        let rows: Vec<RowJson> = Vec::from_content(
-            serde::map_get(fields, "rows")
-                .ok_or_else(|| DeError::new("Table: missing field `rows`"))?,
-        )?;
-        Ok(Table::from_rows(rows.into_iter().map(|r| {
-            let RowJson {
-                x,
-                y,
-                truth,
-                ncl,
-                alive,
-            } = r;
-            (Row { x, y, truth, ncl }, alive)
-        })))
-    }
-}
-
 impl Table {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A table over a row log, its indexes empty.
-    fn from_rows(rows: impl IntoIterator<Item = (Row, bool)>) -> Table {
+    /// A table over a row log in physical order — each row's `x`, `y`,
+    /// truth flag, NCL and whether it is alive — with its indexes built:
+    /// what both snapshot readers restore. A live row flagged false is
+    /// refused; the store never holds one.
+    pub fn from_rows(
+        rows: impl IntoIterator<Item = (Value, Value, Truth, BTreeSet<NcId>, bool)>,
+    ) -> Result<Table> {
+        let rows = rows.into_iter();
         let mut t = Table::default();
-        let rows: Vec<Row> = rows
-            .into_iter()
-            .map(|(row, alive)| {
-                t.push_alive(alive);
-                row
-            })
-            .collect();
-        t.chunks = chunked(rows);
-        t
+        let mut log = Vec::with_capacity(rows.size_hint().0);
+        for (x, y, truth, ncl, alive) in rows {
+            if alive && truth == Truth::False {
+                return Err(FdbError::Parse {
+                    line: 0,
+                    message: format!("live row <{x}, {y}> is flagged F"),
+                });
+            }
+            t.push_alive(alive);
+            log.push(Row { x, y, truth, ncl });
+        }
+        t.chunks = chunked(log);
+        t.rebuild_index();
+        Ok(t)
     }
 
     /// Every row in physical order with its alive flag, tombstones
@@ -623,19 +581,21 @@ impl Table {
         }
     }
 
-    /// Reads a table written by [`Table::encode`]. The lookup indexes are
-    /// left empty: call [`Table::rebuild_index`].
+    /// Reads a table written by [`Table::encode`].
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Table> {
         let len = r.count(Row::MIN_ENCODED)?;
         let mut rows = Vec::with_capacity(len);
         for _ in 0..len {
             rows.push(Row::decode(r)?);
         }
-        Ok(Table::from_rows(rows))
+        Table::from_rows(
+            rows.into_iter()
+                .map(|(Row { x, y, truth, ncl }, alive)| (x, y, truth, ncl, alive)),
+        )
     }
 
-    /// Rebuilds the lookup indexes from the row log (after deserialising).
-    pub fn rebuild_index(&mut self) {
+    /// Rebuilds the lookup indexes from the row log.
+    fn rebuild_index(&mut self) {
         self.index.clear();
         self.by_x.clear();
         self.by_y.clear();
@@ -1197,17 +1157,19 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_after_serde() {
-        let mut t = Table::new();
-        t.insert(v("a"), v("b"));
-        t.insert(v("c"), v("d"));
-        t.remove(&v("a"), &v("b"));
-        let json = serde_json::to_string(&t).unwrap();
-        let mut back: Table = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert!(back.contains(&v("c"), &v("d")));
-        assert!(!back.contains(&v("a"), &v("b")));
-        assert_eq!(back.len(), 1);
+    fn from_rows_builds_the_indexes_and_refuses_a_live_false_row() {
+        let row = |x: &str, truth, alive| (v(x), v("y"), truth, BTreeSet::new(), alive);
+        let t = Table::from_rows([
+            row("a", Truth::True, false),
+            row("c", Truth::Ambiguous, true),
+            row("d", Truth::False, false),
+        ])
+        .unwrap();
+        assert!(t.contains(&v("c"), &v("y")));
+        assert!(!t.contains(&v("a"), &v("y")));
+        assert_eq!((t.len(), t.tombstones()), (1, 2));
+        assert_eq!(t.rows_with_y(&v("y")).collect::<Vec<_>>(), vec![1]);
+        assert!(Table::from_rows([row("a", Truth::False, true)]).is_err());
     }
 
     /// A write to a clone copies the chunk, bitmap block and deltas it

@@ -5,10 +5,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Truth value of a fact under the paper's three-valued logic.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Truth {
     /// The fact is known false. Base facts absent from the database are
     /// false; stored facts are never flagged false (they are removed

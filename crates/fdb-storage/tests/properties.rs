@@ -615,27 +615,20 @@ fn endpoint(prefix: &str, k: u16, null: bool) -> Value {
 struct Harness {
     store: Store,
     model: flat::Model,
-    policy: fdb_storage::CompactionPolicy,
     /// The model at `BEGIN`, and whether a delete deferred a compaction.
     txn: Option<(flat::Model, bool)>,
     /// Savepoints: the store's journal mark and the model there.
     marks: Vec<(usize, flat::Model)>,
-    /// Snapshots with their model and encoded bytes when taken.
-    snapshots: Vec<(fdb_storage::Snapshot, flat::Model, Vec<u8>)>,
+    /// Snapshots (store clones) with their model and encoded bytes when
+    /// taken.
+    snapshots: Vec<(Store, flat::Model, Vec<u8>)>,
 }
 
 impl Harness {
     fn new(seed: u64) -> Harness {
-        let mut store = Store::new(1);
-        let policy = fdb_storage::CompactionPolicy {
-            tombstone_fraction: 0.25,
-            min_tombstones: 24,
-        };
-        store.set_compaction_policy(policy);
         let mut h = Harness {
-            store,
+            store: Store::new(1),
             model: flat::Model::new(),
-            policy,
             txn: None,
             marks: Vec::new(),
             snapshots: Vec::new(),
@@ -654,15 +647,25 @@ impl Harness {
                 null: (k % 97) as u8,
             });
         }
+        // Then down to 160 live rows, compacting on the way, and 63
+        // tombstones: a stream that deletes one more row crosses the
+        // auto-compaction threshold (64 tombstones, more than half the
+        // live rows).
+        while h.model.live().count() > 160 {
+            h.apply(&TableOp::Delete { pick: 0 });
+        }
+        h.apply(&TableOp::Compact);
+        for _ in 0..63 {
+            h.apply(&TableOp::Delete { pick: 0 });
+        }
+        h.apply(&TableOp::Snapshot);
         h
     }
 
     fn maybe_compact(&mut self) {
         let dead = self.model.dead();
         let live = self.model.rows.len() - dead;
-        if dead >= self.policy.min_tombstones
-            && dead as f64 > self.policy.tombstone_fraction * live as f64
-        {
+        if dead >= 64 && dead as f64 > 0.5 * live as f64 {
             self.model.compact();
         }
     }
@@ -737,7 +740,7 @@ impl Harness {
                 self.marks.clear();
             }
             TableOp::Snapshot if self.txn.is_none() => {
-                let snap = self.store.snapshot();
+                let snap = self.store.clone();
                 let mut bytes = Vec::new();
                 snap.encode(&mut bytes);
                 self.snapshots.push((snap, self.model.clone(), bytes));
@@ -792,7 +795,7 @@ impl Harness {
             if let Some(diff) = model.differs_from(snap.table(T)) {
                 return Err(TestCaseError::fail(format!("snapshot {n}: {diff}")));
             }
-            coverage_matches_the_scan(snap.store(), n as u64)?;
+            coverage_matches_the_scan(snap, n as u64)?;
         }
         Ok(())
     }

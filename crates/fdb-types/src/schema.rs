@@ -119,12 +119,6 @@ impl Schema {
         &self.types
     }
 
-    /// Mutable access to the type registry (used by the language layer to
-    /// pre-intern compound types).
-    pub fn types_mut(&mut self) -> &mut TypeRegistry {
-        &mut self.types
-    }
-
     /// The name of an object type.
     pub fn type_name(&self, id: TypeId) -> &str {
         self.types.name(id)

@@ -160,14 +160,6 @@ impl Value {
         matches!(self, Value::Null(_))
     }
 
-    /// Returns the atom content if this value is an atom.
-    pub fn as_atom(&self) -> Option<&Atom> {
-        match self {
-            Value::Atom(a) => Some(a),
-            Value::Null(_) => None,
-        }
-    }
-
     /// Appends the value's binary snapshot form: a tag byte, then the
     /// atom's length-prefixed text or the null's index.
     pub fn encode(&self, out: &mut Vec<u8>) {

@@ -3,17 +3,89 @@
 //! evaluation through `fdb::exec` against the reference interpreter
 //! `fdb::storage::chain`, per-pair truth queries and all; the golden
 //! tests (`check_golden.rs`, `check_data.rs`, `statement_matrix.rs`) run
-//! script fixtures through the language engine.
+//! script fixtures through the language engine; the state comparisons
+//! (`assert_same_store`, `assert_same_database`) hold two states to
+//! equal snapshot bytes and equal structure.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
 use std::collections::BTreeSet;
 
+use fdb::core::{Database, InsertPolicy};
 use fdb::governor::Governor;
 use fdb::lang::Engine;
-use fdb::storage::{chain, ChainLimits, DerivedPair, Store, Truth};
-use fdb::types::{Derivation, Op, Value};
+use fdb::storage::chain::DeletePolicy;
+use fdb::storage::{chain, ChainLimits, DerivedPair, Fact, NcId, Store, Truth};
+use fdb::types::{Derivation, FunctionId, Op, Value};
+
+/// One live row: its index, `x`, `y`, truth flag and NCL.
+type LiveRow = (usize, Value, Value, Truth, Vec<NcId>);
+
+/// What a store holds, read through its public accessors: per table the
+/// live rows and the tombstone count, every NC's conjuncts, and the null
+/// watermark.
+#[derive(Debug, PartialEq)]
+pub struct StoreStructure {
+    tables: Vec<(Vec<LiveRow>, usize)>,
+    ncs: Vec<(NcId, Vec<Fact>)>,
+    null_watermark: u64,
+}
+
+pub fn store_structure(store: &Store) -> StoreStructure {
+    let tables = (0..store.table_count())
+        .map(|f| {
+            let table = store.table(FunctionId(f as u32));
+            let rows = table
+                .live_indices()
+                .map(|i| {
+                    let row = table.row(i).expect("a live index has a row");
+                    let ncl = row.ncl.iter().copied().collect();
+                    (i, row.x.clone(), row.y.clone(), row.truth, ncl)
+                })
+                .collect();
+            (rows, table.tombstones())
+        })
+        .collect();
+    StoreStructure {
+        tables,
+        ncs: store.ncs().iter().map(|(id, c)| (id, c.to_vec())).collect(),
+        null_watermark: store.nulls().watermark(),
+    }
+}
+
+/// `Store::encode` bytes.
+pub fn store_bytes(store: &Store) -> Vec<u8> {
+    let mut out = Vec::new();
+    store.encode(&mut out);
+    out
+}
+
+/// Asserts that two stores encode to the same bytes and hold the same
+/// structure.
+pub fn assert_same_store(a: &Store, b: &Store, context: &str) {
+    assert_eq!(store_bytes(a), store_bytes(b), "store bytes: {context}");
+    assert_eq!(store_structure(a), store_structure(b), "store: {context}");
+}
+
+/// Asserts that two databases snapshot to the same bytes and hold the
+/// same store, limits and policies.
+pub fn assert_same_database(a: &Database, b: &Database, context: &str) {
+    assert_eq!(
+        a.to_snapshot().expect("snapshot"),
+        b.to_snapshot().expect("snapshot"),
+        "snapshot bytes: {context}"
+    );
+    assert_same_store(a.store(), b.store(), context);
+    let settings = |db: &Database| -> (usize, DeletePolicy, InsertPolicy) {
+        (
+            db.chain_limits().max_chains,
+            db.delete_policy(),
+            db.insert_policy(),
+        )
+    };
+    assert_eq!(settings(a), settings(b), "limits and policies: {context}");
+}
 
 /// Runs the script fixture at `path` through a fresh engine, line by
 /// line, and returns the engine with the last statement's output. Any

@@ -30,8 +30,8 @@ use std::sync::Arc;
 
 use fdb_core::wal::{frame_crc, raw_frame, scan, Frames, WAL_MAGIC};
 use fdb_core::{
-    read_checkpoint, Database, DurabilityConfig, LoggedDatabase, SimDisk, SyncPolicy, Update,
-    WalStorage,
+    install_checkpoint, read_checkpoint, CheckpointInfo, Database, DurabilityConfig,
+    LoggedDatabase, SimDisk, SyncPolicy, Update, WalStorage,
 };
 use fdb_repl::{ApplyOutcome, Replica, ReplicationSource};
 use fdb_types::{Derivation, Functionality, Schema, Step, Value};
@@ -745,35 +745,29 @@ fn checkpoint_bit_flips_never_load_a_different_database() {
     assert_eq!(recovered.database().to_snapshot().unwrap(), live);
 }
 
-/// `checkpoint.snap` as versions before the binary layout wrote it.
-#[derive(serde::Serialize)]
-struct JsonCheckpoint {
-    seq: u64,
-    snapshot: String,
-    term: u64,
-}
+/// The `checkpoint.snap` a version before the binary layout installed
+/// in `checkpointed_directory(_, 3)`: the database as a JSON document,
+/// embedded as a string in a second one. Recorded with that database's
+/// binary snapshot, and the directory's state after its three tail
+/// records.
+const JSON_CHECKPOINT: &str = include_str!("fixtures/legacy/crash_matrix_checkpoint.json");
+const JSON_CHECKPOINT_STATE: &[u8] = include_bytes!("fixtures/legacy/crash_matrix_checkpoint.snap");
+const JSON_CHECKPOINT_LIVE: &[u8] = include_bytes!("fixtures/legacy/crash_matrix_live.snap");
 
 #[test]
 fn checkpoint_in_the_json_layout_opens_seeds_and_upgrades() {
     let disk = Arc::new(SimDisk::new());
     let live = checkpointed_directory(&disk, 3);
+    assert_eq!(live, JSON_CHECKPOINT_LIVE);
     let storage: Arc<dyn WalStorage> = disk.clone();
 
-    // Rewrite the installed checkpoint the way the previous version
-    // laid it out: the database through its serde derive, embedded as a
-    // string in a second JSON document.
+    // Replace the installed checkpoint by the JSON one of the same state.
     let info = read_checkpoint(storage.as_ref(), &dir()).unwrap().unwrap();
-    let at_checkpoint = Database::from_snapshot(&info.snapshot).unwrap();
-    let doc = serde_json::to_string(&JsonCheckpoint {
-        seq: info.seq,
-        snapshot: serde_json::to_string(&at_checkpoint).unwrap(),
-        term: info.term,
-    })
-    .unwrap();
-    assert!(doc.starts_with("{\"seq\":") && doc.contains("\\\"schema\\\""));
+    assert_eq!(info.snapshot, JSON_CHECKPOINT_STATE);
+    assert!(JSON_CHECKPOINT.starts_with(&format!("{{\"seq\":{},", info.seq)));
     disk.create(&checkpoint_path())
         .unwrap()
-        .append(doc.as_bytes())
+        .append(JSON_CHECKPOINT.as_bytes())
         .unwrap();
 
     // It opens to the same state…
@@ -811,6 +805,66 @@ fn checkpoint_in_the_json_layout_opens_seeds_and_upgrades() {
     let (reopened, report) = LoggedDatabase::open_with(storage, dir(), config).unwrap();
     assert_eq!(report.applied, 0);
     assert_eq!(reopened.database().to_snapshot().unwrap(), live);
+}
+
+/// Opens the directory `checkpointed_directory(_, 3)` left, with its
+/// checkpoint replaced by `bytes`.
+fn open_with_checkpoint(bytes: &[u8]) -> fdb_types::Result<LoggedDatabase> {
+    let disk = Arc::new(SimDisk::new());
+    checkpointed_directory(&disk, 3);
+    disk.create(&checkpoint_path())
+        .unwrap()
+        .append(bytes)
+        .unwrap();
+    let storage: Arc<dyn WalStorage> = disk;
+    LoggedDatabase::open_with(storage, dir(), DurabilityConfig::default()).map(|(ldb, _)| ldb)
+}
+
+/// A legacy JSON checkpoint carries no checksum, so an edited NCL id
+/// reaches the snapshot reader, which refuses the NC/NCL duality break:
+/// the open fails as it does on a checksum mismatch.
+#[test]
+fn json_checkpoint_with_an_edited_ncl_is_refused_as_corrupt() {
+    assert!(open_with_checkpoint(JSON_CHECKPOINT.as_bytes()).is_ok());
+    let edited = JSON_CHECKPOINT.replacen(r#"\"ncl\":[1]"#, r#"\"ncl\":[2]"#, 1);
+    assert_ne!(edited, JSON_CHECKPOINT);
+    let err = open_with_checkpoint(edited.as_bytes())
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("checkpoint.snap") && err.contains("corrupt:") && err.contains("duality"),
+        "{err}"
+    );
+}
+
+/// A binary checkpoint whose snapshot was edited and re-sealed — both
+/// checksums recomputed — so that an NCL entry names no NC is refused
+/// the same way (`snapshot::tests` covers the other impossible states).
+#[test]
+fn resealed_binary_checkpoint_with_an_edited_ncl_is_refused_as_corrupt() {
+    let disk = Arc::new(SimDisk::new());
+    checkpointed_directory(&disk, 3);
+    let info = read_checkpoint(disk.as_ref(), &dir()).unwrap().unwrap();
+    // The row `teach(euclid, math)`: two atoms, flags 0b011 (ambiguous,
+    // alive), an NCL of one id, g1 — made g2.
+    let row = [&[0, 6][..], b"euclid", &[0, 4], b"math", &[0b011, 1, 1]].concat();
+    let at = info
+        .snapshot
+        .windows(row.len())
+        .position(|w| w == row.as_slice())
+        .expect("the row is in the snapshot");
+    let mut snapshot = info.snapshot.clone();
+    snapshot[at + row.len() - 1] = 2;
+    let body = snapshot.len() - 4;
+    let crc = fdb_core::wal::crc32(&snapshot[..body]);
+    snapshot[body..].copy_from_slice(&crc.to_le_bytes());
+    install_checkpoint(disk.as_ref(), &dir(), &CheckpointInfo { snapshot, ..info }).unwrap();
+    let storage: Arc<dyn WalStorage> = disk;
+    let err = LoggedDatabase::open_with(storage, dir(), DurabilityConfig::default())
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("corrupt:") && err.contains("duality"), "{err}");
 }
 
 // ---------------------------------------------------------------------

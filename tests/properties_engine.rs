@@ -1,7 +1,8 @@
 //! Cross-crate, engine-level property tests: random update streams driven
 //! through the full stack must preserve consistency, snapshot round-trip
-//! fidelity (the binary codec against the serde derive it replaced, and
-//! against damaged bytes), WAL-replay equivalence and transaction
+//! fidelity (bytes and structure, and against damaged bytes; the legacy
+//! JSON form is held to recorded bytes in `legacy_snapshots.rs`),
+//! WAL-replay equivalence and transaction
 //! atomicity; the language engine's three derived reads must agree
 //! with each other and with the database after every statement of a
 //! random script; and a session's `CHECK` is `fdb-lint` of the lines
@@ -21,6 +22,8 @@ use fdb::storage::Truth;
 use fdb::types::FdbError;
 use fdb::types::{Derivation, Schema, Step, Value};
 use fdb::workload::{update_stream, UpdateStreamConfig};
+
+mod common;
 
 fn university() -> Database {
     let schema = Schema::builder()
@@ -64,14 +67,6 @@ fn grading() -> Database {
     )
     .unwrap();
     db
-}
-
-/// The database the serde derive — the snapshot format before the
-/// binary codec, kept as its oracle — makes of `db`.
-fn json_round_trip(db: &Database) -> Database {
-    let mut back: Database = serde_json::from_str(&serde_json::to_string(db).unwrap()).unwrap();
-    back.rebuild_index();
-    back
 }
 
 fn stream_for(db: &Database, seed: u64, length: usize) -> Vec<Update> {
@@ -415,14 +410,16 @@ proptest! {
         prop_assert_eq!(db.stats(), restored.stats());
     }
 
-    /// The binary snapshot is the serde round trip, field for field, on
-    /// states that have seen everything a store can hold: base and derived
-    /// inserts and deletes (NCs, NVC nulls, tombstones), an aborted
-    /// transaction, null substitution, and enough churn on one table to
-    /// cross the auto-compaction threshold (or, below 64, to leave its
-    /// tombstones in place). Equal states encode to equal bytes.
+    /// A binary snapshot restores the same bytes and the same structure —
+    /// every live row with its flag and NCL, the tombstones, the NCs, the
+    /// null watermark, the limits and policies — on states that have seen
+    /// everything a store can hold: base and derived inserts and deletes
+    /// (NCs, NVC nulls, tombstones), an aborted transaction, null
+    /// substitution, and enough churn on one table to cross the
+    /// auto-compaction threshold (or, below 64, to leave its tombstones in
+    /// place). Equal states encode to equal bytes.
     #[test]
-    fn binary_snapshot_equals_the_serde_round_trip(
+    fn binary_snapshot_round_trip_keeps_bytes_and_structure(
         seed in 0u64..10_000,
         len in 0usize..80,
         churn in 0usize..90,
@@ -449,14 +446,8 @@ proptest! {
 
         let bytes = db.to_snapshot().unwrap();
         let restored = Database::from_snapshot(&bytes).unwrap();
-        let oracle = json_round_trip(&db);
-        prop_assert_eq!(
-            serde_json::to_string(&restored).unwrap(),
-            serde_json::to_string(&oracle).unwrap()
-        );
+        common::assert_same_database(&restored, &db, &format!("seed {seed}"));
         prop_assert_eq!(restored.stats(), db.stats());
-        prop_assert_eq!(&restored.to_snapshot().unwrap(), &bytes);
-        prop_assert_eq!(&oracle.to_snapshot().unwrap(), &bytes);
         prop_assert_eq!(&db.clone().to_snapshot().unwrap(), &bytes);
     }
 

@@ -17,6 +17,8 @@ use fdb::core::{
 };
 use fdb::types::{Functionality, Schema, Value};
 
+mod common;
+
 fn v(s: &str) -> Value {
     Value::atom(s)
 }
@@ -77,10 +79,7 @@ proptest! {
         let pin = shared.pin();
         // The old read path: full exclusion, observing the live database.
         let exclusive = shared.write(|db| db.clone()).unwrap();
-        prop_assert_eq!(
-            serde_json::to_string(pin.store()).unwrap(),
-            serde_json::to_string(exclusive.store()).unwrap()
-        );
+        common::assert_same_store(pin.store(), exclusive.store(), &format!("seed {seed}"));
         prop_assert_eq!(pin.version(), exclusive.store().version());
         for _ in 0..20 {
             let f = if rng.gen_range(0..2u32) == 0 { "teach" } else { "class_list" };
@@ -119,10 +118,7 @@ proptest! {
             random_op(&replay, &mut rng);
         }
         let replayed = replay.pin();
-        prop_assert_eq!(
-            serde_json::to_string(pin.store()).unwrap(),
-            serde_json::to_string(replayed.store()).unwrap()
-        );
+        common::assert_same_store(pin.store(), replayed.store(), &format!("seed {seed}"));
     }
 
     /// The grouped write path appends byte-identical WAL frames (and

@@ -261,11 +261,7 @@ proptest! {
                 &mut s2, &derivations, &target.x, &target.y, policy, limits,
             );
             prop_assert_eq!(&ncs_interp, &ncs_exec, "NC ids diverged on seed {}", seed);
-            prop_assert_eq!(
-                serde_json::to_string(&s1).expect("store serializes"),
-                serde_json::to_string(&s2).expect("store serializes"),
-                "stores diverged on seed {}", seed,
-            );
+            common::assert_same_store(&s1, &s2, &format!("stores diverged on seed {seed}"));
         }
     }
 
