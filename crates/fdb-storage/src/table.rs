@@ -32,10 +32,9 @@
 //! ([`Table::from_rows`]), which builds the indexes; only compaction
 //! rebuilds them after that.
 
-use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use fdb_types::codec::{put_uint, Reader};
@@ -169,46 +168,6 @@ fn shared<T>(piece: &Arc<T>) -> bool {
     Arc::strong_count(piece) > 1
 }
 
-/// A `(x, y)` key borrowed from two values, so the pair index is probed
-/// without cloning (and later dropping) both.
-trait PairKey {
-    fn pair(&self) -> (&Value, &Value);
-}
-
-impl PairKey for (Value, Value) {
-    fn pair(&self) -> (&Value, &Value) {
-        (&self.0, &self.1)
-    }
-}
-
-impl PairKey for (&Value, &Value) {
-    fn pair(&self) -> (&Value, &Value) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn PairKey + 'a> for (Value, Value) {
-    fn borrow(&self) -> &(dyn PairKey + 'a) {
-        self
-    }
-}
-
-/// Hashes as the owned tuple does: a tuple hashes its fields in order,
-/// and `&Value` hashes as `Value`.
-impl Hash for dyn PairKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.pair().hash(state);
-    }
-}
-
-impl PartialEq for dyn PairKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.pair() == other.pair()
-    }
-}
-
-impl Eq for dyn PairKey + '_ {}
-
 /// How a delta entry folds into the base entry under the same key.
 trait Fold {
     fn fold(&mut self, later: Self);
@@ -305,24 +264,24 @@ impl Layered<(Value, Value), usize> {
     /// Candidate rows of `(x, y)`: the base's (possibly tombstoned) and
     /// the delta's.
     fn get(&self, x: &Value, y: &Value) -> [Option<usize>; 2] {
-        let key: &dyn PairKey = &(x, y);
+        let key = (x.clone(), y.clone());
         let delta = if self.delta.is_empty() {
             None
         } else {
-            self.delta.get(key).copied()
+            self.delta.get(&key).copied()
         };
-        [self.base.get(key).copied(), delta]
+        [self.base.get(&key).copied(), delta]
     }
 
     /// Drops the entry of the live row `i` under `key` where a write may:
     /// from the delta, or from the base if no snapshot shares it. A base
     /// entry a snapshot shares stays, tombstoned by the row.
     fn forget(&mut self, x: &Value, y: &Value, i: usize) {
-        let key: &dyn PairKey = &(x, y);
-        if self.delta.get(key) == Some(&i) {
-            detach(&mut self.delta).remove(key);
+        let key = (x.clone(), y.clone());
+        if self.delta.get(&key) == Some(&i) {
+            detach(&mut self.delta).remove(&key);
         } else if !shared(&self.base) {
-            detach(&mut self.base).remove(key);
+            detach(&mut self.base).remove(&key);
         }
     }
 

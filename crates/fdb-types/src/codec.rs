@@ -27,8 +27,14 @@ pub fn put_uint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Appends `s` as its byte length followed by its bytes.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_uint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
+}
+
+/// Appends `b` as its length followed by its bytes: the form of
+/// [`put_str`], for text the caller already holds as UTF-8 bytes.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_uint(out, b.len() as u64);
+    out.extend_from_slice(b);
 }
 
 /// A cursor over encoded bytes. Every method fails — never panics — on

@@ -11,44 +11,165 @@
 //! non-null and are the same data item, or both are null values with the
 //! same index.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
-use crate::codec::{put_str, put_uint, Reader};
+use crate::codec::{put_bytes, put_uint, Reader};
 use crate::error::Result;
 
-/// An interned immutable data atom (a non-null object identifier).
+/// The longest atom, in bytes, held inside its [`Value`].
+const INLINE_BYTES: usize = 14;
+
+/// An immutable data atom (a non-null object identifier).
 ///
-/// Atoms are cheap to clone (`Arc<str>`), compare by string content, and
-/// hash by content so that structurally equal atoms coming from different
-/// sources behave identically.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct Atom(Arc<str>);
+/// An atom of up to 14 bytes is held inline: it is cloned by copying, and
+/// compared, hashed and printed without a heap dereference or a reference
+/// count. A longer one shares its text behind an `Arc<String>`, a thin
+/// pointer that keeps a `Value` at 16 bytes but costs two allocations to
+/// build and two pointer hops to read. The form depends only on the
+/// length, so equal atoms always have the same form. Atoms compare and
+/// order by their text, and equal texts hash alike.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Atom(Repr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline(Inline),
+    Shared(Arc<String>),
+}
+
+/// The length of an inline atom. The byte values it never takes are where
+/// `Repr` and `Value` keep their variant, so that a `Value` is 16 bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum InlineLen {
+    L0,
+    L1,
+    L2,
+    L3,
+    L4,
+    L5,
+    L6,
+    L7,
+    L8,
+    L9,
+    L10,
+    L11,
+    L12,
+    L13,
+    L14,
+}
+
+const INLINE_LENS: [InlineLen; INLINE_BYTES + 1] = {
+    use InlineLen::*;
+    [
+        L0, L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11, L12, L13, L14,
+    ]
+};
+
+/// An inline atom's text is `bytes[..len]` and the bytes after it are
+/// zero, so equal texts are equal bytes. `repr(C)` keeps the length byte
+/// first, so that the pointer of `Repr::Shared` and the index of
+/// `Value::Null` fit in the 8 bytes after it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+struct Inline {
+    len: InlineLen,
+    bytes: [u8; INLINE_BYTES],
+}
+
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
+impl Inline {
+    fn text(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len as usize])
+            .expect("an inline atom holds the bytes of a whole `str`")
+    }
+
+    /// The zero-padded text, then the length, read as one big-endian
+    /// number. Keys order as the texts do: a pad byte is never greater
+    /// than a text byte, and two texts that pad to the same bytes differ
+    /// only in trailing zero bytes, so the shorter is a prefix of the
+    /// longer.
+    fn key(&self) -> u128 {
+        let mut k = [0u8; 16];
+        k[..INLINE_BYTES].copy_from_slice(&self.bytes);
+        k[15] = self.len as u8;
+        u128::from_be_bytes(k)
+    }
+}
 
 impl Atom {
     /// Creates an atom from any string-like input.
     pub fn new(s: impl AsRef<str>) -> Self {
-        Atom(Arc::from(s.as_ref()))
+        let s = s.as_ref();
+        Atom::inline(s).unwrap_or_else(|| Atom(Repr::Shared(Arc::new(s.to_owned()))))
+    }
+
+    fn inline(s: &str) -> Option<Atom> {
+        let len = *INLINE_LENS.get(s.len())?;
+        let mut bytes = [0u8; INLINE_BYTES];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Some(Atom(Repr::Inline(Inline { len, bytes })))
     }
 
     /// Returns the atom's textual content.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Inline(i) => i.text(),
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The text's bytes, without the UTF-8 check `as_str` makes of an
+    /// inline atom: what the snapshot and log encoders write.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(i) => &i.bytes[..i.len as usize],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl Ord for Atom {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => a.key().cmp(&b.key()),
+            _ => self.as_str().cmp(other.as_str()),
+        }
+    }
+}
+
+impl PartialOrd for Atom {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// An inline atom hashes its key, a shared one its text: an inline atom
+/// never equals a shared one, so equal atoms hash alike.
+impl Hash for Atom {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match &self.0 {
+            Repr::Inline(i) => state.write_u128(i.key()),
+            Repr::Shared(s) => s.hash(state),
+        }
     }
 }
 
 impl fmt::Debug for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
+        write!(f, "{:?}", self.as_str())
     }
 }
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -60,7 +181,20 @@ impl From<&str> for Atom {
 
 impl From<String> for Atom {
     fn from(s: String) -> Self {
-        Atom(Arc::from(s))
+        Atom::inline(&s).unwrap_or_else(|| Atom(Repr::Shared(Arc::new(s))))
+    }
+}
+
+/// An atom's JSON form is its text.
+impl Serialize for Atom {
+    fn to_content(&self) -> Content {
+        self.as_str().to_content()
+    }
+}
+
+impl Deserialize for Atom {
+    fn from_content(c: &Content) -> std::result::Result<Self, DeError> {
+        String::from_content(c).map(Atom::from)
     }
 }
 
@@ -141,6 +275,9 @@ impl NullGen {
 }
 
 /// A data value: either a concrete [`Atom`] or a [`NullId`]-indexed null.
+///
+/// 16 bytes: a null's index, or an atom inline or its pointer, after a
+/// byte that tells the three apart.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum Value {
     /// A concrete data item.
@@ -166,7 +303,7 @@ impl Value {
         match self {
             Value::Atom(a) => {
                 out.push(0);
-                put_str(out, a.as_str());
+                put_bytes(out, a.as_bytes());
             }
             Value::Null(n) => {
                 out.push(1);
@@ -265,6 +402,23 @@ mod tests {
     }
 
     #[test]
+    fn an_atom_is_inline_up_to_fourteen_bytes() {
+        for (text, inline) in [
+            ("", true),
+            ("s19999", true),
+            ("abcdefghijklmn", true),
+            ("abcdefghijklmno", false),
+            ("ééééééé", true),
+            ("éééééééé", false),
+        ] {
+            for atom in [Atom::new(text), Atom::from(text.to_owned())] {
+                assert_eq!(matches!(atom.0, Repr::Inline(_)), inline, "{text:?}");
+                assert_eq!(atom.as_str(), text);
+            }
+        }
+    }
+
+    #[test]
     fn null_gen_starts_at_n1_and_is_sequential() {
         let mut g = NullGen::new();
         assert_eq!(g.fresh(), Value::Null(NullId(1)));
@@ -324,6 +478,7 @@ mod tests {
         let values = [
             Value::atom(""),
             Value::atom("[ann; db]"),
+            Value::atom("a shared atom of thirty bytes!"),
             Value::Null(NullId(0)),
             Value::Null(NullId(u64::MAX)),
         ];
@@ -346,9 +501,12 @@ mod tests {
         let s = serde_json::to_string(&v).unwrap();
         let back: Value = serde_json::from_str(&s).unwrap();
         assert_eq!(v, back);
-        let v = Value::atom("gauss");
-        let s = serde_json::to_string(&v).unwrap();
-        let back: Value = serde_json::from_str(&s).unwrap();
-        assert_eq!(v, back);
+        for text in ["gauss", "a shared atom of thirty bytes!"] {
+            let v = Value::atom(text);
+            let s = serde_json::to_string(&v).unwrap();
+            assert_eq!(s, format!("{{\"Atom\":\"{text}\"}}"));
+            let back: Value = serde_json::from_str(&s).unwrap();
+            assert_eq!(v, back);
+        }
     }
 }

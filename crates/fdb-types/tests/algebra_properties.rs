@@ -60,6 +60,34 @@ proptest! {
         }
     }
 
+    /// An atom behaves as its text, on either side of the 14 bytes that
+    /// fit inside a `Value`: equality, order, hash, printing and the
+    /// snapshot bytes are those of the `String` it was made from. The
+    /// class holds one-, two- and three-byte characters and the zero byte
+    /// that pads an inline atom.
+    #[test]
+    fn atoms_behave_as_their_text(
+        a in "[ab\u{0}é€]{0,16}",
+        b in "[ab\u{0}é€]{0,16}",
+    ) {
+        use std::hash::{BuildHasher, RandomState};
+        let (x, y) = (Value::atom(&a), Value::from(b.clone()));
+        prop_assert_eq!(x == y, a == b);
+        prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+        prop_assert!(x < Value::Null(NullId(0)));
+        let hasher = RandomState::new();
+        if a == b {
+            prop_assert_eq!(hasher.hash_one(&x), hasher.hash_one(&y));
+        }
+        prop_assert_eq!(x.to_string(), a.clone());
+        prop_assert_eq!(format!("{x:?}"), format!("Atom({a:?})"));
+        let mut bytes = vec![0];
+        fdb_types::codec::put_str(&mut bytes, &a);
+        let mut encoded = Vec::new();
+        x.encode(&mut encoded);
+        prop_assert_eq!(encoded, bytes);
+    }
+
     /// MatchKind::and is the meet of the Exact > Ambiguous > None chain.
     #[test]
     fn match_combination_laws(
