@@ -50,9 +50,12 @@
 //! [`LogWalk::repair`](crate::wal::LogWalk::repair): it salvages rather
 //! than fails, and the [`RecoveryReport`] says exactly what happened.
 //!
-//! For compatibility, opening a *file* path (rather than a directory)
-//! recovers a legacy single-file log — including v1 plain-JSON logs —
-//! and keeps appending to it in its own format, without checkpoints.
+//! A log is always a directory. Opening a *file* path — a legacy
+//! single-file log, v1 plain JSON or one v2 segment — is refused and
+//! leaves the file as it is: such a log is read in place by [`walk_log`]
+//! or [`replay`](crate::wal::replay), and continued by installing the
+//! recovered state with [`install_checkpoint`] into a directory, then
+//! opening that.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -64,7 +67,8 @@ use crate::storage::{FileStorage, WalStorage};
 use crate::update::Update;
 use crate::wal::{
     apply_record, checkpoint_len, clear_log, initial_term, install_checkpoint, io_err,
-    list_segments, walk_log, CheckpointInfo, LogRecord, RecoveryReport, Wal,
+    list_segments, single_file_is_read_only, walk_log, CheckpointInfo, LogRecord, RecoveryReport,
+    Wal,
 };
 
 /// When appended records are fsynced.
@@ -118,9 +122,6 @@ pub struct LoggedDatabase {
     unsynced: u32,
     /// Data records appended since the last checkpoint.
     since_checkpoint: u64,
-    /// `true` when operating on a legacy single-file log (no rotation,
-    /// no checkpoints).
-    legacy: bool,
     /// Id of the next transaction frame. While the database has a
     /// transaction open, its frame's id is one less.
     next_txn_id: u64,
@@ -170,15 +171,15 @@ impl LoggedDatabase {
             checkpoint_seq: 0,
             unsynced: 0,
             since_checkpoint: 0,
-            legacy: false,
             next_txn_id: 1,
             term: initial_term(),
         })
     }
 
-    /// Recovers the database from an existing log directory (or legacy
-    /// single-file log) and reopens it for appending. Returns the
-    /// recovery report alongside.
+    /// Recovers the database from an existing log directory (created if
+    /// absent) and reopens it for appending. Returns the recovery report
+    /// alongside. A path that names a file is refused, and the file is
+    /// not touched (see the module documentation).
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, RecoveryReport)> {
         LoggedDatabase::open_with(
             Arc::new(FileStorage),
@@ -196,14 +197,12 @@ impl LoggedDatabase {
         let path = path.as_ref();
         let recovery_span =
             fdb_obs::causal::root_span("fdb.recovery.run", || format!("log={}", path.display()));
-        // A file is a legacy single-file log (v1 or single-segment v2):
-        // recovered the same way, continued in its own format.
-        let legacy = storage.is_file(path);
-        if !legacy {
-            storage
-                .create_dir_all(path)
-                .map_err(|e| io_err("create dir", e))?;
+        if storage.is_file(path) {
+            return Err(single_file_is_read_only(path));
         }
+        storage
+            .create_dir_all(path)
+            .map_err(|e| io_err("create dir", e))?;
         let mut walk = walk_log(storage.as_ref(), path)?;
         let mut wal = walk.repair(&storage)?;
         // A frame still open at the end of the log lost its commit to
@@ -229,7 +228,6 @@ impl LoggedDatabase {
                 checkpoint_seq: report.checkpoint_seq.unwrap_or(0),
                 unsynced: 0,
                 since_checkpoint: 0,
-                legacy,
                 term,
             },
             report,
@@ -247,7 +245,7 @@ impl LoggedDatabase {
         self.db
     }
 
-    /// The log directory (or the legacy file's parent).
+    /// The log directory.
     pub fn dir(&self) -> &Path {
         self.wal.dir()
     }
@@ -376,7 +374,7 @@ impl LoggedDatabase {
     /// Rotation / checkpoint housekeeping, deferred while a transaction
     /// frame is open so a frame never straddles a checkpoint.
     fn maintain(&mut self) -> Result<()> {
-        if self.legacy || self.db.txn_active() {
+        if self.db.txn_active() {
             return Ok(());
         }
         if self.wal.len() >= self.config.segment_max_bytes {
@@ -423,15 +421,7 @@ impl LoggedDatabase {
     /// Takes a checkpoint now: syncs the log, writes the full snapshot
     /// to a temp file, atomically installs it (rename + directory sync),
     /// then removes the segments it covers.
-    ///
-    /// Legacy single-file logs cannot checkpoint.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.legacy {
-            return Err(FdbError::Internal(
-                "wal: legacy single-file log cannot checkpoint; migrate to a log directory"
-                    .to_owned(),
-            ));
-        }
         if self.db.txn_active() {
             return Err(FdbError::TxnControl(
                 "cannot checkpoint inside an open transaction".to_owned(),
@@ -1069,12 +1059,15 @@ mod tests {
         assert_eq!(disk.syncs() - baseline, 2);
     }
 
+    /// A v1 file is recovered where it lies and continued in a
+    /// directory: walk it, install what it holds as the directory's
+    /// checkpoint, open the directory.
     #[test]
     fn legacy_v1_file_recovers_and_continues() {
         let disk = Arc::new(SimDisk::new());
+        let storage: Arc<dyn WalStorage> = disk.clone();
         let path = PathBuf::from("/legacy/old.log");
-        let mut f = disk.create(&path).unwrap();
-        for record in [
+        let records = [
             LogRecord::Declare {
                 name: "f".into(),
                 domain: "a".into(),
@@ -1086,24 +1079,79 @@ mod tests {
                 x: v("x"),
                 y: v("y1"),
             },
-        ] {
-            let mut line = serde_json::to_string(&record).unwrap().into_bytes();
-            line.push(b'\n');
-            f.append(&line).unwrap();
+        ];
+        let bytes = crate::wal::legacy::json::v1_file(&records);
+        disk.create(&path).unwrap().append(&bytes).unwrap();
+        let mut live = Database::new(fdb_types::Schema::new());
+        for record in &records {
+            apply_record(&mut live, record).unwrap();
         }
-        drop(f);
+
+        let walk = walk_log(disk.as_ref(), &path).unwrap();
+        let (seq, term) = (walk.next_seq - 1, walk.term);
+        let (recovered, report) = walk.finish().unwrap();
+        assert_eq!(report.applied, 2);
+        assert_eq!(
+            recovered.to_snapshot().unwrap(),
+            live.to_snapshot().unwrap()
+        );
+        let dir = PathBuf::from("/migrated");
+        storage.create_dir_all(&dir).unwrap();
+        let info = CheckpointInfo {
+            seq,
+            snapshot: recovered.to_snapshot().unwrap(),
+            term,
+        };
+        install_checkpoint(disk.as_ref(), &dir, &info).unwrap();
 
         let (mut ldb, report) =
-            LoggedDatabase::open_with(disk.clone() as _, &path, no_auto_checkpoint()).unwrap();
-        assert_eq!(report.applied, 2);
+            LoggedDatabase::open_with(Arc::clone(&storage), &dir, no_auto_checkpoint()).unwrap();
+        assert_eq!(report.checkpoint_seq, Some(2));
+        assert_eq!(ldb.last_seq(), 2);
         ldb.insert("f", v("x"), v("y2")).unwrap();
-        assert!(ldb.checkpoint().is_err(), "legacy logs cannot checkpoint");
+        ldb.checkpoint().unwrap();
+        let state = ldb.database().to_snapshot().unwrap();
         drop(ldb);
 
-        let (recovered, report) = crate::wal::replay_on(disk.as_ref(), &path).unwrap();
-        assert_eq!(report.applied, 3);
-        let f_id = recovered.resolve("f").unwrap();
-        assert!(recovered.store().table(f_id).contains(&v("x"), &v("y2")));
+        let (reopened, _) = LoggedDatabase::open_with(storage, &dir, no_auto_checkpoint()).unwrap();
+        assert_eq!(reopened.database().to_snapshot().unwrap(), state);
+        let f_id = reopened.database().resolve("f").unwrap();
+        assert!(reopened
+            .database()
+            .store()
+            .table(f_id)
+            .contains(&v("x"), &v("y2")));
+        assert_eq!(
+            disk.read(&path).unwrap(),
+            bytes,
+            "the old file is untouched"
+        );
+    }
+
+    /// A lone v2 segment named by its file path is refused for writing
+    /// too, byte for byte untouched.
+    #[test]
+    fn single_v2_segment_file_is_not_opened_for_writing() {
+        let disk = Arc::new(SimDisk::new());
+        let path = PathBuf::from("/legacy/one.seg");
+        let mut wal = Wal::create_on(disk.clone(), &path, 1).unwrap();
+        wal.append(&LogRecord::TxnBegin { id: 1 }).unwrap();
+        drop(wal);
+        let before = disk.read(&path).unwrap();
+
+        let refused = LoggedDatabase::open_with(disk.clone(), &path, no_auto_checkpoint())
+            .expect_err("a file path is refused")
+            .to_string();
+        assert!(refused.contains("/legacy/one.seg"), "{refused}");
+        assert!(refused.contains("single-file log"), "{refused}");
+        assert_eq!(disk.read(&path).unwrap(), before);
+        assert_eq!(
+            crate::wal::replay_on(disk.as_ref(), &path)
+                .unwrap()
+                .1
+                .last_seq,
+            Some(1)
+        );
     }
 
     #[test]

@@ -54,6 +54,3 @@ pub use wal::{
 pub use fdb_governor::{
     Budget, CancelToken, Governance, Governor, Outcome, StopReason, Ungoverned,
 };
-
-/// Former name of [`RecoveryReport`], kept for source compatibility.
-pub type ReplayReport = RecoveryReport;

@@ -2,14 +2,12 @@
 //! ("in the presence of excessive ambiguous information it is desirable
 //! to quantify the degree of ambiguity").
 
-use serde::{Deserialize, Serialize};
-
 use fdb_storage::Truth;
 
 use crate::database::Database;
 
 /// A snapshot of an instance's size and ambiguity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DatabaseStats {
     /// Live stored (base) facts.
     pub base_facts: usize,

@@ -25,14 +25,17 @@
 //! | legacy payload | the record's JSON (it starts with `{`), as earlier versions wrote it; read, never written |
 //! | checkpoint | `FDBCKPT2`, then `[seq: u64 LE][term: u64 LE][body_len: u64 LE][crc32: u32 LE][body]` — the body is [`Database::to_snapshot`]'s bytes as they are, the CRC covers seq, term, body_len and body; written to `checkpoint.tmp`, fsynced, renamed into place |
 //! | legacy checkpoint | a file starting with `{`: JSON `{seq, snapshot, term}` with the snapshot as an escaped JSON string and no checksum; read, never written — the next checkpoint replaces it |
-//! | legacy file (v1) | newline-delimited plain JSON, one record per line, numbered by position |
+//! | single file (legacy) | a log of one file with no checkpoint: newline-delimited plain JSON (v1), one record per line, numbered by position — or one v2 segment; read, never appended to |
 //!
-//! A path that names a *file* is a one-file log (v1, or a single v2
-//! segment) with no checkpoint; [`Wal::open_append`] on a v1 file keeps
-//! appending v1 lines so a legacy log never becomes mixed-format. The
-//! legacy rows are read by one private module, `legacy`; nothing else
-//! parses or writes record JSON, so a segment whose older frames carry
-//! JSON simply continues with binary ones.
+//! A log directory is the only layout written, and binary v2 frames the
+//! only bytes written into it; a directory's segments are read as v2
+//! only. A single-file log is walked and replayed in place ([`walk_log`],
+//! [`replay`]), but [`LogWalk::repair`] refuses to continue it: recover
+//! it, install the recovered state with [`install_checkpoint`] into a
+//! directory, and open that. The legacy rows are read by one private
+//! module, `legacy`; nothing else parses record JSON and nothing writes
+//! it, so a segment whose older frames carry JSON simply continues with
+//! binary ones.
 //!
 //! # Recovery
 //!
@@ -48,8 +51,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use fdb_types::codec::{put_str, put_uint, Reader};
 use fdb_types::{Derivation, FdbError, Functionality, Result, Step, Value};
 
@@ -59,7 +60,7 @@ use crate::storage::{FileStorage, WalFile, WalStorage};
 pub(crate) mod legacy;
 
 /// One durable log entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogRecord {
     /// `DECLARE name: domain -> range (functionality)`.
     Declare {
@@ -451,11 +452,10 @@ fn put_frame(out: &mut Vec<u8>, seq: u64, record: &LogRecord) -> Result<()> {
 /// Decodes a record payload by its first byte: [`RECORD_FORMAT`] is the
 /// binary layout, `{` the JSON one earlier versions wrote, anything else
 /// is malformed. `Ok(None)` is a record type this version does not know
-/// — a binary payload with an unknown tag, or valid JSON that is not a
-/// [`LogRecord`] — written deliberately by a newer version, to be
-/// skipped rather than treated as corruption. A known tag whose fields
-/// do not fill the payload exactly is malformed. `Err` says what failed
-/// to decode.
+/// — an unknown tag, or a JSON object naming an unknown variant — written
+/// deliberately by a newer version, to be skipped rather than treated as
+/// corruption. A known record whose fields do not read (or, in binary, do
+/// not fill the payload exactly) is malformed. `Err` says what failed.
 pub fn decode_payload(payload: &[u8]) -> std::result::Result<Option<LogRecord>, String> {
     match payload.split_first() {
         Some((&RECORD_FORMAT, body)) => {
@@ -476,15 +476,13 @@ pub fn decode_payload(payload: &[u8]) -> std::result::Result<Option<LogRecord>, 
 
 /// The term a record payload announces, if it is a
 /// [`LogRecord::NewTerm`]: the tag byte decides for a binary payload, so
-/// a data record costs one comparison; a JSON payload goes to the legacy
-/// reader.
+/// a data record costs one comparison; a JSON payload is decoded.
 pub fn payload_term(payload: &[u8]) -> Option<u64> {
     match payload {
-        [RECORD_FORMAT, TAG_NEW_TERM, ..] => match decode_payload(payload) {
+        [RECORD_FORMAT, TAG_NEW_TERM, ..] | [b'{', ..] => match decode_payload(payload) {
             Ok(Some(LogRecord::NewTerm { term })) => Some(term),
             _ => None,
         },
-        [b'{', ..] => legacy::json_term(payload),
         _ => None,
     }
 }
@@ -745,20 +743,9 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-/// The on-disk format of a scanned log file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalFormat {
-    /// Legacy newline-delimited JSON.
-    V1,
-    /// Framed, checksummed, sequence-numbered records.
-    V2,
-}
-
 /// Result of scanning a log file's bytes without applying anything.
 #[derive(Clone, Debug)]
 pub struct Scan {
-    /// Detected format.
-    pub format: WalFormat,
     /// The valid records, in order, with their sequence numbers (v1
     /// records are numbered from `first_seq`).
     pub records: Vec<(u64, LogRecord)>,
@@ -772,23 +759,30 @@ pub struct Scan {
     /// Well-formed records of a type this version does not know (see
     /// [`decode_payload`]) — written by a newer version, skipped with a
     /// warning rather than treated as corruption. Bit rot still halts the
-    /// scan: a v2 frame must pass its CRC, and a v1 line must be valid
-    /// JSON, before it can be "unknown".
+    /// scan: a v2 frame must pass its CRC, and a v1 line must be JSON
+    /// naming a variant, before it can be "unknown".
     pub skipped: usize,
     /// `(seq, crc)` of every intact v2 frame, skipped ones included
     /// (empty for a v1 file, which has no checksums).
     pub frames: Vec<(u64, u32)>,
 }
 
-/// Scans log bytes (either format), salvaging the longest valid prefix.
+/// Scans the bytes of a log file (either format), salvaging the longest
+/// valid prefix: a v2 segment if they start with [`WAL_MAGIC`] (or a cut
+/// piece of it), a v1 file otherwise.
 ///
 /// `first_seq` numbers v1 records (which carry no explicit sequence
 /// numbers) and is the continuity check's expectation for the first v2
 /// record.
 pub fn scan(bytes: &[u8], first_seq: u64) -> Scan {
-    let v2 = bytes.starts_with(WAL_MAGIC) || WAL_MAGIC.starts_with(bytes);
+    scan_log_file(bytes, first_seq, true)
+}
+
+/// [`scan`] of a single log file, or (`single_file` false) of a log
+/// directory's segment, which is v2 only: there, bytes without the magic
+/// header are a flaw at offset 0, never a v1 file.
+fn scan_log_file(bytes: &[u8], first_seq: u64, single_file: bool) -> Scan {
     let mut scan = Scan {
-        format: if v2 { WalFormat::V2 } else { WalFormat::V1 },
         records: Vec::new(),
         valid_len: 0,
         next_seq: first_seq,
@@ -796,15 +790,15 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> Scan {
         skipped: 0,
         frames: Vec::new(),
     };
-    if v2 {
-        scan_v2(bytes, &mut scan);
-    } else {
+    if single_file && !(bytes.starts_with(WAL_MAGIC) || WAL_MAGIC.starts_with(bytes)) {
         legacy::scan_v1(bytes, &mut scan);
+    } else {
+        scan_v2(bytes, &mut scan);
     }
     scan
 }
 
-/// The decoded view of [`Frames`].
+/// The decoded view of [`Frames::segment`].
 fn scan_v2(bytes: &[u8], scan: &mut Scan) {
     let mut frames = Frames::segment(bytes, scan.next_seq);
     while let Some(frame) = frames.next() {
@@ -828,13 +822,11 @@ fn scan_v2(bytes: &[u8], scan: &mut Scan) {
 
 // --------------------------------------------------------------- writer
 
-/// An append-only log file (one v2 segment, or a legacy v1 file being
-/// continued in place). The only writer of log bytes.
+/// An append-only v2 segment. The only writer of log bytes.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
     file: Box<dyn WalFile>,
-    format: WalFormat,
     next_seq: u64,
     len: u64,
     /// Where each append is laid out before it is handed to the file,
@@ -874,7 +866,6 @@ impl Wal {
         Ok(Wal {
             path,
             file,
-            format: WalFormat::V2,
             next_seq: first_seq,
             len: WAL_MAGIC.len() as u64,
             scratch: Vec::new(),
@@ -891,51 +882,13 @@ impl Wal {
         Wal::create_on(storage, dir.join(segment_name(first_seq)), first_seq)
     }
 
-    /// Opens an existing log for appending (creating an empty v2 log if
-    /// absent) on the real filesystem.
-    ///
-    /// The existing contents are scanned: a damaged suffix is truncated
-    /// away (after the valid prefix) so appends never follow garbage, and
-    /// appending continues in the file's own format — a v1 file keeps
-    /// receiving v1 lines.
-    pub fn open_append(path: impl AsRef<Path>) -> Result<Self> {
-        Wal::open_append_on(Arc::new(FileStorage), path.as_ref(), 1)
-    }
-
-    /// [`Wal::open_append`] on an explicit storage; `first_seq` numbers
-    /// the records of a v1 file (and the expected first sequence of v2).
-    pub fn open_append_on(
-        storage: Arc<dyn WalStorage>,
-        path: impl AsRef<Path>,
-        first_seq: u64,
-    ) -> Result<Self> {
-        let path = path.as_ref().to_owned();
-        if !storage.is_file(&path) {
-            return Wal::create_on(storage, &path, first_seq);
-        }
-        let bytes = storage.read(&path).map_err(|e| io_err("read", e))?;
-        let scanned = scan(&bytes, first_seq);
-        if scanned.valid_len < bytes.len() as u64 {
-            storage
-                .truncate(&path, scanned.valid_len)
-                .map_err(|e| io_err("truncate damaged suffix", e))?;
-        }
-        Wal::open_at(
-            storage,
-            path,
-            scanned.format,
-            scanned.valid_len,
-            scanned.next_seq,
-        )
-    }
-
-    /// Opens `path` for appending at a position its reader has already
-    /// established: `valid_len` intact bytes (the file is no longer than
-    /// that) ending just before sequence number `next_seq`.
+    /// Opens the segment `path` for appending at a position its reader
+    /// ([`LogWalk::repair`]) has already established: `valid_len` intact
+    /// bytes (the file is no longer than that) ending just before
+    /// sequence number `next_seq`.
     fn open_at(
         storage: Arc<dyn WalStorage>,
         path: PathBuf,
-        format: WalFormat,
         valid_len: u64,
         next_seq: u64,
     ) -> Result<Self> {
@@ -951,7 +904,6 @@ impl Wal {
         Ok(Wal {
             path,
             file,
-            format,
             next_seq,
             len: valid_len,
             scratch: Vec::new(),
@@ -980,33 +932,25 @@ impl Wal {
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        match self.format {
-            WalFormat::V2 => self.len <= WAL_MAGIC.len() as u64,
-            WalFormat::V1 => self.len == 0,
-        }
+        self.len <= WAL_MAGIC.len() as u64
     }
 
     /// Appends one record and flushes it to the storage layer. Returns
     /// the record's sequence number.
     pub fn append(&mut self, record: &LogRecord) -> Result<u64> {
         let seq = self.next_seq;
-        let format = self.format;
-        self.write_with(|out| match format {
-            WalFormat::V2 => put_frame(out, seq, record),
-            WalFormat::V1 => legacy::push_line(out, record),
-        })?;
+        self.write_with(|out| put_frame(out, seq, record))?;
         Ok(seq)
     }
 
     /// Appends a frame that already exists — one a replica was shipped —
     /// byte for byte as it sits in the log it came from. Refused unless
-    /// it is the next frame of this (v2) log.
+    /// it is the next frame of this log.
     pub fn append_frame(&mut self, seq: u64, crc: u32, payload: &[u8]) -> Result<()> {
-        if self.format != WalFormat::V2 || seq != self.next_seq {
+        if seq != self.next_seq {
             return Err(FdbError::Internal(format!(
-                "wal: frame {seq} cannot follow seq {} of a {:?} log",
+                "wal: frame {seq} cannot follow seq {}",
                 self.next_seq.saturating_sub(1),
-                self.format
             )));
         }
         self.write_with(|out| {
@@ -1530,8 +1474,9 @@ pub struct LogWalk {
     pub report: RecoveryReport,
     /// The path walked: the log directory, or the single log file.
     root: PathBuf,
+    /// `root` is a single log file, which is never appended to.
     single_file: bool,
-    /// The last file walked, where appends continue.
+    /// The last segment walked, where appends continue.
     tail: Option<Tail>,
     /// Segments past the first flaw or past a gap in the numbering.
     unreachable: Vec<PathBuf>,
@@ -1541,7 +1486,6 @@ pub struct LogWalk {
 #[derive(Debug)]
 struct Tail {
     path: PathBuf,
-    format: WalFormat,
     valid_len: u64,
     /// The bytes read beyond `valid_len` (empty for a clean file).
     damaged: Vec<u8>,
@@ -1551,8 +1495,8 @@ struct Tail {
 /// checkpoint, then feeds every segment's records, in order, through one
 /// [`TxnReplayer`] (an open frame may span a segment boundary), tracking
 /// the replication term, and stops at the first flaw. `path` is a log
-/// directory, or a single log file (v1 or v2) walked as a log of one
-/// segment with no checkpoint.
+/// directory, whose segments are read as v2 only, or a single log file
+/// (v1 or v2) walked as a log of one segment with no checkpoint.
 ///
 /// Damage never fails the walk — the flaw is reported in
 /// [`LogWalk::report`]. A record that does not apply is a hard error:
@@ -1597,7 +1541,7 @@ pub fn walk_log(storage: &dyn WalStorage, path: &Path) -> Result<LogWalk> {
         let bytes = storage
             .read(&segment)
             .map_err(|e| io_err("read segment", e))?;
-        let scanned = scan(&bytes, first_seq);
+        let scanned = scan_log_file(&bytes, first_seq, walk.single_file);
         walk.report.segments_scanned += 1;
         walk.report.skipped_records += scanned.skipped;
         for (seq, record) in &scanned.records {
@@ -1623,7 +1567,6 @@ pub fn walk_log(storage: &dyn WalStorage, path: &Path) -> Result<LogWalk> {
         }
         walk.tail = Some(Tail {
             path: segment,
-            format: scanned.format,
             valid_len: scanned.valid_len,
             damaged: bytes[scanned.valid_len as usize..].to_vec(),
         });
@@ -1638,8 +1581,12 @@ impl LogWalk {
     /// and the file truncated to its valid prefix, every unreachable
     /// segment is set aside whole, and the temp file of an interrupted
     /// checkpoint is discarded. A reader that only looks — a replication
-    /// source — never calls this.
+    /// source — never calls this. A walk of a single log file is refused:
+    /// such a log is read, never appended to.
     pub fn repair(&mut self, storage: &Arc<dyn WalStorage>) -> Result<Wal> {
+        if self.single_file {
+            return Err(single_file_is_read_only(&self.root));
+        }
         let disk = storage.as_ref();
         if let Some(tail) = self.tail.as_mut().filter(|t| !t.damaged.is_empty()) {
             let mut q = disk
@@ -1659,25 +1606,19 @@ impl LogWalk {
             disk.rename(&segment, &quarantine_path(&segment))
                 .map_err(|e| io_err("quarantine segment", e))?;
         }
-        if !self.single_file {
-            let tmp = self.root.join(CHECKPOINT_TMP);
-            if disk.is_file(&tmp) {
-                disk.remove(&tmp)
-                    .map_err(|e| io_err("remove stale checkpoint.tmp", e))?;
-            }
-            disk.sync_dir(&self.root)
-                .map_err(|e| io_err("sync dir", e))?;
+        let tmp = self.root.join(CHECKPOINT_TMP);
+        if disk.is_file(&tmp) {
+            disk.remove(&tmp)
+                .map_err(|e| io_err("remove stale checkpoint.tmp", e))?;
         }
-        let (path, format, valid_len) = match &self.tail {
-            Some(tail) => (tail.path.clone(), tail.format, tail.valid_len),
+        disk.sync_dir(&self.root)
+            .map_err(|e| io_err("sync dir", e))?;
+        let (path, valid_len) = match &self.tail {
+            Some(tail) => (tail.path.clone(), tail.valid_len),
             // A directory without segments: the log continues in a fresh one.
-            None => (
-                self.root.join(segment_name(self.next_seq)),
-                WalFormat::V2,
-                0,
-            ),
+            None => (self.root.join(segment_name(self.next_seq)), 0),
         };
-        Wal::open_at(Arc::clone(storage), path, format, valid_len, self.next_seq)
+        Wal::open_at(Arc::clone(storage), path, valid_len, self.next_seq)
     }
 
     /// Ends the recovery where the log ends: a commit still held back is
@@ -1691,6 +1632,17 @@ impl LogWalk {
         observe_recovery(&self.report);
         Ok((self.db, self.report))
     }
+}
+
+/// The refusal to continue a single-file log (v1 JSON lines, or one v2
+/// segment) in place, naming the file and the migration.
+pub(crate) fn single_file_is_read_only(path: &Path) -> FdbError {
+    FdbError::Internal(format!(
+        "wal: {} is a single-file log, which is read but never appended to; \
+         recover it with wal::walk_log or wal::replay, install the state with \
+         wal::install_checkpoint into a log directory, then open that directory",
+        path.display()
+    ))
 }
 
 /// Rebuilds a database by replaying a single log file from scratch.
@@ -1806,6 +1758,24 @@ mod tests {
         PathBuf::from("/wal/test.log")
     }
 
+    fn disk_dir() -> PathBuf {
+        PathBuf::from("/wal/dir")
+    }
+
+    /// The sample records as the first segment of the log in
+    /// [`disk_dir`]; returns the segment's path.
+    fn write_sample_segment(disk: &SimDisk) -> PathBuf {
+        let path = disk_dir().join(segment_name(1));
+        write_sample(disk, &path);
+        path
+    }
+
+    /// `records` as a v1 file at `path`.
+    fn write_v1(disk: &SimDisk, path: &Path, records: &[LogRecord]) {
+        let bytes = legacy::json::v1_file(records);
+        disk.create(path).unwrap().append(&bytes).unwrap();
+    }
+
     #[test]
     fn replay_reconstructs_exact_state() {
         let disk = SimDisk::new();
@@ -1900,13 +1870,7 @@ mod tests {
     fn v1_plain_json_log_still_replays() {
         let disk = SimDisk::new();
         let path = disk_path();
-        let mut f = disk.create(&path).unwrap();
-        for r in sample_records() {
-            let mut line = serde_json::to_string(&r).unwrap().into_bytes();
-            line.push(b'\n');
-            f.append(&line).unwrap();
-        }
-        drop(f);
+        write_v1(&disk, &path, &sample_records());
 
         let (recovered, report) = replay_on(&disk, &path).unwrap();
         assert_eq!(report.applied, 9);
@@ -1924,48 +1888,47 @@ mod tests {
         assert!(report.damaged());
     }
 
+    /// A single-file log is read, never continued: the walk that would
+    /// open it for appending is refused, and its bytes stay as they were.
     #[test]
     fn v1_log_reopened_for_append_stays_v1() {
         let disk = SimDisk::new();
         let path = disk_path();
-        let mut f = disk.create(&path).unwrap();
-        for r in sample_records().into_iter().take(4) {
-            let mut line = serde_json::to_string(&r).unwrap().into_bytes();
-            line.push(b'\n');
-            f.append(&line).unwrap();
-        }
-        drop(f);
+        write_v1(&disk, &path, &sample_records()[..4]);
+        let before = disk.read(&path).unwrap();
 
-        let mut wal = Wal::open_append_on(Arc::new(disk.clone()), &path, 1).unwrap();
-        assert_eq!(wal.next_seq(), 5);
-        wal.append(&LogRecord::Insert {
-            function: "teach".into(),
-            x: v("euclid"),
-            y: v("math"),
-        })
-        .unwrap();
-        drop(wal);
+        let storage: Arc<dyn WalStorage> = Arc::new(disk.clone());
+        let mut walk = walk_log(&disk, &path).unwrap();
+        assert_eq!(walk.next_seq, 5);
+        let refused = walk.repair(&storage).unwrap_err().to_string();
+        assert!(refused.contains("/wal/test.log"), "{refused}");
+        assert!(refused.contains("install_checkpoint"), "{refused}");
+        let opened = crate::LoggedDatabase::open_with(storage, &path, Default::default());
+        assert!(opened.is_err());
 
-        let bytes = disk.read(&path).unwrap();
-        assert!(!bytes.starts_with(WAL_MAGIC), "format must not mix");
+        assert_eq!(disk.read(&path).unwrap(), before, "the file is untouched");
         let (recovered, report) = replay_on(&disk, &path).unwrap();
-        assert_eq!(report.applied, 5);
+        assert_eq!(report.applied, 4);
         assert!(recovered.is_consistent());
     }
 
     #[test]
     fn open_append_truncates_damaged_suffix() {
         let disk = SimDisk::new();
-        let path = disk_path();
-        write_sample(&disk, &path);
+        let path = write_sample_segment(&disk);
         let valid = disk.size_of(&path).unwrap();
         let mut f = disk.open_append(&path).unwrap();
         f.append(b"garbage that is no frame").unwrap();
         drop(f);
 
-        let mut wal = Wal::open_append_on(Arc::new(disk.clone()), &path, 1).unwrap();
+        let mut walk = walk_log(&disk, &disk_dir()).unwrap();
+        let mut wal = walk.repair(&(Arc::new(disk.clone()) as _)).unwrap();
         assert_eq!(wal.next_seq(), 10);
         assert_eq!(disk.size_of(&path).unwrap(), valid);
+        assert_eq!(
+            disk.read(&quarantine_path(&path)).unwrap(),
+            b"garbage that is no frame"
+        );
         wal.append(&LogRecord::Insert {
             function: "teach".into(),
             x: v("gauss"),
@@ -1973,9 +1936,41 @@ mod tests {
         })
         .unwrap();
         drop(wal);
-        let (_, report) = replay_on(&disk, &path).unwrap();
+        let (_, report) = replay_on(&disk, &disk_dir()).unwrap();
         assert_eq!(report.applied, 10);
         assert!(report.corruption.is_empty());
+    }
+
+    /// In a directory a segment is v2 or damaged: one whose magic header
+    /// is hit reads as a flaw at offset 0, not as a v1 file, and repair
+    /// moves it aside and continues the log in a fresh copy.
+    #[test]
+    fn segment_with_damaged_magic_is_malformed_and_set_aside() {
+        let disk = SimDisk::new();
+        let path = write_sample_segment(&disk);
+        let written = disk.read(&path).unwrap();
+        disk.corrupt(&path, 0, 0x01);
+
+        let mut walk = walk_log(&disk, &disk_dir()).unwrap();
+        assert_eq!(walk.report.applied, 0);
+        assert_eq!(
+            walk.report.corruption[0].flaw,
+            Corruption::Malformed {
+                offset: 0,
+                detail: "no v2 magic header".to_owned(),
+            }
+        );
+        let mut wal = walk.repair(&(Arc::new(disk.clone()) as _)).unwrap();
+        let quarantined = disk.read(&quarantine_path(&path)).unwrap();
+        assert_eq!(quarantined.len(), written.len());
+        assert_eq!(quarantined[1..], written[1..]);
+        assert_eq!(wal.next_seq(), 1);
+        wal.append(&sample_records()[0]).unwrap();
+        drop(wal);
+        let (recovered, report) = replay_on(&disk, &disk_dir()).unwrap();
+        assert!(report.corruption.is_empty(), "{:?}", report.corruption);
+        assert_eq!(report.applied, 1);
+        assert!(recovered.resolve("teach").is_ok());
     }
 
     #[test]
@@ -2115,9 +2110,10 @@ mod tests {
 
     fn trailing_frame_keeps_its_sequence_number(unknown: fn(u64) -> Vec<u8>) {
         let disk = SimDisk::new();
-        let path = disk_path();
-        let mut wal = Wal::create_on(Arc::new(disk.clone()), &path, 1).unwrap();
+        let storage: Arc<dyn WalStorage> = Arc::new(disk.clone());
+        let mut wal = Wal::create_segment(Arc::clone(&storage), &disk_dir(), 1).unwrap();
         wal.append(&sample_records()[0]).unwrap();
+        let path = wal.path().to_owned();
         drop(wal);
         let mut f = disk.open_append(&path).unwrap();
         f.append(&unknown(2)).unwrap();
@@ -2125,12 +2121,15 @@ mod tests {
 
         // The skipped frame used seq 2 up: the next append is seq 3, and
         // the log it leaves behind reads back without a gap.
-        let mut wal = Wal::open_append_on(Arc::new(disk.clone()), &path, 1).unwrap();
+        let mut wal = walk_log(&disk, &disk_dir())
+            .unwrap()
+            .repair(&storage)
+            .unwrap();
         assert_eq!(wal.next_seq(), 3);
         assert_eq!(wal.append(&sample_records()[1]).unwrap(), 3);
         wal.sync().unwrap();
         drop(wal);
-        let (recovered, report) = replay_on(&disk, &path).unwrap();
+        let (recovered, report) = replay_on(&disk, &disk_dir()).unwrap();
         assert!(report.corruption.is_empty(), "{:?}", report.corruption);
         assert_eq!(report.applied, 2);
         assert_eq!(report.skipped_records, 1);
@@ -2214,25 +2213,42 @@ mod tests {
     fn unknown_v1_record_is_skipped_not_fatal() {
         let disk = SimDisk::new();
         let path = disk_path();
-        let mut f = disk.create(&path).unwrap();
-        for r in sample_records().into_iter().take(2) {
-            let mut line = serde_json::to_string(&r).unwrap().into_bytes();
-            line.push(b'\n');
-            f.append(&line).unwrap();
-        }
-        f.append(b"{\"Vacuum\":{\"aggressive\":true}}\n").unwrap();
-        let mut line = serde_json::to_string(&sample_records()[2])
-            .unwrap()
-            .into_bytes();
-        line.push(b'\n');
-        f.append(&line).unwrap();
-        drop(f);
+        let records = sample_records();
+        let mut bytes = legacy::json::v1_file(&records[..2]);
+        bytes.extend_from_slice(b"{\"Vacuum\":{\"aggressive\":true}}\n");
+        bytes.extend_from_slice(&legacy::json::v1_file(&records[2..3]));
+        disk.create(&path).unwrap().append(&bytes).unwrap();
 
         let (recovered, report) = replay_on(&disk, &path).unwrap();
         assert_eq!(report.applied, 3, "records around the unknown line");
         assert_eq!(report.skipped_records, 1);
         assert!(!report.damaged());
         assert!(recovered.resolve("pupil").is_ok());
+    }
+
+    /// A v1 line has no checksum, so a known record whose fields do not
+    /// read is damage that stops the scan, as a binary frame whose known
+    /// tag does not fill its payload is — never an unknown record to skip.
+    #[test]
+    fn damaged_known_v1_record_is_malformed_not_skipped() {
+        let records = sample_records();
+        let mut bytes = legacy::json::v1_file(&records[..2]);
+        let offset = bytes.len() as u64;
+        bytes.extend_from_slice(b"{\"Insert\":{\"function\":\"f\"}}\n");
+        bytes.extend_from_slice(&legacy::json::v1_file(&records[2..3]));
+
+        let scanned = scan(&bytes, 1);
+        assert_eq!(scanned.records.len(), 2);
+        assert_eq!(scanned.skipped, 0);
+        assert_eq!(scanned.valid_len, offset);
+        assert!(
+            matches!(&scanned.flaw, Some(Corruption::Malformed { offset: o, detail })
+                if *o == offset && detail.contains("missing field `x`")),
+            "{:?}",
+            scanned.flaw
+        );
+        // The same payload in a CRC-valid frame is malformed too.
+        assert!(decode_payload(b"{\"Insert\":{\"function\":\"f\"}}").is_err());
     }
 
     #[test]
@@ -2356,7 +2372,7 @@ mod tests {
     fn payloads_dispatch_on_their_first_byte() {
         let record = sample_records()[4].clone();
         let binary = payload_of(&record);
-        let json = serde_json::to_string(&record).unwrap();
+        let json = legacy::json::to_json(&record);
         assert_eq!(decode_payload(&binary), Ok(Some(record.clone())));
         assert_eq!(decode_payload(json.as_bytes()), Ok(Some(record)));
         // An unknown tag is skipped; a known one must fill the payload
@@ -2375,7 +2391,7 @@ mod tests {
     fn payload_term_reads_binary_and_json_term_records() {
         let term = LogRecord::NewTerm { term: 9 };
         assert_eq!(payload_term(&payload_of(&term)), Some(9));
-        let json = serde_json::to_string(&term).unwrap();
+        let json = legacy::json::to_json(&term);
         assert_eq!(payload_term(json.as_bytes()), Some(9));
         // A data record that merely mentions the name is no term record.
         let named = LogRecord::Insert {
@@ -2384,7 +2400,7 @@ mod tests {
             y: v("y"),
         };
         assert_eq!(payload_term(&payload_of(&named)), None);
-        let json = serde_json::to_string(&named).unwrap();
+        let json = legacy::json::to_json(&named);
         assert_eq!(payload_term(json.as_bytes()), None);
     }
 

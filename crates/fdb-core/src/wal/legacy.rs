@@ -1,11 +1,32 @@
-//! The formats earlier versions wrote, and the only code that reads or
-//! writes their JSON: a JSON record payload (inside a v2 frame, or a
-//! line of a v1 file), the v1 single-file log — which keeps receiving v1
-//! lines, so it never becomes mixed-format — the JSON checkpoint
-//! document, and the JSON snapshot inside it (also an old `SAVE` file or
-//! an old primary's replica seed). Old directories and files open
-//! through here without an upgrade pass; apart from a v1 file's own
-//! lines, everything this version writes is binary.
+//! The formats earlier versions wrote, and the only code that reads
+//! their JSON: a JSON record payload (inside a v2 frame, or a line of a
+//! v1 file), the v1 single-file log, the JSON checkpoint document, and
+//! the JSON snapshot inside it (also an old `SAVE` file or an old
+//! primary's replica seed). Old directories and files are read in place
+//! without an upgrade pass; nothing here writes, and everything this
+//! version writes is binary.
+//!
+//! # The JSON record
+//!
+//! One object with one entry: the variant's name, then an object of its
+//! fields. A string is a JSON string; a value is `{"Atom": "<text>"}` or
+//! `{"Null": <index>}`:
+//!
+//! | Variant | Fields |
+//! |---|---|
+//! | `Declare` | `{"name", "domain", "range", "functionality"}`: three strings, then `"OneOne"`, `"OneMany"`, `"ManyOne"` or `"ManyMany"` |
+//! | `Derive` | `{"name", "steps"}`: a string, then `[["<function>", <inverted: bool>], …]` |
+//! | `Insert`, `Delete` | `{"function", "x", "y"}`: a string and two values |
+//! | `Replace` | `{"function", "old", "new"}`: a string and two `[x, y]` pairs of values |
+//! | `TxnBegin`, `TxnCommit`, `TxnAbort` | `{"id"}`: an integer |
+//! | `TxnSavepoint`, `TxnRollbackTo` | `{"name"}`: a string |
+//! | `NewTerm` | `{"term"}`: an integer |
+//!
+//! Other fields are ignored. As in the binary decoder, an unknown name is
+//! a newer version's record, skipped, and a known name whose fields do
+//! not read is damage, as is anything else. `tests/fixtures/legacy/`
+//! holds every variant as the last version that wrote JSON did
+//! (`records.jsonl`), beside its binary payload (`records.hex`).
 //!
 //! # The JSON snapshot
 //!
@@ -39,37 +60,63 @@ use fdb_types::{FdbError, NullGen, Result, Schema, Value};
 use super::{initial_term, CheckpointInfo, Corruption, LogRecord, Scan};
 use crate::database::{Database, InsertPolicy};
 
-/// Decodes a JSON record payload. `Ok(None)` is valid JSON that is not
-/// a [`LogRecord`] this version knows — written deliberately by a newer
-/// version, to be skipped rather than treated as corruption.
+/// Decodes a JSON record payload (see the module documentation for its
+/// layout). `Ok(None)` is a record type this version does not know —
+/// written deliberately by a newer version, to be skipped rather than
+/// treated as corruption. `Err` says what failed to decode.
 pub(super) fn decode_json(payload: &[u8]) -> std::result::Result<Option<LogRecord>, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
-    match serde_json::from_str::<LogRecord>(text) {
-        Ok(record) => Ok(Some(record)),
-        Err(_) if serde_json::parse(text).is_ok() => Ok(None),
-        Err(e) => Err(format!("payload JSON: {e}")),
-    }
+    let doc = serde_json::parse(text).map_err(|e| format!("payload JSON: {e}"))?;
+    let Some([(Content::Str(variant), fields)]) = doc.as_map() else {
+        return Err("payload JSON: not a one-entry object naming a record".to_owned());
+    };
+    record(variant, fields).map_err(|e| match e {
+        FdbError::Parse { message, .. } => format!("payload JSON: {variant}: {message}"),
+        other => format!("payload JSON: {variant}: {other}"),
+    })
 }
 
-/// The term a JSON payload announces, if it is a `NewTerm` record. A
-/// payload that does not name the variant is not parsed at all.
-pub(super) fn json_term(payload: &[u8]) -> Option<u64> {
-    if !payload.windows(b"NewTerm".len()).any(|w| w == b"NewTerm") {
-        return None;
-    }
-    match decode_json(payload) {
-        Ok(Some(LogRecord::NewTerm { term })) => Some(term),
-        _ => None,
-    }
-}
-
-/// Appends `record` to `out` as one v1 line.
-pub(super) fn push_line(out: &mut Vec<u8>, record: &LogRecord) -> Result<()> {
-    let line = serde_json::to_string(record)
-        .map_err(|e| FdbError::Internal(format!("wal: serialise: {e}")))?;
-    out.extend_from_slice(line.as_bytes());
-    out.push(b'\n');
-    Ok(())
+/// The record named `variant`, read from its fields; `None` for a name
+/// this version does not know.
+fn record(variant: &str, c: &Content) -> Result<Option<LogRecord>> {
+    // A string field and an integer field, by name.
+    let s = |name| get::<String>(c, name);
+    let n = |name| get::<u64>(c, name);
+    let record = match variant {
+        "Declare" => LogRecord::Declare {
+            name: s("name")?,
+            domain: s("domain")?,
+            range: s("range")?,
+            functionality: get(c, "functionality")?,
+        },
+        "Derive" => LogRecord::Derive {
+            name: s("name")?,
+            steps: get(c, "steps")?,
+        },
+        "Insert" => LogRecord::Insert {
+            function: s("function")?,
+            x: get(c, "x")?,
+            y: get(c, "y")?,
+        },
+        "Delete" => LogRecord::Delete {
+            function: s("function")?,
+            x: get(c, "x")?,
+            y: get(c, "y")?,
+        },
+        "Replace" => LogRecord::Replace {
+            function: s("function")?,
+            old: get(c, "old")?,
+            new: get(c, "new")?,
+        },
+        "TxnBegin" => LogRecord::TxnBegin { id: n("id")? },
+        "TxnCommit" => LogRecord::TxnCommit { id: n("id")? },
+        "TxnAbort" => LogRecord::TxnAbort { id: n("id")? },
+        "TxnSavepoint" => LogRecord::TxnSavepoint { name: s("name")? },
+        "TxnRollbackTo" => LogRecord::TxnRollbackTo { name: s("name")? },
+        "NewTerm" => LogRecord::NewTerm { term: n("term")? },
+        _ => return Ok(None),
+    };
+    Ok(Some(record))
 }
 
 /// Scans a v1 file: newline-delimited JSON records, numbered by
@@ -95,14 +142,16 @@ pub(super) fn scan_v1(bytes: &[u8], scan: &mut Scan) {
                     });
                     break;
                 }
-                // A complete line of valid JSON that is not a known record
-                // was written deliberately (by a newer version); skip it.
-                // Anything that fails even generic JSON parsing is damage.
+                // A complete line naming a record type this version does
+                // not know was written deliberately (by a newer version);
+                // skip it. A line that is not a record, or a known record
+                // whose fields do not read, is damage: a v1 line has no
+                // checksum to tell the two apart otherwise.
                 Ok(None) => scan.skipped += 1,
-                Err(_) => {
+                Err(detail) => {
                     scan.flaw = Some(Corruption::Malformed {
                         offset: offset as u64,
-                        detail: "unparseable v1 line".to_owned(),
+                        detail: format!("v1 line: {detail}"),
                     });
                     break;
                 }
@@ -244,9 +293,19 @@ fn read<T: Deserialize>(c: &Content) -> Result<T> {
     T::from_content(c).map_err(|e| parse_error(e.to_string()))
 }
 
+/// The field `name` of the object `c`, read by its own `serde` impl.
+fn get<T: Deserialize>(c: &Content, name: &str) -> Result<T> {
+    read(field(c, name)?)
+}
+
 fn parse_error(message: String) -> FdbError {
     FdbError::Parse { line: 0, message }
 }
+
+/// The hand-written JSON writer the tests lay out legacy records with.
+#[cfg(test)]
+#[path = "../../../../tests/common/legacy_json.rs"]
+pub(crate) mod json;
 
 /// A CRC-valid frame whose payload is valid JSON but not a record this
 /// version knows — a future record type as an older writer laid it out.

@@ -20,13 +20,11 @@
 //! "hub endpoint queried toward a rare endpoint" skew that degenerates
 //! the interpreter into a near-full scan.
 
-use serde::{Deserialize, Serialize};
-
 use fdb_storage::Store;
 use fdb_types::{Derivation, Op, Value};
 
 /// How the executor walks the derivation's steps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Seed from the left endpoint, walk steps first-to-last.
     Forward,

@@ -27,8 +27,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use fdb_governor::{StopReason, Ungoverned};
 use fdb_types::{Derivation, FdbError, FunctionId, Functionality, Result, Schema};
 
@@ -38,7 +36,7 @@ use crate::graph::{EdgeId, FunctionGraph};
 use crate::paths::{simple_paths_impl, PathLimits};
 
 /// What a designer may do with a reported cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CycleDecision {
     /// Mark this function as derived: remove its edge from the graph.
     Remove(FunctionId),
@@ -84,7 +82,7 @@ pub trait Designer {
 }
 
 /// Tuning knobs for a design session.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DesignConfig {
     /// Caps cycle enumeration per added function (the paper notes cyclic
     /// graphs can create exponentially many cycles).

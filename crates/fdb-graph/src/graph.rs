@@ -15,13 +15,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use fdb_types::{FunctionId, Functionality, Schema, TypeId};
 
 /// Dense identifier of an edge within one [`FunctionGraph`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -38,7 +35,7 @@ impl fmt::Display for EdgeId {
 }
 
 /// Direction of traversal of an edge relative to its declared orientation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Dir {
     /// Domain → range: the function applied as declared (identity).
     Forward,
@@ -58,9 +55,7 @@ impl Dir {
 
 /// Provenance of an edge's functionality: declared by the schema, or
 /// tightened by a data-discovered (non-genuine) functional dependency.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum EdgeKind {
     /// The functionality is the schema's declaration — guaranteed by the
     /// engine's update machinery (genuine).
@@ -74,7 +69,7 @@ pub enum EdgeKind {
 }
 
 /// One edge of the function graph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Edge {
     /// This edge's identifier.
     pub id: EdgeId,
@@ -88,7 +83,6 @@ pub struct Edge {
     /// declaration unless `kind` is [`EdgeKind::Advisory`].
     pub functionality: Functionality,
     /// Where the functionality came from (declared vs advisory).
-    #[serde(default)]
     pub kind: EdgeKind,
 }
 
@@ -123,14 +117,14 @@ impl Edge {
     }
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct EdgeSlot {
     edge: Edge,
     alive: bool,
 }
 
 /// The undirected function multigraph (see module docs).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FunctionGraph {
     slots: Vec<EdgeSlot>,
     /// node → incident edge ids (dead edges are filtered on access).

@@ -17,15 +17,13 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
 use fdb_types::{Derivation, Functionality, Schema, Step, TypeId};
 
 use crate::graph::{Dir, EdgeId, FunctionGraph};
 
 /// One traversal step of a path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PathStep {
     /// The edge traversed.
     pub edge: EdgeId,
@@ -34,7 +32,7 @@ pub struct PathStep {
 }
 
 /// A path in the function graph: a start node plus traversal steps.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Path {
     /// The node the path departs from.
     pub start: TypeId,
@@ -116,7 +114,7 @@ impl Path {
 }
 
 /// Caps on path enumeration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PathLimits {
     /// Maximum number of edges in a path.
     pub max_len: usize,

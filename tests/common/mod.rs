@@ -5,19 +5,23 @@
 //! tests (`check_golden.rs`, `check_data.rs`, `statement_matrix.rs`) run
 //! script fixtures through the language engine; the state comparisons
 //! (`assert_same_store`, `assert_same_database`) hold two states to
-//! equal snapshot bytes and equal structure.
+//! equal snapshot bytes and equal structure; `legacy_json` lays out log
+//! records in the JSON earlier versions wrote.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
 use std::collections::BTreeSet;
 
+use fdb::core::wal::LogRecord;
 use fdb::core::{Database, InsertPolicy};
 use fdb::governor::Governor;
 use fdb::lang::Engine;
 use fdb::storage::chain::DeletePolicy;
 use fdb::storage::{chain, ChainLimits, DerivedPair, Fact, NcId, Store, Truth};
 use fdb::types::{Derivation, FunctionId, Op, Value};
+
+pub mod legacy_json;
 
 /// One live row: its index, `x`, `y`, truth flag and NCL.
 type LiveRow = (usize, Value, Value, Truth, Vec<NcId>);

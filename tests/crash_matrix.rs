@@ -37,6 +37,9 @@ use fdb_repl::{ApplyOutcome, Replica, ReplicationSource};
 use fdb_types::{Derivation, Functionality, Schema, Step, Value};
 use fdb_workload::{update_stream, UpdateStreamConfig};
 
+mod common;
+use common::legacy_json::to_json;
+
 const DIR: &str = "/crash_db";
 
 fn dir() -> PathBuf {
@@ -890,7 +893,8 @@ fn first_segment() -> PathBuf {
 /// behind: the triangle, partial information, a committed transaction
 /// with a partial rollback, an aborted one and a term change — logged by
 /// this version, then every frame's payload replaced by the record's JSON
-/// through its serde derive and re-sealed under the same sequence
+/// (`common::legacy_json`, checked against the recorded lines in
+/// `fixtures/legacy/records.jsonl`) and re-sealed under the same sequence
 /// number. Returns the state the log holds.
 fn json_payload_directory(disk: &Arc<SimDisk>) -> Vec<u8> {
     let storage: Arc<dyn WalStorage> = disk.clone();
@@ -927,7 +931,7 @@ fn json_payload_directory(disk: &Arc<SimDisk>) -> Vec<u8> {
     assert!(binary.flaw.is_none() && binary.skipped == 0);
     let mut json = WAL_MAGIC.to_vec();
     for (seq, record) in &binary.records {
-        let payload = serde_json::to_string(record).unwrap();
+        let payload = to_json(record);
         let payload = payload.as_bytes();
         json.extend_from_slice(&raw_frame(*seq, frame_crc(*seq, payload), payload));
     }

@@ -22,6 +22,9 @@ use fdb::core::{
 };
 use fdb::types::{Functionality, NullId, Value};
 
+mod common;
+use common::legacy_json::v1_file;
+
 /// How many random cases each property draws. `FDB_WAL_CASES` raises it
 /// for the CI release run (the vendored `proptest` does not read
 /// `PROPTEST_CASES`).
@@ -318,17 +321,10 @@ proptest! {
         }
 
         // v1 legacy: the same future payload as a plain JSON line.
-        let mut bytes = Vec::new();
-        for r in &records[..at] {
-            bytes.extend_from_slice(serde_json::to_string(r).unwrap().as_bytes());
-            bytes.push(b'\n');
-        }
+        let mut bytes = v1_file(&records[..at]);
         bytes.extend_from_slice(future);
         bytes.push(b'\n');
-        for r in &records[at..] {
-            bytes.extend_from_slice(serde_json::to_string(r).unwrap().as_bytes());
-            bytes.push(b'\n');
-        }
+        bytes.extend_from_slice(&v1_file(&records[at..]));
         let scanned = scan(&bytes, 1);
         prop_assert!(scanned.flaw.is_none(), "v1 skip became a flaw: {:?}", scanned.flaw);
         prop_assert_eq!(scanned.skipped, 1);
