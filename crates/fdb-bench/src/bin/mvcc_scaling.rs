@@ -170,7 +170,7 @@ fn main() {
             };
             let h = shared.clone();
             let write = move |rng: &mut Lcg| {
-                let _ = h.write(|db| churn(db, teach, rng));
+                let _ = h.with(|db| churn(db, teach, rng));
             };
             snapshot_tp.push(run_arm(threads, &read, &write));
         }

@@ -221,7 +221,7 @@ pub struct PlanReport {
 }
 
 /// One derivation's share of an [`AnalyzeReport`]: the executed plan
-/// with estimates, actuals, §3.2 chain contributions, governor charge
+/// with estimates, actuals, §3.2 chain contributions, governor steps
 /// and timing.
 #[derive(Clone, Debug)]
 pub struct DerivationAnalysis {

@@ -44,7 +44,6 @@ pub use session::{design_database, design_logged_database};
 pub use shared::{OverloadPolicy, PinnedSnapshot, Shared, SharedDatabase, SharedLoggedDatabase};
 pub use stats::DatabaseStats;
 pub use storage::{FileStorage, SimDisk, WalFile, WalStorage};
-pub use txn::Transaction;
 pub use update::Update;
 pub use wal::{
     install_checkpoint, read_checkpoint, replay, CheckpointInfo, Corruption, CorruptionEvent,

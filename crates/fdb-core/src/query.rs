@@ -123,7 +123,7 @@ impl Database {
                 governor,
             ))
         } else {
-            // Base rows are already materialised; charge but don't split.
+            // Base rows are already materialised: nothing to govern.
             self.extension(f).map(Outcome::Complete)
         }
     }

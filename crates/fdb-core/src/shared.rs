@@ -424,23 +424,8 @@ impl<E: AsRef<Database>> Shared<E> {
     }
 }
 
-/// The in-memory handle's names for the write path, and its updates by
-/// [`FunctionId`].
+/// The in-memory handle's updates by [`FunctionId`].
 impl Shared<Database> {
-    /// [`Shared::with`].
-    pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> Result<R> {
-        self.with(f)
-    }
-
-    /// [`Shared::with_governed`].
-    pub fn write_governed<R>(
-        &self,
-        governor: &Governor,
-        f: impl FnOnce(&mut Database) -> R,
-    ) -> Result<R> {
-        self.with_governed(governor, f)
-    }
-
     /// `INS(f, <x, y>)`.
     pub fn insert(&self, f: FunctionId, x: Value, y: Value) -> Result<()> {
         self.with(|db| db.insert(f, x, y))?
@@ -630,13 +615,13 @@ mod tests {
             h.insert(h.resolve("teach")?, v(x), v(y))
         }
         fn begin(h: &Shared<Self>) -> Result<()> {
-            h.write(Database::txn_begin)?
+            h.with(Database::txn_begin)?
         }
         fn commit(h: &Shared<Self>) -> Result<()> {
-            h.write(Database::txn_commit)?
+            h.with(Database::txn_commit)?
         }
         fn rollback(h: &Shared<Self>) -> Result<()> {
-            h.write(Database::txn_rollback)?
+            h.with(Database::txn_rollback)?
         }
     }
 
@@ -995,7 +980,7 @@ mod tests {
         let (tx, rx) = mpsc::channel::<()>();
         let hold = std::thread::spawn(move || {
             holder
-                .write(|db| {
+                .with(|db| {
                     db.insert(teach, v("gauss"), v("algebra")).unwrap();
                     tx.send(()).unwrap();
                     std::thread::sleep(Duration::from_millis(200));
@@ -1047,7 +1032,7 @@ mod tests {
         let teach = shared.resolve("teach").unwrap();
         shared.insert(teach, v("a"), v("b")).unwrap();
         let via_write = shared
-            .write(|db| db.truth(teach, &v("a"), &v("b")).unwrap())
+            .with(|db| db.truth(teach, &v("a"), &v("b")).unwrap())
             .unwrap();
         let via_read = shared.truth(teach, &v("a"), &v("b")).unwrap();
         assert_eq!(via_write, via_read);

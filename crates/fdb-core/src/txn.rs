@@ -12,95 +12,37 @@ use fdb_types::Result;
 use crate::database::Database;
 use crate::update::Update;
 
-/// An open transaction scope backed by the store's undo journal.
-///
-/// Dropping the transaction without [`Transaction::commit`] rolls back.
-/// When opened while a language-level transaction (`BEGIN`) is already
-/// active, the scope nests: it marks the journal position and rolls back
-/// only its own updates, leaving the outer transaction open.
-#[derive(Debug)]
-pub struct Transaction<'db> {
-    db: &'db mut Database,
-    /// Journal position at open — the rollback target for a nested scope.
-    mark: usize,
-    /// `true` if this scope opened the transaction (and thus closes it).
-    outer: bool,
-    committed: bool,
-}
-
-impl<'db> Transaction<'db> {
-    /// Applies one update inside the transaction.
-    pub fn apply(&mut self, update: Update) -> Result<()> {
-        self.db.apply(update)
-    }
-
-    /// Read access to the in-transaction state.
-    pub fn database(&self) -> &Database {
-        self.db
-    }
-
-    /// Makes the transaction's effects permanent (a nested scope leaves
-    /// the decision to the enclosing transaction).
-    pub fn commit(mut self) {
-        self.committed = true;
-        if self.outer {
-            // The scope opened the transaction itself, so this cannot
-            // observe "commit without begin".
-            let _ = self.db.txn_commit();
-        }
-    }
-
-    /// Explicitly rolls back (equivalent to dropping).
-    pub fn abort(self) {}
-}
-
-impl Drop for Transaction<'_> {
-    fn drop(&mut self) {
-        if self.committed {
-            return;
-        }
-        if self.outer {
-            let _ = self.db.txn_rollback();
-        } else {
-            // Nested scope: undo only this scope's updates; the enclosing
-            // transaction stays open.
-            self.db.store_mut().undo_rollback_to(self.mark);
-        }
-    }
-}
-
 impl Database {
-    /// Opens a transaction scope. Updates are recorded in the store's
-    /// undo journal (no copy of the instance is taken); dropping the
-    /// scope without committing applies the journal's inverses, restoring
-    /// the pre-transaction state byte-identically — including NC / NVC
-    /// bookkeeping and the null-generator watermark.
-    pub fn begin(&mut self) -> Transaction<'_> {
-        let outer = !self.txn_active();
-        if outer {
-            // Cannot fail: no transaction is active.
-            let _ = self.txn_begin();
-        }
-        let mark = self.store().undo_mark();
-        Transaction {
-            db: self,
-            mark,
-            outer,
-            committed: false,
-        }
-    }
-
     /// Applies a whole update request atomically: on the first error the
     /// database is rolled back to its state before the call and the error
     /// returned. Returns the number of updates applied on success.
+    ///
+    /// Updates are recorded in the store's undo journal (no copy of the
+    /// instance is taken), so the rollback restores the pre-batch state
+    /// byte-identically. Inside an open `BEGIN` the batch rolls back only
+    /// its own updates, to the journal mark it started at, and leaves the
+    /// transaction open.
     pub fn apply_all<I: IntoIterator<Item = Update>>(&mut self, updates: I) -> Result<usize> {
-        let mut txn = self.begin();
+        let outer = !self.txn_active();
+        if outer {
+            self.txn_begin()?;
+        }
+        let mark = self.store().undo_mark();
         let mut n = 0;
         for u in updates {
-            txn.apply(u)?;
+            if let Err(e) = self.apply(u) {
+                if outer {
+                    self.txn_rollback()?;
+                } else {
+                    self.store_mut().undo_rollback_to(mark);
+                }
+                return Err(e);
+            }
             n += 1;
         }
-        txn.commit();
+        if outer {
+            self.txn_commit()?;
+        }
         Ok(n)
     }
 }
@@ -197,45 +139,51 @@ mod tests {
     fn explicit_transaction_commit_and_abort() {
         let mut db = university();
         let t = db.resolve("teach").unwrap();
-        {
-            let mut txn = db.begin();
-            txn.apply(Update::Insert {
-                function: t,
-                x: v("a"),
-                y: v("b"),
-            })
-            .unwrap();
-            assert_eq!(txn.database().stats().base_facts, 1);
-            txn.abort();
-        }
+        db.txn_begin().unwrap();
+        db.insert(t, v("a"), v("b")).unwrap();
+        assert_eq!(db.stats().base_facts, 1);
+        db.txn_rollback().unwrap();
         assert_eq!(db.stats().base_facts, 0);
-        {
-            let mut txn = db.begin();
-            txn.apply(Update::Insert {
-                function: t,
-                x: v("a"),
-                y: v("b"),
-            })
-            .unwrap();
-            txn.commit();
-        }
+        db.txn_begin().unwrap();
+        db.insert(t, v("a"), v("b")).unwrap();
+        db.txn_commit().unwrap();
         assert_eq!(db.stats().base_facts, 1);
     }
 
     #[test]
-    fn dropped_transaction_rolls_back() {
+    fn failing_batch_inside_begin_undoes_only_itself() {
         let mut db = university();
         let t = db.resolve("teach").unwrap();
-        {
-            let mut txn = db.begin();
-            txn.apply(Update::Insert {
+        let p = db.resolve("pupil").unwrap();
+        db.txn_begin().unwrap();
+        db.insert(t, v("euclid"), v("math")).unwrap();
+        let before = db.to_snapshot().unwrap();
+
+        let err = db.apply_all(vec![
+            Update::Insert {
                 function: t,
-                x: v("a"),
-                y: v("b"),
-            })
-            .unwrap();
-            // dropped without commit
-        }
+                x: v("gauss"),
+                y: v("algebra"),
+            },
+            Update::Insert {
+                function: p,
+                x: v("gauss"),
+                y: v("bill"),
+            },
+            Update::Insert {
+                function: t,
+                x: Value::Null(fdb_types::NullId(9)),
+                y: v("x"),
+            },
+        ]);
+        assert!(err.is_err());
+        // The batch's own updates are gone, the transaction's earlier
+        // insert stays, and the transaction is still open.
+        assert_eq!(db.to_snapshot().unwrap(), before);
+        assert!(db.txn_active());
+        assert_eq!(db.stats().base_facts, 1);
+        // Aborting the transaction undoes the earlier insert too.
+        db.txn_rollback().unwrap();
         assert_eq!(db.stats().base_facts, 0);
     }
 

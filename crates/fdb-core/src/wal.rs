@@ -1032,8 +1032,6 @@ fn observe_recovery(report: &RecoveryReport) {
     reg.recovery_corruption_events
         .add(report.corruption.len() as u64);
     reg.recovery_quarantined_bytes.add(report.quarantined_bytes);
-    reg.txn_recovery_discarded
-        .add(report.uncommitted_discarded as u64);
     reg.recovery_uncommitted_discarded
         .add(report.uncommitted_discarded as u64);
     reg.wal_skipped_records.add(report.skipped_records as u64);

@@ -197,7 +197,7 @@ impl<'a> PairEvidence<'a> {
 ///
 /// * **complete** — pairs, order and truths identical to the
 ///   interpreter's;
-/// * **hard stop** (steps, deadline, memory, cancel) — `Exhausted` with
+/// * **hard stop** (steps, deadline, cancel) — `Exhausted` with
 ///   only the pairs already proven `True`: that verdict is final, whereas
 ///   an `Ambiguous` or a missing wildcard could still be overturned by a
 ///   chain not yet seen;
@@ -349,36 +349,33 @@ pub fn derived_inverse_image_governed(
 /// creation order — which is user-visible as NC ids in traces and
 /// rendered NCLs — matches the interpreter exactly, even for capped
 /// partial enumerations.
-pub fn collect_delete_chains<G: Governance>(
+fn collect_delete_chains(
     store: &Store,
     derivations: &[Derivation],
     x: &Value,
     y: &Value,
     policy: DeletePolicy,
     limits: ChainLimits,
-    governor: &G,
-) -> (Vec<Vec<Fact>>, Option<StopReason>) {
+) -> Vec<Vec<Fact>> {
     let allow_ambiguous = policy == DeletePolicy::Strict;
     let spec = QuerySpec::truth(x, y, allow_ambiguous);
     let mut chains: Vec<Vec<Fact>> = Vec::new();
-    let mut stop = None;
     for derivation in derivations {
         let outcome = chains_with_direction(
             store,
             derivation,
             &spec,
             limits,
-            governor,
+            &Ungoverned,
             Direction::Forward,
         );
-        stop = stop.or(outcome.reason());
         for chain in outcome.value() {
             if !chains.contains(&chain.facts) {
                 chains.push(chain.facts);
             }
         }
     }
-    (chains, stop)
+    chains
 }
 
 /// §4.1 `derived-delete` through the pipeline: negates every matching
@@ -392,33 +389,10 @@ pub fn derived_delete_with_policy(
     policy: DeletePolicy,
     limits: ChainLimits,
 ) -> Vec<NcId> {
-    let (chains, _) = collect_delete_chains(store, derivations, x, y, policy, limits, &Ungoverned);
-    chains
+    collect_delete_chains(store, derivations, x, y, policy, limits)
         .into_iter()
         .map(|facts| store.create_nc(facts))
         .collect()
-}
-
-/// [`derived_delete_with_policy`] under a [`Governor`] —
-/// **all-or-nothing**: if the governor (or the chain cap) stops
-/// enumeration the store is left untouched and the stop reason returned.
-pub fn derived_delete_governed(
-    store: &mut Store,
-    derivations: &[Derivation],
-    x: &Value,
-    y: &Value,
-    policy: DeletePolicy,
-    limits: ChainLimits,
-    governor: &Governor,
-) -> Result<Vec<NcId>, StopReason> {
-    let (chains, stop) = collect_delete_chains(store, derivations, x, y, policy, limits, governor);
-    if let Some(r) = stop {
-        return Err(r);
-    }
-    Ok(chains
-        .into_iter()
-        .map(|facts| store.create_nc(facts))
-        .collect())
 }
 
 #[cfg(test)]

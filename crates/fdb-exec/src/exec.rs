@@ -27,8 +27,7 @@
 //!
 //! Semantics are the interpreter's, preserved exactly:
 //!
-//! * every candidate row examined costs one `Governance::tick`, every
-//!   emitted chain one `charge(1)`;
+//! * every candidate row examined costs one `Governance::tick`;
 //! * the `ChainLimits` cap is *exact*: `StopReason::Cap` is reported only
 //!   when one more chain provably exists beyond `max_chains`;
 //! * a governed stop leaves the sink holding the chains completed so far
@@ -181,25 +180,22 @@ impl From<StopReason> for Halt {
     }
 }
 
-/// Delivers completed chains to the sink, enforcing the exact cap and
-/// the governor's memory budget (mirrors the interpreter's `push_chain`).
-struct Emitter<'g, G, S> {
+/// Delivers completed chains to the sink, enforcing the exact cap
+/// (mirrors the interpreter's `push_chain`).
+struct Emitter<S> {
     limits: ChainLimits,
-    governor: &'g G,
     emitted: usize,
     sink: S,
 }
 
-impl<'a, G, S> Emitter<'_, G, S>
+impl<'a, S> Emitter<S>
 where
-    G: Governance,
     S: FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
 {
     fn emit(&mut self, chain: ChainView<'a, '_>) -> Result<(), Halt> {
         if self.emitted >= self.limits.max_chains {
             return Err(Halt::Stop(StopReason::Cap));
         }
-        self.governor.charge(1)?;
         self.emitted += 1;
         match (self.sink)(&chain) {
             ControlFlow::Continue(()) => Ok(()),
@@ -391,14 +387,14 @@ fn run_linear<'a, G, S>(
     final_bind: &Bind<'_>,
     amb: bool,
     backward: bool,
-    out: &mut Emitter<'_, G, S>,
+    governor: &G,
+    out: &mut Emitter<S>,
     rows: &mut u64,
 ) -> Result<(), Halt>
 where
     G: Governance,
     S: FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
 {
-    let governor = out.governor;
     let k = views.len();
     let levels = build_levels(
         store,
@@ -477,14 +473,14 @@ fn run_mitm<'a, G, S>(
     views: &[View],
     split: usize,
     spec: &QuerySpec<'_>,
-    out: &mut Emitter<'_, G, S>,
+    governor: &G,
+    out: &mut Emitter<S>,
     rows: &mut u64,
 ) -> Result<(), Halt>
 where
     G: Governance,
     S: FnMut(&ChainView<'a, '_>) -> ControlFlow<()>,
 {
-    let governor = out.governor;
     let amb = spec.allow_ambiguous;
     let fwd_views = &views[..split];
     let fwd = build_levels(store, fwd_views, &spec.left, amb, governor, false, rows)?;
@@ -575,7 +571,6 @@ fn stream_chains<'a, G: Governance>(
     let views: Vec<View> = derivation.steps().iter().map(View::of).collect();
     let mut out = Emitter {
         limits,
-        governor,
         emitted: 0,
         sink,
     };
@@ -592,7 +587,7 @@ fn stream_chains<'a, G: Governance>(
                 && spec.left.is_bound()
                 && spec.right.is_bound() =>
         {
-            run_mitm(store, &views, split, spec, &mut out, &mut rows)
+            run_mitm(store, &views, split, spec, governor, &mut out, &mut rows)
         }
         Direction::Backward => {
             let rev: Vec<View> = views.iter().rev().copied().collect();
@@ -603,6 +598,7 @@ fn stream_chains<'a, G: Governance>(
                 &spec.left,
                 amb,
                 true,
+                governor,
                 &mut out,
                 &mut rows,
             )
@@ -614,6 +610,7 @@ fn stream_chains<'a, G: Governance>(
             &spec.right,
             amb,
             false,
+            governor,
             &mut out,
             &mut rows,
         ),

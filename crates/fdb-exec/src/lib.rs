@@ -15,8 +15,7 @@
 //!    sink — folded into evidence as they arrive, or materialised for
 //!    derived delete and `EXPLAIN` — and the interpreter's `Governance` /
 //!    [`fdb_storage::ChainLimits`] semantics are preserved exactly (tick
-//!    per candidate, charge per chain, exact cap detection, prefix-sound
-//!    partials).
+//!    per candidate, exact cap detection, prefix-sound partials).
 //! 3. **Cache** ([`cache`]): memoise truth/extension answers behind one
 //!    guard per derived function — the per-function mutation counters of
 //!    its support set plus its derivation list — so only writes inside
@@ -41,9 +40,9 @@ pub mod plan;
 
 pub use cache::{CacheProbe, CacheReport, CacheStats, ResultCache};
 pub use eval::{
-    collect_delete_chains, derived_delete_governed, derived_delete_with_policy, derived_extension,
-    derived_extension_governed, derived_image, derived_image_governed, derived_inverse_image,
-    derived_inverse_image_governed, derived_truth, derived_truth_governed,
+    derived_delete_with_policy, derived_extension, derived_extension_governed, derived_image,
+    derived_image_governed, derived_inverse_image, derived_inverse_image_governed, derived_truth,
+    derived_truth_governed,
 };
 pub use exec::{chains_planned, chains_with_direction};
 pub use nongenuine::{Assumption, AssumptionSet, FdKind};

@@ -1,4 +1,4 @@
-//! Execution governor: deadlines, budgets, cooperative cancellation.
+//! Execution governor: a deadline, a step budget, cooperative cancellation.
 //!
 //! The paper is explicit that dropping the Unique Form Assumption makes
 //! cycle enumeration exponential (§2.2) and that even acyclic maintenance
@@ -7,13 +7,17 @@
 //! *every* search and degrade gracefully instead of hanging on an
 //! adversarial schema.
 //!
-//! A [`Governor`] is a cheap, cloneable execution context carrying:
+//! A [`Governor`] is a cheap, cloneable execution context carrying three
+//! bounds:
 //!
 //! * a **deadline** (absolute instant, armed when the governor is built),
 //! * a **step budget** (loop iterations across the whole call tree),
-//! * a **memory budget** (caller-charged units, e.g. retained results),
 //! * a **cooperative cancellation token** ([`CancelToken`]) that another
 //!   thread — or a Ctrl-C handler — can trip at any time.
+//!
+//! What a search *retains* is bounded structurally, by the caps its
+//! caller passes (`max_chains`, `max_paths`), which stop with
+//! [`StopReason::Cap`].
 //!
 //! Work loops call [`Governor::tick`] at loop granularity; coarse loops
 //! (one iteration does a lot of work) call [`Governor::check`], which
@@ -48,7 +52,6 @@ fn observe_stop(reason: StopReason) -> StopReason {
     match reason {
         StopReason::Deadline => reg.governor_stop_deadline.inc(),
         StopReason::Steps => reg.governor_stop_steps.inc(),
-        StopReason::Memory => reg.governor_stop_memory.inc(),
         StopReason::Cancelled => reg.governor_stop_cancelled.inc(),
         StopReason::Cap => reg.governor_stop_cap.inc(),
     }
@@ -65,8 +68,6 @@ pub enum StopReason {
     Deadline,
     /// The step budget ran out.
     Steps,
-    /// The memory (retained-results) budget ran out.
-    Memory,
     /// The cancellation token was tripped.
     Cancelled,
     /// A structural result cap (e.g. `max_paths`) was hit with more
@@ -79,7 +80,6 @@ impl fmt::Display for StopReason {
         match self {
             StopReason::Deadline => write!(f, "deadline exceeded"),
             StopReason::Steps => write!(f, "step budget exhausted"),
-            StopReason::Memory => write!(f, "memory budget exhausted"),
             StopReason::Cancelled => write!(f, "cancelled"),
             StopReason::Cap => write!(f, "result cap reached"),
         }
@@ -93,7 +93,7 @@ impl StopReason {
         match self {
             StopReason::Deadline => FdbError::DeadlineExceeded(what.to_owned()),
             StopReason::Cancelled => FdbError::Cancelled,
-            StopReason::Steps | StopReason::Memory | StopReason::Cap => {
+            StopReason::Steps | StopReason::Cap => {
                 FdbError::BudgetExhausted(format!("{what}: {self}"))
             }
         }
@@ -109,8 +109,6 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Maximum number of [`Governor::tick`] calls.
     pub max_steps: Option<u64>,
-    /// Maximum units charged via [`Governor::charge`].
-    pub max_memory_units: Option<u64>,
 }
 
 impl Budget {
@@ -128,12 +126,6 @@ impl Budget {
     /// Sets the step cap.
     pub fn with_max_steps(mut self, n: u64) -> Self {
         self.max_steps = Some(n);
-        self
-    }
-
-    /// Sets the memory-unit cap.
-    pub fn with_max_memory_units(mut self, n: u64) -> Self {
-        self.max_memory_units = Some(n);
         self
     }
 }
@@ -167,9 +159,7 @@ impl CancelToken {
 struct Inner {
     deadline: Option<Instant>,
     max_steps: u64,
-    max_memory: u64,
     steps: AtomicU64,
-    memory: AtomicU64,
     cancel: Arc<AtomicBool>,
 }
 
@@ -209,9 +199,7 @@ impl Governor {
             inner: Arc::new(Inner {
                 deadline: budget.deadline.map(|d| Instant::now() + d),
                 max_steps: budget.max_steps.unwrap_or(u64::MAX),
-                max_memory: budget.max_memory_units.unwrap_or(u64::MAX),
                 steps: AtomicU64::new(0),
-                memory: AtomicU64::new(0),
                 cancel: Arc::clone(&token.flag),
             }),
         }
@@ -232,29 +220,7 @@ impl Governor {
         Governor::new(Budget::unbounded().with_max_steps(n))
     }
 
-    /// A child governor for a sub-operation: fresh counters under
-    /// `budget`, deadline clamped to not outlive this governor's, and
-    /// the *same* cancellation flag (cancelling the parent cancels the
-    /// child).
-    pub fn child(&self, budget: Budget) -> Governor {
-        let child_deadline = budget.deadline.map(|d| Instant::now() + d);
-        let deadline = match (self.inner.deadline, child_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Governor {
-            inner: Arc::new(Inner {
-                deadline,
-                max_steps: budget.max_steps.unwrap_or(u64::MAX),
-                max_memory: budget.max_memory_units.unwrap_or(u64::MAX),
-                steps: AtomicU64::new(0),
-                memory: AtomicU64::new(0),
-                cancel: Arc::clone(&self.inner.cancel),
-            }),
-        }
-    }
-
-    /// A token that cancels this governor (and every clone/child).
+    /// A token that cancels this governor (and every clone).
     pub fn cancel_token(&self) -> CancelToken {
         CancelToken {
             flag: Arc::clone(&self.inner.cancel),
@@ -272,11 +238,6 @@ impl Governor {
         self.inner
             .deadline
             .map(|dl| dl.saturating_duration_since(Instant::now()))
-    }
-
-    /// `true` once the deadline has passed.
-    pub fn deadline_exceeded(&self) -> bool {
-        matches!(self.inner.deadline, Some(dl) if Instant::now() > dl)
     }
 
     #[inline]
@@ -298,17 +259,13 @@ impl Governor {
 /// The interface work loops use; generic code bounds on this so the
 /// [`Ungoverned`] instantiation costs nothing.
 pub trait Governance {
-    /// Hot-path check: counts one step, fails fast on budget/cancel,
+    /// Hot-path check: counts one step, fails fast on steps/cancel,
     /// consults the clock every few steps. Call once per loop iteration.
     fn tick(&self) -> Result<(), StopReason>;
 
     /// Coarse check: always consults the clock, never counts a step.
     /// Call in loops whose single iteration does a lot of work.
     fn check(&self) -> Result<(), StopReason>;
-
-    /// Charges `units` against the memory budget (e.g. one retained
-    /// result). Call when appending to an output collection.
-    fn charge(&self, units: u64) -> Result<(), StopReason>;
 }
 
 impl Governance for Governor {
@@ -343,15 +300,6 @@ impl Governance for Governor {
     fn check(&self) -> Result<(), StopReason> {
         self.stop_if_cancelled_or_late(true).map_err(observe_stop)
     }
-
-    #[inline]
-    fn charge(&self, units: u64) -> Result<(), StopReason> {
-        let used = self.inner.memory.fetch_add(units, Ordering::Relaxed) + units;
-        if used > self.inner.max_memory {
-            return Err(observe_stop(StopReason::Memory));
-        }
-        Ok(())
-    }
 }
 
 /// The zero-cost "no governor" instantiation of [`Governance`].
@@ -368,11 +316,6 @@ impl Governance for Ungoverned {
     fn check(&self) -> Result<(), StopReason> {
         Ok(())
     }
-
-    #[inline(always)]
-    fn charge(&self, _units: u64) -> Result<(), StopReason> {
-        Ok(())
-    }
 }
 
 impl<G: Governance + ?Sized> Governance for &G {
@@ -384,11 +327,6 @@ impl<G: Governance + ?Sized> Governance for &G {
     #[inline]
     fn check(&self) -> Result<(), StopReason> {
         (**self).check()
-    }
-
-    #[inline]
-    fn charge(&self, units: u64) -> Result<(), StopReason> {
-        (**self).charge(units)
     }
 }
 
@@ -415,7 +353,7 @@ impl<T> Outcome<T> {
     /// Wraps `value`, exhausted iff `reason` is `Some`.
     pub fn new(value: T, reason: Option<StopReason>) -> Self {
         // Structural caps are raised by enumeration callers, never by
-        // tick/check/charge, so this is the one place they get counted
+        // tick/check, so this is the one place they get counted
         // (other reasons were already observed at their stop site).
         if reason == Some(StopReason::Cap) {
             observe_stop(StopReason::Cap);
@@ -489,7 +427,6 @@ mod tests {
             g.tick().unwrap();
         }
         g.check().unwrap();
-        g.charge(1 << 40).unwrap();
     }
 
     #[test]
@@ -514,7 +451,6 @@ mod tests {
         assert_eq!(reason, StopReason::Deadline);
         // A pure tick loop detects the deadline within a few ms slack.
         assert!(t0.elapsed() < Duration::from_millis(100));
-        assert!(g.deadline_exceeded());
         assert_eq!(g.remaining_time(), Some(Duration::ZERO));
     }
 
@@ -540,14 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_trips() {
-        let g = Governor::new(Budget::unbounded().with_max_memory_units(5));
-        g.charge(3).unwrap();
-        g.charge(2).unwrap();
-        assert_eq!(g.charge(1), Err(StopReason::Memory));
-    }
-
-    #[test]
     fn clones_share_budgets() {
         let g = Governor::with_max_steps(10);
         let h = g.clone();
@@ -556,25 +484,6 @@ mod tests {
             h.tick().unwrap();
         }
         assert_eq!(g.tick(), Err(StopReason::Steps));
-    }
-
-    #[test]
-    fn child_shares_cancellation_and_clamps_deadline() {
-        let parent = Governor::with_deadline(Duration::from_millis(5));
-        let child = parent.child(Budget::unbounded().with_deadline(Duration::from_secs(60)));
-        // Child deadline is clamped to the parent's.
-        assert!(child.remaining_time().unwrap() <= Duration::from_millis(5));
-        parent.cancel_token().cancel();
-        assert_eq!(child.check(), Err(StopReason::Cancelled));
-        // Fresh counters though.
-        let parent = Governor::with_max_steps(1);
-        let child = parent.child(Budget::unbounded().with_max_steps(3));
-        parent.tick().unwrap();
-        assert!(parent.tick().is_err());
-        for _ in 0..3 {
-            child.tick().unwrap();
-        }
-        assert_eq!(child.tick(), Err(StopReason::Steps));
     }
 
     #[test]
@@ -619,7 +528,6 @@ mod tests {
             u.tick().unwrap();
         }
         u.check().unwrap();
-        u.charge(u64::MAX).unwrap();
         // &G forwarding works too.
         fn generic<G: Governance>(g: &G) -> Result<(), StopReason> {
             g.tick()

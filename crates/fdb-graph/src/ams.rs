@@ -225,7 +225,7 @@ fn ams_impl<G: Governance>(
 
     // A structural `Cap` is per-enumeration: it truncates one function's
     // derivation list but must not suppress the others. Only global stops
-    // (deadline, step/memory budget, cancellation) short-circuit.
+    // (deadline, step budget, cancellation) short-circuit.
     let hard_stop = |s: &Option<StopReason>| matches!(s, Some(r) if *r != StopReason::Cap);
     let derived = removed_funs
         .into_iter()
@@ -275,25 +275,6 @@ fn ams_impl<G: Governance>(
 /// exponential — consider `n` parallel equivalent edges, which have `n`
 /// minimal schemas); use `cap` accordingly.
 pub fn all_minimal_schemas(schema: &Schema, cap: usize) -> Vec<Vec<FunctionId>> {
-    all_minimal_schemas_impl(schema, cap, &Ungoverned).value()
-}
-
-/// [`all_minimal_schemas`] under a [`Governor`]: the lattice search stops
-/// on deadline/budget/cancellation (or on discovering a `(cap + 1)`-th
-/// minimal schema), reporting the minimal schemas found so far.
-pub fn all_minimal_schemas_governed(
-    schema: &Schema,
-    cap: usize,
-    governor: &Governor,
-) -> Outcome<Vec<Vec<FunctionId>>> {
-    all_minimal_schemas_impl(schema, cap, governor)
-}
-
-fn all_minimal_schemas_impl<G: Governance>(
-    schema: &Schema,
-    cap: usize,
-    governor: &G,
-) -> Outcome<Vec<Vec<FunctionId>>> {
     let graph = FunctionGraph::from_schema(schema);
     let mut results: Vec<Vec<FunctionId>> = Vec::new();
     let all: Vec<FunctionId> = schema.functions().iter().map(|d| d.id).collect();
@@ -307,12 +288,12 @@ fn all_minimal_schemas_impl<G: Governance>(
         &mut kept,
         &mut results,
         cap,
-        governor,
     )
     .err();
     results.sort();
     results.dedup();
-    Outcome::new(results, stop)
+    // `Outcome::new` counts a cap stop in the registry.
+    Outcome::new(results, stop).value()
 }
 
 fn removable(
@@ -332,8 +313,7 @@ fn removable(
     exists_equivalent_walk(graph, def.domain, def.range, def.functionality, &excluded)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search_minimal<G: Governance>(
+fn search_minimal(
     schema: &Schema,
     graph: &FunctionGraph,
     all: &[FunctionId],
@@ -341,11 +321,7 @@ fn search_minimal<G: Governance>(
     kept: &mut HashSet<FunctionId>,
     results: &mut Vec<Vec<FunctionId>>,
     cap: usize,
-    governor: &G,
 ) -> Result<(), StopReason> {
-    // One search-tree node runs several walk-existence checks; coarse
-    // granularity is the right cost/latency trade.
-    governor.check()?;
     // Find the first edge that is not yet decided and is removable.
     let next = all.iter().copied().find(|&f| {
         !removed.contains(&f) && !kept.contains(&f) && removable(schema, graph, removed, f)
@@ -367,7 +343,6 @@ fn search_minimal<G: Governance>(
                     // minimal schema provably exists.
                     return Err(StopReason::Cap);
                 }
-                governor.charge(1)?;
                 results.push(base);
             }
         }
@@ -375,7 +350,7 @@ fn search_minimal<G: Governance>(
     };
     // Branch 1: remove f.
     removed.insert(f);
-    let res = search_minimal(schema, graph, all, removed, kept, results, cap, governor);
+    let res = search_minimal(schema, graph, all, removed, kept, results, cap);
     removed.remove(&f);
     res?;
     // Branch 2: keep f permanently — only sensible if some other edge is
@@ -386,7 +361,7 @@ fn search_minimal<G: Governance>(
         !removed.contains(&g) && !kept.contains(&g) && removable(schema, graph, removed, g)
     });
     let res = if any_other_removable {
-        search_minimal(schema, graph, all, removed, kept, results, cap, governor)
+        search_minimal(schema, graph, all, removed, kept, results, cap)
     } else {
         Ok(())
     };

@@ -35,9 +35,8 @@ pub mod paths;
 pub mod report;
 
 pub use ams::{
-    all_minimal_schemas, all_minimal_schemas_governed, minimal_schema, minimal_schema_governed,
-    minimal_schema_with_advisory, minimal_schema_with_limits, minimal_schema_with_order,
-    AmsOutcome, DerivedFunction,
+    all_minimal_schemas, minimal_schema, minimal_schema_governed, minimal_schema_with_advisory,
+    minimal_schema_with_limits, minimal_schema_with_order, AmsOutcome, DerivedFunction,
 };
 pub use cycles::{cycles_through_edge, cycles_through_edge_governed, Cycle};
 pub use design::{

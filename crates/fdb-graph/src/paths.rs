@@ -11,7 +11,7 @@
 //! that "addition of an edge may result in an exponential number of
 //! cycles" — so every entry point takes [`PathLimits`] caps, and the
 //! governed entry points ([`all_simple_paths_governed`]) additionally
-//! honour a [`Governor`]'s deadline/step/memory budgets and cancellation,
+//! honour a [`Governor`]'s deadline, step budget and cancellation,
 //! returning a typed [`Outcome`] whose `Exhausted { partial, reason }`
 //! arm carries the sound prefix enumerated before the stop.
 
@@ -171,10 +171,9 @@ pub fn all_simple_paths(
 }
 
 /// [`all_simple_paths`] under a [`Governor`]: the enumeration stops as
-/// soon as the governor's deadline, step budget, memory budget or
-/// cancellation token fires — or a structural cap of `limits` bites —
-/// and the stop is reported as a typed [`Outcome::Exhausted`] whose
-/// partial result is the sound prefix enumerated so far (the DFS is
+/// soon as the governor's deadline, step budget or cancellation token
+/// fires — or a structural cap of `limits` bites — and the stop is
+/// reported as a typed [`Outcome::Exhausted`] whose partial result is the sound prefix enumerated so far (the DFS is
 /// deterministic, so a smaller budget always yields a prefix of a larger
 /// budget's result).
 ///
@@ -273,7 +272,6 @@ impl<G: Governance> PathSearch<'_, G> {
                     // exist beyond max_paths.
                     return Err(StopReason::Cap);
                 }
-                self.governor.charge(1)?;
                 self.out.push(path);
                 // Node-simple paths end at the first arrival at the goal.
                 continue;

@@ -183,7 +183,7 @@ pub enum Statement {
     },
     /// `EXPLAIN ANALYZE f(x, y)` — execute the truth query and report
     /// per-derivation plans, estimate-vs-actual chain counts, cache
-    /// outcome, governor charge and timing.
+    /// outcome, governor steps and timing.
     ExplainAnalyze {
         /// Function name.
         function: String,

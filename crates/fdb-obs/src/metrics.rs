@@ -353,9 +353,6 @@ registry! {
         /// Statement retries performed by the overload backoff policy
         /// (`Shared::retry_on_overload`).
         txn_overload_retries => "fdb.txn.overload_retries",
-        /// Log records inside uncommitted transactions discarded by
-        /// recovery (the crash-atomicity guarantee at work).
-        txn_recovery_discarded => "fdb.txn.recovery_discarded",
         /// Automatic rollbacks triggered by a governed stop (deadline,
         /// budget, cancellation, overload) inside an open transaction.
         txn_governed_aborts => "fdb.txn.governed_aborts",
@@ -399,8 +396,6 @@ registry! {
         governor_stop_deadline => "fdb.governor.stops.deadline",
         /// Governed runs stopped by the step budget.
         governor_stop_steps => "fdb.governor.stops.steps",
-        /// Governed runs stopped by the memory budget.
-        governor_stop_memory => "fdb.governor.stops.memory",
         /// Governed runs stopped by cancellation.
         governor_stop_cancelled => "fdb.governor.stops.cancelled",
         /// Enumerations stopped by a structural result cap.

@@ -134,7 +134,7 @@ pub fn chains_deriving(
 }
 
 /// [`chains_deriving`] under a governor: enumeration stops on
-/// deadline/step/memory budget, cancellation, or the `max_chains` cap
+/// deadline, step budget, cancellation, or the `max_chains` cap
 /// (the cap is reported only when one more chain provably exists), and
 /// the chains found so far come back as a sound prefix.
 fn chains_deriving_impl<G: Governance>(
@@ -227,13 +227,12 @@ fn search<G: Governance>(
                     // Exact cap detection: one more chain provably exists.
                     Err(StopReason::Cap)
                 } else {
-                    governor.charge(1).map(|()| {
-                        out.push(Chain {
-                            facts: facts.clone(),
-                            matching: m_final,
-                            flags: fl,
-                        });
-                    })
+                    out.push(Chain {
+                        facts: facts.clone(),
+                        matching: m_final,
+                        flags: fl,
+                    });
+                    Ok(())
                 }
             } else {
                 Ok(())
@@ -430,7 +429,6 @@ fn all_chains<G: Governance>(
                     flags: row.truth,
                 },
                 limits,
-                governor,
                 &mut out,
             )
         } else {
@@ -456,18 +454,11 @@ fn all_chains<G: Governance>(
     Outcome::new(out, stop)
 }
 
-/// Appends a completed chain, enforcing the cap (exact detection) and
-/// the governor's memory budget.
-fn push_chain<G: Governance>(
-    chain: Chain,
-    limits: ChainLimits,
-    governor: &G,
-    out: &mut Vec<Chain>,
-) -> Result<(), StopReason> {
+/// Appends a completed chain, enforcing the cap (exact detection).
+fn push_chain(chain: Chain, limits: ChainLimits, out: &mut Vec<Chain>) -> Result<(), StopReason> {
     if out.len() >= limits.max_chains {
         return Err(StopReason::Cap);
     }
-    governor.charge(1)?;
     out.push(chain);
     Ok(())
 }
@@ -525,7 +516,6 @@ fn search_open<G: Governance>(
                     flags: fl,
                 },
                 limits,
-                governor,
                 out,
             )
         } else {
@@ -589,62 +579,40 @@ pub fn derived_delete_with_policy(
     policy: DeletePolicy,
     limits: ChainLimits,
 ) -> Vec<crate::nc::NcId> {
-    // Historic behaviour: a capped enumeration silently negates the
-    // chains found so far (the governed variant is all-or-nothing).
-    let (chains, _) = collect_delete_chains(store, derivations, x, y, policy, limits, &Ungoverned);
-    chains
+    // A capped enumeration negates the chains found so far.
+    collect_delete_chains(store, derivations, x, y, policy, limits)
         .into_iter()
         .map(|facts| store.create_nc(facts))
         .collect()
 }
 
-/// [`derived_delete_with_policy`] under a [`Governor`] —
-/// **all-or-nothing**: a delete that negated only *some* matching chains
-/// would leave the deleted fact still derivable, so if the governor (or
-/// the chain cap) stops enumeration the store is left untouched and the
-/// stop reason is returned.
-pub fn derived_delete_governed(
-    store: &mut Store,
-    derivations: &[Derivation],
-    x: &Value,
-    y: &Value,
-    policy: DeletePolicy,
-    limits: ChainLimits,
-    governor: &Governor,
-) -> Result<Vec<crate::nc::NcId>, StopReason> {
-    let (chains, stop) = collect_delete_chains(store, derivations, x, y, policy, limits, governor);
-    if let Some(r) = stop {
-        return Err(r);
-    }
-    Ok(chains
-        .into_iter()
-        .map(|facts| store.create_nc(facts))
-        .collect())
-}
-
-fn collect_delete_chains<G: Governance>(
+fn collect_delete_chains(
     store: &Store,
     derivations: &[Derivation],
     x: &Value,
     y: &Value,
     policy: DeletePolicy,
     limits: ChainLimits,
-    governor: &G,
-) -> (Vec<Vec<Fact>>, Option<StopReason>) {
+) -> Vec<Vec<Fact>> {
     let allow_ambiguous = policy == DeletePolicy::Strict;
     let mut chains: Vec<Vec<Fact>> = Vec::new();
-    let mut stop = None;
     for derivation in derivations {
-        let outcome =
-            chains_deriving_impl(store, derivation, x, y, allow_ambiguous, limits, governor);
-        stop = stop.or(outcome.reason());
+        let outcome = chains_deriving_impl(
+            store,
+            derivation,
+            x,
+            y,
+            allow_ambiguous,
+            limits,
+            &Ungoverned,
+        );
         for chain in outcome.value() {
             if !chains.contains(&chain.facts) {
                 chains.push(chain.facts);
             }
         }
     }
-    (chains, stop)
+    chains
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ fn main() -> Result<(), FdbError> {
         let shared = shared.clone();
         thread::spawn(move || {
             shared
-                .write(|db| {
+                .with(|db| {
                     thread::sleep(Duration::from_millis(30));
                     db.insert(teach, v("laplace"), v("math"))
                 })
@@ -150,7 +150,7 @@ fn main() -> Result<(), FdbError> {
 
     // 7. A governed write respects the statement deadline too.
     let gov = Governor::with_deadline(Duration::from_millis(10));
-    shared.write_governed(&gov, |db| db.insert(class_list, v("math"), v("mary")))??;
+    shared.with_governed(&gov, |db| db.insert(class_list, v("math"), v("mary")))??;
     println!("governed write ok, {:?} left", gov.remaining_time());
     Ok(())
 }

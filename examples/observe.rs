@@ -45,7 +45,7 @@ fn main() -> Result<(), FdbError> {
 
     // 2. EXPLAIN ANALYZE actually executes the query and reports what
     //    happened: plan direction, estimates vs actuals, partial
-    //    information (NC demotions), governor charge, timing.
+    //    information (NC demotions), governor steps, timing.
     println!();
     println!("-- 2. EXPLAIN ANALYZE: estimates vs what actually ran.");
     run(&mut e, "EXPLAIN ANALYZE pupil(euclid, john)")?;

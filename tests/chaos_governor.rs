@@ -15,6 +15,9 @@
 //! finishing *is* the assertion), every refusal is a typed error,
 //! deadlines are honoured within a coarse tolerance, and every
 //! `Exhausted` partial is a sound prefix of the true answer.
+//!
+//! Every test installs the flight recorder's panic hook first, so a
+//! failing round under `FDB_FLIGHT_DIR` leaves a `flight-*.json` behind.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +65,7 @@ fn v(s: impl std::fmt::Display) -> Value {
 /// with partial-soundness checked against the full enumeration.
 #[test]
 fn chaos_graph_search_cycle_bomb() {
+    fdb::obs::flight::install_panic_hook();
     // width 4, 8 rungs (+ back edge): 4^8 = 65536 cycles through `back`.
     let schema = Arc::new(Topology::CycleBomb { width: 4 }.build(33));
     let graph = Arc::new(FunctionGraph::from_schema(&schema));
@@ -200,6 +204,7 @@ fn university() -> Database {
 /// stays consistent.
 #[test]
 fn chaos_shared_database_overload() {
+    fdb::obs::flight::install_panic_hook();
     let shared = SharedDatabase::with_policy(
         university(),
         OverloadPolicy {
@@ -239,7 +244,7 @@ fn chaos_shared_database_overload() {
                     1 => {
                         let gov =
                             Governor::with_deadline(Duration::from_millis(rng.gen_range(0..30u64)));
-                        let r = h.write_governed(&gov, |db| {
+                        let r = h.with_governed(&gov, |db| {
                             db.insert(class_list, v(format!("c{}", i % 5)), v(format!("s{t}_{i}")))
                         });
                         match r {
@@ -318,6 +323,7 @@ fn txn_round(ldb: &mut LoggedDatabase, t: usize, i: usize, commit: bool) -> Resu
 /// rolled-back work must leave no trace.
 #[test]
 fn chaos_transactions_with_overload_retry() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let mut ldb = LoggedDatabase::create_with(
         disk.clone(),
@@ -400,6 +406,7 @@ fn chaos_transactions_with_overload_retry() {
 /// whatever survives must replay to the live state.
 #[test]
 fn chaos_logged_database_with_disk_faults() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let mut ldb = LoggedDatabase::create_with(
         disk.clone(),

@@ -14,6 +14,9 @@
 //! * **Crash-recovery parity** — after the soak, recovery reproduces the
 //!   live state; a cut inside a commit group recovers to a prefix of
 //!   whole transactions.
+//!
+//! Every test installs the flight recorder's panic hook first, so a
+//! failing round under `FDB_FLIGHT_DIR` leaves a `flight-*.json` behind.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,6 +65,7 @@ fn teach_only() -> Database {
 /// check pair atomicity, version monotonicity, and consistency.
 #[test]
 fn chaos_mvcc_readers_vs_group_committers() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let mut ldb = LoggedDatabase::create_with(
         disk.clone(),
@@ -241,6 +245,7 @@ fn chaos_mvcc_readers_vs_group_committers() {
 /// open frame, or an inconsistent store.
 #[test]
 fn crash_inside_a_commit_group_recovers_to_whole_record_prefix() {
+    fdb::obs::flight::install_panic_hook();
     const GROUP: usize = 6;
 
     // Reference run: unbounded disk, recording the expected state after

@@ -8,6 +8,9 @@
 //! The resurrected old primary is then fenced by term, and an injected
 //! conflicting frame must surface as a divergence report, never a silent
 //! overwrite. `FDB_REPL_ROUNDS` scales the soak (default 10).
+//!
+//! Every test installs the flight recorder's panic hook first, so a
+//! failing round under `FDB_FLIGHT_DIR` leaves a `flight-*.json` behind.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -319,6 +322,7 @@ fn run_round(seed: u64) {
 
 #[test]
 fn failover_soak() {
+    fdb::obs::flight::install_panic_hook();
     fdb::obs::set_enabled(true);
     for round in 0..rounds() {
         run_round(0xF417_0000 + round);
@@ -331,6 +335,7 @@ fn failover_soak() {
 /// `STATS JSON` output.
 #[test]
 fn promotion_discards_dangling_txn_and_reports_it() {
+    fdb::obs::flight::install_panic_hook();
     fdb::obs::set_enabled(true);
     let disk = Arc::new(SimDisk::new());
     let mut p = LoggedDatabase::create_with(
@@ -391,12 +396,16 @@ fn promotion_discards_dangling_txn_and_reports_it() {
 /// mid-flight when the histories disagreed.
 #[test]
 fn divergence_writes_flight_dump_with_causal_spans() {
+    fdb::obs::flight::install_panic_hook();
     fdb::obs::set_enabled(true);
     fdb::obs::causal::set_tracing(true);
     fdb::obs::causal::set_sample_rate(1);
 
     let dump_dir = std::env::temp_dir().join(format!("fdb-flight-repl-{}", std::process::id()));
     std::fs::create_dir_all(&dump_dir).unwrap();
+    // Re-armed with CI's `FDB_FLIGHT_DIR` (if any) at the end, so the
+    // other tests of this binary still dump where CI collects.
+    let armed = fdb::obs::flight::dump_dir();
     fdb::obs::flight::set_dump_dir(Some(dump_dir.clone()));
 
     let disk = Arc::new(SimDisk::new());
@@ -453,7 +462,7 @@ fn divergence_writes_flight_dump_with_causal_spans() {
         "no flight dump captured the divergence with its apply span"
     );
 
-    fdb::obs::flight::set_dump_dir(None);
+    fdb::obs::flight::set_dump_dir(armed);
     fdb::obs::causal::set_sample_rate(fdb::obs::causal::DEFAULT_SAMPLE_RATE);
     std::fs::remove_dir_all(&dump_dir).ok();
 }

@@ -23,6 +23,9 @@
 //! layout by the next checkpoint. Last, a segment whose frames an earlier
 //! version wrote with JSON payloads is continued with binary frames, cut
 //! at every byte of that continuation, and shipped to a replica.
+//!
+//! Every test installs the flight recorder's panic hook first, so a
+//! failing round under `FDB_FLIGHT_DIR` leaves a `flight-*.json` behind.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -176,6 +179,7 @@ fn crash_and_recover(stream: &[Update], budget: u64) -> (u64, Vec<u8>) {
 
 #[test]
 fn crash_matrix_every_record_boundary_and_one_record_bytewise() {
+    fdb::obs::flight::install_panic_hook();
     let stream = workload();
     assert!(stream.len() >= 200, "workload must cover >=200 updates");
 
@@ -403,6 +407,7 @@ fn txn_crash_and_recover(steps: &[TxnStep<'_>], budget: u64) -> Vec<u8> {
 
 #[test]
 fn txn_crash_matrix_every_record_boundary() {
+    fdb::obs::flight::install_panic_hook();
     let stream = workload();
     let steps = txn_script(&stream);
     let updates = steps
@@ -495,6 +500,7 @@ fn txn_crash_matrix_every_record_boundary() {
 
 #[test]
 fn txn_commit_fsync_fault_aborts_and_recovery_agrees() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let storage: Arc<dyn WalStorage> = disk.clone();
     let mut ldb = LoggedDatabase::create_with(storage, dir(), config()).unwrap();
@@ -530,6 +536,7 @@ fn txn_commit_fsync_fault_aborts_and_recovery_agrees() {
 
 #[test]
 fn txn_soak_with_fsync_faults() {
+    fdb::obs::flight::install_panic_hook();
     // The transactional script under sporadic injected fsync failures: a
     // fault inside a frame aborts that transaction (typed, no panic); the
     // driver keeps going; recovery of the intact image must agree with
@@ -594,6 +601,7 @@ fn checkpoint_path() -> PathBuf {
 
 #[test]
 fn checkpoint_install_cut_at_every_byte() {
+    fdb::obs::flight::install_panic_hook();
     // Checkpoints at records 24 and 48; the second is the one cut. Small
     // numbers keep the ~1,000 cut runs short, small segments make the
     // install prune several of them.
@@ -711,6 +719,7 @@ fn checkpointed_directory(disk: &Arc<SimDisk>, tail: usize) -> Vec<u8> {
 
 #[test]
 fn checkpoint_bit_flips_never_load_a_different_database() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let live = checkpointed_directory(&disk, 0);
     let open = || {
@@ -759,6 +768,7 @@ const JSON_CHECKPOINT_LIVE: &[u8] = include_bytes!("fixtures/legacy/crash_matrix
 
 #[test]
 fn checkpoint_in_the_json_layout_opens_seeds_and_upgrades() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let live = checkpointed_directory(&disk, 3);
     assert_eq!(live, JSON_CHECKPOINT_LIVE);
@@ -828,6 +838,7 @@ fn open_with_checkpoint(bytes: &[u8]) -> fdb_types::Result<LoggedDatabase> {
 /// the open fails as it does on a checksum mismatch.
 #[test]
 fn json_checkpoint_with_an_edited_ncl_is_refused_as_corrupt() {
+    fdb::obs::flight::install_panic_hook();
     assert!(open_with_checkpoint(JSON_CHECKPOINT.as_bytes()).is_ok());
     let edited = JSON_CHECKPOINT.replacen(r#"\"ncl\":[1]"#, r#"\"ncl\":[2]"#, 1);
     assert_ne!(edited, JSON_CHECKPOINT);
@@ -845,6 +856,7 @@ fn json_checkpoint_with_an_edited_ncl_is_refused_as_corrupt() {
 /// the same way (`snapshot::tests` covers the other impossible states).
 #[test]
 fn resealed_binary_checkpoint_with_an_edited_ncl_is_refused_as_corrupt() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     checkpointed_directory(&disk, 3);
     let info = read_checkpoint(disk.as_ref(), &dir()).unwrap().unwrap();
@@ -960,6 +972,7 @@ fn continue_in_binary(ldb: &mut LoggedDatabase, mut after: impl FnMut(&LoggedDat
 
 #[test]
 fn json_payload_segment_continues_in_binary_recovers_and_ships() {
+    fdb::obs::flight::install_panic_hook();
     let disk = Arc::new(SimDisk::new());
     let storage: Arc<dyn WalStorage> = disk.clone();
     let at_open = json_payload_directory(&disk);

@@ -78,7 +78,7 @@ proptest! {
         }
         let pin = shared.pin();
         // The old read path: full exclusion, observing the live database.
-        let exclusive = shared.write(|db| db.clone()).unwrap();
+        let exclusive = shared.with(|db| db.clone()).unwrap();
         common::assert_same_store(pin.store(), exclusive.store(), &format!("seed {seed}"));
         prop_assert_eq!(pin.version(), exclusive.store().version());
         for _ in 0..20 {

@@ -5,7 +5,8 @@
 //! cut mid-record, the torn image is recovered, and the registry deltas
 //! across the recovery must equal the report the recovery itself returned
 //! (salvaged records, corruption events, quarantined bytes — and exactly
-//! one recovery run), and a checkpoint taken afterwards must show up in
+//! one recovery run; records of a transaction that never committed are
+//! counted too), and a checkpoint taken afterwards must show up in
 //! `fdb.wal.checkpoint_bytes` / `fdb.wal.checkpoint_ns` and as an
 //! `fdb.core.checkpoint` span with exactly the size of the file it
 //! installed. This file is its own test binary on purpose: the registry
@@ -22,7 +23,7 @@ use fdb::core::{
     SyncPolicy, Update, WalStorage,
 };
 use fdb::obs;
-use fdb::types::{Derivation, Functionality, Schema, Step};
+use fdb::types::{Derivation, Functionality, Schema, Step, Value};
 use fdb::workload::{update_stream, UpdateStreamConfig};
 
 const DIR: &str = "/recovery_metrics_db";
@@ -200,6 +201,35 @@ fn recovery_metrics_match_the_recovery_report() {
     let stats = fdb::lang::Engine::new().execute_line("STATS JSON").unwrap();
     assert!(
         stats.contains("\"fdb.wal.checkpoint_bytes\"") && stats.contains("fdb.wal.checkpoint_ns")
+    );
+
+    // A transaction that never committed (the "crash" is the drop) leaves
+    // a dangling frame; recovery discards its records and counts them in
+    // `fdb.recovery.uncommitted_discarded`, exactly as its report does.
+    let mut ldb = LoggedDatabase::create_with(
+        disk.clone() as Arc<dyn WalStorage>,
+        "/recovery_metrics_dangling",
+        config(),
+    )
+    .unwrap();
+    ldb.declare("teach", "faculty", "course", Functionality::ManyMany)
+        .unwrap();
+    ldb.begin().unwrap();
+    for (x, y) in [("euclid", "math"), ("gauss", "algebra")] {
+        ldb.insert("teach", Value::atom(x), Value::atom(y)).unwrap();
+    }
+    drop(ldb);
+    let discarded0 = reg.recovery_uncommitted_discarded.get();
+    let (_, report) = LoggedDatabase::open_with(
+        disk as Arc<dyn WalStorage>,
+        "/recovery_metrics_dangling",
+        config(),
+    )
+    .unwrap();
+    assert!(report.uncommitted_discarded > 0, "{report:?}");
+    assert_eq!(
+        reg.recovery_uncommitted_discarded.get() - discarded0,
+        report.uncommitted_discarded as u64
     );
 }
 
