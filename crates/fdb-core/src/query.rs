@@ -239,14 +239,13 @@ impl Database {
         x: &Value,
     ) -> Result<Vec<(Value, Truth)>> {
         self.validate_expression(derivation)?;
-        let derivations = [derivation.clone()];
-        let mut out: Vec<(Value, Truth)> =
-            derived_image(self.store(), &derivations, x, self.chain_limits())
+        let derivations = std::slice::from_ref(derivation);
+        Ok(
+            derived_image(self.store(), derivations, x, self.chain_limits())
                 .into_iter()
                 .map(|p| (p.y, p.truth))
-                .collect();
-        out.sort();
-        Ok(out)
+                .collect(),
+        )
     }
 
     /// [`Database::eval_expression`] under a [`Governor`].
@@ -257,14 +256,10 @@ impl Database {
         governor: &Governor,
     ) -> Result<Outcome<Vec<(Value, Truth)>>> {
         self.validate_expression(derivation)?;
-        let derivations = [derivation.clone()];
+        let derivations = std::slice::from_ref(derivation);
         let outcome =
-            derived_image_governed(self.store(), &derivations, x, self.chain_limits(), governor);
-        Ok(outcome.map(|pairs| {
-            let mut out: Vec<(Value, Truth)> = pairs.into_iter().map(|p| (p.y, p.truth)).collect();
-            out.sort();
-            out
-        }))
+            derived_image_governed(self.store(), derivations, x, self.chain_limits(), governor);
+        Ok(outcome.map(|pairs| pairs.into_iter().map(|p| (p.y, p.truth)).collect()))
     }
 
     /// Validates an ad-hoc expression: well-formed over the schema and

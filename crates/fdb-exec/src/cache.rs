@@ -39,6 +39,7 @@
 //! remembered answer is served whatever the deadline.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fdb_governor::Outcome;
 use fdb_storage::{DerivedPair, Store, Truth};
@@ -127,7 +128,7 @@ struct Answers {
     /// The derivations the answers were computed from.
     derivations: Vec<Derivation>,
     truths: HashMap<(Value, Value), Truth>,
-    extension: Option<Vec<DerivedPair>>,
+    extension: Option<Arc<[DerivedPair]>>,
 }
 
 impl Answers {
@@ -321,25 +322,26 @@ impl ResultCache {
     }
 
     /// The extension of `f`, remembered and recomputed on the terms of
-    /// [`ResultCache::truth_or_compute`].
+    /// [`ResultCache::truth_or_compute`]. A remembered extension is
+    /// shared, not copied: every hit returns the same allocation.
     pub fn extension_or_compute(
         &mut self,
         store: &Store,
         f: FunctionId,
         derivations: &[Derivation],
         compute: impl FnOnce() -> Result<Outcome<Vec<DerivedPair>>>,
-    ) -> Result<Outcome<Vec<DerivedPair>>> {
+    ) -> Result<Outcome<Arc<[DerivedPair]>>> {
         if derivations.is_empty() {
-            return compute();
+            return Ok(compute()?.map(Arc::from));
         }
         let answers = Self::fresh(&mut self.functions, &mut self.stats, store, f, derivations);
         Self::count(&mut self.stats, answers.extension.is_some(), "extension", f);
         if let Some(pairs) = &answers.extension {
-            return Ok(Outcome::Complete(pairs.clone()));
+            return Ok(Outcome::Complete(Arc::clone(pairs)));
         }
-        let outcome = compute()?;
+        let outcome = compute()?.map(Arc::from);
         if let Outcome::Complete(pairs) = &outcome {
-            answers.extension = Some(pairs.clone());
+            answers.extension = Some(Arc::clone(pairs));
         }
         Ok(outcome)
     }
@@ -453,6 +455,31 @@ mod tests {
             })
             .unwrap();
         assert!(recomputed && second.is_complete());
+    }
+
+    #[test]
+    fn a_remembered_extension_is_shared_not_copied() {
+        let s = store();
+        let ds = pupil();
+        let mut cache = ResultCache::new();
+        let mut computes = 0;
+        let mut lookup = |cache: &mut ResultCache| {
+            cache
+                .extension_or_compute(&s, PUPIL, &ds, || {
+                    computes += 1;
+                    Ok(Outcome::Complete(vec![DerivedPair {
+                        x: v("a"),
+                        y: v("c"),
+                        truth: Truth::True,
+                    }]))
+                })
+                .unwrap()
+                .value()
+        };
+        let first = lookup(&mut cache);
+        let second = lookup(&mut cache);
+        assert_eq!(computes, 1);
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]

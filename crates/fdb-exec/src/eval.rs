@@ -21,17 +21,20 @@
 //! * extension / image / inverse-image evaluate **set-at-a-time**: one
 //!   enumeration per derivation — the selected endpoint bound by
 //!   [`Bind::Matches`], the other unbound — answers every pair. A chain
-//!   with two non-null endpoints is evidence for exactly that pair; a
-//!   chain with a null endpoint is a *wildcard* that matches, ambiguously,
-//!   every pair sharing its other endpoint (see `PairEvidence`). These
-//!   are precisely the chains the interpreter's per-pair truth queries
+//!   with two non-null endpoints is evidence for exactly that pair: it is
+//!   pushed, with its own verdict (so every non-proving chain gets its
+//!   coverage check), onto one flat vector, which is sorted on the free
+//!   endpoint and merged pair by pair once per derivation. A chain with
+//!   a null endpoint is a *wildcard* that matches, ambiguously, every
+//!   pair sharing its other endpoint (see `PairEvidence`). These are
+//!   precisely the chains the interpreter's per-pair truth queries
 //!   examine, each looked at once. What a stopped run may report is
 //!   spelled out on `pairs_impl`;
 //! * delete-chain collection is pinned to [`Direction::Forward`]: NC ids
 //!   are user-visible in update traces, and the forward (interpreter)
 //!   enumeration order is the canonical order for NC numbering.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
@@ -125,25 +128,36 @@ fn derived_truth_impl<G: Governance>(
     Outcome::Complete(verdict)
 }
 
+/// One chain's evidence for the pair it ends in: left, right, verdict.
+type Entry<'a> = (&'a Value, &'a Value, Truth);
+
 /// Per-pair §3.2 evidence gathered from one pass over the chains of an
-/// extension, image or inverse image.
+/// extension, image or inverse image, in one flat vector.
 ///
 /// The interpreter judges a pair `(x, y)` by the chains whose left
 /// endpoint *matches* `x` and whose right endpoint matches `y`. For
 /// non-null `x` and `y` those are the chains ending in exactly `(x, y)`,
-/// folded into `verdicts` as they arrive, plus the chains with a null
-/// endpoint: a null matches any value ambiguously, so such a chain can
-/// never prove a pair true, but — unless an NC covers it — it makes every
-/// pair sharing its other endpoint at least ambiguous. Those *wildcards*
-/// are remembered by the endpoint they leave fixed and applied when the
-/// pass is over.
+/// plus the chains with a null endpoint: a null matches any value
+/// ambiguously, so such a chain can never prove a pair true, but —
+/// unless an NC covers it — it makes every pair sharing its other
+/// endpoint at least ambiguous. Those *wildcards* are remembered by the
+/// endpoint they leave fixed and applied when the pass is over.
+///
+/// A chain ending in two non-null values is pushed as one entry with its
+/// own verdict (`True` if it proves the pair, `Ambiguous` if no NC covers
+/// it, `False` otherwise). [`PairEvidence::merge`] then sorts the entries
+/// on the free endpoint — every entry of an image has the bound value on
+/// the left, of an inverse image on the right — or on `(x, y)` for an
+/// extension, and folds each pair's run into one entry by max on
+/// `False < Ambiguous < True`: the three-valued OR of its chains.
 #[derive(Default)]
 struct PairEvidence<'a> {
-    /// Every pair some chain ends in with both endpoints non-null — the
-    /// only pairs an extension lists — with the verdict of the chains
-    /// seen so far that end in exactly that pair. The key order is the
-    /// answer's.
-    verdicts: BTreeMap<(&'a Value, &'a Value), Truth>,
+    /// One entry per chain with two non-null endpoints since the last
+    /// merge, after the entries the merges left: every pair some chain
+    /// ends in — the only pairs an extension lists — with its verdict.
+    pairs: Vec<Entry<'a>>,
+    /// What the entries are sorted on.
+    order: PairOrder,
     /// Left endpoints of uncovered chains whose right endpoint is null.
     wild_left: BTreeSet<&'a Value>,
     /// Right endpoints of uncovered chains whose left endpoint is null.
@@ -152,13 +166,31 @@ struct PairEvidence<'a> {
     wild_all: bool,
 }
 
+/// The sort key of [`PairEvidence`]: the endpoint that is not bound.
+#[derive(Clone, Copy, Default)]
+enum PairOrder {
+    /// An image: every pair has the bound value on the left.
+    Right,
+    /// An inverse image: every pair has the bound value on the right.
+    Left,
+    /// An extension.
+    #[default]
+    Both,
+}
+
 impl<'a> PairEvidence<'a> {
     fn fold(&mut self, store: &Store, chain: &ChainView<'a, '_>) {
         let (left, right) = (chain.left, chain.right);
         match (left.is_null(), right.is_null()) {
             (false, false) => {
-                let verdict = self.verdicts.entry((left, right)).or_insert(Truth::False);
-                raise(store, verdict, chain);
+                let verdict = if chain.proves_true() {
+                    Truth::True
+                } else if covered(store, chain) {
+                    Truth::False
+                } else {
+                    Truth::Ambiguous
+                };
+                self.pairs.push((left, right, verdict));
             }
             // A wildcard that lifts nothing new needs no coverage check.
             _ if self.wild_all => {}
@@ -176,6 +208,16 @@ impl<'a> PairEvidence<'a> {
         }
     }
 
+    /// Sorts the entries by pair and leaves one per pair, carrying the
+    /// highest verdict of its run.
+    fn merge(&mut self) {
+        match self.order {
+            PairOrder::Right => merge_by(&mut self.pairs, |&(_, y, _)| y),
+            PairOrder::Left => merge_by(&mut self.pairs, |&(x, _, _)| x),
+            PairOrder::Both => merge_by(&mut self.pairs, |&(x, y, _)| (x, y)),
+        }
+    }
+
     /// The verdict of a discovered pair once every chain has been seen.
     fn settled(&self, x: &Value, y: &Value, verdict: Truth) -> Truth {
         let lifted = self.wild_all || self.wild_left.contains(x) || self.wild_right.contains(y);
@@ -185,6 +227,19 @@ impl<'a> PairEvidence<'a> {
             verdict
         }
     }
+}
+
+/// Sorts `pairs` on `key` and merges each run of equal keys into its
+/// first entry, by max on the verdict.
+fn merge_by<'a, K: Ord>(pairs: &mut Vec<Entry<'a>>, key: impl Fn(&Entry<'a>) -> K) {
+    pairs.sort_unstable_by_key(&key);
+    pairs.dedup_by(|later, kept| {
+        let same = key(later) == key(kept);
+        if same {
+            kept.2 = kept.2.max(later.2);
+        }
+        same
+    });
 }
 
 /// Shared set-at-a-time core for extension / image / inverse-image: one
@@ -223,7 +278,14 @@ fn pairs_impl<G: Governance>(
         right: ysel.map_or(Bind::Unbound, Bind::Matches),
         allow_ambiguous: true,
     };
-    let mut evidence = PairEvidence::default();
+    let mut evidence = PairEvidence {
+        order: match (xsel, ysel) {
+            (Some(_), None) => PairOrder::Right,
+            (None, Some(_)) => PairOrder::Left,
+            _ => PairOrder::Both,
+        },
+        ..PairEvidence::default()
+    };
     let mut stop: Option<StopReason> = None;
     for derivation in derivations {
         let (_, streamed, span) =
@@ -231,31 +293,29 @@ fn pairs_impl<G: Governance>(
                 evidence.fold(store, chain);
                 ControlFlow::Continue(())
             });
-        span.annotate("pairs", evidence.verdicts.len());
+        evidence.merge();
+        span.annotate("pairs", evidence.pairs.len());
         stop = streamed.reason();
         if stop.is_some() {
             break;
         }
     }
-    let pair = |x: &Value, y: &Value, truth| DerivedPair {
+    let pair = |&(x, y, truth): &Entry<'_>| DerivedPair {
         x: x.clone(),
         y: y.clone(),
         truth,
     };
     let Some(reason) = stop else {
-        let pairs = evidence
-            .verdicts
-            .iter()
-            .filter_map(|(&(x, y), &verdict)| {
-                let truth = evidence.settled(x, y, verdict);
-                (truth != Truth::False).then(|| pair(x, y, truth))
-            })
-            .collect();
-        return Outcome::Complete(pairs);
+        let mut pairs = std::mem::take(&mut evidence.pairs);
+        pairs.retain_mut(|(x, y, verdict)| {
+            *verdict = evidence.settled(x, y, *verdict);
+            *verdict != Truth::False
+        });
+        return Outcome::Complete(pairs.iter().map(pair).collect());
     };
     let mut partial = Vec::new();
     let mut soft = reason == StopReason::Cap;
-    for (&(x, y), &verdict) in &evidence.verdicts {
+    for &(x, y, verdict) in &evidence.pairs {
         let truth = match verdict {
             Truth::True => Truth::True,
             _ if !soft => continue,
@@ -271,7 +331,7 @@ fn pairs_impl<G: Governance>(
             }
         };
         if truth != Truth::False {
-            partial.push(pair(x, y, truth));
+            partial.push(pair(&(x, y, truth)));
         }
     }
     Outcome::Exhausted { partial, reason }
@@ -541,6 +601,122 @@ mod tests {
             }
         }
         assert!(completed);
+    }
+
+    /// One pair reached by three chains across two derivations — through
+    /// two courses and through `advises` — whatever each chain is
+    /// (covered by an NC, ambiguous and uncovered, or proving) and in
+    /// whichever order the derivations run: the merged verdict is the
+    /// interpreter's, in the extension, the image and the inverse image.
+    #[test]
+    fn a_pair_merged_from_chains_of_two_derivations_has_its_interpreted_truth() {
+        const ADVISES: FunctionId = FunctionId(2);
+        #[derive(Clone, Copy)]
+        enum Kind {
+            Covered,
+            Uncovered,
+            Proving,
+        }
+        use Kind::*;
+        let limits = ChainLimits::default();
+        let (x, s) = (v("x"), v("s"));
+        let mut seen = BTreeSet::new();
+        for a in [Covered, Uncovered, Proving] {
+            for b in [Covered, Uncovered, Proving] {
+                for c in [Covered, Uncovered, Proving] {
+                    let mut store = Store::new(3);
+                    // The fact that sets a chain's kind, and a sibling of
+                    // it outside the chain.
+                    let mut own = Vec::new();
+                    for m in ["m0", "m1"] {
+                        store.base_insert(TEACH, v("x"), v(m));
+                        store.base_insert(CLASS_LIST, v(m), v("s"));
+                        store.base_insert(CLASS_LIST, v(m), v("t"));
+                        own.push((Fact::new(CLASS_LIST, m, "s"), Fact::new(CLASS_LIST, m, "t")));
+                    }
+                    store.base_insert(ADVISES, v("x"), v("s"));
+                    store.base_insert(ADVISES, v("x"), v("t"));
+                    own.push((Fact::new(ADVISES, "x", "s"), Fact::new(ADVISES, "x", "t")));
+                    for ((fact, sibling), kind) in own.into_iter().zip([a, b, c]) {
+                        match kind {
+                            Covered => {
+                                store.create_nc(vec![fact]);
+                            }
+                            Uncovered => {
+                                store.create_nc(vec![fact, sibling]);
+                            }
+                            Proving => {}
+                        }
+                    }
+                    let advises = Derivation::single(Step::identity(ADVISES));
+                    for d in [[pupil(), advises.clone()], [advises, pupil()]] {
+                        let truth = interp::derived_truth(&store, &d, &x, &s, limits);
+                        seen.insert(truth);
+                        let full = interp::derived_extension(&store, &d, limits);
+                        assert_eq!(derived_extension(&store, &d, limits), full);
+                        let listed: Vec<_> = full.iter().filter(|p| p.y == s).cloned().collect();
+                        assert_eq!(derived_inverse_image(&store, &d, &s, limits), listed);
+                        let image = derived_image(&store, &d, &x, limits);
+                        let got = image
+                            .iter()
+                            .find(|p| p.y == s)
+                            .map_or(Truth::False, |p| p.truth);
+                        assert_eq!(got, truth);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 3, "every verdict is reached: {seen:?}");
+    }
+
+    /// An image lists its members in `Value` order — the order of their
+    /// text — whether they are inline atoms, shared atoms (over 14 bytes)
+    /// with a common 14-byte prefix, or reached only through a null.
+    #[test]
+    fn an_image_of_inline_shared_and_null_reached_atoms_is_in_value_order() {
+        let x = v("x");
+        let mut s = Store::new(2);
+        s.base_insert(TEACH, x.clone(), v("m"));
+        s.base_insert(TEACH, v("teacher_with_a_long_name"), v("m"));
+        let names = [
+            "zed",
+            "student_with_a_long_name_2",
+            "bill",
+            "student_with_a",
+            "student_with_a_long_name_10",
+            "a",
+            "student_with_a_long_name_1",
+        ];
+        for name in names {
+            s.base_insert(CLASS_LIST, v("m"), v(name));
+        }
+        // A null course links x ambiguously to a student it does not
+        // teach, and a null student is a wildcard no image lists.
+        let course = s.fresh_null();
+        s.base_insert(TEACH, x.clone(), course);
+        s.base_insert(CLASS_LIST, v("m2"), v("student_with_a_long_name_3"));
+        let student = s.fresh_null();
+        s.base_insert(CLASS_LIST, v("m"), student);
+        let d = [pupil()];
+        let limits = ChainLimits::default();
+        let full = interp::derived_extension(&s, &d, limits);
+        assert_eq!(derived_extension(&s, &d, limits), full);
+        let image = derived_image(&s, &d, &x, limits);
+        let listed: Vec<_> = full.iter().filter(|p| p.x == x).cloned().collect();
+        assert_eq!(image, listed);
+        let mut expected: Vec<&str> = names.to_vec();
+        expected.push("student_with_a_long_name_3");
+        expected.sort_unstable();
+        let members: Vec<String> = image.iter().map(|p| p.y.to_string()).collect();
+        assert_eq!(members, expected);
+        let reached_by_null = image
+            .iter()
+            .find(|p| p.y == v("student_with_a_long_name_3"));
+        assert_eq!(reached_by_null.map(|p| p.truth), Some(Truth::Ambiguous));
+        let y = v("student_with_a_long_name_1");
+        let listed: Vec<_> = full.iter().filter(|p| p.y == y).cloned().collect();
+        assert_eq!(derived_inverse_image(&s, &d, &y, limits), listed);
+        assert_eq!(listed.len(), 2);
     }
 
     /// Only non-null pairs are listed, so a null selector is answered

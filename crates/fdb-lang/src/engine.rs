@@ -1391,6 +1391,45 @@ mod tests {
         );
     }
 
+    /// `EVAL` of an ad-hoc expression lists what `QUERY` of a derived
+    /// function with the same steps lists, in the same order, on atoms
+    /// longer than 14 bytes and on a store with nulls.
+    #[test]
+    fn eval_answers_as_query_of_the_same_steps() {
+        let mut e = Engine::new();
+        run(
+            &mut e,
+            "DECLARE teach: faculty -> course (many-many)\n\
+             DECLARE class_list: course -> student (many-many)\n\
+             DECLARE pupil: faculty -> student (many-many)\n\
+             DERIVE pupil = teach o class_list\n\
+             INSERT teach(euclid_of_alexandria, elementary_geometry)\n\
+             INSERT teach(euclid_of_alexandria, math)\n\
+             INSERT class_list(elementary_geometry, student_with_a_long_name_2)\n\
+             INSERT class_list(elementary_geometry, student_with_a_long_name_1)\n\
+             INSERT class_list(math, student_with_a)\n\
+             INSERT class_list(math, john)\n\
+             INSERT pupil(euclid_of_alexandria, hypatia_of_alexandria)\n\
+             DELETE pupil(euclid_of_alexandria, john)",
+        )
+        .into_iter()
+        .for_each(|r| {
+            r.unwrap();
+        });
+        assert!(e.execute_line("SHOW teach").unwrap().contains("  n1  "));
+        let mut members = |line: &str| {
+            let out = e.execute_line(line).unwrap();
+            out.split_once(" = ").unwrap().1.to_owned()
+        };
+        let query = members("QUERY pupil(euclid_of_alexandria)");
+        assert_eq!(
+            members("EVAL euclid_of_alexandria : teach o class_list"),
+            query
+        );
+        assert!(query.contains("student_with_a_long_name_1"), "{query}");
+        assert!(query.contains('*'), "{query}");
+    }
+
     #[test]
     fn explain_through_language() {
         let mut e = Engine::new();

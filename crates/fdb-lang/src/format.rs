@@ -38,38 +38,55 @@ pub fn render_derived_extension(db: &Database, f: FunctionId) -> Result<String> 
 }
 
 /// Renders already-computed extension pairs (e.g. from a cache) the same
-/// way as [`render_derived_extension`].
+/// way as [`render_derived_extension`], every row straight into one
+/// buffer.
 pub fn render_derived_pairs(pairs: &[fdb_storage::DerivedPair]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(pairs.len() * 32);
     for p in pairs {
-        match p.truth {
-            Truth::True => out.push_str(&format!("{}  {}\n", p.x, p.y)),
-            Truth::Ambiguous => out.push_str(&format!("{}  {}  *\n", p.x, p.y)),
-            Truth::False => {}
-        }
+        let end = match p.truth {
+            Truth::True => "\n",
+            Truth::Ambiguous => "  *\n",
+            Truth::False => continue,
+        };
+        push_value(&mut out, &p.x);
+        out.push_str("  ");
+        push_value(&mut out, &p.y);
+        out.push_str(end);
     }
     out
 }
 
 /// Renders the answer of a point query — `QUERY`, `INVERSE`, `EVAL` — as
 /// `head = {a, b*, c}`: the members in the given order, the ambiguous
-/// ones marked `*`. Everything goes into one buffer; an image can have
-/// hundreds of members.
+/// ones marked `*`. Everything goes into one buffer, sized from the
+/// member count; an image can have hundreds of members.
 pub(crate) fn render_set(head: std::fmt::Arguments<'_>, members: &[(Value, Truth)]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(32 + members.len() * 16);
     // Writing to a `String` cannot fail.
     let _ = write!(out, "{head} = {{");
     for (i, (member, truth)) in members.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{member}");
+        push_value(&mut out, member);
         if *truth == Truth::Ambiguous {
             out.push('*');
         }
     }
     out.push_str("}\n");
     out
+}
+
+/// Appends `value` as `Display` prints it: an atom's text is copied in,
+/// and only a null goes through the formatter.
+fn push_value(out: &mut String, value: &Value) {
+    match value {
+        Value::Atom(atom) => out.push_str(atom.as_str()),
+        // Writing to a `String` cannot fail.
+        Value::Null(null) => {
+            let _ = write!(out, "{null}");
+        }
+    }
 }
 
 /// Renders either kind of function appropriately.
@@ -276,6 +293,33 @@ mod tests {
         assert!(text.contains("laplace  john  *"));
         assert!(text.contains("laplace  bill\n"));
         assert!(!text.contains("euclid  john"));
+    }
+
+    /// Members print as `Display` prints them: atoms inline or shared,
+    /// and a null (a base function's slice can hold one) as `n<k>`.
+    #[test]
+    fn point_answers_and_pairs_print_members_as_display_does() {
+        let members = [
+            (v("bill"), Truth::True),
+            (Value::Null(fdb_types::NullId(7)), Truth::Ambiguous),
+            (v("student_with_a_long_name"), Truth::True),
+        ];
+        assert_eq!(
+            render_set(format_args!("teach({})", "x"), &members),
+            "teach(x) = {bill, n7*, student_with_a_long_name}\n"
+        );
+        let pairs: Vec<fdb_storage::DerivedPair> = members
+            .iter()
+            .map(|(y, truth)| fdb_storage::DerivedPair {
+                x: v("x"),
+                y: y.clone(),
+                truth: *truth,
+            })
+            .collect();
+        assert_eq!(
+            render_derived_pairs(&pairs),
+            "x  bill\nx  n7  *\nx  student_with_a_long_name\n"
+        );
     }
 
     #[test]

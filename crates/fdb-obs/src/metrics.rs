@@ -373,8 +373,10 @@ registry! {
         /// NC-coverage checks that came back *covered* during truth and
         /// pair evaluation: a chain demoted because a live NC negates it
         /// — the §4.1 side-effect-free delete at work. Not every covered
-        /// chain is counted: a chain is only checked while the outcome
-        /// could still change its pair's verdict.
+        /// chain is counted: a truth query checks a chain only while the
+        /// outcome could still change its verdict, and a wildcard is
+        /// checked only while it could lift a pair; a pair evaluation
+        /// checks every non-proving chain that ends in a listed pair.
         exec_nc_demotions => "fdb.exec.nc_demotions",
         /// NCL entries visited by NC-coverage checks during truth and pair
         /// evaluation, added once per check. A check reads only the NCLs

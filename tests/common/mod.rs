@@ -136,6 +136,10 @@ pub struct Tally {
     /// row twice (a function used forth and back in adjacent steps) — the
     /// chains whose NC coverage must count rows distinctly.
     pub with_repeated_rows: usize,
+    /// Of the compared: sets that list a pair with an atom over 14 bytes
+    /// — a value held shared, not inline, so the pair sort orders that
+    /// form too.
+    pub with_long_atoms: usize,
 }
 
 fn has_null_facts(store: &Store, derivations: &[Derivation]) -> bool {
@@ -206,6 +210,11 @@ pub fn assert_pairs_match_interpreter(
     tally.with_ncs += usize::from(!store.ncs().is_empty());
     tally.with_null_endpoints += usize::from(has_null_endpoints(store, derivations));
     tally.with_repeated_rows += usize::from(has_repeated_rows(store, derivations, &oracle));
+    tally.with_long_atoms += usize::from(
+        oracle
+            .iter()
+            .any(|p| [&p.x, &p.y].iter().any(|v| v.to_string().len() > 14)),
+    );
     tally.ambiguous_pairs += oracle
         .iter()
         .filter(|p| p.truth == Truth::Ambiguous)

@@ -53,9 +53,19 @@ fn random_chain_db(seed: u64) -> Database {
     // instances without a reuse stay the ones these seeds always drew.
     let mut reuse_rng = StdRng::seed_from_u64(seed ^ 0x7e57_5e1f);
     let reuses: Vec<bool> = (0..k).map(|i| i > 0 && reuse_rng.gen_bool(0.3)).collect();
+    // Which types get a name long enough that their values (`t#k`) are
+    // over 14 bytes and so held shared, not inline, drawn apart too.
+    let mut long_rng = StdRng::seed_from_u64(seed ^ 0x10_6a_70_35);
+    let mut type_name = |i: usize| {
+        if long_rng.gen_bool(0.3) {
+            format!("v{i}_with_a_long_name")
+        } else {
+            format!("v{i}")
+        }
+    };
     // The function each step reads, and the type at each step boundary.
     let mut function_of: Vec<usize> = Vec::with_capacity(k);
-    let mut types: Vec<String> = vec!["v0".to_owned()];
+    let mut types: Vec<String> = vec![type_name(0)];
     for i in 0..k {
         if reuses[i] {
             function_of.push(function_of[i - 1]);
@@ -63,7 +73,7 @@ fn random_chain_db(seed: u64) -> Database {
             types.push(types[i - 1].clone());
         } else {
             function_of.push(i);
-            types.push(format!("v{}", i + 1));
+            types.push(type_name(i + 1));
         }
     }
     let run_name = |from: usize, to: usize| {
@@ -202,6 +212,7 @@ fn pair_evaluation_matches_interpreter() {
     assert!(tally.with_null_endpoints > 0, "{tally:?}");
     assert!(tally.ambiguous_pairs > 0, "{tally:?}");
     assert!(tally.with_repeated_rows > 0, "{tally:?}");
+    assert!(tally.with_long_atoms > 0, "{tally:?}");
 }
 
 proptest! {
@@ -339,7 +350,7 @@ proptest! {
             })
             .expect("the computation cannot fail");
         prop_assert_eq!(cache.report().extension_entries, usize::from(show.is_complete()));
-        check("show", show, &full)?;
+        check("show", show.map(|pairs| pairs.to_vec()), &full)?;
         if let Some(p) = full.get(seed as usize % full.len().max(1)) {
             check(
                 "image",
