@@ -805,6 +805,32 @@ impl<'a> Analyzer<'a> {
             );
             return;
         }
+        // A function a registered derivation steps through stays base.
+        let user = self
+            .derived
+            .iter()
+            .filter(|(g, ds)| {
+                **g != name.text && ds.iter().flatten().any(|r| r.function == name.text)
+            })
+            .map(|(g, _)| g)
+            .min();
+        if let Some(user) = user {
+            self.push(
+                Diagnostic::new(
+                    Code::StepThroughDerived,
+                    name.span,
+                    format!(
+                        "`{}` is a step of the derivation of `{user}`; deriving it would make that derivation step through a derived function",
+                        name.text
+                    ),
+                )
+                .with_hint(format!(
+                    "keep `{}` base: a derivation steps through base functions only",
+                    name.text
+                )),
+            );
+            return;
+        }
         // A derivation may not shadow facts already stored on the target.
         let has_facts = self
             .tables

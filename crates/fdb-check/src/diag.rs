@@ -392,25 +392,15 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
 
 /// Renders findings as a JSON array (compact, one line).
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let tree = Content::Seq(diags.iter().map(Diagnostic::to_content).collect());
-    let raw = RawContent(tree);
-    serde_json::to_string(&raw).unwrap_or_else(|_| "[]".into())
+    render_content(&Content::Seq(
+        diags.iter().map(Diagnostic::to_content).collect(),
+    ))
 }
 
 /// Renders any hand-built [`Content`] tree as compact JSON (the CLI uses
 /// this to assemble multi-file reports).
 pub fn render_content(tree: &Content) -> String {
-    serde_json::to_string(&RawContent(tree.clone())).unwrap_or_else(|_| "null".into())
-}
-
-/// Wrapper granting a hand-built [`Content`] tree a `Serialize` impl so
-/// the vendored `serde_json` can render it.
-pub(crate) struct RawContent(pub Content);
-
-impl serde::Serialize for RawContent {
-    fn to_content(&self) -> Content {
-        self.0.clone()
-    }
+    serde_json::to_string(tree).unwrap_or_else(|_| "null".into())
 }
 
 #[cfg(test)]

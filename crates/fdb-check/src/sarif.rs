@@ -1,15 +1,15 @@
 //! SARIF 2.1.0 output.
 //!
 //! Builds a structurally valid [SARIF] log as a hand-constructed content
-//! tree (the vendored serde has no derive attributes, so the shape is
-//! spelled out explicitly): one run, one tool driver carrying every
-//! `FDB0xx` rule, one `result` per diagnostic with a physical location.
+//! tree, as every JSON this workspace writes is built: one run, one tool
+//! driver carrying every `FDB0xx` rule, one `result` per diagnostic with
+//! a physical location.
 //!
 //! [SARIF]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html
 
 use serde::Content;
 
-use crate::diag::{Code, Diagnostic, RawContent};
+use crate::diag::{render_content, Code, Diagnostic};
 
 const SARIF_VERSION: &str = "2.1.0";
 const SARIF_SCHEMA: &str =
@@ -91,7 +91,7 @@ pub fn render_sarif_all(entries: &[(String, Vec<Diagnostic>)]) -> String {
         ("version", s(SARIF_VERSION)),
         ("runs", Content::Seq(vec![run])),
     ]);
-    serde_json::to_string(&RawContent(log)).unwrap_or_else(|_| "{}".into())
+    render_content(&log)
 }
 
 #[cfg(test)]

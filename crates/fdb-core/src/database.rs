@@ -104,19 +104,25 @@ impl AsRef<Database> for Database {
 impl Database {
     /// A database over `schema` with every function base.
     pub fn new(schema: Schema) -> Self {
-        let store = Store::new(schema.len());
-        Database::from_parts(
-            schema,
-            BTreeMap::new(),
-            store,
-            ChainLimits::default(),
-            DeletePolicy::default(),
-            InsertPolicy::default(),
-        )
+        Database {
+            store: Store::new(schema.len()),
+            catalog: Arc::new(Catalog {
+                schema,
+                derived: BTreeMap::new(),
+            }),
+            chain_limits: ChainLimits::default(),
+            delete_policy: DeletePolicy::default(),
+            insert_policy: InsertPolicy::default(),
+            txn: None,
+        }
     }
 
     /// Reassembles a database from its snapshot parts (both snapshot
-    /// readers); no transaction is open.
+    /// readers); no transaction is open. The catalog must be one the
+    /// statement path could have built over this store: a table per
+    /// function, and every registration meeting the rules of
+    /// [`Database::register_derived`]. A part that does not is a parse
+    /// error of the schema section.
     pub(crate) fn from_parts(
         schema: Schema,
         derived: BTreeMap<FunctionId, Vec<Derivation>>,
@@ -124,15 +130,31 @@ impl Database {
         chain_limits: ChainLimits,
         delete_policy: DeletePolicy,
         insert_policy: InsertPolicy,
-    ) -> Self {
-        Database {
+    ) -> Result<Self> {
+        let admitted = if store.table_count() != schema.len() {
+            Err(format!(
+                "{} functions but {} tables",
+                schema.len(),
+                store.table_count()
+            ))
+        } else {
+            derived
+                .iter()
+                .try_for_each(|(&f, ders)| check_derived(&schema, &derived, &store, f, ders))
+                .map_err(|e| e.to_string())
+        };
+        admitted.map_err(|why| FdbError::Parse {
+            line: 0,
+            message: format!("schema section: {why}"),
+        })?;
+        Ok(Database {
             catalog: Arc::new(Catalog { schema, derived }),
             store,
             chain_limits,
             delete_policy,
             insert_policy,
             txn: None,
-        }
+        })
     }
 
     /// The catalog, detached from every clone sharing it: only `DECLARE`
@@ -183,51 +205,11 @@ impl Database {
     /// Registers `f` as derived with the given derivations.
     ///
     /// Every derivation must be well-formed for `f` (endpoints and
-    /// functionality must match) and mention only base functions.
+    /// functionality must match) and mention only base functions; `f`
+    /// must hold no data, and no registered derivation may use it.
     pub fn register_derived(&mut self, f: FunctionId, derivations: Vec<Derivation>) -> Result<()> {
-        let def = self.catalog.schema.function(f).clone();
-        for d in &derivations {
-            let (dom, rng) = d.endpoints(&self.catalog.schema)?;
-            if (dom, rng) != (def.domain, def.range) {
-                return Err(FdbError::MalformedDerivation(format!(
-                    "derivation {} of {} has wrong endpoints",
-                    d.render(&self.catalog.schema),
-                    def.name
-                )));
-            }
-            if d.functionality(&self.catalog.schema) != def.functionality {
-                return Err(FdbError::MalformedDerivation(format!(
-                    "derivation {} of {} has functionality {} but {} is declared {}",
-                    d.render(&self.catalog.schema),
-                    def.name,
-                    d.functionality(&self.catalog.schema),
-                    def.name,
-                    def.functionality
-                )));
-            }
-            for step in d.steps() {
-                if step.function == f {
-                    return Err(FdbError::MalformedDerivation(format!(
-                        "derivation of {} mentions itself",
-                        def.name
-                    )));
-                }
-                if self.catalog.derived.contains_key(&step.function) {
-                    return Err(FdbError::MalformedDerivation(format!(
-                        "derivation of {} uses derived function {}",
-                        def.name,
-                        self.catalog.schema.function(step.function).name
-                    )));
-                }
-            }
-        }
-        // A function that gains a derivation must not already hold data.
-        if !self.store.table(f).is_empty() {
-            return Err(FdbError::Internal(format!(
-                "cannot mark {} derived: its table is non-empty",
-                def.name
-            )));
-        }
+        let Catalog { schema, derived } = &*self.catalog;
+        check_derived(schema, derived, &self.store, f, &derivations)?;
         self.catalog_mut().derived.insert(f, derivations);
         Ok(())
     }
@@ -481,6 +463,85 @@ impl Database {
     }
 }
 
+/// The rules a registration `f = derivations` must meet against the
+/// catalog and store it joins: [`Database::register_derived`] applies
+/// them to a new registration, [`Database::from_parts`] to every
+/// registration a snapshot lists, so a snapshot loads no catalog the
+/// statement path refuses. Every derivation names functions of the
+/// schema, matches `f`'s endpoints and functionality, and steps through
+/// base functions other than `f`; no other derivation steps through
+/// `f`; `f` holds no data.
+fn check_derived(
+    schema: &Schema,
+    derived: &BTreeMap<FunctionId, Vec<Derivation>>,
+    store: &Store,
+    f: FunctionId,
+    derivations: &[Derivation],
+) -> Result<()> {
+    let known = |g: FunctionId| g.index() < schema.len();
+    if !known(f) {
+        return Err(FdbError::UnknownFunction(f.to_string()));
+    }
+    let def = schema.function(f);
+    let malformed = |why: String| Err(FdbError::MalformedDerivation(why));
+    for d in derivations {
+        if let Some(step) = d.steps().iter().find(|s| !known(s.function)) {
+            return malformed(format!(
+                "derivation of {} names no function {}",
+                def.name, step.function
+            ));
+        }
+        if d.endpoints(schema)? != (def.domain, def.range) {
+            return malformed(format!(
+                "derivation {} of {} has wrong endpoints",
+                d.render(schema),
+                def.name
+            ));
+        }
+        if d.functionality(schema) != def.functionality {
+            return malformed(format!(
+                "derivation {} of {} has functionality {} but {} is declared {}",
+                d.render(schema),
+                def.name,
+                d.functionality(schema),
+                def.name,
+                def.functionality
+            ));
+        }
+        for step in d.steps() {
+            if step.function == f {
+                return malformed(format!("derivation of {} mentions itself", def.name));
+            }
+            if derived.contains_key(&step.function) {
+                return malformed(format!(
+                    "derivation of {} uses derived function {}",
+                    def.name,
+                    schema.function(step.function).name
+                ));
+            }
+        }
+    }
+    if let Some(&user) = derived
+        .iter()
+        .find(|(&g, ders)| g != f && ders.iter().any(|d| d.mentions(f)))
+        .map(|(g, _)| g)
+    {
+        return malformed(format!(
+            "cannot mark {} derived: the derivation of {} uses it",
+            def.name,
+            schema.function(user).name
+        ));
+    }
+    // A function that gains a derivation must not already hold data.
+    if !store.table(f).is_empty() {
+        return Err(FdbError::Internal(format!(
+            "cannot mark {} derived: its table is non-empty",
+            def.name
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,6 +607,35 @@ mod tests {
             db.register_derived(taught_by, vec![d]),
             Err(FdbError::MalformedDerivation(_))
         ));
+    }
+
+    /// The other order: a function a registered derivation steps through
+    /// stays base, or that derivation would step through a derived one.
+    #[test]
+    fn register_derived_rejects_a_function_a_derivation_uses() {
+        let schema = Schema::builder()
+            .function("teach", "faculty", "course", "many-many")
+            .function("class_list", "course", "student", "many-many")
+            .function("pupil", "faculty", "student", "many-many")
+            .function("lectures", "faculty", "course", "many-many")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        let [teach, class_list, pupil, lectures] =
+            ["teach", "class_list", "pupil", "lectures"].map(|f| db.resolve(f).unwrap());
+        let chain = vec![Step::identity(teach), Step::identity(class_list)];
+        db.register_derived(pupil, vec![Derivation::new(chain).unwrap()])
+            .unwrap();
+        let err = db
+            .register_derived(teach, vec![Derivation::single(Step::identity(lectures))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FdbError::MalformedDerivation(
+                "cannot mark teach derived: the derivation of pupil uses it".into()
+            )
+        );
+        assert!(!db.is_derived(teach));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | Piece | Bytes |
 //! |---|---|
 //! | magic | `FDBSNAP1` |
-//! | schema section | length-prefixed JSON of `(schema, derivations)` — O(schema), it does not grow with the data |
+//! | schema section | the catalog as length-prefixed JSON text, laid out below — O(schema), it does not grow with the data |
 //! | limits and policies | `max_chains`, delete policy, insert policy |
 //! | store | written by [`Store::encode`](fdb_storage::Store::encode): tables, NC store, null watermark, two reserved fields (the compaction thresholds, written as constants, read and ignored) |
 //! | checksum | CRC-32 (IEEE, little-endian) of every byte before it |
@@ -23,21 +23,43 @@
 //! their definition. Checkpoints, replica seeds and `SAVE`/`LOAD` all
 //! carry exactly these bytes.
 //!
+//! # The schema section
+//!
+//! A two-element JSON array, `[schema, derivations]`, written by
+//! `catalog_json` and read by `read_catalog`, the only code that
+//! knows it:
+//!
+//! | Part | JSON |
+//! |---|---|
+//! | `schema` | `{"types": {"infos": [type, …]}, "functions": [function, …]}` |
+//! | type | `{"name", "components"}`: the canonical name, then the component type ids of a compound `[a; b]` (`[]` for a simple type), in interning order |
+//! | function | `{"id", "name", "domain", "range", "functionality"}`: the id, the name, two type ids, then `"OneOne"`, `"OneMany"`, `"ManyOne"` or `"ManyMany"`, in declaration order |
+//! | `derivations` | `{"<function id>": [{"steps": [{"op", "function"}, …]}, …]}`: per derived function its derivations, each step `"Identity"` or `"Inverse"` and a function id |
+//!
+//! The reader builds the catalog only the way statements do: it replays
+//! [`Schema::declare`] in the listed order, requires each listed id and
+//! the listed type table to be what the replay produced, builds each
+//! derivation with [`Derivation::new`] and checks every registration
+//! with the rules of [`Database::register_derived`]. A catalog that
+//! `DECLARE` or `DERIVE` would refuse is a parse error, not a database.
+//!
 //! A snapshot written before this format existed is a JSON document; it
 //! starts with `{`, which no binary snapshot does, and
 //! [`Database::from_snapshot`] hands it to the log's legacy reader
-//! (`wal::legacy`, where its layout is documented). Nothing writes that
-//! form any more. Both readers build the store through the same
-//! constructors, which refuse a state the store never holds: a live row
-//! flagged false, an NC id the NC counter has not reached, an NC/NCL
-//! duality break.
+//! (`wal::legacy`, where its layout is documented), which reads its
+//! catalog with `read_catalog` too. Nothing writes that form any more.
+//! Both readers build the store through the same constructors, which
+//! refuse a state the store never holds: a live row flagged false, an NC
+//! id the NC counter has not reached, an NC/NCL duality break.
 
 use std::collections::BTreeMap;
+
+use serde::Content;
 
 use fdb_storage::chain::DeletePolicy;
 use fdb_storage::{ChainLimits, Store};
 use fdb_types::codec::{put_str, put_uint, Reader};
-use fdb_types::{Derivation, FdbError, FunctionId, Result, Schema};
+use fdb_types::{Derivation, FdbError, FunctionId, Functionality, Op, Result, Schema, Step};
 
 use crate::database::{Database, InsertPolicy};
 use crate::wal::{crc32, le_u32};
@@ -48,7 +70,20 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"FDBSNAP1";
 /// Bytes of the trailing checksum.
 const CRC_LEN: usize = 4;
 
-fn corrupt(message: String) -> FdbError {
+/// The derived-function registry: each derived function's derivations.
+type Registry = BTreeMap<FunctionId, Vec<Derivation>>;
+
+/// Each functionality beside its name in the JSON the snapshot readers
+/// read (the schema section, the legacy log's `Declare` record).
+const FUNCTIONALITIES: [(Functionality, &str); 4] = [
+    (Functionality::OneOne, "OneOne"),
+    (Functionality::OneMany, "OneMany"),
+    (Functionality::ManyOne, "ManyOne"),
+    (Functionality::ManyMany, "ManyMany"),
+];
+
+/// A parse error of a snapshot or of another JSON form the log reads.
+pub(crate) fn corrupt(message: String) -> FdbError {
     FdbError::Parse { line: 0, message }
 }
 
@@ -56,11 +91,12 @@ impl Database {
     /// Serialises the database to a binary snapshot (see the module
     /// documentation for the layout).
     pub fn to_snapshot(&self) -> Result<Vec<u8>> {
-        let meta = serde_json::to_string(&(self.schema(), self.derived_registry()))
-            .map_err(|e| FdbError::Internal(format!("snapshot serialisation failed: {e}")))?;
         let mut out = Vec::new();
         out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_str(&mut out, &meta);
+        put_str(
+            &mut out,
+            &catalog_json(self.schema(), self.derived_registry())?,
+        );
         put_uint(&mut out, self.chain_limits().max_chains as u64);
         out.push(match self.delete_policy() {
             DeletePolicy::Faithful => 0,
@@ -87,6 +123,203 @@ impl Database {
     }
 }
 
+/// The schema section's text (see the module documentation).
+fn catalog_json(schema: &Schema, derived: &Registry) -> Result<String> {
+    fn text(s: &str) -> Content {
+        Content::Str(s.to_owned())
+    }
+    fn object<const N: usize>(fields: [(&str, Content); N]) -> Content {
+        Content::Map(fields.into_iter().map(|(k, v)| (text(k), v)).collect())
+    }
+    let id = |n: u32| Content::U64(n.into());
+    let types = schema.types();
+    let infos = types
+        .iter()
+        .map(|(t, name)| {
+            let components = types.components(t).iter().map(|c| id(c.0)).collect();
+            object([
+                ("name", text(name)),
+                ("components", Content::Seq(components)),
+            ])
+        })
+        .collect();
+    let functions = schema
+        .functions()
+        .iter()
+        .map(|f| {
+            let (_, functionality) = FUNCTIONALITIES
+                .into_iter()
+                .find(|&(g, _)| g == f.functionality)
+                .expect("every functionality is listed");
+            object([
+                ("id", id(f.id.0)),
+                ("name", text(&f.name)),
+                ("domain", id(f.domain.0)),
+                ("range", id(f.range.0)),
+                ("functionality", text(functionality)),
+            ])
+        })
+        .collect();
+    let step = |s: &Step| {
+        let op = match s.op {
+            Op::Identity => "Identity",
+            Op::Inverse => "Inverse",
+        };
+        object([("op", text(op)), ("function", id(s.function.0))])
+    };
+    let registry = derived
+        .iter()
+        .map(|(f, ders)| {
+            let ders = ders
+                .iter()
+                .map(|d| object([("steps", Content::Seq(d.steps().iter().map(step).collect()))]))
+                .collect();
+            (id(f.0), Content::Seq(ders))
+        })
+        .collect();
+    let section = Content::Seq(vec![
+        object([
+            ("types", object([("infos", Content::Seq(infos))])),
+            ("functions", Content::Seq(functions)),
+        ]),
+        Content::Map(registry),
+    ]);
+    serde_json::to_string(&section)
+        .map_err(|e| FdbError::Internal(format!("snapshot serialisation failed: {e}")))
+}
+
+/// Reads a catalog from its JSON parts, `schema` and `derivations` (see
+/// the module documentation): the schema section of a binary snapshot,
+/// or the `schema` and `derived` fields of a legacy JSON one. The
+/// registry is checked against the store by [`Database::from_parts`].
+pub(crate) fn read_catalog(schema: &Content, derivations: &Content) -> Result<(Schema, Registry)> {
+    catalog(schema, derivations).map_err(|e| {
+        let why = match e {
+            FdbError::Parse { message, .. } => message,
+            other => other.to_string(),
+        };
+        corrupt(format!("schema section: {why}"))
+    })
+}
+
+fn catalog(listed: &Content, derivations: &Content) -> Result<(Schema, Registry)> {
+    let types = seq(field(field(listed, "types")?, "infos")?)?
+        .iter()
+        .map(|info| {
+            let components = seq(field(info, "components")?)?.iter().map(id);
+            Ok((
+                string(field(info, "name")?)?,
+                components.collect::<Result<Vec<_>>>()?,
+            ))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let type_name = |c: &Content| {
+        let t = id(c)?;
+        types
+            .get(t as usize)
+            .map(|&(name, _)| name)
+            .ok_or_else(|| corrupt(format!("no type {t}")))
+    };
+    let mut schema = Schema::new();
+    for f in seq(field(listed, "functions")?)? {
+        let name = string(field(f, "name")?)?;
+        let declared = schema.declare(
+            name,
+            type_name(field(f, "domain")?)?,
+            type_name(field(f, "range")?)?,
+            functionality(field(f, "functionality")?)?,
+        )?;
+        let listed_id = id(field(f, "id")?)?;
+        if listed_id != declared.0 {
+            return Err(corrupt(format!(
+                "function {name:?} is listed as {listed_id} but declared as {}",
+                declared.0
+            )));
+        }
+    }
+    let interned = schema.types();
+    let replayed: Vec<(&str, Vec<u32>)> = interned
+        .iter()
+        .map(|(t, name)| (name, interned.components(t).iter().map(|c| c.0).collect()))
+        .collect();
+    if replayed != types {
+        return Err(corrupt(
+            "the type table is not the one the declarations intern".to_owned(),
+        ));
+    }
+    let mut registry = Registry::new();
+    let entries = derivations
+        .as_map()
+        .ok_or_else(|| corrupt("derivations: expected a map".to_owned()))?;
+    for (f, ders) in entries {
+        let ders = seq(ders)?
+            .iter()
+            .map(|d| {
+                let steps = seq(field(d, "steps")?)?.iter().map(step);
+                Derivation::new(steps.collect::<Result<_>>()?)
+            })
+            .collect::<Result<_>>()?;
+        registry.insert(FunctionId(id(f)?), ders);
+    }
+    Ok((schema, registry))
+}
+
+fn step(c: &Content) -> Result<Step> {
+    let function = FunctionId(id(field(c, "function")?)?);
+    match string(field(c, "op")?)? {
+        "Identity" => Ok(Step::identity(function)),
+        "Inverse" => Ok(Step::inverse(function)),
+        other => Err(corrupt(format!("unknown step operator {other:?}"))),
+    }
+}
+
+/// A functionality, written as its name.
+pub(crate) fn functionality(c: &Content) -> Result<Functionality> {
+    let name = string(c)?;
+    FUNCTIONALITIES
+        .into_iter()
+        .find(|&(_, n)| n == name)
+        .map(|(f, _)| f)
+        .ok_or_else(|| corrupt(format!("unknown functionality {name:?}")))
+}
+
+/// The field `name` of the object `c`.
+pub(crate) fn field<'c>(c: &'c Content, name: &str) -> Result<&'c Content> {
+    c.as_map()
+        .and_then(|m| serde::map_get(m, name))
+        .ok_or_else(|| corrupt(format!("missing field `{name}`")))
+}
+
+pub(crate) fn seq(c: &Content) -> Result<&[Content]> {
+    c.as_seq()
+        .ok_or_else(|| corrupt("expected a list".to_owned()))
+}
+
+/// A string, or a unit variant written as its name.
+pub(crate) fn string(c: &Content) -> Result<&str> {
+    c.as_str()
+        .ok_or_else(|| corrupt("expected a string".to_owned()))
+}
+
+/// A non-negative integer, or its decimal text (a map key).
+pub(crate) fn uint(c: &Content) -> Result<u64> {
+    match c {
+        Content::U64(n) => Ok(*n),
+        Content::Str(s) => s
+            .parse()
+            .map_err(|_| corrupt(format!("expected an unsigned integer, got {s:?}"))),
+        other => Err(corrupt(format!(
+            "expected an unsigned integer, got {other:?}"
+        ))),
+    }
+}
+
+/// A function, type or other 32-bit id.
+pub(crate) fn id(c: &Content) -> Result<u32> {
+    let n = uint(c)?;
+    u32::try_from(n).map_err(|_| corrupt(format!("id {n} out of range")))
+}
+
 fn decode(bytes: &[u8]) -> Result<Database> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + CRC_LEN || !bytes.starts_with(SNAPSHOT_MAGIC) {
         return Err(corrupt(
@@ -108,9 +341,14 @@ fn decode(bytes: &[u8]) -> Result<Database> {
 
 /// Everything between the magic and the checksum.
 fn decode_body(mut r: Reader<'_>) -> Result<Database> {
-    let (mut schema, derived): (Schema, BTreeMap<FunctionId, Vec<Derivation>>) =
-        serde_json::from_str(r.str()?).map_err(|e| corrupt(format!("schema section: {e}")))?;
-    schema.rebuild_index();
+    let section =
+        serde_json::parse(r.str()?).map_err(|e| corrupt(format!("schema section: {e}")))?;
+    let Some([schema, derivations]) = section.as_seq() else {
+        return Err(corrupt(
+            "schema section: expected [schema, derivations]".to_owned(),
+        ));
+    };
+    let (schema, derived) = read_catalog(schema, derivations)?;
     let max_chains = usize::try_from(r.uint()?).map_err(|_| r.error("chain limit out of range"))?;
     let delete_policy = match r.byte()? {
         0 => DeletePolicy::Faithful,
@@ -124,14 +362,14 @@ fn decode_body(mut r: Reader<'_>) -> Result<Database> {
     };
     let store = Store::decode(&mut r)?;
     r.finish()?;
-    Ok(Database::from_parts(
+    Database::from_parts(
         schema,
         derived,
         store,
         ChainLimits { max_chains },
         delete_policy,
         insert_policy,
-    ))
+    )
 }
 
 #[cfg(test)]

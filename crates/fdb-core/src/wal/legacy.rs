@@ -30,13 +30,14 @@
 //!
 //! # The JSON snapshot
 //!
-//! One object; the schema, the derivations and every value are read by
-//! their own `serde` impls, the store's pieces field by field:
+//! One object, read field by field; `schema` and `derived` are the two
+//! parts of a binary snapshot's schema section, read by the same code
+//! (`snapshot::read_catalog`, where their layout is documented):
 //!
 //! | Field | JSON |
 //! |---|---|
-//! | `schema` | the `Schema` |
-//! | `derived` | `{"<function id>": [Derivation, …]}` |
+//! | `schema` | the schema: types and function definitions |
+//! | `derived` | `{"<function id>": [{"steps": [{"op", "function"}, …]}, …]}` |
 //! | `store.tables` | one `{"rows": [{x, y, truth, ncl, alive}, …]}` per function, rows in physical order, tombstones included; `truth` is `"True"`, `"Ambiguous"` or `"False"`, `ncl` a list of NC ids |
 //! | `store.ncs` | `{"ncs": {"<NC id>": [{function, x, y}, …]}, "next": <next NC id>}` |
 //! | `store.nulls` | `{"next": <index of the next fresh null>}` |
@@ -45,20 +46,24 @@
 //! | `delete_policy` | optional: `"Faithful"` (the default) or `"Strict"` |
 //! | `insert_policy` | optional: `"FirstDerivation"` (the default) or `"ShortestDerivation"` |
 //!
-//! The store is built by the constructors the binary decoder uses, so a
-//! JSON snapshot is refused for what a binary one is: a live row flagged
+//! The catalog and the store are built by the constructors the binary
+//! decoder uses, so a JSON snapshot is refused for what a binary one is:
+//! a catalog `DECLARE` or `DERIVE` would refuse, a live row flagged
 //! false, an NC id the counter has not reached, an NC/NCL duality break.
+//! Integers are also read from their decimal text, as map keys are
+//! written.
 
 use std::collections::BTreeSet;
 
-use serde::{Content, Deserialize};
+use serde::Content;
 
 use fdb_storage::chain::DeletePolicy;
 use fdb_storage::{ChainLimits, Fact, NcId, NcStore, Store, Table, Truth};
-use fdb_types::{FdbError, NullGen, Result, Schema, Value};
+use fdb_types::{FdbError, FunctionId, NullId, Result, Value};
 
 use super::{initial_term, CheckpointInfo, Corruption, LogRecord, Scan};
 use crate::database::{Database, InsertPolicy};
+use crate::snapshot::{corrupt, field, functionality, id, read_catalog, seq, string, uint};
 
 /// Decodes a JSON record payload (see the module documentation for its
 /// layout). `Ok(None)` is a record type this version does not know —
@@ -79,34 +84,43 @@ pub(super) fn decode_json(payload: &[u8]) -> std::result::Result<Option<LogRecor
 /// The record named `variant`, read from its fields; `None` for a name
 /// this version does not know.
 fn record(variant: &str, c: &Content) -> Result<Option<LogRecord>> {
-    // A string field and an integer field, by name.
-    let s = |name| get::<String>(c, name);
-    let n = |name| get::<u64>(c, name);
+    // A string, an integer and a value field, by name.
+    let s = |name| string(field(c, name)?).map(str::to_owned);
+    let n = |name| uint(field(c, name)?);
+    let v = |name| value(field(c, name)?);
     let record = match variant {
         "Declare" => LogRecord::Declare {
             name: s("name")?,
             domain: s("domain")?,
             range: s("range")?,
-            functionality: get(c, "functionality")?,
+            functionality: functionality(field(c, "functionality")?)?,
         },
         "Derive" => LogRecord::Derive {
             name: s("name")?,
-            steps: get(c, "steps")?,
+            steps: seq(field(c, "steps")?)?
+                .iter()
+                .map(|step| match seq(step)? {
+                    [function, inverted, ..] => {
+                        Ok((string(function)?.to_owned(), boolean(inverted)?))
+                    }
+                    _ => Err(corrupt("expected a [function, inverted] step".into())),
+                })
+                .collect::<Result<_>>()?,
         },
         "Insert" => LogRecord::Insert {
             function: s("function")?,
-            x: get(c, "x")?,
-            y: get(c, "y")?,
+            x: v("x")?,
+            y: v("y")?,
         },
         "Delete" => LogRecord::Delete {
             function: s("function")?,
-            x: get(c, "x")?,
-            y: get(c, "y")?,
+            x: v("x")?,
+            y: v("y")?,
         },
         "Replace" => LogRecord::Replace {
             function: s("function")?,
-            old: get(c, "old")?,
-            new: get(c, "new")?,
+            old: pair(field(c, "old")?)?,
+            new: pair(field(c, "new")?)?,
         },
         "TxnBegin" => LogRecord::TxnBegin { id: n("id")? },
         "TxnCommit" => LogRecord::TxnCommit { id: n("id")? },
@@ -162,28 +176,29 @@ pub(super) fn scan_v1(bytes: &[u8], scan: &mut Scan) {
     scan.valid_len = offset as u64;
 }
 
-/// A checkpoint file as written before the binary layout: one JSON
-/// document with the snapshot — itself JSON — as a string field.
-#[derive(Deserialize)]
-struct LegacyCheckpoint {
-    seq: u64,
-    snapshot: String,
-    /// Absent in pre-replication checkpoints.
-    #[serde(default)]
-    term: Option<u64>,
-}
-
-/// Reads a checkpoint file in the JSON layout (it starts with `{`). It
-/// carries no checksum to verify; the next checkpoint replaces it with
-/// the binary layout.
+/// Reads a checkpoint file in the JSON layout (it starts with `{`): one
+/// object with the sequence number `seq`, the snapshot — itself JSON —
+/// as the string `snapshot`, and the `term`, absent (or `null`) in
+/// pre-replication checkpoints. It carries no checksum to verify; the
+/// next checkpoint replaces it with the binary layout.
 pub(super) fn read_checkpoint_json(bytes: &[u8]) -> std::result::Result<CheckpointInfo, String> {
     let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
-    let legacy: LegacyCheckpoint =
-        serde_json::from_str(text).map_err(|e| format!("corrupt: {e}"))?;
+    let doc = serde_json::parse(text).map_err(|e| format!("corrupt: {e}"))?;
+    checkpoint_from_json(&doc).map_err(|e| match e {
+        FdbError::Parse { message, .. } => format!("corrupt: {message}"),
+        other => format!("corrupt: {other}"),
+    })
+}
+
+fn checkpoint_from_json(doc: &Content) -> Result<CheckpointInfo> {
+    let term = match doc.as_map().and_then(|m| serde::map_get(m, "term")) {
+        None | Some(Content::Null) => initial_term(),
+        Some(term) => uint(term)?,
+    };
     Ok(CheckpointInfo {
-        seq: legacy.seq,
-        snapshot: legacy.snapshot.into_bytes(),
-        term: legacy.term.unwrap_or_else(initial_term),
+        seq: uint(field(doc, "seq")?)?,
+        snapshot: string(field(doc, "snapshot")?)?.as_bytes().to_vec(),
+        term,
     })
 }
 
@@ -191,15 +206,15 @@ pub(super) fn read_checkpoint_json(bytes: &[u8]) -> std::result::Result<Checkpoi
 pub(crate) fn read_snapshot(bytes: &[u8]) -> Result<Database> {
     snapshot_from_json(bytes).map_err(|e| match e {
         FdbError::Parse { message, .. } => {
-            parse_error(format!("snapshot deserialisation failed: {message}"))
+            corrupt(format!("snapshot deserialisation failed: {message}"))
         }
         other => other,
     })
 }
 
 fn snapshot_from_json(bytes: &[u8]) -> Result<Database> {
-    let text = std::str::from_utf8(bytes).map_err(|e| parse_error(format!("not UTF-8: {e}")))?;
-    let doc = serde_json::parse(text).map_err(|e| parse_error(e.to_string()))?;
+    let text = std::str::from_utf8(bytes).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
+    let doc = serde_json::parse(text).map_err(|e| corrupt(e.to_string()))?;
     let store = field(&doc, "store")?;
     let mut tables = Vec::new();
     for table in seq(field(store, "tables")?)? {
@@ -212,94 +227,91 @@ fn snapshot_from_json(bytes: &[u8]) -> Result<Database> {
     let ncs = field(store, "ncs")?;
     let mut listed = Vec::new();
     let by_id = field(ncs, "ncs")?.as_map();
-    for (id, conjuncts) in by_id.ok_or_else(|| parse_error("NCs: expected a map".into()))? {
+    for (id, conjuncts) in by_id.ok_or_else(|| corrupt("NCs: expected a map".into()))? {
         let conjuncts = seq(conjuncts)?.iter().map(fact).collect::<Result<_>>()?;
-        listed.push((NcId(read(id)?), conjuncts));
+        listed.push((NcId(uint(id)?), conjuncts));
     }
-    let ncs = NcStore::from_parts(listed, read(field(ncs, "next")?)?)?;
-    let nulls: NullGen = read(field(store, "nulls")?)?;
-    let mut schema: Schema = read(field(&doc, "schema")?)?;
-    schema.rebuild_index();
+    let ncs = NcStore::from_parts(listed, uint(field(ncs, "next")?)?)?;
+    let null_watermark = uint(field(field(store, "nulls")?, "next")?)?;
+    let (schema, derived) = read_catalog(field(&doc, "schema")?, field(&doc, "derived")?)?;
     let optional = |name| {
         doc.as_map()
             .and_then(|m| serde::map_get(m, name))
-            .map(name_of)
+            .map(string)
     };
-    Ok(Database::from_parts(
+    let max_chains = uint(field(field(&doc, "chain_limits")?, "max_chains")?)?;
+    Database::from_parts(
         schema,
-        read(field(&doc, "derived")?)?,
-        Store::from_parts(tables, ncs, nulls.watermark())?,
+        derived,
+        Store::from_parts(tables, ncs, null_watermark)?,
         ChainLimits {
-            max_chains: read(field(field(&doc, "chain_limits")?, "max_chains")?)?,
+            max_chains: usize::try_from(max_chains)
+                .map_err(|_| corrupt("chain limit out of range".into()))?,
         },
         match optional("delete_policy").transpose()? {
             None | Some("Faithful") => DeletePolicy::Faithful,
             Some("Strict") => DeletePolicy::Strict,
-            Some(other) => return Err(parse_error(format!("unknown delete policy {other:?}"))),
+            Some(other) => return Err(corrupt(format!("unknown delete policy {other:?}"))),
         },
         match optional("insert_policy").transpose()? {
             None | Some("FirstDerivation") => InsertPolicy::FirstDerivation,
             Some("ShortestDerivation") => InsertPolicy::ShortestDerivation,
-            Some(other) => return Err(parse_error(format!("unknown insert policy {other:?}"))),
+            Some(other) => return Err(corrupt(format!("unknown insert policy {other:?}"))),
         },
-    ))
+    )
 }
 
 /// One table row: `(x, y, truth, NCL, alive)`.
 fn row(c: &Content) -> Result<(Value, Value, Truth, BTreeSet<NcId>, bool)> {
-    let truth = match name_of(field(c, "truth")?)? {
+    let truth = match string(field(c, "truth")?)? {
         "True" => Truth::True,
         "Ambiguous" => Truth::Ambiguous,
         "False" => Truth::False,
-        other => return Err(parse_error(format!("unknown truth flag {other:?}"))),
+        other => return Err(corrupt(format!("unknown truth flag {other:?}"))),
     };
-    let ncl: Vec<u64> = read(field(c, "ncl")?)?;
+    let ncl = seq(field(c, "ncl")?)?.iter().map(|id| uint(id).map(NcId));
     Ok((
-        read(field(c, "x")?)?,
-        read(field(c, "y")?)?,
+        value(field(c, "x")?)?,
+        value(field(c, "y")?)?,
         truth,
-        ncl.into_iter().map(NcId).collect(),
-        read(field(c, "alive")?)?,
+        ncl.collect::<Result<_>>()?,
+        boolean(field(c, "alive")?)?,
     ))
 }
 
 /// One NC conjunct.
 fn fact(c: &Content) -> Result<Fact> {
     Ok(Fact {
-        function: read(field(c, "function")?)?,
-        x: read(field(c, "x")?)?,
-        y: read(field(c, "y")?)?,
+        function: FunctionId(id(field(c, "function")?)?),
+        x: value(field(c, "x")?)?,
+        y: value(field(c, "y")?)?,
     })
 }
 
-fn field<'c>(c: &'c Content, name: &str) -> Result<&'c Content> {
-    c.as_map()
-        .and_then(|m| serde::map_get(m, name))
-        .ok_or_else(|| parse_error(format!("missing field `{name}`")))
+/// A value: `{"Atom": "<text>"}` or `{"Null": <index>}`.
+fn value(c: &Content) -> Result<Value> {
+    match c.as_map() {
+        Some([(Content::Str(tag), inner)]) if tag == "Atom" => Ok(Value::atom(string(inner)?)),
+        Some([(Content::Str(tag), inner)]) if tag == "Null" => {
+            Ok(Value::Null(NullId(uint(inner)?)))
+        }
+        _ => Err(corrupt(format!("expected a value, got {c:?}"))),
+    }
 }
 
-fn seq(c: &Content) -> Result<&[Content]> {
-    c.as_seq()
-        .ok_or_else(|| parse_error("expected a list".into()))
+/// Two values, `[x, y]`.
+fn pair(c: &Content) -> Result<(Value, Value)> {
+    match seq(c)? {
+        [x, y, ..] => Ok((value(x)?, value(y)?)),
+        _ => Err(corrupt("expected an [x, y] pair".into())),
+    }
 }
 
-/// A unit variant, written as its name.
-fn name_of(c: &Content) -> Result<&str> {
-    c.as_str()
-        .ok_or_else(|| parse_error("expected a variant name".into()))
-}
-
-fn read<T: Deserialize>(c: &Content) -> Result<T> {
-    T::from_content(c).map_err(|e| parse_error(e.to_string()))
-}
-
-/// The field `name` of the object `c`, read by its own `serde` impl.
-fn get<T: Deserialize>(c: &Content, name: &str) -> Result<T> {
-    read(field(c, name)?)
-}
-
-fn parse_error(message: String) -> FdbError {
-    FdbError::Parse { line: 0, message }
+fn boolean(c: &Content) -> Result<bool> {
+    match c {
+        Content::Bool(b) => Ok(*b),
+        other => Err(corrupt(format!("expected a bool, got {other:?}"))),
+    }
 }
 
 /// The hand-written JSON writer the tests lay out legacy records with.
@@ -312,4 +324,64 @@ pub(crate) mod json;
 #[cfg(test)]
 pub(super) fn unknown_json_frame(seq: u64) -> Vec<u8> {
     super::frame_by_hand(seq, br#"{"Vacuum":{"aggressive":true}}"#)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fdb_types::TypeId;
+
+    fn json(text: &str) -> Content {
+        serde_json::parse(text).unwrap()
+    }
+
+    /// Values as every JSON form wrote them, a shared (over 14 bytes) and
+    /// a non-ASCII atom among them, and a catalog as the schema section
+    /// lays it out: names and types resolve in the schema it rebuilds.
+    #[test]
+    fn reads_values_and_a_catalog_from_their_json() {
+        let long = "a shared atom of thirty bytes!";
+        for (text, expected) in [
+            (format!(r#"{{"Atom":"{long}"}}"#), Value::atom(long)),
+            (r#"{"Atom":"Gauß"}"#.to_owned(), Value::atom("Gauß")),
+            (r#"{"Atom":"été"}"#.to_owned(), Value::atom("été")),
+            (r#"{"Null":3}"#.to_owned(), Value::Null(NullId(3))),
+            (r#"{"Null":"3"}"#.to_owned(), Value::Null(NullId(3))),
+        ] {
+            assert_eq!(value(&json(&text)).unwrap(), expected, "{text}");
+        }
+        for text in [
+            r#""gauss""#,
+            r#"{"Atom":1}"#,
+            r#"{"Null":-1}"#,
+            r#"{"Atom":"a","Null":1}"#,
+        ] {
+            assert!(value(&json(text)).is_err(), "{text}");
+        }
+
+        let schema = json(concat!(
+            r#"{"types":{"infos":[{"name":"student","components":[]},"#,
+            r#"{"name":"course","components":[]},"#,
+            r#"{"name":"[student; course]","components":[0,1]},"#,
+            r#"{"name":"letter_grade","components":[]},{"name":"marks","components":[]}]},"#,
+            r#""functions":[{"id":0,"name":"grade","domain":2,"range":3,"functionality":"ManyOne"},"#,
+            r#"{"id":1,"name":"score","domain":2,"range":4,"functionality":"ManyOne"},"#,
+            r#"{"id":2,"name":"cutoff","domain":4,"range":3,"functionality":"ManyOne"}]}"#,
+        ));
+        let derived = json(
+            r#"{"0":[{"steps":[{"op":"Identity","function":1},{"op":"Identity","function":2}]}]}"#,
+        );
+        let (schema, derived) = read_catalog(&schema, &derived).unwrap();
+        assert_eq!(schema.resolve("cutoff").unwrap(), FunctionId(2));
+        let grade = schema.function_by_name("grade").unwrap();
+        let types = schema.types();
+        assert_eq!(types.lookup("[student ;course]"), Some(grade.domain));
+        assert_eq!(types.lookup("marks"), Some(TypeId(4)));
+        assert_eq!(types.components(grade.domain), &[TypeId(0), TypeId(1)]);
+        assert_eq!(
+            schema.render_def(grade.id),
+            "grade: [student; course] -> letter_grade; (many - one)"
+        );
+        assert_eq!(derived[&grade.id][0].render(&schema), "score o cutoff");
+    }
 }

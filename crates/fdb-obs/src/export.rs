@@ -1,12 +1,11 @@
 //! Exporters: flat text for `STATS`, hand-rendered JSON for machines,
 //! and Prometheus text format for scrapers.
 //!
-//! JSON is rendered by hand because the workspace's vendored
-//! `serde_json` stand-in has no `Value` tree and this crate is
-//! deliberately dependency-free. The only strings that need escaping
-//! are metric keys, which are statically known to be `[a-z0-9._]`, so
-//! the renderer only handles that safe subset (debug-asserted).
+//! JSON is rendered by hand because this crate is deliberately
+//! dependency-free; its only strings, the metric keys, are written
+//! through the escaper the trace exporters use.
 
+use crate::causal::escape_json_into;
 use crate::metrics::{bucket_edge, HistogramState, Registry};
 
 /// Flat `key value` text dump of every metric, counters first, keys in
@@ -37,17 +36,6 @@ pub fn render_text(reg: &Registry) -> String {
         ));
     }
     out
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    debug_assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_'),
-        "exporter only handles key-safe strings, got {s:?}"
-    );
-    out.push('"');
-    out.push_str(s);
-    out.push('"');
 }
 
 fn push_histogram_json(out: &mut String, state: &HistogramState) {
@@ -83,8 +71,9 @@ pub fn render_json(reg: &Registry) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(&mut out, c.key);
-        out.push(':');
+        out.push('"');
+        escape_json_into(&mut out, c.key);
+        out.push_str("\":");
         out.push_str(&c.value.to_string());
     }
     out.push_str("},\"histograms\":{");
@@ -92,8 +81,9 @@ pub fn render_json(reg: &Registry) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(&mut out, h.key);
-        out.push(':');
+        out.push('"');
+        escape_json_into(&mut out, h.key);
+        out.push_str("\":");
         push_histogram_json(&mut out, &h.state);
     }
     out.push_str("}}");

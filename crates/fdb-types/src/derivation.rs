@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{FdbError, Result};
 use crate::function::FunctionId;
 use crate::functionality::Functionality;
@@ -22,7 +20,7 @@ use crate::schema::Schema;
 use crate::types::TypeId;
 
 /// The per-step operator: use the function as declared, or inverted.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Op {
     /// Use the function as declared.
     Identity,
@@ -41,7 +39,7 @@ impl Op {
 }
 
 /// One step of a derivation: `u F` for `u ∈ {identity, inverse}`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Step {
     /// The operator applied to the function.
     pub op: Op,
@@ -86,7 +84,7 @@ impl Step {
 }
 
 /// A derivation: a non-empty sequence of [`Step`]s composed left to right.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Derivation {
     steps: Vec<Step>,
 }

@@ -7,14 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::functionality::Functionality;
 use crate::types::TypeId;
 
 /// Dense identifier of a function within one [`crate::Schema`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FunctionId(pub u32);
 
 impl FunctionId {
@@ -31,7 +28,7 @@ impl fmt::Display for FunctionId {
 }
 
 /// Definition of one function in the conceptual schema.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FunctionDef {
     /// Identifier within the owning schema.
     pub id: FunctionId,

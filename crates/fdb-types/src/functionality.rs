@@ -26,12 +26,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FdbError;
 
 /// Type functionality of a function or path (see module docs).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Functionality {
     /// Bijective mapping: each side determines the other.
     OneOne,

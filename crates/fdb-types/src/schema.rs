@@ -9,19 +9,16 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{FdbError, Result};
 use crate::function::{FunctionDef, FunctionId};
 use crate::functionality::Functionality;
 use crate::types::{TypeId, TypeRegistry};
 
 /// A conceptual schema: object types plus function definitions.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Schema {
     types: TypeRegistry,
     functions: Vec<FunctionDef>,
-    #[serde(skip)]
     by_name: HashMap<String, FunctionId>,
 }
 
@@ -37,16 +34,6 @@ impl Schema {
             schema: Schema::new(),
             error: None,
         }
-    }
-
-    /// Rebuilds internal indexes after deserialisation.
-    pub fn rebuild_index(&mut self) {
-        self.types.rebuild_index();
-        self.by_name = self
-            .functions
-            .iter()
-            .map(|f| (f.name.clone(), f.id))
-            .collect();
     }
 
     /// Declares a function `name : domain → range (functionality)`.
@@ -273,19 +260,5 @@ mod tests {
         let text = s.to_string();
         assert!(text.starts_with("1. grade:"));
         assert!(text.contains("\n5. taught_by:"));
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_resolution() {
-        let s = schema_s1();
-        let json = serde_json::to_string(&s).unwrap();
-        let mut back: Schema = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert_eq!(back.len(), 5);
-        assert_eq!(back.resolve("teach").unwrap(), s.resolve("teach").unwrap());
-        assert_eq!(
-            back.render_def(back.resolve("grade").unwrap()),
-            s.render_def(s.resolve("grade").unwrap())
-        );
     }
 }

@@ -6,12 +6,8 @@
 //! parser, and consumed by the `fdb-check` static analyzer so every
 //! diagnostic points at `line:col` instead of just naming a line.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open byte range `[start, end)` within one source line.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Span {
     /// 1-based line number.
     pub line: u32,

@@ -9,11 +9,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense identifier for an interned object type.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TypeId(pub u32);
 
 impl TypeId {
@@ -30,7 +27,7 @@ impl fmt::Display for TypeId {
 }
 
 /// Metadata stored for each interned type.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct TypeInfo {
     name: String,
     /// For a compound type `[a; b; …]`, the component types; empty for
@@ -44,10 +41,9 @@ struct TypeInfo {
 /// trimmed and compound syntax is normalised to `[a; b]` with single
 /// spacing, so `[student ;course]` and `[student; course]` intern to the
 /// same [`TypeId`].
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TypeRegistry {
     infos: Vec<TypeInfo>,
-    #[serde(skip)]
     by_name: HashMap<String, TypeId>,
 }
 
@@ -55,16 +51,6 @@ impl TypeRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Rebuilds the name index; used after deserialisation.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .infos
-            .iter()
-            .enumerate()
-            .map(|(i, info)| (info.name.clone(), TypeId(i as u32)))
-            .collect();
     }
 
     /// Interns a simple or compound type name, returning its id.
@@ -250,18 +236,5 @@ mod tests {
     fn lookup_without_intern_returns_none() {
         let reg = TypeRegistry::new();
         assert!(reg.lookup("ghost").is_none());
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup_after_serde() {
-        let mut reg = TypeRegistry::new();
-        reg.intern("faculty");
-        reg.intern("[x; y]");
-        let json = serde_json::to_string(&reg).unwrap();
-        let mut back: TypeRegistry = serde_json::from_str(&json).unwrap();
-        assert!(back.lookup("faculty").is_none()); // index skipped by serde
-        back.rebuild_index();
-        assert_eq!(back.lookup("faculty"), reg.lookup("faculty"));
-        assert_eq!(back.lookup("[x; y]"), reg.lookup("[x; y]"));
     }
 }

@@ -16,8 +16,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Content, DeError, Deserialize, Serialize};
-
 use crate::codec::{put_bytes, put_uint, Reader};
 use crate::error::Result;
 
@@ -185,26 +183,12 @@ impl From<String> for Atom {
     }
 }
 
-/// An atom's JSON form is its text.
-impl Serialize for Atom {
-    fn to_content(&self) -> Content {
-        self.as_str().to_content()
-    }
-}
-
-impl Deserialize for Atom {
-    fn from_content(c: &Content) -> std::result::Result<Self, DeError> {
-        String::from_content(c).map(Atom::from)
-    }
-}
-
 /// The unique index of a null value (`n₁`, `n₂`, …).
 ///
 /// Two nulls are the *same* value iff their indices are equal; nulls with
 /// distinct indices may or may not denote the same underlying object, which
 /// is exactly the ambiguity the paper's chain-matching rules capture.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NullId(pub u64);
 
 impl fmt::Display for NullId {
@@ -219,7 +203,7 @@ impl fmt::Display for NullId {
 /// instance. The generator is deliberately deterministic: the `k`-th null
 /// created is always `n_k`, which keeps traces reproducible (and matches the
 /// paper's worked example, where the first derived insert creates `n1`).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NullGen {
     next: u64,
 }
@@ -278,7 +262,7 @@ impl NullGen {
 ///
 /// 16 bytes: a null's index, or an atom inline or its pointer, after a
 /// byte that tells the three apart.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Value {
     /// A concrete data item.
     Atom(Atom),
@@ -493,20 +477,5 @@ mod tests {
         r.finish().unwrap();
         assert!(Value::decode(&mut Reader::new(&[2, 0])).is_err());
         assert!(Value::decode(&mut Reader::new(&[0, 5, b'a'])).is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let v = Value::Null(NullId(3));
-        let s = serde_json::to_string(&v).unwrap();
-        let back: Value = serde_json::from_str(&s).unwrap();
-        assert_eq!(v, back);
-        for text in ["gauss", "a shared atom of thirty bytes!"] {
-            let v = Value::atom(text);
-            let s = serde_json::to_string(&v).unwrap();
-            assert_eq!(s, format!("{{\"Atom\":\"{text}\"}}"));
-            let back: Value = serde_json::from_str(&s).unwrap();
-            assert_eq!(v, back);
-        }
     }
 }

@@ -114,6 +114,19 @@ fn fdb007_step_through_derived() {
         .find(|d| d.code == Code::StepThroughDerived)
         .expect("FDB007 fires");
     assert_eq!(d.span.line, 6);
+    // The other order: deriving a function a derivation already steps
+    // through, which the engine refuses too.
+    let script = format!(
+        "{UNI}DECLARE lectures: faculty -> course (many-many)\n\
+         DERIVE pupil = teach o class_list\n\
+         DERIVE teach = lectures"
+    );
+    let ds = diags(&script);
+    let d = ds
+        .iter()
+        .find(|d| d.code == Code::StepThroughDerived)
+        .expect("FDB007 fires");
+    assert_eq!(d.span.line, 6);
     // Stepping through base functions only: silent.
     let cs = codes(&format!("{UNI}DERIVE pupil = teach o class_list"));
     assert!(!cs.contains(&Code::StepThroughDerived), "{cs:?}");

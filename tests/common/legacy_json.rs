@@ -13,7 +13,9 @@ use super::{LogRecord, Value};
 
 /// `record` as one JSON object, without a line break.
 pub fn to_json(record: &LogRecord) -> String {
-    let s = |text: &str| serde_json::to_string(text).expect("a string serialises");
+    let s = |text: &str| {
+        serde_json::to_string(&serde::Content::Str(text.to_owned())).expect("a string serialises")
+    };
     let v = |value: &Value| match value {
         Value::Atom(atom) => format!("{{\"Atom\":{}}}", s(atom.as_str())),
         Value::Null(null) => format!("{{\"Null\":{}}}", null.0),
