@@ -7,8 +7,11 @@
 //! 1. **Resolution / well-formedness** — undefined or duplicate names,
 //!    derivations that do not chain, wrong endpoints or functionality,
 //!    self-reference, steps through derived functions, shadowed base
-//!    facts (`FDB001`–`FDB008`). These mirror exactly what the engine
-//!    rejects at runtime, so they are all errors.
+//!    facts (`FDB001`–`FDB008`). A `DERIVE` or `EVAL` is judged by the
+//!    catalog's rules in `fdb-types` ([`check_registration`],
+//!    [`check_expression`]), the ones the engine refuses it by, and a
+//!    duplicate name by [`Schema::declare`]; each refusal becomes its
+//!    code, so these are all errors.
 //! 2. **Three-valued abstract interpretation** — the analyzer maintains
 //!    an abstract table per base function holding the script's literal
 //!    pairs tagged `True` or `Ambiguous`, replays derived inserts (null
@@ -40,7 +43,10 @@ use std::str::FromStr;
 
 use fdb_exec::StepProfile;
 use fdb_graph::{lint, PathLimits};
-use fdb_types::{Derivation, FunctionId, Functionality, Op, Schema, Span};
+use fdb_types::{
+    check_expression, check_registration, Derivation, FunctionId, Functionality, Op, Refusal,
+    Schema, Span,
+};
 
 use crate::diag::{sort_diagnostics, tally, Code, Diagnostic};
 use crate::script::{CheckStmt, Name, StepRef, TxnOp};
@@ -188,13 +194,6 @@ impl Table {
     }
 }
 
-/// A resolved derivation step over the shadow schema (base names only).
-#[derive(Clone, Debug)]
-struct RStep {
-    function: String,
-    inverse: bool,
-}
-
 /// One enumerated abstract chain: the value it ends on, whether every
 /// link is exact, and the base-table links it traverses.
 struct Chain {
@@ -213,8 +212,8 @@ struct Chain {
 struct AbsState {
     schema: Schema,
     declare_spans: HashMap<String, Span>,
-    derived: HashMap<String, Vec<Vec<RStep>>>,
-    derive_sites: Vec<(String, Vec<RStep>, Span)>,
+    derived: BTreeMap<FunctionId, Vec<Derivation>>,
+    derive_sites: Vec<(FunctionId, Derivation, Span)>,
     tables: HashMap<String, Table>,
     derived_facts: HashMap<String, BTreeMap<(String, String), Abs>>,
     derived_deleted: HashMap<String, HashSet<(String, String)>>,
@@ -308,6 +307,15 @@ fn apply_txn<T: Clone>(
     }
 }
 
+/// The step list of a `DERIVE` or `EVAL` as the schema's derivation
+/// builder takes it.
+fn named(steps: &[StepRef]) -> Vec<(&str, bool)> {
+    steps
+        .iter()
+        .map(|s| (s.name.text.as_str(), s.inverse))
+        .collect()
+}
+
 /// Per statement: `true` for a `BEGIN` or `SAVEPOINT` that a later
 /// statement rolls back to. A scope nothing restores — every committed
 /// transaction — needs no snapshot of the abstract state.
@@ -329,10 +337,10 @@ struct Analyzer<'a> {
     diags: Vec<Diagnostic>,
     schema: Schema,
     declare_spans: HashMap<String, Span>,
-    /// In-script derivations per derived function name.
-    derived: HashMap<String, Vec<Vec<RStep>>>,
+    /// The registered derivations, by derived function.
+    derived: BTreeMap<FunctionId, Vec<Derivation>>,
     /// Every successfully registered `DERIVE` site, for the cost pass.
-    derive_sites: Vec<(String, Vec<RStep>, Span)>,
+    derive_sites: Vec<(FunctionId, Derivation, Span)>,
     tables: HashMap<String, Table>,
     /// Facts asserted directly on derived functions (via NVC inserts).
     derived_facts: HashMap<String, BTreeMap<(String, String), Abs>>,
@@ -367,7 +375,7 @@ impl<'a> Analyzer<'a> {
             diags: Vec::new(),
             schema: world.schema.clone(),
             declare_spans: HashMap::new(),
-            derived: HashMap::new(),
+            derived: world.derived.clone(),
             derive_sites: Vec::new(),
             tables: HashMap::new(),
             derived_facts: HashMap::new(),
@@ -380,7 +388,6 @@ impl<'a> Analyzer<'a> {
             restored: Vec::new(),
             txn: None,
         };
-        let name = |f: FunctionId| world.schema.function(f).name.clone();
         for def in world.schema.functions() {
             a.dsu_union(
                 world.schema.type_name(def.domain),
@@ -391,17 +398,6 @@ impl<'a> Analyzer<'a> {
                 ..Table::default()
             };
             a.tables.insert(def.name.clone(), table);
-        }
-        for (f, derivations) in &world.derived {
-            let rstep = |s: &fdb_types::Step| RStep {
-                function: name(s.function),
-                inverse: s.op == Op::Inverse,
-            };
-            let steps = derivations
-                .iter()
-                .map(|d| d.steps().iter().map(rstep).collect())
-                .collect();
-            a.derived.insert(name(*f), steps);
         }
         a
     }
@@ -542,21 +538,15 @@ impl<'a> Analyzer<'a> {
                 self.visit_delete(function, &old.0, &old.1, false);
                 self.visit_insert(function, &new.0, &new.1, false);
             }
-            CheckStmt::Query { function, x, .. } => self.visit_query(function, x),
+            CheckStmt::Query { function, x, .. } => self.visit_image(function, x, false),
             CheckStmt::Truth { function, x, y, .. } => self.visit_truth(function, x, y),
-            CheckStmt::Inverse { function, y, .. } => self.visit_inverse(function, y),
+            CheckStmt::Inverse { function, y, .. } => self.visit_image(function, y, true),
             CheckStmt::Read { function, .. } => {
                 if self.resolve(function).is_some() {
                     self.mark_read(&function.text);
                 }
             }
-            CheckStmt::Eval { steps, .. } => {
-                for s in steps {
-                    if self.resolve(&s.name).is_some() {
-                        self.mark_read(&s.name.text);
-                    }
-                }
-            }
+            CheckStmt::Eval { keyword, steps } => self.visit_eval(*keyword, steps),
             CheckStmt::Resolve { .. } => {
                 // RESOLVE may discharge negated conjunctions and
                 // substitute nulls via functional dependencies; the
@@ -620,7 +610,18 @@ impl<'a> Analyzer<'a> {
     }
 
     fn visit_declare(&mut self, name: &Name, domain: &str, range: &str, functionality: &Name) {
-        if self.schema.function_by_name(&name.text).is_some() {
+        let Ok(f) = Functionality::from_str(&functionality.text) else {
+            self.push(
+                Diagnostic::new(
+                    Code::Syntax,
+                    functionality.span,
+                    format!("unknown functionality `{}`", functionality.text),
+                )
+                .with_hint("use one-one, one-many, many-one or many-many"),
+            );
+            return;
+        };
+        if self.schema.declare(&name.text, domain, range, f).is_err() {
             let first = self.declare_spans.get(&name.text).copied();
             let mut d = Diagnostic::new(
                 Code::DuplicateDeclare,
@@ -633,17 +634,8 @@ impl<'a> Analyzer<'a> {
             self.push(d);
             return;
         }
-        let Ok(f) = Functionality::from_str(&functionality.text) else {
-            self.push(
-                Diagnostic::new(
-                    Code::Syntax,
-                    functionality.span,
-                    format!("unknown functionality `{}`", functionality.text),
-                )
-                .with_hint("use one-one, one-many, many-one or many-many"),
-            );
-            return;
-        };
+        self.declare_spans.insert(name.text.clone(), name.span);
+        self.tables.insert(name.text.clone(), Table::default());
         if self.dsu_union(domain, range) {
             self.push(
                 Diagnostic::new(
@@ -660,14 +652,10 @@ impl<'a> Analyzer<'a> {
                 ),
             );
         }
-        if self.schema.declare(&name.text, domain, range, f).is_ok() {
-            self.declare_spans.insert(name.text.clone(), name.span);
-            self.tables.insert(name.text.clone(), Table::default());
-        }
     }
 
     fn visit_derive(&mut self, name: &Name, steps: &[StepRef]) {
-        let Some(target) = self.schema.function_by_name(&name.text).cloned() else {
+        let Some(f) = self.schema.function_by_name(&name.text).map(|def| def.id) else {
             self.push(
                 Diagnostic::new(
                     Code::UndefinedFunction,
@@ -678,184 +666,155 @@ impl<'a> Analyzer<'a> {
             );
             return;
         };
-        // Self-reference and steps through derived functions.
-        for s in steps {
-            if s.name.text == name.text {
-                self.push(
-                    Diagnostic::new(
-                        Code::SelfReferential,
-                        s.name.span,
-                        format!("derivation of `{}` mentions itself", name.text),
-                    )
-                    .with_hint("a derivation must be built from other functions"),
-                );
-                return;
-            }
-            if self.derived.contains_key(&s.name.text) {
-                self.push(
-                    Diagnostic::new(
-                        Code::StepThroughDerived,
-                        s.name.span,
-                        format!(
-                            "derivation step `{}` is itself a derived function",
-                            s.name.text
-                        ),
-                    )
-                    .with_hint(format!(
-                        "inline the derivation of `{}` into this one",
-                        s.name.text
-                    )),
-                );
-                return;
-            }
-        }
-        // Resolve every step.
-        let mut rsteps = Vec::with_capacity(steps.len());
-        for s in steps {
-            if self.schema.function_by_name(&s.name.text).is_none() {
-                self.push(
-                    Diagnostic::new(
-                        Code::UndefinedFunction,
-                        s.name.span,
-                        format!("unknown function `{}` in derivation", s.name.text),
-                    )
-                    .with_hint(format!("DECLARE {}: … before the DERIVE", s.name.text)),
-                );
-                return;
-            }
-            rsteps.push(RStep {
-                function: s.name.text.clone(),
-                inverse: s.inverse,
-            });
-        }
-        // Chaining: effective range of each step must equal the effective
-        // domain of the next.
-        let ends = |r: &RStep| {
-            let def = self.schema.function_by_name(&r.function).expect("resolved");
-            if r.inverse {
-                (def.range, def.domain)
-            } else {
-                (def.domain, def.range)
-            }
+        let d = match self.schema.derivation(&named(steps)) {
+            Ok(d) if self.derived.get(&f).is_some_and(|ds| ds.contains(&d)) => return,
+            Ok(d) => d,
+            Err(refusal) => return self.push(self.refused(name, steps, refusal)),
         };
-        let (start, mut cur) = ends(&rsteps[0]);
-        for (i, r) in rsteps.iter().enumerate().skip(1) {
-            let (d, rng) = ends(r);
-            if d != cur {
-                let msg = format!(
-                    "step `{}` expects domain {} but the previous step ends at {}",
-                    steps[i].name.text,
-                    self.schema.type_name(d),
-                    self.schema.type_name(cur)
-                );
-                self.push(
-                    Diagnostic::new(Code::BrokenChain, steps[i].name.span, msg)
-                        .with_hint("insert an inverse (^-1) or an intermediate function"),
-                );
-                return;
-            }
-            cur = rng;
-        }
-        if (start, cur) != (target.domain, target.range) {
-            self.push(
-                Diagnostic::new(
-                    Code::EndpointMismatch,
-                    name.span,
-                    format!(
-                        "derivation maps {} -> {} but `{}` is declared {} -> {}",
-                        self.schema.type_name(start),
-                        self.schema.type_name(cur),
-                        name.text,
-                        self.schema.type_name(target.domain),
-                        self.schema.type_name(target.range)
-                    ),
-                )
-                .with_hint("adjust the steps or the declaration so the endpoints agree"),
-            );
-            return;
-        }
-        // Composed functionality must equal the declared one.
-        let composed = rsteps
-            .iter()
-            .map(|r| {
-                let f = self
-                    .schema
-                    .function_by_name(&r.function)
-                    .expect("resolved")
-                    .functionality;
-                if r.inverse {
-                    f.inverse()
-                } else {
-                    f
-                }
-            })
-            .reduce(Functionality::compose)
-            .expect("derivations are non-empty");
-        if composed != target.functionality {
-            self.push(
-                Diagnostic::new(
-                    Code::FunctionalityMismatch,
-                    name.span,
-                    format!(
-                        "derivation composes to {} but `{}` is declared {}",
-                        composed, name.text, target.functionality
-                    ),
-                )
-                .with_hint(format!("declare `{}` as ({})", name.text, composed)),
-            );
-            return;
-        }
-        // A function a registered derivation steps through stays base.
-        let user = self
-            .derived
-            .iter()
-            .filter(|(g, ds)| {
-                **g != name.text && ds.iter().flatten().any(|r| r.function == name.text)
-            })
-            .map(|(g, _)| g)
-            .min();
-        if let Some(user) = user {
-            self.push(
-                Diagnostic::new(
-                    Code::StepThroughDerived,
-                    name.span,
-                    format!(
-                        "`{}` is a step of the derivation of `{user}`; deriving it would make that derivation step through a derived function",
-                        name.text
-                    ),
-                )
-                .with_hint(format!(
-                    "keep `{}` base: a derivation steps through base functions only",
-                    name.text
-                )),
-            );
-            return;
-        }
-        // A derivation may not shadow facts already stored on the target.
-        let has_facts = self
+        let holds_data = self
             .tables
             .get(&name.text)
             .is_some_and(|t| !t.pairs.is_empty() || t.nulls > 0 || t.fuzzy);
-        if has_facts {
-            self.push(
-                Diagnostic::new(
-                    Code::ShadowsFacts,
-                    name.span,
-                    format!(
-                        "`{}` already holds stored facts; deriving it would shadow them",
-                        name.text
-                    ),
-                )
-                .with_hint("move the DERIVE before the INSERTs, or DELETE the facts first"),
-            );
+        let single = std::slice::from_ref(&d);
+        if let Err(refusal) = check_registration(&self.schema, &self.derived, f, single, holds_data)
+        {
+            return self.push(self.refused(name, steps, refusal));
+        }
+        self.derived.entry(f).or_default().push(d.clone());
+        self.derive_sites.push((f, d, name.span));
+    }
+
+    /// An `EVAL`: every step resolves (`FDB001` for each that does not)
+    /// and is read, and the expression meets the catalog's rules.
+    fn visit_eval(&mut self, keyword: Span, steps: &[StepRef]) {
+        let mut resolved = true;
+        for s in steps {
+            if self.resolve(&s.name).is_some() {
+                self.mark_read(&s.name.text);
+            } else {
+                resolved = false;
+            }
+        }
+        if !resolved {
             return;
         }
-        self.derived
-            .entry(name.text.clone())
-            .or_default()
-            .push(rsteps.clone());
-        self.derive_sites
-            .push((name.text.clone(), rsteps, name.span));
+        let ruled = self
+            .schema
+            .derivation(&named(steps))
+            .and_then(|d| check_expression(&self.schema, &self.derived, &d));
+        if let Err(refusal) = ruled {
+            self.push(self.refused(&Name::new("EVAL", keyword), steps, refusal));
+        }
+    }
+
+    /// The diagnostic for a `DERIVE target = steps` (or an `EVAL` of
+    /// `steps`) the catalog's rules refuse: its code, anchored at the
+    /// offending step or at the derived name.
+    fn refused(&self, target: &Name, steps: &[StepRef], refusal: Refusal) -> Diagnostic {
+        let ty = |t| self.schema.type_name(t);
+        let f = &target.text;
+        let (code, at, message, hint) = match refusal {
+            Refusal::NoSteps => (
+                Code::Syntax,
+                target,
+                "a derivation must have at least one step".to_owned(),
+                "name at least one function".to_owned(),
+            ),
+            Refusal::UnknownStep { step, .. } => {
+                let s = &steps[step].name;
+                (
+                    Code::UndefinedFunction,
+                    s,
+                    format!("unknown function `{}` in derivation", s.text),
+                    format!("DECLARE {}: … before the DERIVE", s.text),
+                )
+            }
+            Refusal::BrokenChain {
+                step,
+                expected,
+                found,
+                ..
+            } => {
+                let s = &steps[step].name;
+                let (expected, found) = (ty(expected), ty(found));
+                (
+                    Code::BrokenChain,
+                    s,
+                    format!(
+                        "step `{}` expects domain {expected} but the previous step ends at {found}",
+                        s.text
+                    ),
+                    "insert an inverse (^-1) or an intermediate function".to_owned(),
+                )
+            }
+            Refusal::WrongEndpoints {
+                found: (start, end),
+                declared: (domain, range),
+                ..
+            } => (
+                Code::EndpointMismatch,
+                target,
+                format!(
+                    "derivation maps {} -> {} but `{f}` is declared {} -> {}",
+                    ty(start),
+                    ty(end),
+                    ty(domain),
+                    ty(range)
+                ),
+                "adjust the steps or the declaration so the endpoints agree".to_owned(),
+            ),
+            Refusal::WrongFunctionality {
+                composed, declared, ..
+            } => (
+                Code::FunctionalityMismatch,
+                target,
+                format!("derivation composes to {composed} but `{f}` is declared {declared}"),
+                format!("declare `{f}` as ({composed})"),
+            ),
+            Refusal::SelfMention { step, .. } => (
+                Code::SelfReferential,
+                &steps[step].name,
+                format!("derivation of `{f}` mentions itself"),
+                "a derivation must be built from other functions".to_owned(),
+            ),
+            Refusal::DerivedStep { step, .. } => {
+                let s = &steps[step].name;
+                (
+                    Code::StepThroughDerived,
+                    s,
+                    format!("derivation step `{}` is itself a derived function", s.text),
+                    format!("inline the derivation of `{}` into this one", s.text),
+                )
+            }
+            Refusal::UsedBy { user } => (
+                Code::StepThroughDerived,
+                target,
+                format!(
+                    "`{f}` is a step of the derivation of `{}`; deriving it would make that \
+                     derivation step through a derived function",
+                    self.function_name(user)
+                ),
+                format!("keep `{f}` base: a derivation steps through base functions only"),
+            ),
+            Refusal::HoldsFacts => (
+                Code::ShadowsFacts,
+                target,
+                format!("`{f}` already holds stored facts; deriving it would shadow them"),
+                "move the DERIVE before the INSERTs, or DELETE the facts first".to_owned(),
+            ),
+        };
+        Diagnostic::new(code, at.span, message).with_hint(hint)
+    }
+
+    /// The registered derivations of the function named `f`, if derived.
+    fn derivations_of(&self, f: &str) -> Option<&Vec<Derivation>> {
+        let def = self.schema.function_by_name(f)?;
+        self.derived.get(&def.id)
+    }
+
+    /// The name of a function.
+    fn function_name(&self, f: FunctionId) -> &str {
+        &self.schema.function(f).name
     }
 
     fn visit_insert(&mut self, function: &Name, x: &str, y: &str, lint: bool) {
@@ -866,11 +825,11 @@ impl<'a> Analyzer<'a> {
         // Any write can rebuild chains, so previously deleted derived
         // facts are no longer definitely false.
         self.derived_deleted.clear();
-        if let Some(derivs) = self.derived.get(fname).cloned() {
+        if let Some(derivs) = self.derivations_of(fname).cloned() {
             // Derived insert. A guaranteed functionality conflict?
             let def = self.schema.function_by_name(fname).expect("resolved");
             if lint && def.functionality.is_functional() {
-                if let Some((exact, _)) = self.eval_image(fname, x) {
+                if let Some((exact, _)) = self.eval_image(fname, x, false) {
                     if let Some(prev) = exact.iter().find(|v| v.as_str() != y) {
                         self.push(
                             Diagnostic::new(
@@ -897,19 +856,21 @@ impl<'a> Analyzer<'a> {
                 .expect("derived functions have at least one derivation");
             if d.len() == 1 {
                 // Single-step derived inserts write a concrete base pair.
-                let step = &d[0];
-                let pair = if step.inverse {
+                let step = d.steps()[0];
+                let pair = if step.op == Op::Inverse {
                     (y.to_owned(), x.to_owned())
                 } else {
                     (x.to_owned(), y.to_owned())
                 };
-                if let Some(t) = self.tables.get_mut(&step.function) {
+                let table = &self.schema.function(step.function).name;
+                if let Some(t) = self.tables.get_mut(table) {
                     t.pairs.insert(pair, Abs::True);
                 }
             } else {
                 // Longer chains introduce nulls in every touched table.
-                for step in d {
-                    if let Some(t) = self.tables.get_mut(&step.function) {
+                for step in d.steps() {
+                    let table = &self.schema.function(step.function).name;
+                    if let Some(t) = self.tables.get_mut(table) {
                         t.nulls += 1;
                     }
                 }
@@ -936,7 +897,7 @@ impl<'a> Analyzer<'a> {
             return;
         }
         let fname = function.text.clone();
-        if let Some(derivs) = self.derived.get(&fname).cloned() {
+        if let Some(derivs) = self.derivations_of(&fname).cloned() {
             // An NVC-inserted fact deletes directly.
             if let Some(facts) = self.derived_facts.get_mut(&fname) {
                 if facts.remove(&(x.to_owned(), y.to_owned())).is_some() {
@@ -1016,22 +977,25 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn visit_query(&mut self, function: &Name, x: &str) {
+    /// A `QUERY f(v)`, or an `INVERSE f(v)` when `inverse`.
+    fn visit_image(&mut self, function: &Name, v: &str, inverse: bool) {
         if self.resolve(function).is_none() {
             return;
         }
         self.mark_read(&function.text);
-        if let Some((exact, amb)) = self.eval_image(&function.text, x) {
+        if let Some((exact, amb)) = self.eval_image(&function.text, v, inverse) {
             if exact.is_empty() && !amb.is_empty() {
-                let fname = &function.text;
+                let f = &function.text;
+                let query = if inverse {
+                    format!("inverse query `{f}^-1({v})`")
+                } else {
+                    format!("query `{f}({v})`")
+                };
                 self.push(
                     Diagnostic::new(
                         Code::GuaranteedAmbiguous,
                         function.span,
-                        format!(
-                            "query `{fname}({x})` is guaranteed to return only ambiguous \
-                             results"
-                        ),
+                        format!("{query} is guaranteed to return only ambiguous results"),
                     )
                     .with_hint(
                         "a derived DELETE left every candidate inside a negated conjunction",
@@ -1062,39 +1026,14 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn visit_inverse(&mut self, function: &Name, y: &str) {
-        if self.resolve(function).is_none() {
-            return;
-        }
-        self.mark_read(&function.text);
-        if let Some((exact, amb)) = self.eval_inverse_image(&function.text, y) {
-            if exact.is_empty() && !amb.is_empty() {
-                let fname = &function.text;
-                self.push(
-                    Diagnostic::new(
-                        Code::GuaranteedAmbiguous,
-                        function.span,
-                        format!(
-                            "inverse query `{fname}^-1({y})` is guaranteed to return only \
-                             ambiguous results"
-                        ),
-                    )
-                    .with_hint(
-                        "a derived DELETE left every candidate inside a negated conjunction",
-                    ),
-                );
-            }
-        }
-    }
-
     /// Marks a read of `f` (and, when derived, its support functions).
     fn mark_read(&mut self, f: &str) {
         self.reads_seen.insert(f.to_owned(), self.seq);
-        if let Some(derivs) = self.derived.get(f) {
+        if let Some(derivs) = self.derivations_of(f) {
             let support: Vec<String> = derivs
                 .iter()
-                .flatten()
-                .map(|r| r.function.clone())
+                .flat_map(Derivation::steps)
+                .map(|s| self.function_name(s.function).to_owned())
                 .collect();
             for s in support {
                 self.reads_seen.insert(s, self.seq);
@@ -1106,9 +1045,9 @@ impl<'a> Analyzer<'a> {
 
     /// Enumerates abstract chains from `x` through `steps`. `None` means
     /// the result cannot be trusted (nulls, fuzziness, caps).
-    fn chase(&self, steps: &[RStep], x: &str) -> Option<Vec<Chain>> {
-        for r in steps {
-            if !self.tables.get(&r.function)?.is_sharp() {
+    fn chase(&self, d: &Derivation, x: &str) -> Option<Vec<Chain>> {
+        for s in d.steps() {
+            if !self.tables.get(self.function_name(s.function))?.is_sharp() {
                 return None;
             }
         }
@@ -1118,12 +1057,13 @@ impl<'a> Analyzer<'a> {
             links: Vec::new(),
         }];
         let mut budget = self.cfg.max_abstract_expansions;
-        for r in steps {
-            let table = self.tables.get(&r.function)?;
+        for s in d.steps() {
+            let function = self.function_name(s.function);
+            let table = self.tables.get(function)?;
             let mut next = Vec::new();
             for c in &frontier {
                 for ((a, b), abs) in &table.pairs {
-                    let (from, to) = if r.inverse { (b, a) } else { (a, b) };
+                    let (from, to) = if s.op == Op::Inverse { (b, a) } else { (a, b) };
                     if from != &c.end {
                         continue;
                     }
@@ -1132,7 +1072,7 @@ impl<'a> Analyzer<'a> {
                     }
                     budget -= 1;
                     let mut links = c.links.clone();
-                    links.push((r.function.clone(), (a.clone(), b.clone())));
+                    links.push((function.to_owned(), (a.clone(), b.clone())));
                     next.push(Chain {
                         end: to.clone(),
                         exact: c.exact && *abs == Abs::True,
@@ -1151,7 +1091,7 @@ impl<'a> Analyzer<'a> {
     /// Abstract truth of `f(x, y)`.
     fn eval_truth(&self, f: &str, x: &str, y: &str) -> AbsTruth {
         let key = (x.to_owned(), y.to_owned());
-        if let Some(derivs) = self.derived.get(f) {
+        if let Some(derivs) = self.derivations_of(f) {
             if self
                 .derived_deleted
                 .get(f)
@@ -1200,109 +1140,54 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Abstract image of `x` under `f`: `(exact values, ambiguous-only
-    /// values)`, or `None` when unknowable.
-    fn eval_image(&self, f: &str, x: &str) -> Option<(Vec<String>, Vec<String>)> {
+    /// Abstract image of `v` under `f`, or under its inverse when
+    /// `inverse`: `(exact values, ambiguous-only values)`, or `None` when
+    /// unknowable.
+    fn eval_image(&self, f: &str, v: &str, inverse: bool) -> Option<(Vec<String>, Vec<String>)> {
         let mut exact = HashSet::new();
         let mut amb = HashSet::new();
-        if let Some(derivs) = self.derived.get(f) {
+        // What a stored pair `(a, b)`, read in the direction asked, maps
+        // `v` to.
+        let image = |(a, b): &(String, String)| {
+            let (from, to) = if inverse { (b, a) } else { (a, b) };
+            (from == v).then(|| to.clone())
+        };
+        let mut put = |to: String, abs: Abs| {
+            match abs {
+                Abs::True => exact.insert(to),
+                Abs::Amb => amb.insert(to),
+            };
+        };
+        if let Some(derivs) = self.derivations_of(f) {
             for d in derivs {
-                for c in self.chase(d, x)? {
-                    if c.exact {
-                        exact.insert(c.end);
-                    } else {
-                        amb.insert(c.end);
-                    }
+                let d = if inverse { d.inverted() } else { d.clone() };
+                for c in self.chase(&d, v)? {
+                    put(c.end, if c.exact { Abs::True } else { Abs::Amb });
                 }
             }
-            if let Some(facts) = self.derived_facts.get(f) {
-                for ((a, b), abs) in facts {
-                    if a == x {
-                        match abs {
-                            Abs::True => exact.insert(b.clone()),
-                            Abs::Amb => amb.insert(b.clone()),
-                        };
-                    }
+            for (pair, abs) in self.derived_facts.get(f).into_iter().flatten() {
+                if let Some(to) = image(pair) {
+                    put(to, *abs);
                 }
             }
-            if let Some(deleted) = self.derived_deleted.get(f) {
-                for (a, b) in deleted {
-                    if a == x {
-                        exact.remove(b);
-                        amb.remove(b);
-                    }
-                }
+            for to in self
+                .derived_deleted
+                .get(f)
+                .into_iter()
+                .flatten()
+                .filter_map(image)
+            {
+                exact.remove(&to);
+                amb.remove(&to);
             }
         } else {
             let t = self.tables.get(f)?;
             if !t.is_sharp() {
                 return None;
             }
-            for ((a, b), abs) in &t.pairs {
-                if a == x {
-                    match abs {
-                        Abs::True => exact.insert(b.clone()),
-                        Abs::Amb => amb.insert(b.clone()),
-                    };
-                }
-            }
-        }
-        let amb_only: Vec<String> = amb.difference(&exact).cloned().collect();
-        Some((exact.into_iter().collect(), amb_only))
-    }
-
-    /// Abstract inverse image of `y` under `f` (same contract as
-    /// [`Self::eval_image`]).
-    fn eval_inverse_image(&self, f: &str, y: &str) -> Option<(Vec<String>, Vec<String>)> {
-        let mut exact = HashSet::new();
-        let mut amb = HashSet::new();
-        if let Some(derivs) = self.derived.get(f) {
-            for d in derivs {
-                let inverted: Vec<RStep> = d
-                    .iter()
-                    .rev()
-                    .map(|r| RStep {
-                        function: r.function.clone(),
-                        inverse: !r.inverse,
-                    })
-                    .collect();
-                for c in self.chase(&inverted, y)? {
-                    if c.exact {
-                        exact.insert(c.end);
-                    } else {
-                        amb.insert(c.end);
-                    }
-                }
-            }
-            if let Some(facts) = self.derived_facts.get(f) {
-                for ((a, b), abs) in facts {
-                    if b == y {
-                        match abs {
-                            Abs::True => exact.insert(a.clone()),
-                            Abs::Amb => amb.insert(a.clone()),
-                        };
-                    }
-                }
-            }
-            if let Some(deleted) = self.derived_deleted.get(f) {
-                for (a, b) in deleted {
-                    if b == y {
-                        exact.remove(a);
-                        amb.remove(a);
-                    }
-                }
-            }
-        } else {
-            let t = self.tables.get(f)?;
-            if !t.is_sharp() {
-                return None;
-            }
-            for ((a, b), abs) in &t.pairs {
-                if b == y {
-                    match abs {
-                        Abs::True => exact.insert(a.clone()),
-                        Abs::Amb => amb.insert(a.clone()),
-                    };
+            for (pair, abs) in &t.pairs {
+                if let Some(to) = image(pair) {
+                    put(to, *abs);
                 }
             }
         }
@@ -1328,7 +1213,11 @@ impl<'a> Analyzer<'a> {
                 );
             }
             self.cost_pass();
-            let derived_names: HashSet<String> = self.derived.keys().cloned().collect();
+            let derived_names: HashSet<String> = self
+                .derived
+                .keys()
+                .map(|&f| self.function_name(f).to_owned())
+                .collect();
             schema_pass(
                 &self.schema,
                 &self.declare_spans,
@@ -1342,11 +1231,12 @@ impl<'a> Analyzer<'a> {
     /// FDB030: estimated unbound chain count per registered derivation.
     fn cost_pass(&mut self) {
         let mut findings = Vec::new();
-        for (name, rsteps, span) in &self.derive_sites {
-            let stats: Vec<StepProfile> = rsteps
+        for (f, d, span) in &self.derive_sites {
+            let stats: Vec<StepProfile> = d
+                .steps()
                 .iter()
-                .map(|r| {
-                    let t = self.tables.get(&r.function);
+                .map(|s| {
+                    let t = self.tables.get(self.function_name(s.function));
                     let (pairs, nulls): (Vec<_>, usize) = match t {
                         Some(t) => (t.pairs.keys().cloned().collect(), t.nulls),
                         None => (Vec::new(), 0),
@@ -1361,7 +1251,7 @@ impl<'a> Analyzer<'a> {
                             rows / distinct as f64
                         }
                     };
-                    let (fan_fwd, fan_bwd) = if r.inverse {
+                    let (fan_fwd, fan_bwd) = if s.op == Op::Inverse {
                         (fan(dy), fan(dx))
                     } else {
                         (fan(dx), fan(dy))
@@ -1382,9 +1272,11 @@ impl<'a> Analyzer<'a> {
                         Code::ChainBudget,
                         *span,
                         format!(
-                            "enumerating `{name}` is estimated at {:.0} chains, over the \
+                            "enumerating `{}` is estimated at {:.0} chains, over the \
                              budget of {:.0}",
-                            plan.est_chains, self.cfg.chain_budget
+                            self.function_name(*f),
+                            plan.est_chains,
+                            self.cfg.chain_budget
                         ),
                     )
                     .with_hint(
@@ -1564,6 +1456,46 @@ mod tests {
             codes,
             [Code::UnbalancedTxn, Code::UnbalancedTxn, Code::UnclosedTxn]
         );
+    }
+
+    /// A second `DERIVE` of a derivation the function already has
+    /// registers nothing, as in the engine: one derivation, one `FDB030`
+    /// site.
+    #[test]
+    fn an_identical_second_derive_registers_nothing() {
+        let declare = |f: &str, domain: &str, range: &str| CheckStmt::Declare {
+            keyword: Span::default(),
+            name: name(f),
+            domain: domain.into(),
+            range: range.into(),
+            functionality: name("many-many"),
+        };
+        let derive = CheckStmt::Derive {
+            keyword: Span::default(),
+            name: name("pupil"),
+            steps: ["teach", "class_list"]
+                .map(|f| StepRef {
+                    name: name(f),
+                    inverse: false,
+                })
+                .to_vec(),
+        };
+        let stmts = [
+            declare("teach", "faculty", "course"),
+            declare("class_list", "course", "student"),
+            declare("pupil", "faculty", "student"),
+            derive.clone(),
+            derive,
+        ];
+        let cfg = CheckConfig::default();
+        let a = Analyzer::run(&World::default(), &stmts, &cfg);
+        let pupil = a.schema.resolve("pupil").expect("declared");
+        assert_eq!(a.derived[&pupil].len(), 1);
+        assert_eq!(a.derive_sites.len(), 1);
+        assert!(a
+            .finish()
+            .iter()
+            .all(|d| d.severity() != crate::Severity::Error));
     }
 
     #[test]

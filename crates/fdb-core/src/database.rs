@@ -6,7 +6,7 @@ use std::sync::Arc;
 use fdb_graph::{minimal_schema, DesignOutcome};
 use fdb_storage::chain::DeletePolicy;
 use fdb_storage::{ChainLimits, Store};
-use fdb_types::{Derivation, FdbError, FunctionId, Result, Schema};
+use fdb_types::{check_registration, Derivation, FdbError, FunctionId, Refusal, Result, Schema};
 
 /// Which derivation realises a derived insert when several are
 /// registered (cyclic function graphs give derived functions multiple
@@ -140,7 +140,7 @@ impl Database {
         } else {
             derived
                 .iter()
-                .try_for_each(|(&f, ders)| check_derived(&schema, &derived, &store, f, ders))
+                .try_for_each(|(&f, ders)| admit(&schema, &derived, &store, f, ders))
                 .map_err(|e| e.to_string())
         };
         admitted.map_err(|why| FdbError::Parse {
@@ -209,16 +209,20 @@ impl Database {
     /// must hold no data, and no registered derivation may use it.
     pub fn register_derived(&mut self, f: FunctionId, derivations: Vec<Derivation>) -> Result<()> {
         let Catalog { schema, derived } = &*self.catalog;
-        check_derived(schema, derived, &self.store, f, &derivations)?;
+        admit(schema, derived, &self.store, f, &derivations)?;
         self.catalog_mut().derived.insert(f, derivations);
         Ok(())
     }
 
     /// Appends one derivation to `f`'s registry (registering `f` as
     /// derived if it was base), with the same validation as
-    /// [`Database::register_derived`]. The language front end's repeated
+    /// [`Database::register_derived`]; a derivation `f` already has is
+    /// not appended again. The language front end's repeated
     /// `DERIVE f = …` statements accumulate through this.
     pub fn add_derivation(&mut self, f: FunctionId, derivation: Derivation) -> Result<()> {
+        if self.derivations(f).contains(&derivation) {
+            return Ok(());
+        }
         let mut all = self.derivations(f).to_vec();
         all.push(derivation);
         self.register_derived(f, all)
@@ -463,83 +467,64 @@ impl Database {
     }
 }
 
-/// The rules a registration `f = derivations` must meet against the
-/// catalog and store it joins: [`Database::register_derived`] applies
-/// them to a new registration, [`Database::from_parts`] to every
-/// registration a snapshot lists, so a snapshot loads no catalog the
-/// statement path refuses. Every derivation names functions of the
-/// schema, matches `f`'s endpoints and functionality, and steps through
-/// base functions other than `f`; no other derivation steps through
-/// `f`; `f` holds no data.
-fn check_derived(
+/// Admits the registration `f = derivations` into the catalog and store
+/// it joins by the catalog's rules ([`check_registration`]), each
+/// refusal in the words `DERIVE` answers with: [`Database::register_derived`]
+/// admits a new registration, [`Database::from_parts`] every registration
+/// a snapshot lists, so a snapshot loads no catalog the statement path
+/// refuses.
+fn admit(
     schema: &Schema,
     derived: &BTreeMap<FunctionId, Vec<Derivation>>,
     store: &Store,
     f: FunctionId,
     derivations: &[Derivation],
 ) -> Result<()> {
-    let known = |g: FunctionId| g.index() < schema.len();
-    if !known(f) {
+    if f.index() >= schema.len() {
         return Err(FdbError::UnknownFunction(f.to_string()));
     }
-    let def = schema.function(f);
-    let malformed = |why: String| Err(FdbError::MalformedDerivation(why));
-    for d in derivations {
-        if let Some(step) = d.steps().iter().find(|s| !known(s.function)) {
-            return malformed(format!(
-                "derivation of {} names no function {}",
-                def.name, step.function
-            ));
+    let holds_data = !store.table(f).is_empty();
+    let Err(refusal) = check_registration(schema, derived, f, derivations, holds_data) else {
+        return Ok(());
+    };
+    let name = |g: FunctionId| &schema.function(g).name;
+    let target = name(f);
+    let step = |d: usize, i: usize| derivations[d].steps()[i].function;
+    let rendered = |d: usize| derivations[d].render(schema);
+    let why = match refusal {
+        // The chain rule, in the words of `Derivation::endpoints`.
+        Refusal::BrokenChain { derivation, .. } => {
+            return derivations[derivation].endpoints(schema).map(|_| ())
         }
-        if d.endpoints(schema)? != (def.domain, def.range) {
-            return malformed(format!(
-                "derivation {} of {} has wrong endpoints",
-                d.render(schema),
-                def.name
-            ));
-        }
-        if d.functionality(schema) != def.functionality {
-            return malformed(format!(
-                "derivation {} of {} has functionality {} but {} is declared {}",
-                d.render(schema),
-                def.name,
-                d.functionality(schema),
-                def.name,
-                def.functionality
-            ));
-        }
-        for step in d.steps() {
-            if step.function == f {
-                return malformed(format!("derivation of {} mentions itself", def.name));
-            }
-            if derived.contains_key(&step.function) {
-                return malformed(format!(
-                    "derivation of {} uses derived function {}",
-                    def.name,
-                    schema.function(step.function).name
-                ));
-            }
-        }
-    }
-    if let Some(&user) = derived
-        .iter()
-        .find(|(&g, ders)| g != f && ders.iter().any(|d| d.mentions(f)))
-        .map(|(g, _)| g)
-    {
-        return malformed(format!(
-            "cannot mark {} derived: the derivation of {} uses it",
-            def.name,
-            schema.function(user).name
-        ));
-    }
-    // A function that gains a derivation must not already hold data.
-    if !store.table(f).is_empty() {
-        return Err(FdbError::Internal(format!(
-            "cannot mark {} derived: its table is non-empty",
-            def.name
-        )));
-    }
-    Ok(())
+        Refusal::NoSteps => "a derivation must have at least one step".to_owned(),
+        Refusal::UnknownStep { derivation, step: i } => format!(
+            "derivation of {target} names no function {}",
+            step(derivation, i)
+        ),
+        Refusal::WrongEndpoints { derivation, .. } => format!(
+            "derivation {} of {target} has wrong endpoints",
+            rendered(derivation)
+        ),
+        Refusal::WrongFunctionality {
+            derivation,
+            composed,
+            declared,
+        } => format!(
+            "derivation {} of {target} has functionality {composed} but {target} is declared {declared}",
+            rendered(derivation)
+        ),
+        Refusal::SelfMention { .. } => format!("derivation of {target} mentions itself"),
+        Refusal::DerivedStep { derivation, step: i } => format!(
+            "derivation of {target} uses derived function {}",
+            name(step(derivation, i))
+        ),
+        Refusal::UsedBy { user } => format!(
+            "cannot mark {target} derived: the derivation of {} uses it",
+            name(user)
+        ),
+        Refusal::HoldsFacts => format!("cannot mark {target} derived: its table is non-empty"),
+    };
+    Err(FdbError::MalformedDerivation(why))
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use fdb_exec::{
 };
 use fdb_governor::{Governor, Outcome};
 use fdb_storage::{DerivedPair, Fact, Truth};
-use fdb_types::{FunctionId, Result, Value};
+use fdb_types::{check_expression, FdbError, FunctionId, Refusal, Result, Value};
 
 use crate::database::Database;
 
@@ -262,19 +262,20 @@ impl Database {
         Ok(outcome.map(|pairs| pairs.into_iter().map(|p| (p.y, p.truth)).collect()))
     }
 
-    /// Validates an ad-hoc expression: well-formed over the schema and
-    /// base-only.
+    /// Validates an ad-hoc expression by the catalog's rules
+    /// ([`fdb_types::check_expression`]): its steps are declared, chain,
+    /// and are base functions.
     fn validate_expression(&self, derivation: &fdb_types::Derivation) -> Result<()> {
-        derivation.endpoints(self.schema())?;
-        for step in derivation.steps() {
-            if self.is_derived(step.function) {
-                return Err(fdb_types::FdbError::MalformedDerivation(format!(
-                    "expression step {} is a derived function; expand it first",
-                    self.schema().function(step.function).name
-                )));
-            }
+        let schema = self.schema();
+        match check_expression(schema, self.derived_registry(), derivation) {
+            Ok(()) => Ok(()),
+            Err(Refusal::DerivedStep { step, .. }) => Err(FdbError::MalformedDerivation(format!(
+                "expression step {} is a derived function; expand it first",
+                schema.function(derivation.steps()[step].function).name
+            ))),
+            // Rules 1 and 2, in the words of `Derivation::endpoints`.
+            Err(_) => derivation.endpoints(schema).map(|_| ()),
         }
-        Ok(())
     }
 }
 

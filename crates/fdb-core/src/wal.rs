@@ -52,7 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fdb_types::codec::{put_str, put_uint, Reader};
-use fdb_types::{Derivation, FdbError, Functionality, Result, Step, Value};
+use fdb_types::{FdbError, Functionality, Refusal, Result, Value};
 
 use crate::database::Database;
 use crate::storage::{FileStorage, WalFile, WalStorage};
@@ -1053,19 +1053,20 @@ pub fn apply_record(db: &mut Database, record: &LogRecord) -> Result<()> {
         }
         LogRecord::Derive { name, steps } => {
             let f = db.resolve(name)?;
-            let steps: Result<Vec<Step>> = steps
-                .iter()
-                .map(|(n, inv)| {
-                    db.resolve(n).map(|id| {
-                        if *inv {
-                            Step::inverse(id)
-                        } else {
-                            Step::identity(id)
-                        }
-                    })
-                })
-                .collect();
-            db.add_derivation(f, Derivation::new(steps?)?)
+            let named: Vec<(&str, bool)> =
+                steps.iter().map(|(n, inv)| (n.as_str(), *inv)).collect();
+            let derivation = db
+                .schema()
+                .derivation(&named)
+                .map_err(|refusal| match refusal {
+                    Refusal::UnknownStep { step, .. } => {
+                        FdbError::UnknownFunction(steps[step].0.clone())
+                    }
+                    _ => FdbError::MalformedDerivation(
+                        "a derivation must have at least one step".into(),
+                    ),
+                })?;
+            db.add_derivation(f, derivation)
         }
         LogRecord::Insert { function, x, y } => {
             let f = db.resolve(function)?;

@@ -8,7 +8,7 @@ use fdb_check::{analyze_script_in, CheckConfig, CheckStmt, DiscoverConfig, Sever
 use fdb_core::{resolve_ambiguities, Budget, CancelToken, Database, Governance, Governor, Outcome};
 use fdb_exec::{Assumption, AssumptionSet, CacheReport, FdKind, QuerySpec, ResultCache};
 use fdb_repl::{Promotion, Replica};
-use fdb_types::{Derivation, FdbError, Result, Schema, Step, Value};
+use fdb_types::{Derivation, FdbError, Refusal, Result, Schema, Value};
 
 use crate::ast::{DeriveStep, Governed, Statement};
 use crate::check::lower_script_from;
@@ -1028,21 +1028,21 @@ impl Engine {
         })
     }
 
-    /// Resolves the steps of a `DERIVE` or `EVAL` expression against `db`.
+    /// Builds the derivation the steps of a `DERIVE` or `EVAL` name over
+    /// `db`'s schema.
     fn build_derivation(db: &Database, steps: &[DeriveStep], line: u32) -> Result<Derivation> {
-        let mut out = Vec::with_capacity(steps.len());
-        for s in steps {
-            let f = db.resolve(&s.name)?;
-            out.push(if s.inverse {
-                Step::inverse(f)
-            } else {
-                Step::identity(f)
-            });
-        }
-        Derivation::new(out).map_err(|e| match e {
-            FdbError::MalformedDerivation(m) => FdbError::Parse { line, message: m },
-            other => other,
-        })
+        let named: Vec<(&str, bool)> = steps.iter().map(|s| (s.name.as_str(), s.inverse)).collect();
+        db.schema()
+            .derivation(&named)
+            .map_err(|refusal| match refusal {
+                Refusal::UnknownStep { step, .. } => {
+                    FdbError::UnknownFunction(steps[step].name.clone())
+                }
+                _ => FdbError::Parse {
+                    line,
+                    message: "a derivation must have at least one step".into(),
+                },
+            })
     }
 }
 
@@ -1079,6 +1079,64 @@ mod tests {
             r.as_ref().unwrap();
         }
         assert_eq!(results[8].as_ref().unwrap(), "T\n");
+    }
+
+    const UNIVERSITY: &str = "DECLARE teach: faculty -> course (many-many)\n\
+                              DECLARE class_list: course -> student (many-many)\n\
+                              DECLARE pupil: faculty -> student (many-many)";
+
+    /// Deriving a function that holds facts is the user's mistake, refused
+    /// in the catalog's words, not a broken invariant of the program.
+    #[test]
+    fn derive_of_a_function_holding_facts_is_a_malformed_derivation() {
+        let mut e = Engine::new();
+        for r in run(&mut e, UNIVERSITY) {
+            r.unwrap();
+        }
+        e.execute_line("INSERT pupil(a, b)").unwrap();
+        let err = e
+            .execute_line("DERIVE pupil = teach o class_list")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FdbError::MalformedDerivation(
+                "cannot mark pupil derived: its table is non-empty".into()
+            )
+        );
+        assert_eq!(
+            err.to_string(),
+            "malformed derivation: cannot mark pupil derived: its table is non-empty"
+        );
+    }
+
+    /// A second `DERIVE` of a derivation the function already has answers
+    /// as the first did and registers nothing: the derivation is listed,
+    /// explained and walked once.
+    #[test]
+    fn an_identical_second_derive_registers_nothing() {
+        let mut e = Engine::new();
+        for r in run(
+            &mut e,
+            &format!("{UNIVERSITY}\nINSERT teach(euclid, math)\nINSERT class_list(math, john)"),
+        ) {
+            r.unwrap();
+        }
+        let derive = "DERIVE pupil = teach o class_list";
+        assert_eq!(
+            e.execute_line(derive).unwrap(),
+            "derived pupil = teach o class_list\n"
+        );
+        let once = ["DERIVATIONS pupil", "EXPLAIN pupil(euclid, john)"]
+            .map(|line| e.execute_line(line).unwrap());
+        assert_eq!(
+            e.execute_line(derive).unwrap(),
+            "derived pupil = teach o class_list\n"
+        );
+        let twice = ["DERIVATIONS pupil", "EXPLAIN pupil(euclid, john)"]
+            .map(|line| e.execute_line(line).unwrap());
+        assert_eq!(once, twice);
+        let pupil = e.database().resolve("pupil").unwrap();
+        assert_eq!(e.database().derivations(pupil).len(), 1);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use crate::catalog::{self, Refusal};
 use crate::error::{FdbError, Result};
 use crate::function::FunctionId;
 use crate::functionality::Functionality;
@@ -124,19 +125,19 @@ impl Derivation {
     /// Validates chaining against a schema and returns the derivation's
     /// effective (domain, range) — its *syntax* in the paper's terms.
     pub fn endpoints(&self, schema: &Schema) -> Result<(TypeId, TypeId)> {
-        let (start, mut cur) = self.steps[0].endpoints(schema);
-        for (i, step) in self.steps.iter().enumerate().skip(1) {
-            let (d, r) = step.endpoints(schema);
-            if d != cur {
-                return Err(FdbError::MalformedDerivation(format!(
-                    "step {i} expects domain {} but previous range is {}",
-                    schema.type_name(d),
-                    schema.type_name(cur)
-                )));
-            }
-            cur = r;
-        }
-        Ok((start, cur))
+        catalog::chain(schema, self, 0).map_err(|refusal| match refusal {
+            Refusal::BrokenChain {
+                step,
+                expected,
+                found,
+                ..
+            } => FdbError::MalformedDerivation(format!(
+                "step {step} expects domain {} but previous range is {}",
+                schema.type_name(expected),
+                schema.type_name(found)
+            )),
+            _ => FdbError::UnknownFunction(self.to_string()),
+        })
     }
 
     /// Composed type functionality of the whole derivation.

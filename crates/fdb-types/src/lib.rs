@@ -20,6 +20,8 @@
 //!   schemas,
 //! * [`Derivation`] — derivation expressions `u₁F₁ o u₂F₂ o … o uₖFₖ`
 //!   with `uᵢ ∈ {identity, inverse}`,
+//! * [`check_registration`] / [`Refusal`] — the catalog's rules for
+//!   when a derivation may be registered, read by every consumer,
 //! * [`FdbError`] — the workspace error type,
 //! * [`codec`] — the integer/string primitives and bounded reader the
 //!   binary snapshot format is written and read with.
@@ -27,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod catalog;
 pub mod codec;
 mod derivation;
 mod error;
@@ -37,6 +40,7 @@ mod span;
 mod types;
 mod value;
 
+pub use catalog::{check_expression, check_registration, Refusal};
 pub use derivation::{Derivation, Op, Step};
 pub use error::{FdbError, Result};
 pub use function::{FunctionDef, FunctionId};

@@ -67,6 +67,14 @@ fn fdb003_broken_chain() {
     // A chaining derivation: silent.
     let cs = codes(&format!("{UNI}DERIVE pupil = teach o class_list"));
     assert!(!cs.contains(&Code::BrokenChain), "{cs:?}");
+    // An EVAL expression is held to the same chain rule.
+    let ds = diags(&format!("{UNI}EVAL a : teach o teach"));
+    let d = ds
+        .iter()
+        .find(|d| d.code == Code::BrokenChain)
+        .expect("FDB003 fires on EVAL");
+    // Anchored at the second (breaking) step.
+    assert_eq!((d.span.line, d.span.start), (4, 17));
 }
 
 #[test]
@@ -127,6 +135,15 @@ fn fdb007_step_through_derived() {
         .find(|d| d.code == Code::StepThroughDerived)
         .expect("FDB007 fires");
     assert_eq!(d.span.line, 6);
+    // An EVAL expression steps through base functions only, too.
+    let ds = diags(&format!(
+        "{UNI}DERIVE pupil = teach o class_list\nEVAL a : pupil"
+    ));
+    let d = ds
+        .iter()
+        .find(|d| d.code == Code::StepThroughDerived)
+        .expect("FDB007 fires on EVAL");
+    assert_eq!(d.span.line, 5);
     // Stepping through base functions only: silent.
     let cs = codes(&format!("{UNI}DERIVE pupil = teach o class_list"));
     assert!(!cs.contains(&Code::StepThroughDerived), "{cs:?}");
