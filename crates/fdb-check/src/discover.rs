@@ -18,58 +18,36 @@
 //!   machinery would never have admitted (e.g. loaded through a bulk
 //!   path) that break a declared constraint. Each violation carries a
 //!   *minimal cardinality repair* — the smallest fact set whose deletion
-//!   restores the constraint, per Livshits/Kimelfeld: exact on small
-//!   conflict components (complement of a maximum independent set),
-//!   greedy beyond [`DiscoverConfig::exact_repair_limit`].
+//!   restores the constraint, solved exactly for every declared
+//!   functionality ([`minimal_repair`], after Livshits–Kimelfeld–Roy).
 //! * **Candidate derivations** (FDB052): the extension of `g` is
-//!   reproduced point-for-point by a derivation over the *other* base
-//!   functions (alias, inverse, or two-step composition), evaluated
-//!   through the real chain machinery in `fdb-exec` — a Method 2.1
-//!   designer proposal.
+//!   reproduced point-for-point by a derivation the catalog's rules
+//!   would register for `g` (alias, inverse, or two-step composition),
+//!   evaluated through the real chain machinery in `fdb-exec` — a Method
+//!   2.1 designer proposal.
 //!
 //! The whole pass is **read-only** (it never mutates the store — the
 //! purity test in `tests/check_data.rs` pins this with mutation-counter
 //! deltas) and **deterministic**: for a fixed store the report renders
-//! byte-identically (golden test). Like every other analysis in this
-//! workspace it runs under a [`fdb_governor::Governor`]; a stopped run
-//! returns a typed partial with the findings mined so far.
+//! byte-identically (golden test).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-use fdb_governor::{Governance, Governor, Outcome, StopReason, Ungoverned};
-use fdb_storage::{ChainLimits, Store, Truth};
-use fdb_types::{Derivation, FunctionId, Functionality, Schema, Span, Step, Value};
+use fdb_storage::{ChainLimits, Store, Table, Truth};
+use fdb_types::{
+    check_registration, Derivation, FunctionId, Functionality, Schema, Span, Step, Value,
+};
 
 use serde::Content;
 
 use crate::diag::{Code, Diagnostic};
 
-/// Tuning knobs for the discovery pass.
-#[derive(Clone, Copy, Debug)]
-pub struct DiscoverConfig {
-    /// Minimum live rows before a table's shape is worth reporting
-    /// (single-row tables satisfy every FD vacuously).
-    pub min_support: usize,
-    /// Conflict components up to this size get an exact minimum repair
-    /// (maximum-independent-set complement, `O(2^n)`); larger components
-    /// fall back to greedy max-degree deletion. Clamped to 16.
-    pub exact_repair_limit: usize,
-    /// Cap on accepted candidate derivations per function.
-    pub max_candidates: usize,
-    /// Chain limits for candidate-derivation truth evaluation.
-    pub limits: ChainLimits,
-}
+/// Minimum live rows before a table's shape is worth reporting
+/// (single-row tables satisfy every FD vacuously).
+const MIN_SUPPORT: usize = 2;
 
-impl Default for DiscoverConfig {
-    fn default() -> Self {
-        DiscoverConfig {
-            min_support: 2,
-            exact_repair_limit: 12,
-            max_candidates: 8,
-            limits: ChainLimits::default(),
-        }
-    }
-}
+/// Cap on accepted candidate derivations per function.
+const MAX_CANDIDATES: usize = 8;
 
 /// An incidental (non-genuine) FD: the extension is tighter than the
 /// declaration.
@@ -98,11 +76,9 @@ pub struct Violation {
     pub declared: Functionality,
     /// Number of connected conflict components.
     pub conflict_groups: usize,
-    /// Facts whose deletion restores the constraint, sorted by value.
+    /// Facts whose deletion restores the constraint, sorted by value: a
+    /// provable minimum.
     pub repair: Vec<(Value, Value)>,
-    /// `true` if every component was solved exactly (the repair is a
-    /// provable minimum); `false` if any fell back to greedy.
-    pub repair_exact: bool,
 }
 
 /// A candidate derivation reproducing a base function's extension.
@@ -150,135 +126,87 @@ pub fn discover(
     store: &Store,
     schema: &Schema,
     derived: &BTreeMap<FunctionId, Vec<Derivation>>,
-    config: &DiscoverConfig,
 ) -> DiscoveryReport {
-    discover_impl(store, schema, derived, config, &Ungoverned).value()
-}
-
-/// [`discover`] under a [`Governor`]: a stopped pass returns the findings
-/// mined so far (functions are scanned in declaration order, so a partial
-/// report is a prefix plus possibly a truncated candidate list).
-pub fn discover_governed(
-    store: &Store,
-    schema: &Schema,
-    derived: &BTreeMap<FunctionId, Vec<Derivation>>,
-    config: &DiscoverConfig,
-    governor: &Governor,
-) -> Outcome<DiscoveryReport> {
-    discover_impl(store, schema, derived, config, governor)
-}
-
-fn discover_impl<G: Governance>(
-    store: &Store,
-    schema: &Schema,
-    derived: &BTreeMap<FunctionId, Vec<Derivation>>,
-    config: &DiscoverConfig,
-    governor: &G,
-) -> Outcome<DiscoveryReport> {
     fdb_obs::registry().check_discover_runs.inc();
     let mut report = DiscoveryReport {
         store_version: store.version(),
         ..DiscoveryReport::default()
     };
-    let mut stop: Option<StopReason> = None;
-    let exact_limit = config.exact_repair_limit.min(16);
 
-    'functions: for def in schema.functions() {
-        if let Err(r) = governor.check() {
-            stop = Some(r);
-            break;
-        }
+    for def in schema.functions() {
         if derived.contains_key(&def.id) || def.id.index() >= store.table_count() {
             continue;
         }
         let table = store.table(def.id);
-        let rows: Vec<(&Value, &Value)> = table.rows().map(|r| (r.x, r.y)).collect();
-        if rows.is_empty() {
+        if table.is_empty() {
             continue;
         }
         report.scanned += 1;
         let (functional, injective) = table.single_valuedness();
-        let viol_functional = def.functionality.is_functional() && !functional;
-        let viol_injective = def.functionality.is_injective() && !injective;
 
-        // Incidental functionality: tighter than declared, enough rows to
-        // be more than vacuous. A violated table never reports one — its
-        // extension contradicts the declaration, so "observed" would mix a
-        // genuine direction with a broken one; the violation (below) is
-        // the finding, and the FD can be re-mined after the repair.
-        if !(viol_functional || viol_injective) && rows.len() >= config.min_support {
-            let observed = Functionality::from_parts(functional, injective);
-            if observed != def.functionality {
-                report.fds.push(DiscoveredFd {
-                    function: def.id,
-                    declared: def.functionality,
-                    observed,
-                    rows: rows.len(),
-                    function_version: store.function_version(def.id),
-                });
-            }
-        }
-
-        // Declared functionality violated: compute the minimal repair.
-        if viol_functional || viol_injective {
-            let owned: Vec<(Value, Value)> =
-                rows.iter().map(|&(x, y)| (x.clone(), y.clone())).collect();
-            let (repair, exact, groups) = minimal_repair(
-                &owned,
-                def.functionality.is_functional(),
-                def.functionality.is_injective(),
-                exact_limit,
-            );
+        // Declared functionality violated: the finding is the violation
+        // and its minimal repair. Such a table reports no incidental FD —
+        // "observed" would mix a genuine direction with a broken one, and
+        // the FD can be re-mined after the repair — and no candidate
+        // derivation, which would bake the violation into the schema.
+        if (def.functionality.is_functional() && !functional)
+            || (def.functionality.is_injective() && !injective)
+        {
+            let (repair, conflict_groups) = minimal_repair(table, def.functionality);
             report.violations.push(Violation {
                 function: def.id,
                 declared: def.functionality,
-                conflict_groups: groups,
+                conflict_groups,
                 repair,
-                repair_exact: exact,
+            });
+            continue;
+        }
+        if table.len() < MIN_SUPPORT {
+            continue;
+        }
+
+        // Incidental functionality: tighter than declared.
+        let observed = Functionality::from_parts(functional, injective);
+        if observed != def.functionality {
+            report.fds.push(DiscoveredFd {
+                function: def.id,
+                declared: def.functionality,
+                observed,
+                rows: table.len(),
+                function_version: store.function_version(def.id),
             });
         }
 
-        // Candidate derivations: only for consistent extensions with
-        // support (proposing a derivation for a violated table would bake
-        // the violation into the schema).
-        if viol_functional || viol_injective || rows.len() < config.min_support {
-            continue;
-        }
+        // Candidate derivations: those reproducing every true pair.
         let true_pairs: Vec<(&Value, &Value)> = table
             .rows()
             .filter(|r| r.truth == Truth::True)
             .map(|r| (r.x, r.y))
             .collect();
-        if true_pairs.len() < config.min_support {
+        if true_pairs.len() < MIN_SUPPORT {
             continue;
         }
-        let mut accepted = 0usize;
-        for cand in candidate_shapes(schema, def.id, derived) {
-            if accepted >= config.max_candidates {
-                break;
-            }
-            if let Err(r) = governor.check() {
-                stop = Some(r);
-                break 'functions;
-            }
-            let all_reproduced = true_pairs.iter().all(|&(x, y)| {
-                fdb_exec::derived_truth(store, std::slice::from_ref(&cand), x, y, config.limits)
-                    == Truth::True
-            });
-            if all_reproduced {
-                report.candidates.push(CandidateDerivation {
-                    function: def.id,
-                    derivation: cand,
-                    matched: true_pairs.len(),
-                });
-                accepted += 1;
-            }
-        }
+        let reproduces = |d: &Derivation| {
+            true_pairs.iter().all(|&(x, y)| {
+                let ders = std::slice::from_ref(d);
+                fdb_exec::derived_truth(store, ders, x, y, ChainLimits::default()) == Truth::True
+            })
+        };
+        let found = candidate_shapes(schema, def.id, derived)
+            .filter(reproduces)
+            .take(MAX_CANDIDATES);
+        report
+            .candidates
+            .extend(found.map(|derivation| CandidateDerivation {
+                function: def.id,
+                derivation,
+                matched: true_pairs.len(),
+            }));
     }
 
     // Advisory AMS: which functions become derivable only once the
     // discovered FDs tighten the graph?
-    if !report.fds.is_empty() && stop.is_none() {
+    if !report.fds.is_empty() {
         let advisory: Vec<(FunctionId, Functionality)> = report
             .fds
             .iter()
@@ -298,196 +226,225 @@ fn discover_impl<G: Governance>(
             .collect();
     }
 
-    Outcome::new(report, stop)
+    report
 }
 
-/// Enumerates the type-compatible candidate derivations for `target`:
-/// single-step aliases and inverses over other base functions, then all
-/// two-step identity/inverse compositions, in declaration order.
-fn candidate_shapes(
-    schema: &Schema,
+/// The candidate derivations for `target`: every orientation of one
+/// declared function (`f`, then `f^-1`, in declaration order), then every
+/// two-step orientation pair (for each `f`, each `g`: `f o g`, `f o
+/// g^-1`, `f^-1 o g`, `f^-1 o g^-1`), keeping those the catalog's rules
+/// ([`check_registration`]) would register for `target` once its facts
+/// are deleted.
+fn candidate_shapes<'a>(
+    schema: &'a Schema,
     target: FunctionId,
-    derived: &BTreeMap<FunctionId, Vec<Derivation>>,
-) -> Vec<Derivation> {
-    let def = schema.function(target);
-    let base: Vec<_> = schema
-        .functions()
-        .iter()
-        .filter(|d| d.id != target && !derived.contains_key(&d.id))
-        .collect();
-    let mut out: Vec<Derivation> = Vec::new();
-    // Length 1: alias (same orientation) and inverse.
-    for f in &base {
-        if f.domain == def.domain && f.range == def.range {
-            out.push(Derivation::single(Step::identity(f.id)));
-        }
-        if f.domain == def.range && f.range == def.domain {
-            out.push(Derivation::single(Step::inverse(f.id)));
-        }
-    }
-    // Length 2: every orientation pair that chains domain → mid → range.
-    for f in &base {
-        for g in &base {
-            for (sf, f_from, f_to) in orientations(f.id, f.domain, f.range) {
-                if f_from != def.domain {
-                    continue;
-                }
-                for (sg, g_from, g_to) in orientations(g.id, g.domain, g.range) {
-                    if g_from == f_to && g_to == def.range {
-                        if let Ok(d) = Derivation::new(vec![sf, sg]) {
-                            out.push(d);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    derived: &'a BTreeMap<FunctionId, Vec<Derivation>>,
+) -> impl Iterator<Item = Derivation> + 'a {
+    let ids = move || schema.functions().iter().map(|def| def.id);
+    let orientations = |f: FunctionId| [Step::identity(f), Step::inverse(f)];
+    let one = ids().flat_map(orientations).map(|s| vec![s]);
+    let two = ids().flat_map(move |f| {
+        ids().flat_map(move |g| {
+            orientations(f)
+                .into_iter()
+                .flat_map(move |sf| orientations(g).map(move |sg| vec![sf, sg]))
+        })
+    });
+    one.chain(two)
+        .filter_map(|steps| Derivation::new(steps).ok())
+        .filter(move |d| {
+            check_registration(schema, derived, target, std::slice::from_ref(d), false).is_ok()
+        })
 }
 
-/// The two traversal orientations of a function edge, as `(step, from,
-/// to)` triples.
-fn orientations(
-    f: FunctionId,
-    domain: fdb_types::TypeId,
-    range: fdb_types::TypeId,
-) -> [(Step, fdb_types::TypeId, fdb_types::TypeId); 2] {
-    [
-        (Step::identity(f), domain, range),
-        (Step::inverse(f), range, domain),
-    ]
-}
-
-/// Computes a minimal cardinality repair of `pairs` under the declared
-/// single-valuedness directions: the smallest index set whose deletion
-/// leaves no two remaining pairs in conflict (same `x`, different `y`
-/// when `functional`; same `y`, different `x` when `injective`).
+/// The minimal cardinality repair of `table` under the `declared`
+/// functionality: the fewest live rows whose deletion leaves no two rows
+/// in conflict — sharing an `x` under many-one, a `y` under one-many,
+/// either under one-one; many-many has no conflicts. Returns the rows to
+/// delete, sorted by value, and the number of conflict components.
 ///
-/// Returns `(deleted pairs sorted by value, exact, conflict components)`.
-/// Components of size ≤ `exact_limit` are solved exactly as the
-/// complement of a maximum independent set of the component's conflict
-/// graph (deterministic: the lexicographically-first optimum by ascending
-/// bitmask); larger components are repaired greedily by repeated
-/// max-conflict-degree deletion (lowest index wins ties) and flip the
-/// `exact` flag to `false`.
-pub fn minimal_repair(
-    pairs: &[(Value, Value)],
-    functional: bool,
-    injective: bool,
-    exact_limit: usize,
-) -> (Vec<(Value, Value)>, bool, usize) {
-    let n = pairs.len();
-    let conflicts = |i: usize, j: usize| -> bool {
-        let (xi, yi) = &pairs[i];
-        let (xj, yj) = &pairs[j];
-        (functional && xi == xj && yi != yj) || (injective && yi == yj && xi != xj)
-    };
-
-    // Connected components of the conflict graph via union-find over the
-    // shared-x / shared-y groups (O(n²) edge scan is fine at table scale;
-    // the exact solver below dominates anyway).
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        let mut r = i;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = i;
-        while parent[c] != r {
-            let next = parent[c];
-            parent[c] = r;
-            c = next;
-        }
-        r
+/// Every declared functionality has a polynomial optimum
+/// (Livshits–Kimelfeld–Roy, "Computing Optimal Repairs for Functional
+/// Dependencies"). A many-one (one-many) component is the rows of one `x`
+/// (`y`), and any one of them may stay. A one-one component is a
+/// connected piece of the bipartite `x`–`y` graph whose edges are the
+/// rows, and the rows that stay are a maximum matching of it.
+///
+/// Among the optima the repair is the one that deletes the rows of
+/// highest index (row order is the table's log order): rows are decided
+/// from the highest index down, and a row is deleted whenever some
+/// optimum still deletes it given the rows decided before it. For a
+/// many-one or one-many component that keeps the lowest-index row.
+///
+/// Components are collected through the table's `x` and `y` indexes in
+/// time linear in the table; a one-one component of `k` rows costs
+/// `O(k²)` (at most two augmenting-path searches per matched row).
+pub fn minimal_repair(table: &Table, declared: Functionality) -> (Vec<(Value, Value)>, usize) {
+    let (by_x, by_y) = (declared.is_functional(), declared.is_injective());
+    if !by_x && !by_y {
+        return (Vec::new(), 0);
     }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if conflicts(i, j) {
-                let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                if a != b {
-                    parent[a.max(b)] = a.min(b);
-                }
+    let row = |i: usize| table.row(i).expect("an indexed row is live");
+    let mut seen_x: HashSet<&Value> = HashSet::new();
+    let mut seen_y: HashSet<&Value> = HashSet::new();
+    let mut deleted: Vec<usize> = Vec::new();
+    let mut groups = 0;
+    for start in table.live_indices() {
+        // A row alone under its keys conflicts with none; a row is in a
+        // component already iff one of its keys was expanded.
+        let r = row(start);
+        let alone = (!by_x || table.x_width(r.x) == 1) && (!by_y || table.y_width(r.y) == 1);
+        if alone || (by_x && seen_x.contains(r.x)) || (by_y && seen_y.contains(r.y)) {
+            continue;
+        }
+        // Breadth-first over shared keys; a row may be queued once per key.
+        let mut component = vec![start];
+        let mut next = 0;
+        while let Some(&i) = component.get(next) {
+            next += 1;
+            let r = row(i);
+            if by_x && seen_x.insert(r.x) {
+                component.extend(table.rows_with_x(r.x));
+            }
+            if by_y && seen_y.insert(r.y) {
+                component.extend(table.rows_with_y(r.y));
             }
         }
-    }
-    let mut components: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        components.entry(root).or_default().push(i);
-    }
-
-    let mut deleted: Vec<usize> = Vec::new();
-    let mut exact = true;
-    let mut groups = 0usize;
-    for comp in components.values() {
-        let has_conflict = comp
-            .iter()
-            .enumerate()
-            .any(|(a, &i)| comp[a + 1..].iter().any(|&j| conflicts(i, j)));
-        if !has_conflict {
+        component.sort_unstable();
+        component.dedup();
+        if component.len() < 2 {
             continue;
         }
         groups += 1;
-        let k = comp.len();
-        if k <= exact_limit {
-            // Exact: maximum independent set by exhaustive bitmask. The
-            // first best mask in ascending order is kept, which makes the
-            // repair deterministic.
-            let mut edges: Vec<u32> = vec![0; k];
-            for a in 0..k {
-                for b in (a + 1)..k {
-                    if conflicts(comp[a], comp[b]) {
-                        edges[a] |= 1 << b;
-                        edges[b] |= 1 << a;
-                    }
-                }
-            }
-            let mut best_mask: u32 = 0;
-            let mut best_size: u32 = 0;
-            for mask in 0u32..(1 << k) {
-                if mask.count_ones() <= best_size {
-                    continue;
-                }
-                let independent = (0..k).all(|a| mask & (1 << a) == 0 || mask & edges[a] == 0);
-                if independent {
-                    best_mask = mask;
-                    best_size = mask.count_ones();
-                }
-            }
-            for (a, &i) in comp.iter().enumerate() {
-                if best_mask & (1 << a) == 0 {
-                    deleted.push(i);
-                }
-            }
+        if by_x && by_y {
+            let ends = component.iter().map(|&i| {
+                let r = row(i);
+                (r.x, r.y)
+            });
+            let kept = Matching::kept(ends);
+            deleted.extend(
+                component
+                    .iter()
+                    .zip(kept)
+                    .filter(|&(_, k)| !k)
+                    .map(|(&i, _)| i),
+            );
         } else {
-            // Greedy: delete the max-conflict-degree vertex until the
-            // component is conflict-free.
-            exact = false;
-            let mut alive: Vec<usize> = comp.clone();
-            loop {
-                let mut degrees: Vec<usize> = alive
-                    .iter()
-                    .map(|&i| alive.iter().filter(|&&j| j != i && conflicts(i, j)).count())
-                    .collect();
-                let Some((pos, &max_deg)) = degrees
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(pos, &d)| (d, std::cmp::Reverse(pos)))
-                else {
-                    break;
-                };
-                if max_deg == 0 {
-                    break;
-                }
-                deleted.push(alive.remove(pos));
-                degrees.clear();
-            }
+            deleted.extend_from_slice(&component[1..]);
         }
     }
+    let mut repair: Vec<(Value, Value)> = deleted
+        .into_iter()
+        .map(|i| {
+            let r = row(i);
+            (r.x.clone(), r.y.clone())
+        })
+        .collect();
+    repair.sort();
+    (repair, groups)
+}
 
-    let mut out: Vec<(Value, Value)> = deleted.into_iter().map(|i| pairs[i].clone()).collect();
-    out.sort();
-    (out, exact, groups)
+/// A matching of a bipartite graph whose edges are a one-one conflict
+/// component's rows. Side 0 is the `x` values, side 1 the `y` values,
+/// each numbered densely; `ends[e]` are edge `e`'s two vertices.
+struct Matching {
+    ends: Vec<[usize; 2]>,
+    /// The edges at each vertex, per side.
+    at: [Vec<Vec<usize>>; 2],
+    /// The matched edge at each vertex, per side.
+    mate: [Vec<Option<usize>>; 2],
+    /// Edges already decided, deleted or kept: no search steps along one
+    /// unmatched, and a kept edge stays matched.
+    decided: Vec<bool>,
+}
+
+impl Matching {
+    /// Which of the edges `ends` (rows in ascending index) a maximum
+    /// matching keeps, choosing among the maximum matchings the one that
+    /// leaves out the highest-index edges it can (see [`minimal_repair`]).
+    fn kept<'t>(ends: impl Iterator<Item = (&'t Value, &'t Value)>) -> Vec<bool> {
+        let mut ids: [HashMap<&Value, usize>; 2] = [HashMap::new(), HashMap::new()];
+        let mut id = |side: usize, v: &'t Value| {
+            let n = ids[side].len();
+            *ids[side].entry(v).or_insert(n)
+        };
+        let ends: Vec<[usize; 2]> = ends.map(|(x, y)| [id(0, x), id(1, y)]).collect();
+        let sizes = [ids[0].len(), ids[1].len()];
+        let mut at: [Vec<Vec<usize>>; 2] = sizes.map(|n| vec![Vec::new(); n]);
+        for (e, &[x, y]) in ends.iter().enumerate() {
+            at[0][x].push(e);
+            at[1][y].push(e);
+        }
+        let mut m = Matching {
+            decided: vec![false; ends.len()],
+            ends,
+            at,
+            mate: sizes.map(|n| vec![None; n]),
+        };
+        // A maximum matching: one augmenting-path search per x value.
+        for x in 0..sizes[0] {
+            m.augment(0, x);
+        }
+        // The tie-break. Every maximum matching that avoids the edges
+        // decided deleted keeps the edges decided kept: each was kept
+        // because none avoiding the (fewer) edges deleted then left it out.
+        for e in (0..m.ends.len()).rev() {
+            m.decided[e] = true;
+            let [x, y] = m.ends[e];
+            if m.mate[0][x] != Some(e) {
+                continue;
+            }
+            // Unmatched, `e` leaves `x` and `y` free; a path that augments
+            // the smaller matching starts at one of them, or it would have
+            // augmented the maximum one.
+            m.mate[0][x] = None;
+            m.mate[1][y] = None;
+            if !m.augment(0, x) && !m.augment(1, y) {
+                m.mate[0][x] = Some(e);
+                m.mate[1][y] = Some(e);
+            }
+        }
+        (0..m.ends.len())
+            .map(|e| m.mate[0][m.ends[e][0]] == Some(e))
+            .collect()
+    }
+
+    /// Searches breadth-first for an augmenting path from the free vertex
+    /// `v` of side `a` over edges not decided, and flips it if found.
+    fn augment(&mut self, a: usize, v: usize) -> bool {
+        let b = 1 - a;
+        if self.mate[a][v].is_some() {
+            return false;
+        }
+        // `via[w]`: the edge by which side-b vertex `w` was first reached.
+        let mut via: Vec<Option<usize>> = vec![None; self.mate[b].len()];
+        let mut queue = vec![v];
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            for &e in &self.at[a][u] {
+                let w = self.ends[e][b];
+                if self.decided[e] || via[w].is_some() || self.mate[a][u] == Some(e) {
+                    continue;
+                }
+                via[w] = Some(e);
+                let Some(m) = self.mate[b][w] else {
+                    // `w` is free: flip the path back to `v`.
+                    let mut e = e;
+                    loop {
+                        let [u, w] = [self.ends[e][a], self.ends[e][b]];
+                        self.mate[b][w] = Some(e);
+                        let Some(p) = self.mate[a][u].replace(e) else {
+                            return true;
+                        };
+                        e = via[self.ends[p][b]].expect("a matched edge on the path was reached");
+                    }
+                };
+                queue.push(self.ends[m][a]);
+            }
+        }
+        false
+    }
 }
 
 /// Converts a report into FDB05x diagnostics (line-0 spans: discovery
@@ -523,7 +480,6 @@ pub fn discovery_diagnostics(report: &DiscoveryReport, schema: &Schema) -> Vec<D
             .iter()
             .map(|(x, y)| format!("{}({x}, {y})", name(v.function)))
             .collect();
-        let method = if v.repair_exact { "minimal" } else { "greedy" };
         out.push(
             Diagnostic::new(
                 Code::FunctionalityViolated,
@@ -535,7 +491,7 @@ pub fn discovery_diagnostics(report: &DiscoveryReport, schema: &Schema) -> Vec<D
                     v.conflict_groups
                 ),
             )
-            .with_hint(format!("{} repair: delete {}", method, facts.join(", "))),
+            .with_hint(format!("minimal repair: delete {}", facts.join(", "))),
         );
     }
     for c in &report.candidates {
@@ -609,12 +565,11 @@ pub fn render_discovery_text(report: &DiscoveryReport, schema: &Schema) -> Strin
     }
     for v in &report.violations {
         out.push_str(&format!(
-            "violation {}: declared {}, {} conflict group(s), repair {} fact(s) [{}]\n",
+            "violation {}: declared {}, {} conflict group(s), repair {} fact(s) [exact]\n",
             name(v.function),
             v.declared,
             v.conflict_groups,
             v.repair.len(),
-            if v.repair_exact { "exact" } else { "greedy" }
         ));
         for (x, y) in &v.repair {
             out.push_str(&format!("  delete {}({x}, {y})\n", name(v.function)));
@@ -691,10 +646,7 @@ pub fn discovery_to_content(report: &DiscoveryReport, schema: &Schema) -> Conten
                     Content::U64(v.conflict_groups as u64),
                 ),
                 (Content::Str("repair".into()), Content::Seq(repair)),
-                (
-                    Content::Str("repair_exact".into()),
-                    Content::Bool(v.repair_exact),
-                ),
+                (Content::Str("repair_exact".into()), Content::Bool(true)),
             ])
         })
         .collect();
@@ -764,7 +716,7 @@ mod tests {
     fn incidental_fd_detected_on_many_many_table() {
         let schema = schema_s1();
         let store = s1_store(&schema);
-        let report = discover(&store, &schema, &no_derived(), &DiscoverConfig::default());
+        let report = discover(&store, &schema, &no_derived());
         let teach = schema.resolve("teach").unwrap();
         let fd = report
             .fds
@@ -781,7 +733,7 @@ mod tests {
     fn candidate_inverse_derivation_detected() {
         let schema = schema_s1();
         let store = s1_store(&schema);
-        let report = discover(&store, &schema, &no_derived(), &DiscoverConfig::default());
+        let report = discover(&store, &schema, &no_derived());
         let taught_by = schema.resolve("taught_by").unwrap();
         assert!(
             report
@@ -806,13 +758,12 @@ mod tests {
         store.base_insert(cutoff, v("90"), v("A"));
         store.base_insert(cutoff, v("90"), v("B"));
         store.base_insert(cutoff, v("80"), v("B"));
-        let report = discover(&store, &schema, &no_derived(), &DiscoverConfig::default());
+        let report = discover(&store, &schema, &no_derived());
         let viol = report
             .violations
             .iter()
             .find(|x| x.function == cutoff)
             .expect("cutoff violation");
-        assert!(viol.repair_exact);
         assert_eq!(viol.conflict_groups, 1);
         // Deleting either of the two 90-rows restores the FD; one fact.
         assert_eq!(viol.repair.len(), 1);
@@ -821,34 +772,127 @@ mod tests {
         assert!(!report.candidates.iter().any(|c| c.function == cutoff));
     }
 
-    #[test]
-    fn minimal_repair_handles_both_directions() {
-        // x-clique of 3 (a→1, a→2, a→3): delete 2 to keep 1.
-        let pairs: Vec<(Value, Value)> = vec![(v("a"), v("1")), (v("a"), v("2")), (v("a"), v("3"))];
-        let (repair, exact, groups) = minimal_repair(&pairs, true, false, 16);
-        assert!(exact);
-        assert_eq!(groups, 1);
-        assert_eq!(repair.len(), 2);
+    fn table(pairs: &[(&str, &str)]) -> Table {
+        let mut table = Table::new();
+        for &(x, y) in pairs {
+            table.insert(v(x), v(y));
+        }
+        table
+    }
 
-        // Injective-only violation: 1←a, 1←b.
-        let pairs: Vec<(Value, Value)> = vec![(v("a"), v("1")), (v("b"), v("1"))];
-        let (repair, exact, _) = minimal_repair(&pairs, false, true, 16);
-        assert!(exact);
-        assert_eq!(repair.len(), 1);
-
-        // No declared direction → nothing to repair.
-        let (repair, exact, groups) = minimal_repair(&pairs, false, false, 16);
-        assert!(repair.is_empty() && exact && groups == 0);
+    fn facts(pairs: &[(&str, &str)]) -> Vec<(Value, Value)> {
+        pairs.iter().map(|&(x, y)| (v(x), v(y))).collect()
     }
 
     #[test]
-    fn greedy_fallback_still_repairs() {
-        // A star of 9 conflicting facts with exact_limit 4 forces greedy.
-        let pairs: Vec<(Value, Value)> = (0..9).map(|i| (v("hub"), v(&format!("y{i}")))).collect();
-        let (repair, exact, groups) = minimal_repair(&pairs, true, false, 4);
-        assert!(!exact);
+    fn minimal_repair_handles_both_directions() {
+        // x-clique of 3 (a→1, a→2, a→3): delete 2 to keep the first.
+        let star = table(&[("a", "1"), ("a", "2"), ("a", "3")]);
+        let (repair, groups) = minimal_repair(&star, Functionality::ManyOne);
         assert_eq!(groups, 1);
-        assert_eq!(repair.len(), 8, "greedy must still fully repair");
+        assert_eq!(repair, facts(&[("a", "2"), ("a", "3")]));
+
+        // Injective-only violation: 1←a, 1←b.
+        let pairs = table(&[("a", "1"), ("b", "1")]);
+        let (repair, _) = minimal_repair(&pairs, Functionality::OneMany);
+        assert_eq!(repair, facts(&[("b", "1")]));
+
+        // No declared direction → nothing to repair.
+        let (repair, groups) = minimal_repair(&pairs, Functionality::ManyMany);
+        assert!(repair.is_empty() && groups == 0);
+    }
+
+    #[test]
+    fn one_one_component_of_thirteen_rows_gets_its_optimum() {
+        // The path x0 - y0 - x1 - y1 - … - x6 - y6 of 13 rows, its third
+        // row logged first. Its one maximum matching keeps the 7 rows
+        // (xj, yj), so the optimum deletes the 6 rows (xj+1, yj). Greedy
+        // max-degree deletion takes the early middle row (x1, y1) first
+        // and ends at 7.
+        let row = |i: usize| {
+            let j = i / 2;
+            (format!("x{}", j + i % 2), format!("y{j}"))
+        };
+        let mut path = Table::new();
+        for i in [2, 0, 1].into_iter().chain(3..13) {
+            let (x, y) = row(i);
+            path.insert(v(&x), v(&y));
+        }
+        let (repair, groups) = minimal_repair(&path, Functionality::OneOne);
+        assert_eq!(groups, 1);
+        let mut optimum: Vec<(Value, Value)> = (0..6)
+            .map(|i| row(2 * i + 1))
+            .map(|(x, y)| (v(&x), v(&y)))
+            .collect();
+        optimum.sort();
+        assert_eq!(repair, optimum);
+    }
+
+    #[test]
+    fn candidates_obey_the_functionality_rule() {
+        // `pupil` is declared one-one and holds exactly `teach o
+        // class_list`, but that composition is many-many: `DERIVE` would
+        // refuse it, so discovery does not propose it.
+        let schema = Schema::builder()
+            .function("teach", "faculty", "course", "many-many")
+            .function("class_list", "course", "student", "many-many")
+            .function("pupil", "faculty", "student", "one-one")
+            .build()
+            .unwrap();
+        let [teach, class_list, pupil] =
+            ["teach", "class_list", "pupil"].map(|f| schema.resolve(f).unwrap());
+        let mut store = Store::new(schema.len());
+        for (f, c, s) in [("euclid", "math", "john"), ("gauss", "stat", "bill")] {
+            store.base_insert(teach, v(f), v(c));
+            store.base_insert(class_list, v(c), v(s));
+            store.base_insert(pupil, v(f), v(s));
+        }
+        let report = discover(&store, &schema, &no_derived());
+        assert!(
+            !report.candidates.iter().any(|c| c.function == pupil),
+            "{}",
+            render_discovery_text(&report, &schema)
+        );
+        // Declared many-many, the same table gets the candidate.
+        let schema = Schema::builder()
+            .function("teach", "faculty", "course", "many-many")
+            .function("class_list", "course", "student", "many-many")
+            .function("pupil", "faculty", "student", "many-many")
+            .build()
+            .unwrap();
+        let report = discover(&store, &schema, &no_derived());
+        assert!(report
+            .candidates
+            .iter()
+            .any(|c| c.function == pupil && c.derivation.render(&schema) == "teach o class_list"));
+    }
+
+    #[test]
+    fn candidates_skip_a_target_a_derivation_steps_through() {
+        // `teach` and `taught_by` mirror each other, but the derivation
+        // of `colleague` steps through `teach`, so `teach` cannot become
+        // derived; `taught_by` can.
+        let schema = Schema::builder()
+            .function("teach", "faculty", "course", "many-many")
+            .function("taught_by", "course", "faculty", "many-many")
+            .function("colleague", "faculty", "faculty", "many-many")
+            .build()
+            .unwrap();
+        let [teach, taught_by, colleague] =
+            ["teach", "taught_by", "colleague"].map(|f| schema.resolve(f).unwrap());
+        let mut store = Store::new(schema.len());
+        for (f, c) in [("euclid", "math"), ("gauss", "stat")] {
+            store.base_insert(teach, v(f), v(c));
+            store.base_insert(taught_by, v(c), v(f));
+        }
+        let mut derived = no_derived();
+        derived.insert(
+            colleague,
+            vec![Derivation::new(vec![Step::identity(teach), Step::inverse(teach)]).unwrap()],
+        );
+        let report = discover(&store, &schema, &derived);
+        assert!(!report.candidates.iter().any(|c| c.function == teach));
+        assert!(report.candidates.iter().any(|c| c.function == taught_by));
     }
 
     #[test]
@@ -867,7 +911,7 @@ mod tests {
             store.base_insert(g, v(&format!("x{i}")), v(&format!("y{i}")));
             store.base_insert(f, v(&format!("x{i}")), v(&format!("y{i}")));
         }
-        let report = discover(&store, &schema, &no_derived(), &DiscoverConfig::default());
+        let report = discover(&store, &schema, &no_derived());
         assert!(report.fds.iter().any(|fd| fd.function == f));
         assert!(report.advisory_derived.contains(&g));
     }
@@ -876,29 +920,11 @@ mod tests {
     fn report_renders_deterministically() {
         let schema = schema_s1();
         let store = s1_store(&schema);
-        let cfg = DiscoverConfig::default();
-        let a = render_discovery_text(&discover(&store, &schema, &no_derived(), &cfg), &schema);
-        let b = render_discovery_text(&discover(&store, &schema, &no_derived(), &cfg), &schema);
+        let a = render_discovery_text(&discover(&store, &schema, &no_derived()), &schema);
+        let b = render_discovery_text(&discover(&store, &schema, &no_derived()), &schema);
         assert_eq!(a, b);
         assert!(a.starts_with("discover: store v"));
         assert!(a.ends_with("candidate(s)\n"));
-    }
-
-    #[test]
-    fn governed_discovery_returns_typed_partial() {
-        let schema = schema_s1();
-        let store = s1_store(&schema);
-        let governor = Governor::unbounded();
-        governor.cancel_token().cancel();
-        let out = discover_governed(
-            &store,
-            &schema,
-            &no_derived(),
-            &DiscoverConfig::default(),
-            &governor,
-        );
-        assert!(!out.is_complete());
-        assert_eq!(out.reason(), Some(StopReason::Cancelled));
     }
 
     #[test]
@@ -909,7 +935,7 @@ mod tests {
         let taught_by = schema.resolve("taught_by").unwrap();
         let mut derived = BTreeMap::new();
         derived.insert(taught_by, vec![Derivation::single(Step::inverse(teach))]);
-        let report = discover(&store, &schema, &derived, &DiscoverConfig::default());
+        let report = discover(&store, &schema, &derived);
         assert!(!report.fds.iter().any(|fd| fd.function == taught_by));
         assert!(!report.candidates.iter().any(|c| c.function == taught_by));
     }
@@ -918,7 +944,7 @@ mod tests {
     fn empty_store_reports_nothing() {
         let schema = schema_s1();
         let store = Store::new(schema.len());
-        let report = discover(&store, &schema, &no_derived(), &DiscoverConfig::default());
+        let report = discover(&store, &schema, &no_derived());
         assert!(report.is_empty());
         assert_eq!(report.scanned, 0);
     }

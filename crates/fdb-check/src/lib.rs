@@ -50,9 +50,8 @@ pub use diag::{
     Diagnostic, Severity,
 };
 pub use discover::{
-    discover, discover_governed, discovery_diagnostics, discovery_to_content,
-    invalidation_diagnostic, minimal_repair, render_discovery_text, CandidateDerivation,
-    DiscoverConfig, DiscoveredFd, DiscoveryReport, Violation,
+    discover, discovery_diagnostics, discovery_to_content, invalidation_diagnostic, minimal_repair,
+    render_discovery_text, CandidateDerivation, DiscoveredFd, DiscoveryReport, Violation,
 };
 pub use sarif::{render_sarif, render_sarif_all};
 pub use script::{CheckStmt, Name, StepRef, TxnOp};

@@ -8,39 +8,35 @@
 use fdb_storage::Truth;
 use fdb_types::FunctionId;
 
-use crate::database::Database;
+use crate::database::{admit, Database};
 
 /// One detected violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
-    /// A derived function's table holds rows (derived facts must never be
-    /// stored, §3.2).
-    DerivedFunctionStored(FunctionId),
+    /// A registered derived function the catalog's rules would not admit
+    /// now (say, its table holds rows: derived facts are never stored,
+    /// §3.2), with the refusal `DERIVE` would answer.
+    Registration {
+        /// The derived function.
+        function: FunctionId,
+        /// The rendered refusal.
+        refusal: String,
+    },
     /// The NC ↔ NCL dual structure is out of sync.
     DualityBroken(String),
     /// A stored row is flagged true but participates in an NC.
     TrueFactInNc(FunctionId),
-    /// A registered derivation mentions a derived function.
-    DerivationUsesDerived {
-        /// The derived function whose derivation is broken.
-        function: FunctionId,
-        /// The derived function appearing as a step.
-        step: FunctionId,
-    },
 }
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Violation::DerivedFunctionStored(id) => {
-                write!(f, "derived function {id} has stored rows")
+            Violation::Registration { function, refusal } => {
+                write!(f, "registration of {function} refused: {refusal}")
             }
             Violation::DualityBroken(msg) => write!(f, "NC/NCL duality broken: {msg}"),
             Violation::TrueFactInNc(id) => {
                 write!(f, "a true fact of {id} participates in an NC")
-            }
-            Violation::DerivationUsesDerived { function, step } => {
-                write!(f, "derivation of {function} uses derived {step}")
             }
         }
     }
@@ -51,19 +47,13 @@ impl Database {
     pub fn check_consistency(&self) -> Vec<Violation> {
         let mut out = Vec::new();
 
-        for f in self.derived_functions() {
-            if !self.store().table(f).is_empty() {
-                out.push(Violation::DerivedFunctionStored(f));
-            }
-            for d in self.derivations(f) {
-                for step in d.steps() {
-                    if self.is_derived(step.function) {
-                        out.push(Violation::DerivationUsesDerived {
-                            function: f,
-                            step: step.function,
-                        });
-                    }
-                }
+        let (schema, registry) = (self.schema(), self.derived_registry());
+        for (&f, derivations) in registry {
+            if let Err(e) = admit(schema, registry, self.store(), f, derivations) {
+                out.push(Violation::Registration {
+                    function: f,
+                    refusal: e.to_string(),
+                });
             }
         }
 
@@ -147,7 +137,30 @@ mod tests {
 
     #[test]
     fn violations_render() {
-        let viol = Violation::DerivedFunctionStored(fdb_types::FunctionId(3));
-        assert!(viol.to_string().contains("F3"));
+        let viol = Violation::Registration {
+            function: fdb_types::FunctionId(3),
+            refusal: "malformed derivation: cannot mark pupil derived: its table is non-empty"
+                .into(),
+        };
+        assert_eq!(
+            viol.to_string(),
+            "registration of F3 refused: malformed derivation: \
+             cannot mark pupil derived: its table is non-empty"
+        );
+    }
+
+    #[test]
+    fn a_stored_row_in_a_derived_table_is_a_refused_registration() {
+        let mut db = university();
+        let p = db.resolve("pupil").unwrap();
+        db.store_mut().base_insert(p, v("euclid"), v("john"));
+        assert_eq!(
+            db.check_consistency(),
+            vec![Violation::Registration {
+                function: p,
+                refusal: "malformed derivation: cannot mark pupil derived: its table is non-empty"
+                    .into(),
+            }]
+        );
     }
 }

@@ -472,8 +472,9 @@ impl Database {
 /// refusal in the words `DERIVE` answers with: [`Database::register_derived`]
 /// admits a new registration, [`Database::from_parts`] every registration
 /// a snapshot lists, so a snapshot loads no catalog the statement path
-/// refuses.
-fn admit(
+/// refuses; [`Database::check_consistency`] re-admits every registration
+/// of a live catalog.
+pub(crate) fn admit(
     schema: &Schema,
     derived: &BTreeMap<FunctionId, Vec<Derivation>>,
     store: &Store,

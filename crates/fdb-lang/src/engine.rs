@@ -4,7 +4,7 @@
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-use fdb_check::{analyze_script_in, CheckConfig, CheckStmt, DiscoverConfig, Severity, World};
+use fdb_check::{analyze_script_in, CheckConfig, CheckStmt, Severity, World};
 use fdb_core::{resolve_ambiguities, Budget, CancelToken, Database, Governance, Governor, Outcome};
 use fdb_exec::{Assumption, AssumptionSet, CacheReport, FdKind, QuerySpec, ResultCache};
 use fdb_repl::{Promotion, Replica};
@@ -462,12 +462,7 @@ impl Engine {
     /// DATA`); the tables of registered derived functions are skipped.
     fn discover(&self) -> fdb_check::DiscoveryReport {
         let db = self.served.database();
-        fdb_check::discover(
-            db.store(),
-            db.schema(),
-            &world_of(db).derived,
-            &DiscoverConfig::default(),
-        )
+        fdb_check::discover(db.store(), db.schema(), &world_of(db).derived)
     }
 
     /// Runs an admitted statement. `gov` is the statement's governor,

@@ -175,12 +175,7 @@ fn discover_store(path: &str) -> Result<(String, Vec<Diagnostic>), String> {
         .into_iter()
         .map(|f| (f, db.derivations(f).to_vec()))
         .collect();
-    let report = fdb_check::discover(
-        db.store(),
-        db.schema(),
-        &derived,
-        &fdb_check::DiscoverConfig::default(),
-    );
+    let report = fdb_check::discover(db.store(), db.schema(), &derived);
     let mut diags = fdb_check::discovery_diagnostics(&report, db.schema());
     sort_diagnostics(&mut diags);
     Ok((

@@ -801,28 +801,25 @@ impl Table {
     /// only: `(functional, injective)`. `functional` holds when no domain
     /// value maps to two live range values, `injective` when no range
     /// value is reached from two live domain values. Unlike
-    /// [`Table::stats`] this scans the rows, so tombstoned index entries
-    /// cannot inflate the answer; nulls compare by identity (two distinct
-    /// unknowns count as distinct values). An empty table is vacuously
-    /// both.
+    /// [`Table::stats`] this counts the live rows of each live row's
+    /// index buckets, so tombstoned index entries cannot inflate the
+    /// answer; nulls compare by identity (two distinct unknowns count as
+    /// distinct values). An empty table is vacuously both.
     pub fn single_valuedness(&self) -> (bool, bool) {
-        let mut seen_x: HashMap<&Value, &Value> = HashMap::new();
-        let mut seen_y: HashMap<&Value, &Value> = HashMap::new();
-        let mut functional = true;
-        let mut injective = true;
+        // The table holds no pair twice, so a second live row under a key
+        // breaks the key's direction.
+        let alone = |index: &Layered<Value, Vec<usize>>, key: &Value| {
+            index.width(key) < 2
+                || index
+                    .rows(key)
+                    .filter(|&i| self.is_alive(i))
+                    .nth(1)
+                    .is_none()
+        };
+        let (mut functional, mut injective) = (true, true);
         for r in self.rows() {
-            match seen_x.get(r.x) {
-                Some(y) if *y != r.y => functional = false,
-                _ => {
-                    seen_x.insert(r.x, r.y);
-                }
-            }
-            match seen_y.get(r.y) {
-                Some(x) if *x != r.x => injective = false,
-                _ => {
-                    seen_y.insert(r.y, r.x);
-                }
-            }
+            functional = functional && alone(&self.by_x, r.x);
+            injective = injective && alone(&self.by_y, r.y);
             if !functional && !injective {
                 break;
             }

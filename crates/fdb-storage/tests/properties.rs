@@ -517,6 +517,12 @@ mod flat {
             if t.stats() != stats || t.len() != live.len() || t.tombstones() != self.dead() {
                 return Some(format!("stats {:?} != {stats:?}", t.stats()));
             }
+            let single = |map: &BTreeMap<&Value, (Vec<usize>, usize)>| {
+                map.values().all(|(rows, _)| rows.len() < 2)
+            };
+            if t.single_valuedness() != (single(&by_x), single(&by_y)) {
+                return Some("single_valuedness".into());
+            }
             None
         }
     }

@@ -567,9 +567,7 @@ fn error_recovery_keeps_analyzing() {
 mod data_aware {
     use std::collections::BTreeMap;
 
-    use fdb::check::{
-        discover, discovery_diagnostics, invalidation_diagnostic, Code, DiscoverConfig,
-    };
+    use fdb::check::{discover, discovery_diagnostics, invalidation_diagnostic, Code};
     use fdb::storage::Store;
     use fdb::types::{Schema, Value};
 
@@ -587,7 +585,7 @@ mod data_aware {
     }
 
     fn codes(store: &Store, schema: &Schema) -> Vec<Code> {
-        let report = discover(store, schema, &BTreeMap::new(), &DiscoverConfig::default());
+        let report = discover(store, schema, &BTreeMap::new());
         discovery_diagnostics(&report, schema)
             .iter()
             .map(|d| d.code)
@@ -619,12 +617,7 @@ mod data_aware {
         // Two rooms for one faculty under many-one: fires, with a repair.
         store.base_insert(office, v("euclid"), v("e101"));
         store.base_insert(office, v("euclid"), v("e202"));
-        let report = discover(
-            &store,
-            &schema,
-            &BTreeMap::new(),
-            &DiscoverConfig::default(),
-        );
+        let report = discover(&store, &schema, &BTreeMap::new());
         let ds = discovery_diagnostics(&report, &schema);
         let d = ds
             .iter()

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use fdb::check::{discover, discovery_diagnostics, render_discovery_text, DiscoverConfig};
+use fdb::check::{discover, discovery_diagnostics, render_discovery_text};
 use fdb::obs::registry;
 use fdb::storage::Store;
 use fdb::types::{Schema, Value};
@@ -53,12 +53,7 @@ fn discovery_is_pure_and_accounted() {
     let before = mutation_counters();
     let runs_before = registry().check_discover_runs.get();
 
-    let report = discover(
-        &store,
-        &schema,
-        &BTreeMap::new(),
-        &DiscoverConfig::default(),
-    );
+    let report = discover(&store, &schema, &BTreeMap::new());
     let text = render_discovery_text(&report, &schema);
     let diags = discovery_diagnostics(&report, &schema);
 
