@@ -1,8 +1,10 @@
 //! The analysis passes.
 //!
-//! [`analyze_script`] walks a [`CheckStmt`] list once, front to back —
-//! [`analyze_script_in`] on top of the catalog of an existing database
-//! (a [`World`]) — interleaving four kinds of checks:
+//! [`analyze_script`] walks the statements the parser made
+//! ([`SpannedStatement`]s, anchoring each diagnostic at their spans)
+//! once, front to back — [`analyze_script_in`] on top of the catalog of
+//! an existing database (a [`World`]) — interleaving four kinds of
+//! checks:
 //!
 //! 1. **Resolution / well-formedness** — undefined or duplicate names,
 //!    derivations that do not chain, wrong endpoints or functionality,
@@ -20,8 +22,9 @@
 //!    flags reads guaranteed to return `ambiguous` (`FDB020`), derived
 //!    inserts that must raise a functionality conflict (`FDB021`),
 //!    derived deletes with no chain to negate (`FDB022`) and dead writes
-//!    (`FDB023`). Anything that opens the world (`LOAD`, `SOURCE`)
-//!    mutes these lints — "guaranteed" claims need a closed world.
+//!    (`FDB023`). Anything that opens the world (`LOAD`, `SOURCE`,
+//!    `PROMOTE`) mutes these lints — "guaranteed" claims need a closed
+//!    world.
 //!    Transaction control is modeled precisely: `BEGIN`/`SAVEPOINT`
 //!    snapshot the abstract state (when a later statement rolls back to
 //!    them) and `ROLLBACK`/`ROLLBACK TO` restore it, exactly the way the
@@ -43,13 +46,13 @@ use std::str::FromStr;
 
 use fdb_exec::StepProfile;
 use fdb_graph::{lint, PathLimits};
+use fdb_syntax::{DeriveStep, SpannedStatement, Statement, StmtSpans};
 use fdb_types::{
     check_expression, check_registration, Derivation, FunctionId, Functionality, Op, Refusal,
     Schema, Span,
 };
 
 use crate::diag::{sort_diagnostics, tally, Code, Diagnostic};
-use crate::script::{CheckStmt, Name, StepRef, TxnOp};
 
 /// Tunables for the analyzer.
 #[derive(Clone, Debug)]
@@ -118,7 +121,7 @@ pub struct World {
 
 /// Analyzes a whole script. Pure with respect to any database: the only
 /// observable side effect is bumping the `fdb.check.*` metrics counters.
-pub fn analyze_script(stmts: &[CheckStmt], config: &CheckConfig) -> Vec<Diagnostic> {
+pub fn analyze_script(stmts: &[SpannedStatement], config: &CheckConfig) -> Vec<Diagnostic> {
     analyze_script_in(&World::default(), stmts, config)
 }
 
@@ -128,7 +131,7 @@ pub fn analyze_script(stmts: &[CheckStmt], config: &CheckConfig) -> Vec<Diagnost
 /// refuses it with.
 pub fn analyze_script_in(
     world: &World,
-    stmts: &[CheckStmt],
+    stmts: &[SpannedStatement],
     config: &CheckConfig,
 ) -> Vec<Diagnostic> {
     let mut diags = Analyzer::run(world, stmts, config).finish();
@@ -235,26 +238,26 @@ struct TxnShadow<T> {
     savepoints: Vec<(String, T)>,
 }
 
-/// Applies one transaction-control statement to `txn` the way the
-/// database does. `BEGIN` and `SAVEPOINT` remember `scope()`; a rollback
+/// Applies `s` to `txn` the way the database does, when it is
+/// transaction control (`BEGIN`, `COMMIT`, `ABORT`, `SAVEPOINT`,
+/// `ROLLBACK TO`). `BEGIN` and `SAVEPOINT` remember `scope()`; a rollback
 /// returns what its target remembered; an unbalanced statement changes
-/// nothing and is the `FDB018` returned.
+/// nothing and is the `FDB018` returned. Any other statement changes
+/// nothing.
 fn apply_txn<T: Clone>(
     txn: &mut Option<TxnShadow<T>>,
-    keyword: Span,
-    op: TxnOp,
-    name: Option<&Name>,
+    s: &SpannedStatement,
     scope: impl FnOnce() -> T,
 ) -> Result<Option<T>, Box<Diagnostic>> {
+    let keyword = s.spans.keyword;
     let unbalanced = |anchor: Span, message: String, hint: &str| {
         Err(Box::new(
             Diagnostic::new(Code::UnbalancedTxn, anchor, message).with_hint(hint),
         ))
     };
-    let text = |n: Option<&Name>| n.map(|n| n.text.clone()).unwrap_or_default();
     let Some(t) = txn.as_mut() else {
-        let what = match op {
-            TxnOp::Begin => {
+        let what = match &s.stmt {
+            Statement::Begin => {
                 *txn = Some(TxnShadow {
                     begin: keyword,
                     base: scope(),
@@ -262,10 +265,11 @@ fn apply_txn<T: Clone>(
                 });
                 return Ok(None);
             }
-            TxnOp::Commit => "COMMIT",
-            TxnOp::Rollback => "ROLLBACK",
-            TxnOp::Savepoint => "SAVEPOINT",
-            TxnOp::RollbackTo => "ROLLBACK TO",
+            Statement::Commit => "COMMIT",
+            Statement::Abort => "ROLLBACK",
+            Statement::Savepoint { .. } => "SAVEPOINT",
+            Statement::RollbackTo { .. } => "ROLLBACK TO",
+            _ => return Ok(None),
         };
         return unbalanced(
             keyword,
@@ -273,60 +277,79 @@ fn apply_txn<T: Clone>(
             "open a transaction with BEGIN first",
         );
     };
-    match op {
-        TxnOp::Begin => unbalanced(
+    match &s.stmt {
+        Statement::Begin => unbalanced(
             keyword,
             "BEGIN inside an open transaction".to_owned(),
             "transactions do not nest; use SAVEPOINT for nested scopes",
         ),
-        TxnOp::Commit => {
+        Statement::Commit => {
             *txn = None;
             Ok(None)
         }
-        TxnOp::Rollback => Ok(txn.take().map(|t| t.base)),
-        TxnOp::Savepoint => {
-            let n = text(name);
-            t.savepoints.retain(|(s, _)| *s != n);
-            t.savepoints.push((n, scope()));
+        Statement::Abort => Ok(txn.take().map(|t| t.base)),
+        Statement::Savepoint { name } => {
+            t.savepoints.retain(|(s, _)| s != name);
+            t.savepoints.push((name.clone(), scope()));
             Ok(None)
         }
-        TxnOp::RollbackTo => {
-            let target = text(name);
-            match t.savepoints.iter().rposition(|(s, _)| *s == target) {
-                Some(pos) => {
-                    t.savepoints.truncate(pos + 1);
-                    Ok(Some(t.savepoints[pos].1.clone()))
-                }
-                None => unbalanced(
-                    name.map_or(keyword, |n| n.span),
-                    format!("ROLLBACK TO unknown savepoint `{target}`"),
-                    "set it with SAVEPOINT <name> inside the transaction first",
-                ),
+        Statement::RollbackTo { name } => match t.savepoints.iter().rposition(|(s, _)| s == name) {
+            Some(pos) => {
+                t.savepoints.truncate(pos + 1);
+                Ok(Some(t.savepoints[pos].1.clone()))
             }
+            None => unbalanced(
+                Ident::named(name, &s.spans).span,
+                format!("ROLLBACK TO unknown savepoint `{name}`"),
+                "set it with SAVEPOINT <name> inside the transaction first",
+            ),
+        },
+        _ => Ok(None),
+    }
+}
+
+/// A name as a statement spells it, with the span its diagnostics
+/// anchor at.
+#[derive(Clone, Copy)]
+struct Ident<'s> {
+    text: &'s str,
+    span: Span,
+}
+
+impl<'s> Ident<'s> {
+    /// The statement's name `text`, anchored at the name or else at the
+    /// keyword.
+    fn named(text: &'s str, spans: &StmtSpans) -> Self {
+        Ident {
+            text,
+            span: spans.name.unwrap_or(spans.keyword),
+        }
+    }
+
+    /// Step `i` of a `DERIVE` or `EVAL`.
+    fn step(steps: &'s [DeriveStep], spans: &StmtSpans, i: usize) -> Self {
+        Ident {
+            text: &steps[i].name,
+            span: spans.steps.get(i).copied().unwrap_or(spans.keyword),
         }
     }
 }
 
 /// The step list of a `DERIVE` or `EVAL` as the schema's derivation
 /// builder takes it.
-fn named(steps: &[StepRef]) -> Vec<(&str, bool)> {
-    steps
-        .iter()
-        .map(|s| (s.name.text.as_str(), s.inverse))
-        .collect()
+fn named(steps: &[DeriveStep]) -> Vec<(&str, bool)> {
+    steps.iter().map(|s| (s.name.as_str(), s.inverse)).collect()
 }
 
 /// Per statement: `true` for a `BEGIN` or `SAVEPOINT` that a later
 /// statement rolls back to. A scope nothing restores — every committed
 /// transaction — needs no snapshot of the abstract state.
-fn restored_scopes(stmts: &[CheckStmt]) -> Vec<bool> {
+fn restored_scopes(stmts: &[SpannedStatement]) -> Vec<bool> {
     let mut restored = vec![false; stmts.len()];
     let mut txn = None;
     for (at, s) in stmts.iter().enumerate() {
-        if let CheckStmt::Txn { keyword, op, name } = s {
-            if let Ok(Some(opened_at)) = apply_txn(&mut txn, *keyword, *op, name.as_ref(), || at) {
-                restored[opened_at] = true;
-            }
+        if let Ok(Some(opened_at)) = apply_txn(&mut txn, s, || at) {
+            restored[opened_at] = true;
         }
     }
     restored
@@ -403,7 +426,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Visits every statement of `stmts` on top of `world`.
-    fn run(world: &World, stmts: &[CheckStmt], cfg: &'a CheckConfig) -> Self {
+    fn run(world: &World, stmts: &[SpannedStatement], cfg: &'a CheckConfig) -> Self {
         let mut a = Analyzer::new(cfg, world);
         a.restored = restored_scopes(stmts);
         for (at, s) in stmts.iter().enumerate() {
@@ -482,72 +505,69 @@ impl<'a> Analyzer<'a> {
 
     // ---- the visitor ----
 
-    fn visit(&mut self, at: usize, stmt: &CheckStmt) {
+    fn visit(&mut self, at: usize, s: &SpannedStatement) {
+        let spans = &s.spans;
+        let named = |text| Ident::named(text, spans);
         // FDB040 fires independently of the abstract interpretation — a
         // replica engine refuses a write no matter what came before it,
-        // so an open world does not mute this lint.
-        if self.cfg.replica_mode {
-            if let CheckStmt::Declare { keyword, .. }
-            | CheckStmt::Derive { keyword, .. }
-            | CheckStmt::Insert { keyword, .. }
-            | CheckStmt::Delete { keyword, .. }
-            | CheckStmt::Replace { keyword, .. }
-            | CheckStmt::Resolve { keyword }
-            | CheckStmt::Txn { keyword, .. }
-            | CheckStmt::Other {
-                keyword,
-                writes: true,
-                ..
-            } = stmt
-            {
-                self.diags.push(
-                    Diagnostic::new(
-                        Code::ReplicaWrite,
-                        *keyword,
-                        "write statement in a replica-mode script: a read-only \
-                         replica engine refuses this at runtime",
-                    )
-                    .with_hint(
-                        "run this script on the primary, or PROMOTE the replica \
-                         before writing",
-                    ),
-                );
-            }
+        // so an open world does not mute this lint. The engine's gate
+        // reads the same admission.
+        if self.cfg.replica_mode && s.stmt.admission().replica_refuses.is_some() {
+            self.diags.push(
+                Diagnostic::new(
+                    Code::ReplicaWrite,
+                    spans.keyword,
+                    "write statement in a replica-mode script: a read-only \
+                     replica engine refuses this at runtime",
+                )
+                .with_hint(
+                    "run this script on the primary, or PROMOTE the replica \
+                     before writing",
+                ),
+            );
         }
         if self.open_world {
             return;
         }
         self.seq += 1;
-        match stmt {
-            CheckStmt::Declare {
+        match &s.stmt {
+            Statement::Declare {
                 name,
                 domain,
                 range,
                 functionality,
-                ..
-            } => self.visit_declare(name, domain, range, functionality),
-            CheckStmt::Derive { name, steps, .. } => self.visit_derive(name, steps),
-            CheckStmt::Insert { function, x, y, .. } => self.visit_insert(function, x, y, true),
-            CheckStmt::Delete { function, x, y, .. } => self.visit_delete(function, x, y, true),
-            CheckStmt::Replace {
-                function, old, new, ..
             } => {
+                let functionality = Ident {
+                    text: functionality,
+                    span: spans.args.get(2).copied().unwrap_or(spans.keyword),
+                };
+                self.visit_declare(named(name), domain, range, functionality)
+            }
+            Statement::Derive { name, steps } => self.visit_derive(named(name), steps, spans),
+            Statement::Insert { function, x, y } => self.visit_insert(named(function), x, y, true),
+            Statement::Delete { function, x, y } => self.visit_delete(named(function), x, y, true),
+            Statement::Replace { function, old, new } => {
                 // A replace is delete-old + insert-new with the intent
                 // spelled out, so the dead-write and no-chain lints stay
                 // quiet; the conflict lint still applies to the insert.
-                self.visit_delete(function, &old.0, &old.1, false);
-                self.visit_insert(function, &new.0, &new.1, false);
+                self.visit_delete(named(function), &old.0, &old.1, false);
+                self.visit_insert(named(function), &new.0, &new.1, false);
             }
-            CheckStmt::Query { function, x, .. } => self.visit_image(function, x, false),
-            CheckStmt::Truth { function, x, y, .. } => self.visit_truth(function, x, y),
-            CheckStmt::Inverse { function, y, .. } => self.visit_image(function, y, true),
-            CheckStmt::Read { function, .. } => {
-                if self.resolve(function).is_some() {
-                    self.mark_read(&function.text);
+            Statement::Query { function, x } => self.visit_image(named(function), x, false),
+            Statement::Truth { function, x, y } => self.visit_truth(named(function), x, y),
+            Statement::Inverse { function, y } => self.visit_image(named(function), y, true),
+            // A read that touches the whole function.
+            Statement::Show { function }
+            | Statement::Derivations { function }
+            | Statement::Explain { function, .. }
+            | Statement::ExplainPlan { function, .. }
+            | Statement::ExplainAnalyze { function, .. } => {
+                if self.resolve(named(function)).is_some() {
+                    self.mark_read(function);
                 }
             }
-            CheckStmt::Eval { keyword, steps } => self.visit_eval(*keyword, steps),
-            CheckStmt::Resolve { .. } => {
+            Statement::Eval { steps, .. } => self.visit_eval(steps, spans),
+            Statement::Resolve => {
                 // RESOLVE may discharge negated conjunctions and
                 // substitute nulls via functional dependencies; the
                 // analyzer cannot predict which, so everything ambiguous
@@ -568,23 +588,45 @@ impl<'a> Analyzer<'a> {
                 }
                 self.derived_deleted.clear();
             }
-            CheckStmt::Txn { keyword, op, name } => {
-                self.visit_txn(at, *keyword, *op, name.as_ref())
+            Statement::Begin
+            | Statement::Commit
+            | Statement::Abort
+            | Statement::Savepoint { .. }
+            | Statement::RollbackTo { .. } => self.visit_txn(at, s),
+            // These replace database state with facts the statement list
+            // does not spell out: a file's statements, a snapshot, or the
+            // replica's state that `PROMOTE` swaps in.
+            Statement::Source { .. } | Statement::Load { .. } | Statement::Promote => {
+                self.open_world = true;
             }
-            CheckStmt::Other { opens_world, .. } => {
-                if *opens_world {
-                    self.open_world = true;
-                }
-            }
+            Statement::Schema
+            | Statement::Stats
+            | Statement::StatsReset
+            | Statement::StatsJson
+            | Statement::Timeout { .. }
+            | Statement::Save { .. }
+            | Statement::Dump { .. }
+            | Statement::Check { .. }
+            | Statement::CheckData
+            | Statement::Discover { .. }
+            | Statement::Strict { .. }
+            | Statement::Trace { .. }
+            | Statement::TraceSlow { .. }
+            | Statement::ShowTrace { .. }
+            | Statement::ShowSlow
+            | Statement::DumpTrace
+            | Statement::ReplicaStatus
+            | Statement::Help
+            | Statement::Empty => {}
         }
     }
 
     /// Transaction control: balance checking (`FDB018`) plus exact
     /// snapshot/restore of the abstract state, mirroring the engine.
-    fn visit_txn(&mut self, at: usize, keyword: Span, op: TxnOp, name: Option<&Name>) {
+    fn visit_txn(&mut self, at: usize, s: &SpannedStatement) {
         let mut txn = self.txn.take();
         let scope = || self.restored[at].then(|| self.capture());
-        let applied = apply_txn(&mut txn, keyword, op, name, scope);
+        let applied = apply_txn(&mut txn, s, scope);
         self.txn = txn;
         match applied {
             Ok(Some(state)) => self.restore(state.expect("restored_scopes saw this rollback")),
@@ -594,8 +636,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Resolves a referenced function name, raising FDB001 when unknown.
-    fn resolve(&mut self, name: &Name) -> Option<()> {
-        if self.schema.function_by_name(&name.text).is_some() {
+    fn resolve(&mut self, name: Ident) -> Option<()> {
+        if self.schema.function_by_name(name.text).is_some() {
             return Some(());
         }
         self.push(
@@ -609,8 +651,8 @@ impl<'a> Analyzer<'a> {
         None
     }
 
-    fn visit_declare(&mut self, name: &Name, domain: &str, range: &str, functionality: &Name) {
-        let Ok(f) = Functionality::from_str(&functionality.text) else {
+    fn visit_declare(&mut self, name: Ident, domain: &str, range: &str, functionality: Ident) {
+        let Ok(f) = Functionality::from_str(functionality.text) else {
             self.push(
                 Diagnostic::new(
                     Code::Syntax,
@@ -621,8 +663,8 @@ impl<'a> Analyzer<'a> {
             );
             return;
         };
-        if self.schema.declare(&name.text, domain, range, f).is_err() {
-            let first = self.declare_spans.get(&name.text).copied();
+        if self.schema.declare(name.text, domain, range, f).is_err() {
+            let first = self.declare_spans.get(name.text).copied();
             let mut d = Diagnostic::new(
                 Code::DuplicateDeclare,
                 name.span,
@@ -634,8 +676,8 @@ impl<'a> Analyzer<'a> {
             self.push(d);
             return;
         }
-        self.declare_spans.insert(name.text.clone(), name.span);
-        self.tables.insert(name.text.clone(), Table::default());
+        self.declare_spans.insert(name.text.to_owned(), name.span);
+        self.tables.insert(name.text.to_owned(), Table::default());
         if self.dsu_union(domain, range) {
             self.push(
                 Diagnostic::new(
@@ -654,8 +696,8 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn visit_derive(&mut self, name: &Name, steps: &[StepRef]) {
-        let Some(f) = self.schema.function_by_name(&name.text).map(|def| def.id) else {
+    fn visit_derive(&mut self, name: Ident, steps: &[DeriveStep], spans: &StmtSpans) {
+        let Some(f) = self.schema.function_by_name(name.text).map(|def| def.id) else {
             self.push(
                 Diagnostic::new(
                     Code::UndefinedFunction,
@@ -669,16 +711,16 @@ impl<'a> Analyzer<'a> {
         let d = match self.schema.derivation(&named(steps)) {
             Ok(d) if self.derived.get(&f).is_some_and(|ds| ds.contains(&d)) => return,
             Ok(d) => d,
-            Err(refusal) => return self.push(self.refused(name, steps, refusal)),
+            Err(refusal) => return self.push(self.refused(name, steps, spans, refusal)),
         };
         let holds_data = self
             .tables
-            .get(&name.text)
+            .get(name.text)
             .is_some_and(|t| !t.pairs.is_empty() || t.nulls > 0 || t.fuzzy);
         let single = std::slice::from_ref(&d);
         if let Err(refusal) = check_registration(&self.schema, &self.derived, f, single, holds_data)
         {
-            return self.push(self.refused(name, steps, refusal));
+            return self.push(self.refused(name, steps, spans, refusal));
         }
         self.derived.entry(f).or_default().push(d.clone());
         self.derive_sites.push((f, d, name.span));
@@ -686,11 +728,12 @@ impl<'a> Analyzer<'a> {
 
     /// An `EVAL`: every step resolves (`FDB001` for each that does not)
     /// and is read, and the expression meets the catalog's rules.
-    fn visit_eval(&mut self, keyword: Span, steps: &[StepRef]) {
+    fn visit_eval(&mut self, steps: &[DeriveStep], spans: &StmtSpans) {
         let mut resolved = true;
-        for s in steps {
-            if self.resolve(&s.name).is_some() {
-                self.mark_read(&s.name.text);
+        for i in 0..steps.len() {
+            let step = Ident::step(steps, spans, i);
+            if self.resolve(step).is_some() {
+                self.mark_read(step.text);
             } else {
                 resolved = false;
             }
@@ -703,16 +746,27 @@ impl<'a> Analyzer<'a> {
             .derivation(&named(steps))
             .and_then(|d| check_expression(&self.schema, &self.derived, &d));
         if let Err(refusal) = ruled {
-            self.push(self.refused(&Name::new("EVAL", keyword), steps, refusal));
+            let eval = Ident {
+                text: "EVAL",
+                span: spans.keyword,
+            };
+            self.push(self.refused(eval, steps, spans, refusal));
         }
     }
 
     /// The diagnostic for a `DERIVE target = steps` (or an `EVAL` of
     /// `steps`) the catalog's rules refuse: its code, anchored at the
     /// offending step or at the derived name.
-    fn refused(&self, target: &Name, steps: &[StepRef], refusal: Refusal) -> Diagnostic {
+    fn refused(
+        &self,
+        target: Ident,
+        steps: &[DeriveStep],
+        spans: &StmtSpans,
+        refusal: Refusal,
+    ) -> Diagnostic {
         let ty = |t| self.schema.type_name(t);
-        let f = &target.text;
+        let step = |i| Ident::step(steps, spans, i);
+        let f = target.text;
         let (code, at, message, hint) = match refusal {
             Refusal::NoSteps => (
                 Code::Syntax,
@@ -720,8 +774,8 @@ impl<'a> Analyzer<'a> {
                 "a derivation must have at least one step".to_owned(),
                 "name at least one function".to_owned(),
             ),
-            Refusal::UnknownStep { step, .. } => {
-                let s = &steps[step].name;
+            Refusal::UnknownStep { step: i, .. } => {
+                let s = step(i);
                 (
                     Code::UndefinedFunction,
                     s,
@@ -730,12 +784,12 @@ impl<'a> Analyzer<'a> {
                 )
             }
             Refusal::BrokenChain {
-                step,
+                step: i,
                 expected,
                 found,
                 ..
             } => {
-                let s = &steps[step].name;
+                let s = step(i);
                 let (expected, found) = (ty(expected), ty(found));
                 (
                     Code::BrokenChain,
@@ -771,14 +825,14 @@ impl<'a> Analyzer<'a> {
                 format!("derivation composes to {composed} but `{f}` is declared {declared}"),
                 format!("declare `{f}` as ({composed})"),
             ),
-            Refusal::SelfMention { step, .. } => (
+            Refusal::SelfMention { step: i, .. } => (
                 Code::SelfReferential,
-                &steps[step].name,
+                step(i),
                 format!("derivation of `{f}` mentions itself"),
                 "a derivation must be built from other functions".to_owned(),
             ),
-            Refusal::DerivedStep { step, .. } => {
-                let s = &steps[step].name;
+            Refusal::DerivedStep { step: i, .. } => {
+                let s = step(i);
                 (
                     Code::StepThroughDerived,
                     s,
@@ -817,11 +871,11 @@ impl<'a> Analyzer<'a> {
         &self.schema.function(f).name
     }
 
-    fn visit_insert(&mut self, function: &Name, x: &str, y: &str, lint: bool) {
+    fn visit_insert(&mut self, function: Ident, x: &str, y: &str, lint: bool) {
         if self.resolve(function).is_none() {
             return;
         }
-        let fname = &function.text;
+        let fname = function.text;
         // Any write can rebuild chains, so previously deleted derived
         // facts are no longer definitely false.
         self.derived_deleted.clear();
@@ -875,7 +929,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 self.derived_facts
-                    .entry(fname.clone())
+                    .entry(fname.to_owned())
                     .or_default()
                     .insert((x.to_owned(), y.to_owned()), Abs::True);
             }
@@ -885,18 +939,18 @@ impl<'a> Analyzer<'a> {
             }
             if lint {
                 self.pending_inserts.insert(
-                    (fname.clone(), x.to_owned(), y.to_owned()),
+                    (fname.to_owned(), x.to_owned(), y.to_owned()),
                     (function.span, self.seq),
                 );
             }
         }
     }
 
-    fn visit_delete(&mut self, function: &Name, x: &str, y: &str, lint: bool) {
+    fn visit_delete(&mut self, function: Ident, x: &str, y: &str, lint: bool) {
         if self.resolve(function).is_none() {
             return;
         }
-        let fname = function.text.clone();
+        let fname = function.text.to_owned();
         if let Some(derivs) = self.derivations_of(&fname).cloned() {
             // An NVC-inserted fact deletes directly.
             if let Some(facts) = self.derived_facts.get_mut(&fname) {
@@ -978,14 +1032,14 @@ impl<'a> Analyzer<'a> {
     }
 
     /// A `QUERY f(v)`, or an `INVERSE f(v)` when `inverse`.
-    fn visit_image(&mut self, function: &Name, v: &str, inverse: bool) {
+    fn visit_image(&mut self, function: Ident, v: &str, inverse: bool) {
         if self.resolve(function).is_none() {
             return;
         }
-        self.mark_read(&function.text);
-        if let Some((exact, amb)) = self.eval_image(&function.text, v, inverse) {
+        let f = function.text;
+        self.mark_read(f);
+        if let Some((exact, amb)) = self.eval_image(f, v, inverse) {
             if exact.is_empty() && !amb.is_empty() {
-                let f = &function.text;
                 let query = if inverse {
                     format!("inverse query `{f}^-1({v})`")
                 } else {
@@ -1005,13 +1059,13 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn visit_truth(&mut self, function: &Name, x: &str, y: &str) {
+    fn visit_truth(&mut self, function: Ident, x: &str, y: &str) {
         if self.resolve(function).is_none() {
             return;
         }
-        self.mark_read(&function.text);
-        if self.eval_truth(&function.text, x, y) == AbsTruth::Amb {
-            let fname = &function.text;
+        let fname = function.text;
+        self.mark_read(fname);
+        if self.eval_truth(fname, x, y) == AbsTruth::Amb {
             self.push(
                 Diagnostic::new(
                     Code::GuaranteedAmbiguous,
@@ -1346,35 +1400,17 @@ fn schema_pass(
 mod tests {
     use super::*;
 
-    fn name(text: &str) -> Name {
-        Name::new(text, Span::default())
+    const DECLARE_TEACH: &str = "DECLARE teach: faculty -> course (many-many)";
+
+    fn parse(script: &str) -> Vec<SpannedStatement> {
+        let (stmts, errors) = fdb_syntax::parse_script(script, 1);
+        assert!(errors.is_empty(), "{errors:?}");
+        stmts
     }
 
-    fn txn(op: TxnOp, savepoint: Option<&str>) -> CheckStmt {
-        CheckStmt::Txn {
-            keyword: Span::default(),
-            op,
-            name: savepoint.map(name),
-        }
-    }
-
-    fn declare_teach() -> CheckStmt {
-        CheckStmt::Declare {
-            keyword: Span::default(),
-            name: name("teach"),
-            domain: "faculty".into(),
-            range: "course".into(),
-            functionality: name("many-many"),
-        }
-    }
-
-    fn insert_teach(x: &str) -> CheckStmt {
-        CheckStmt::Insert {
-            keyword: Span::default(),
-            function: name("teach"),
-            x: x.into(),
-            y: "math".into(),
-        }
+    fn codes(world: &World, script: &str, cfg: &CheckConfig) -> Vec<Code> {
+        let diags = analyze_script_in(world, &parse(script), cfg);
+        diags.iter().map(|d| d.code).collect()
     }
 
     /// What each open scope remembers: `BEGIN` first, then the savepoints.
@@ -1388,16 +1424,17 @@ mod tests {
     #[test]
     fn a_committed_transaction_captures_nothing() {
         let cfg = CheckConfig::default();
-        let mut stmts = vec![declare_teach()];
+        let mut script = vec![DECLARE_TEACH.to_owned()];
         for i in 0..50 {
-            stmts.extend([
-                txn(TxnOp::Begin, None),
-                insert_teach(&format!("a{i}")),
-                txn(TxnOp::Savepoint, Some("s")),
-                insert_teach(&format!("b{i}")),
-                txn(TxnOp::Commit, None),
+            script.extend([
+                "BEGIN".to_owned(),
+                format!("INSERT teach(a{i}, math)"),
+                "SAVEPOINT s".to_owned(),
+                format!("INSERT teach(b{i}, math)"),
+                "COMMIT".to_owned(),
             ]);
         }
+        let mut stmts = parse(&script.join("\n"));
         assert!(restored_scopes(&stmts).iter().all(|restored| !restored));
         // Seen from inside the last transaction: neither scope holds a state.
         stmts.pop();
@@ -1412,22 +1449,25 @@ mod tests {
     #[test]
     fn a_scope_is_captured_when_a_later_statement_rolls_back_to_it() {
         let cfg = CheckConfig::default();
-        let stmts = vec![
-            declare_teach(),
-            txn(TxnOp::RollbackTo, Some("a")), // unbalanced: FDB018
-            txn(TxnOp::Begin, None),
-            txn(TxnOp::Savepoint, Some("a")),
-            txn(TxnOp::Savepoint, Some("b")),
-            insert_teach("euclid"),
-            txn(TxnOp::RollbackTo, Some("ghost")), // unknown: FDB018
-            txn(TxnOp::RollbackTo, Some("a")),
-            txn(TxnOp::Savepoint, Some("b")),
-            txn(TxnOp::Savepoint, Some("a")), // replaces the first `a`
-            txn(TxnOp::Rollback, None),
-            txn(TxnOp::Begin, None),
-            txn(TxnOp::Savepoint, Some("a")),
-            insert_teach("gauss"),
-        ];
+        let stmts = parse(
+            &[
+                DECLARE_TEACH,
+                "ROLLBACK TO a", // unbalanced: FDB018
+                "BEGIN",
+                "SAVEPOINT a",
+                "SAVEPOINT b",
+                "INSERT teach(euclid, math)",
+                "ROLLBACK TO ghost", // unknown: FDB018
+                "ROLLBACK TO a",
+                "SAVEPOINT b",
+                "SAVEPOINT a", // replaces the first `a`
+                "ROLLBACK",
+                "BEGIN",
+                "SAVEPOINT a",
+                "INSERT teach(gauss, math)",
+            ]
+            .join("\n"),
+        );
         let restored: Vec<usize> = restored_scopes(&stmts)
             .iter()
             .enumerate()
@@ -1463,30 +1503,13 @@ mod tests {
     /// site.
     #[test]
     fn an_identical_second_derive_registers_nothing() {
-        let declare = |f: &str, domain: &str, range: &str| CheckStmt::Declare {
-            keyword: Span::default(),
-            name: name(f),
-            domain: domain.into(),
-            range: range.into(),
-            functionality: name("many-many"),
-        };
-        let derive = CheckStmt::Derive {
-            keyword: Span::default(),
-            name: name("pupil"),
-            steps: ["teach", "class_list"]
-                .map(|f| StepRef {
-                    name: name(f),
-                    inverse: false,
-                })
-                .to_vec(),
-        };
-        let stmts = [
-            declare("teach", "faculty", "course"),
-            declare("class_list", "course", "student"),
-            declare("pupil", "faculty", "student"),
-            derive.clone(),
-            derive,
-        ];
+        let stmts = parse(
+            "DECLARE teach: faculty -> course (many-many)\n\
+             DECLARE class_list: course -> student (many-many)\n\
+             DECLARE pupil: faculty -> student (many-many)\n\
+             DERIVE pupil = teach o class_list\n\
+             DERIVE pupil = teach o class_list",
+        );
         let cfg = CheckConfig::default();
         let a = Analyzer::run(&World::default(), &stmts, &cfg);
         let pupil = a.schema.resolve("pupil").expect("declared");
@@ -1519,39 +1542,82 @@ mod tests {
             populated: BTreeSet::new(),
         };
         // A derived delete, then a DERIVE of a function of the catalog.
-        let stmts = [
-            CheckStmt::Delete {
-                keyword: Span::default(),
-                function: name("pupil"),
-                x: "euclid".into(),
-                y: "john".into(),
-            },
-            CheckStmt::Derive {
-                keyword: Span::default(),
-                name: name("teach"),
-                steps: vec![StepRef {
-                    name: name("teach"),
-                    inverse: false,
-                }],
-            },
-        ];
-        let codes = |world: &World, stmts: &[CheckStmt]| -> Vec<Code> {
-            let cfg = CheckConfig::default();
-            let diags = analyze_script_in(world, stmts, &cfg);
-            diags.iter().map(|d| d.code).collect()
-        };
+        let delete = "DELETE pupil(euclid, john)";
+        let both = format!("{delete}\nDERIVE teach = teach");
+        let cfg = CheckConfig::default();
         // Both tables empty: there is provably no chain to negate.
-        assert!(codes(&world, &stmts[..1]).contains(&Code::UndischargeableDelete));
+        assert!(codes(&world, delete, &cfg).contains(&Code::UndischargeableDelete));
         // `teach` holds facts the statements do not spell out: no claim.
         world.populated.insert(teach);
-        assert!(!codes(&world, &stmts[..1]).contains(&Code::UndischargeableDelete));
+        assert!(!codes(&world, delete, &cfg).contains(&Code::UndischargeableDelete));
         // The catalog's names resolve and its derivation is known...
-        assert!(!codes(&world, &stmts).contains(&Code::UndefinedFunction));
+        assert!(!codes(&world, &both, &cfg).contains(&Code::UndefinedFunction));
         // ...and nothing is declared twice without a site to point at.
-        let redeclared = codes(&world, &[declare_teach()]);
+        let redeclared = codes(&world, DECLARE_TEACH, &cfg);
         assert!(
             redeclared.contains(&Code::DuplicateDeclare),
             "{redeclared:?}"
         );
+    }
+
+    /// In a replica-mode script `FDB040` fires on what a replica engine
+    /// refuses: `LOAD` writes the engine's own database, `SOURCE` only
+    /// runs statements that are judged one by one.
+    #[test]
+    fn replica_mode_flags_load_but_not_source() {
+        let cfg = CheckConfig {
+            replica_mode: true,
+            ..CheckConfig::default()
+        };
+        let world = World::default();
+        let flagged = |line: &str| codes(&world, line, &cfg).contains(&Code::ReplicaWrite);
+        assert!(flagged("LOAD \"db.json\""));
+        assert!(!flagged("SOURCE \"x.fdb\""));
+        assert!(!flagged("SCHEMA"));
+        assert!(flagged(DECLARE_TEACH));
+    }
+
+    /// `SOURCE`, `LOAD` and `PROMOTE` bring in facts the statements do
+    /// not spell out, so the closed-world lints go quiet after them;
+    /// `SCHEMA` does not.
+    #[test]
+    fn the_closed_world_lints_go_quiet_after_source_load_or_promote() {
+        let cfg = CheckConfig::default();
+        let dead_write = |between: &str| {
+            let script = format!(
+                "{DECLARE_TEACH}\nINSERT teach(euclid, math)\n{between}\nDELETE teach(euclid, math)"
+            );
+            codes(&World::default(), &script, &cfg).contains(&Code::DeadWrite)
+        };
+        assert!(dead_write("SCHEMA"));
+        for opener in ["SOURCE \"x.fdb\"", "LOAD \"db.json\"", "PROMOTE"] {
+            assert!(!dead_write(opener), "{opener}");
+        }
+    }
+
+    /// Every `SHOW`, `DERIVATIONS` and `EXPLAIN` form is a read of its
+    /// function: it must resolve (`FDB001` at the name otherwise), and a
+    /// fact read by it was not written in vain.
+    #[test]
+    fn every_show_derivations_and_explain_form_reads_its_function() {
+        let cfg = CheckConfig::default();
+        let world = World::default();
+        for read in [
+            "SHOW teach",
+            "DERIVATIONS teach",
+            "EXPLAIN teach(euclid, math)",
+            "EXPLAIN PLAN teach(euclid, math)",
+            "EXPLAIN ANALYZE teach(euclid, math)",
+        ] {
+            let script = format!(
+                "{DECLARE_TEACH}\nINSERT teach(euclid, math)\n{read}\nDELETE teach(euclid, math)"
+            );
+            assert_eq!(codes(&world, &script, &cfg), [], "{read}");
+            let undeclared = analyze_script(&parse(read), &cfg);
+            assert_eq!(undeclared.len(), 1, "{read}");
+            assert_eq!(undeclared[0].code, Code::UndefinedFunction, "{read}");
+            let at = read.find("teach").expect("names teach") as u32;
+            assert_eq!(undeclared[0].span, Span::new(1, at, at + 5), "{read}");
+        }
     }
 }

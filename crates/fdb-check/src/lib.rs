@@ -16,19 +16,20 @@
 //! | `FDB030` | cost/feasibility (via `fdb-exec`)     | warn     |
 //! | `FDB031` | cycle closed without the UFA          | info     |
 //! | `FDB040` | write in a `-- mode: replica` script  | error    |
-//! | `FDB05x` | data-aware discovery (via [`discover`]) | info/warn |
+//! | `FDB05x` | data-aware discovery (via [`mod@discover`]) | info/warn |
 //!
-//! Entry points: [`analyze_script`] over a [`CheckStmt`] list (the
-//! spanned IR that `fdb-lang` lowers its AST into), [`analyze_script_in`]
-//! for a list that ran on top of an existing catalog (a [`World`]), and
-//! [`analyze_schema`] over a bare [`fdb_types::Schema`]. Output renders
-//! as plain text ([`render_text`]), a JSON array ([`render_json`]) or a
-//! SARIF 2.1.0 log ([`render_sarif`]); CI noise is managed with
-//! [`Baseline`] files.
+//! Entry points: [`analyze_script`] over the statements
+//! [`fdb_syntax::parse_script`] made — the AST the engine executes, each
+//! statement with the spans its diagnostics anchor at —
+//! [`analyze_script_in`] for statements that ran on top of an existing
+//! catalog (a [`World`]), and [`analyze_schema`] over a bare
+//! [`fdb_types::Schema`]. Output renders as plain text
+//! ([`render_text`]), a JSON array ([`render_json`]) or a SARIF 2.1.0
+//! log ([`render_sarif`]); CI noise is managed with [`Baseline`] files.
 //!
 //! The analyzer is pure: it never touches a store, never mutates the
 //! schema it is given, and its only observable side effect is bumping
-//! the `fdb.check.*` observability counters. The [`discover`] module
+//! the `fdb.check.*` observability counters. The [`mod@discover`] module
 //! extends the same guarantee to the *data-aware* pass: it reads a store
 //! but never writes one.
 
@@ -39,7 +40,6 @@ pub mod baseline;
 pub mod diag;
 pub mod discover;
 pub mod sarif;
-pub mod script;
 
 pub use analyzer::{
     analyze_schema, analyze_script, analyze_script_in, detect_replica_mode, CheckConfig, World,
@@ -54,4 +54,3 @@ pub use discover::{
     render_discovery_text, CandidateDerivation, DiscoveredFd, DiscoveryReport, Violation,
 };
 pub use sarif::{render_sarif, render_sarif_all};
-pub use script::{CheckStmt, Name, StepRef, TxnOp};

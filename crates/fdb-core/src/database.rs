@@ -291,11 +291,6 @@ impl Database {
         self.chain_limits
     }
 
-    /// Overrides the chain-enumeration cap.
-    pub fn set_chain_limits(&mut self, limits: ChainLimits) {
-        self.chain_limits = limits;
-    }
-
     /// The delete policy for derived deletes.
     pub fn delete_policy(&self) -> DeletePolicy {
         self.delete_policy

@@ -261,22 +261,6 @@ impl<E: AsRef<Database>> Shared<E> {
         f(&self.pin())
     }
 
-    /// [`Shared::read`] with the governor consulted up front: an expired
-    /// deadline or tripped cancellation token sheds the read with its
-    /// typed error before the snapshot is pinned. (Pins cannot block, so
-    /// there is no wait to clamp — pass the governor on to `*_governed`
-    /// query methods inside the closure to bound the query itself.)
-    pub fn read_governed<R>(
-        &self,
-        governor: &Governor,
-        f: impl FnOnce(&Database) -> R,
-    ) -> Result<R> {
-        governor
-            .check()
-            .map_err(|r| r.into_error("database read"))?;
-        Ok(self.read(f))
-    }
-
     /// Runs a closure with exclusive access to the engine.
     ///
     /// Bounded: a full admission gate rejects the request at once, a lock
@@ -814,20 +798,6 @@ mod tests {
         assert_eq!(ran, 1);
     }
 
-    fn governed_read_is_shed_up_front<E: Engine>() {
-        let shared = Shared::new(E::university());
-        let [expired, cancelled, healthy] = governors();
-        assert!(matches!(
-            shared.read_governed(&expired, |db| db.stats()),
-            Err(FdbError::DeadlineExceeded(_))
-        ));
-        assert!(matches!(
-            shared.read_governed(&cancelled, |db| db.stats()),
-            Err(FdbError::Cancelled)
-        ));
-        assert!(shared.read_governed(&healthy, |db| db.stats()).is_ok());
-    }
-
     /// The governor is consulted again under the lock: a request stopped
     /// while it waited for the engine does not run its closure. (A
     /// cancellation, because a deadline also clamps the wait itself.)
@@ -905,8 +875,6 @@ mod tests {
         governed_write_is_shed_up_front:
             governed_write_respects_deadline_and_cancel,
             durable_governed_write_respects_deadline_and_cancel;
-        governed_read_is_shed_up_front:
-            read_governed_sheds_on_expired_deadline, durable_read_governed_sheds_on_expired_deadline;
         governed_write_stopped_in_the_lock_wait_never_runs:
             in_memory_governed_write_stopped_in_the_lock_wait_never_runs,
             durable_governed_write_stopped_in_the_lock_wait_never_runs;

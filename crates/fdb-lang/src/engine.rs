@@ -4,16 +4,16 @@
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-use fdb_check::{analyze_script_in, CheckConfig, CheckStmt, Severity, World};
+use fdb_check::{analyze_script_in, CheckConfig, Severity, World};
 use fdb_core::{resolve_ambiguities, Budget, CancelToken, Database, Governance, Governor, Outcome};
 use fdb_exec::{Assumption, AssumptionSet, CacheReport, FdKind, QuerySpec, ResultCache};
 use fdb_repl::{Promotion, Replica};
+use fdb_syntax::{
+    parse_script, parse_statement_spanned, DeriveStep, Governed, SpannedStatement, Statement,
+};
 use fdb_types::{Derivation, FdbError, Refusal, Result, Schema, Value};
 
-use crate::ast::{DeriveStep, Governed, Statement};
-use crate::check::lower_script_from;
 use crate::format::{render_base_table, render_derived_pairs, render_set, script_word};
-use crate::parser::parse_statement_spanned;
 
 /// The engine's own database and, while one is attached, the hot-standby
 /// replica whose state is served instead.
@@ -966,11 +966,6 @@ impl Engine {
         }
     }
 
-    /// Toggles strict mode programmatically (the `STRICT ON|OFF` form).
-    pub fn set_strict(&mut self, on: bool) {
-        self.strict = on;
-    }
-
     /// Whether strict mode is on.
     pub fn strict(&self) -> bool {
         self.strict
@@ -986,10 +981,10 @@ impl Engine {
     /// about to be `SOURCE`d, numbered from its own line 1), over the
     /// catalog the history started from — or a replica's as it is now:
     /// it moves under a session that can itself declare nothing.
-    fn lint_history(&self, script: Vec<CheckStmt>) -> Vec<fdb_check::Diagnostic> {
+    fn lint_history(&self, script: Vec<SpannedStatement>) -> Vec<fdb_check::Diagnostic> {
         let live = self.served.replica.as_ref().map(|r| world_of(r.database()));
         let world = live.as_ref().unwrap_or(&self.history.world);
-        let (mut stmts, _) = lower_script_from(&self.history.transcript, self.history.first_line);
+        let (mut stmts, _) = parse_script(&self.history.transcript, self.history.first_line);
         stmts.extend(script);
         analyze_script_in(world, &stmts, &CheckConfig::default())
     }
@@ -998,7 +993,7 @@ impl Engine {
     /// script about to be `SOURCE`d and refuses on any error-severity
     /// finding (or any line that does not parse).
     fn preflight(&self, path: &str, text: &str) -> Result<()> {
-        let (script, parse_errors) = crate::check::lower_script(text);
+        let (script, parse_errors) = parse_script(text, 1);
         if let Some((line, e)) = parse_errors.into_iter().next() {
             return Err(FdbError::Parse {
                 line: self.line,
@@ -2284,7 +2279,7 @@ mod tests {
             r.unwrap();
         });
         // What fdb-lint says of the same lines: no dead write.
-        let (stmts, _) = crate::lower_script(lines);
+        let (stmts, _) = parse_script(lines, 1);
         let lint = fdb_check::analyze_script(&stmts, &CheckConfig::default());
         assert_eq!(e.analyze(), lint);
         assert!(!codes(&e).contains(&fdb_check::Code::DeadWrite));

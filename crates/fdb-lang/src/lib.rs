@@ -27,23 +27,29 @@
 //! identifiers or double-quoted strings. Inverse steps in `DERIVE` use
 //! `^-1`, exactly the paper's notation rendered in ASCII
 //! (`DERIVE lecturer_of = class_list^-1 o teach^-1`).
+//!
+//! The lexer, parser and statement AST live in `fdb-syntax`, which the
+//! `fdb-check` analyzer reads too; this crate executes the statements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod ast;
-pub mod check;
 pub mod engine;
 pub mod format;
-pub mod lexer;
-pub mod parser;
 pub mod repl;
 
-pub use ast::{Admission, DeriveStep, Governed, Statement};
-pub use check::{lower, lower_script, lower_script_from};
 pub use engine::Engine;
-pub use parser::{parse_statement, parse_statement_spanned, SpannedStatement, StmtSpans};
+pub use fdb_syntax::{
+    parse_script, parse_statement, parse_statement_spanned, Admission, DeriveStep, Governed,
+    SpannedStatement, Statement, StmtSpans,
+};
 pub use repl::run_repl;
 
 pub use fdb_core::{CancelToken, Governor, Outcome, StopReason};
+
+/// Does nothing: only the repo benchmark's traced round calls it, to time
+/// a lowering step the statement path no longer has. The benchmark change
+/// of ROADMAP item 1(c) deletes it.
+#[doc(hidden)]
+pub fn lower(_: &SpannedStatement) {}

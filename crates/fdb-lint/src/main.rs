@@ -134,7 +134,7 @@ fn parse_error_span(line_no: u32, message: &str) -> fdb_types::Span {
 
 fn lint_file(path: &str, config: &CheckConfig) -> Result<Vec<Diagnostic>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let (stmts, parse_errors) = fdb_lang::lower_script(&text);
+    let (stmts, parse_errors) = fdb_lang::parse_script(&text, 1);
     // A leading `-- mode: replica` comment turns on the FDB040 lint for
     // this file only: writes here would be refused by a replica engine.
     let config = CheckConfig {

@@ -53,6 +53,23 @@ pub fn parse_statement_spanned(line: &str, line_no: u32) -> Result<SpannedStatem
     .statement()
 }
 
+/// Parses a whole script whose first line is line `first_line` of its
+/// source. Blank and comment-only lines are dropped; a line that does
+/// not parse surfaces as `(line_no, error)`, so a caller can report it
+/// (as `FDB000`) without losing its position.
+pub fn parse_script(text: &str, first_line: u32) -> (Vec<SpannedStatement>, Vec<(u32, FdbError)>) {
+    let mut stmts = Vec::new();
+    let mut errors = Vec::new();
+    for (line_no, line) in (first_line..).zip(text.lines()) {
+        match parse_statement_spanned(line, line_no) {
+            Ok(s) if matches!(s.stmt, Statement::Empty) => {}
+            Ok(s) => stmts.push(s),
+            Err(e) => errors.push((line_no, e)),
+        }
+    }
+    (stmts, errors)
+}
+
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
@@ -702,6 +719,40 @@ mod tests {
             vec![Span::new(3, 13, 19), Span::new(3, 21, 25)]
         );
         assert!(s.spans.steps.is_empty());
+    }
+
+    #[test]
+    fn spanned_declare_reports_name_and_functionality_spans() {
+        let s = parse_statement_spanned("DECLARE teach: faculty -> course (many-many)", 1).unwrap();
+        assert_eq!(s.spans.name, Some(Span::new(1, 8, 13)));
+        // Domain, range, then the functionality the analyzer anchors at.
+        assert_eq!(
+            s.spans.args,
+            vec![
+                Span::new(1, 15, 22),
+                Span::new(1, 26, 32),
+                Span::new(1, 34, 43)
+            ]
+        );
+    }
+
+    #[test]
+    fn parse_script_collects_statements_and_errors() {
+        let (stmts, errors) = parse_script(
+            "DECLARE teach: faculty -> course (many-many)\n\
+             -- comment only\n\
+             NOT A STATEMENT\n\
+             INSERT teach(euclid, math)\n",
+            1,
+        );
+        assert_eq!(stmts.len(), 2);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].0, 3);
+        // Numbered from `first_line`, spans included.
+        let (stmts, errors) = parse_script("\nINSERT teach(euclid, math)\nBOGUS", 10);
+        assert_eq!(stmts.len(), 1);
+        assert_eq!(stmts[0].spans.keyword, Span::new(11, 0, 6));
+        assert_eq!(errors[0].0, 12);
     }
 
     #[test]

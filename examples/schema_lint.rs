@@ -12,7 +12,7 @@
 //! ```
 
 use fdb::check::{analyze_schema, analyze_script, render_text, CheckConfig};
-use fdb::lang::lower_script;
+use fdb::lang::parse_script;
 use fdb::types::{schema_s1, schema_s2, Schema};
 use fdb::workload::UNIVERSITY_TRACE;
 
@@ -41,7 +41,7 @@ fn main() {
     println!("\n== examples/scripts/university.fdb, whole-script ==");
     let text =
         std::fs::read_to_string("examples/scripts/university.fdb").expect("shipped script exists");
-    let (stmts, errors) = lower_script(&text);
+    let (stmts, errors) = parse_script(&text, 1);
     assert!(errors.is_empty(), "shipped script parses: {errors:?}");
     let diags = analyze_script(&stmts, &CheckConfig::default());
     print!("{}", render_text(&diags));

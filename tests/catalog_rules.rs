@@ -16,9 +16,9 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fdb::check::{analyze_script_in, CheckConfig, CheckStmt, Code, World};
+use fdb::check::{analyze_script_in, CheckConfig, Code, World};
 use fdb::core::Database;
-use fdb::lang::{lower_script, Engine};
+use fdb::lang::{parse_script, Engine, Statement};
 use fdb::types::FdbError;
 
 /// What the analyzer starts from after the engine read facts from
@@ -105,15 +105,16 @@ fn differential(name: &str, script: &str, tmp: &str, tally: &mut Tally) {
     let mut ran = String::new();
     for (n, line) in script.lines().enumerate() {
         let line = line.replace("$TMP", tmp);
-        let lowered = lower_script(&line).0;
+        let parsed = parse_script(&line, 1).0;
+        let stmt = parsed.first().map(|s| &s.stmt);
         let rule_line = matches!(
-            lowered.first(),
-            Some(CheckStmt::Declare { .. } | CheckStmt::Derive { .. } | CheckStmt::Eval { .. })
+            stmt,
+            Some(Statement::Declare { .. } | Statement::Derive { .. } | Statement::Eval { .. })
         );
         let findings = rule_line.then(|| {
             let text = format!("{ran}{line}\n");
             let at = text.lines().count() as u32;
-            let (stmts, _) = lower_script(&text);
+            let (stmts, _) = parse_script(&text, 1);
             let diags = analyze_script_in(&world, &stmts, &CheckConfig::default());
             diags
                 .iter()
@@ -140,11 +141,8 @@ fn differential(name: &str, script: &str, tmp: &str, tally: &mut Tally) {
             tally.compared += 1;
         }
         let opens_world = matches!(
-            lowered.first(),
-            Some(CheckStmt::Other {
-                opens_world: true,
-                ..
-            })
+            stmt,
+            Some(Statement::Source { .. } | Statement::Load { .. } | Statement::Promote)
         );
         if opens_world {
             world = world_of(engine.database());

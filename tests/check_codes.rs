@@ -5,10 +5,10 @@
 //! what keeps the analyzer honest about false positives.
 
 use fdb::check::{analyze_script, CheckConfig, Code, Diagnostic};
-use fdb::lang::lower_script;
+use fdb::lang::parse_script;
 
 fn diags_with(script: &str, config: &CheckConfig) -> Vec<Diagnostic> {
-    let (stmts, errors) = lower_script(script);
+    let (stmts, errors) = parse_script(script, 1);
     assert!(errors.is_empty(), "unexpected parse errors: {errors:?}");
     analyze_script(&stmts, config)
 }

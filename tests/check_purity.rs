@@ -8,7 +8,7 @@
 //! races the process-wide registry.
 
 use fdb::check::{analyze_script, CheckConfig};
-use fdb::lang::lower_script;
+use fdb::lang::parse_script;
 use fdb::obs::registry;
 
 /// Counters that move only when something actually mutates or executes.
@@ -48,7 +48,7 @@ fn analysis_is_pure_and_accounted() {
                   QUERY pupil(euclid)\n\
                   INSERT pupil(gauss, bill)\n\
                   TRUTH pupil(euclid, bill)\n";
-    let (stmts, errors) = lower_script(script);
+    let (stmts, errors) = parse_script(script, 1);
     assert!(errors.is_empty(), "{errors:?}");
 
     let before_mutations = mutation_counters();

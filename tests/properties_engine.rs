@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use fdb::check::{analyze_script, CheckConfig};
 use fdb::core::{replay, resolve_ambiguities, Budget, Database, Governor, LogRecord, Update, Wal};
 use fdb::lang::format::render_derived_pairs;
-use fdb::lang::{lower_script, Engine};
+use fdb::lang::{parse_script, Engine};
 use fdb::storage::Truth;
 use fdb::types::FdbError;
 use fdb::types::{Derivation, Schema, Step, Value};
@@ -280,7 +280,7 @@ impl LintedSession {
     }
 
     fn assert_check_is_lint(&self, context: &str) {
-        let (stmts, errors) = lower_script(&self.lines);
+        let (stmts, errors) = parse_script(&self.lines, 1);
         assert!(errors.is_empty(), "{errors:?} {context}");
         assert_eq!(
             self.engine.analyze(),

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use fdb::check::{analyze_script, CheckConfig, Code};
 use fdb::core::{LoggedDatabase, SimDisk, WalStorage};
-use fdb::lang::{lower_script, parse_statement, Engine, Governed, Statement};
+use fdb::lang::{parse_script, parse_statement, Engine, Governed, Statement};
 use fdb::repl::{Replica, ReplicationSource};
 use fdb::types::{FdbError, Value};
 
@@ -167,7 +167,7 @@ fn replica_gate_and_fdb040_follow_the_classification() {
         assert_eq!(refused, refusal.is_some(), "replica gate on `{line}`");
 
         // The static twin.
-        let (stmts, errors) = lower_script(&line);
+        let (stmts, errors) = parse_script(&line, 1);
         assert!(errors.is_empty(), "`{line}`: {errors:?}");
         let flagged = analyze_script(&stmts, &replica_mode)
             .iter()
